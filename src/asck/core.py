@@ -26,9 +26,26 @@ from .errors import (
     SchemeError,
 )
 
-# Intersection tensors are cached only up to this rank; above it single
-# entries are recomputed on demand (O(n) each).
+# The full (r, r, r) intersection tensor is cached only up to this rank;
+# above it ``tensor`` rebuilds it on every call and single entries are
+# recomputed on demand (O(n) each).
 TENSOR_CACHE_MAX_RANK = 64
+
+
+def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Coerce input to a square int64 matrix without changing any value.
+
+    Floats are accepted only when every entry is finite, integral and
+    within int64 range; anything else raises SchemeError.
+    """
+    arr = np.asarray(matrix)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise SchemeError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu" and not (
+            arr.dtype.kind == "f" and np.isfinite(arr).all()
+            and (arr == np.floor(arr)).all() and (np.abs(arr) < 2.0 ** 63).all()):
+        raise SchemeError(f"expected integer entries, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
 
 
 def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -37,17 +54,9 @@ def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     Raises SchemeError for malformed arrays and NonContiguousColors
     (carrying the ascending relabel map) when color ids have gaps.
     """
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise SchemeError(f"expected a square matrix, got shape {arr.shape}")
+    arr = _integer_matrix(matrix)
     if arr.shape[0] == 0:
         raise SchemeError("expected at least one point")
-    if arr.dtype.kind not in "iu":
-        if arr.dtype.kind == "f" and np.all(arr == np.floor(arr)):
-            arr = arr.astype(np.int64)
-        else:
-            raise SchemeError(f"expected integer entries, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64)
     if arr.min() < 0:
         u, v = map(int, np.argwhere(arr < 0)[0])
         raise SchemeError(f"negative color {arr[u, v]} at cell ({u},{v})")
@@ -75,9 +84,7 @@ def normalize_colors(matrix: Sequence[Sequence[int]] | np.ndarray
 
     Returns the relabeled matrix and the applied old-to-new map.
     """
-    arr = np.asarray(matrix, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise SchemeError(f"expected a square matrix, got shape {arr.shape}")
+    arr = _integer_matrix(matrix)
     uniq, inverse = np.unique(arr, return_inverse=True)
     remap = {int(old): new for new, old in enumerate(uniq)}
     return inverse.reshape(arr.shape).astype(np.int64), remap
@@ -88,6 +95,16 @@ def _first_cells(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     n = matrix.shape[0]
     _, first_flat = np.unique(matrix.ravel(), return_index=True)
     return first_flat // n, first_flat % n
+
+
+def mask_colors(mask: int) -> tuple[int, ...]:
+    """The colors whose bits are set in a color bitmask, ascending."""
+    colors = []
+    while mask:
+        low = mask & -mask
+        colors.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(colors)
 
 
 def canonical_recolor(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -127,6 +144,7 @@ class Scheme:
     degrees: np.ndarray                # out-degree of each color's basis digraph
     sizes: np.ndarray                  # total cell count of each color
     _tensor: np.ndarray | None = field(default=None, repr=False)
+    _composition: dict[tuple[int, int], int] | None = field(default=None, repr=False)
     # memoized derived structures; transparent caches of pure functions
     _equivalences: list | None = field(default=None, repr=False)
     _restrictions: dict = field(default_factory=dict, repr=False)
@@ -211,7 +229,8 @@ class Scheme:
 
         Cached for rank <= TENSOR_CACHE_MAX_RANK, otherwise rebuilt on
         every call; prefer ``tensor_slice`` or ``intersection_number``
-        for high-rank configurations.
+        for high-rank configurations.  Composition queries never build
+        it: they read ``composition_table``.
         """
         if self._tensor is not None:
             return self._tensor
@@ -220,17 +239,42 @@ class Scheme:
             self._tensor = t
         return t
 
+    def composition_table(self) -> dict[tuple[int, int], int]:
+        """Sparse composition table, built once and cached at any rank.
+
+        ``table[(a, b)]`` is the bitmask (bit c set) of the colors c with
+        p^c_ab > 0; pairs with no a-then-b two-step are absent.  Each
+        color contributes the distinct codes color(u,v) * r + color(v,w)
+        over v for its first cell (u, w), so at most r * n triples are
+        read and the (r, r, r) tensor is never formed.  The returned
+        dict is shared and must not be mutated.
+        """
+        if self._composition is None:
+            r, n = self.r, self.n
+            us, ws = _first_cells(self.matrix, r)
+            table: dict[tuple[int, int], int] = {}
+            # chunks of at most n colors keep the code array at n x n
+            for lo in range(0, r, n):
+                through = np.arange(lo, min(lo + n, r))
+                codes = np.sort(self.matrix[us[through], :] * r
+                                + self.matrix[:, ws[through]].T, axis=1)
+                fresh = np.ones(codes.shape, dtype=bool)
+                fresh[:, 1:] = codes[:, 1:] != codes[:, :-1]
+                rows, cols = np.nonzero(fresh)
+                for c, code in zip(through[rows].tolist(), codes[rows, cols].tolist()):
+                    pair = divmod(code, r)
+                    table[pair] = table.get(pair, 0) | (1 << c)
+            self._composition = table
+        return self._composition
+
     def composition_colors(self, left: int, right: int) -> tuple[int, ...]:
-        """Colors carrying at least one left-then-right two-step, ascending."""
+        """Colors carrying at least one left-then-right two-step, ascending.
+
+        Read from ``composition_table`` at every rank.
+        """
         left = self.check_color(left)
         right = self.check_color(right)
-        if self.r <= TENSOR_CACHE_MAX_RANK:
-            t = self.tensor()
-            return tuple(int(c) for c in np.nonzero(t[:, left, right])[0])
-        a = (self.matrix == left).astype(np.float64)
-        b = (self.matrix == right).astype(np.float64)
-        hit = (a @ b) > 0
-        return tuple(int(c) for c in np.unique(self.matrix[hit]))
+        return mask_colors(self.composition_table().get((left, right), 0))
 
     def _first_cell(self, color: int) -> tuple[int, int]:
         flat = int(np.argmax(self.matrix.ravel() == color))

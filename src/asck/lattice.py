@@ -2,20 +2,23 @@
 
 A closed set contains the diagonal, its own transposes, and every color
 reachable by composing two members; the union of its relations is then
-an equivalence relation on the point set.  The full lattice is
-enumerated from single-color generators closed under pairwise joins,
-which reaches every closed set without scanning all 2^r subsets.
+an equivalence relation on the point set.  Closure runs on color
+bitmasks over the scheme's composition table: a worklist adds one color
+at a time and composes it only with the current members.  Every closed
+set is the join of the single-color closed sets of its colors, so the
+full lattice is enumerated by joining each found set with each
+single-color generator, starting from the diagonal, without scanning
+all 2^r subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .core import Scheme
+from .core import Scheme, mask_colors
 from .digraph import basis_digraph, weakly_connected_components
 from .errors import (
     NotASchemeEquivalence,
@@ -53,7 +56,11 @@ class ClosedSet:
         return hash((id(self.scheme), self.colors))
 
     def check(self) -> None:
-        """Raise if the three closure invariants fail (used by tests)."""
+        """Raise if the three closure invariants fail (used by tests).
+
+        Reads intersection numbers, not the composition table that the
+        closure engine runs on, so it verifies that engine independently.
+        """
         s = self.scheme
         missing = set(s.diagonal_colors) - self.colors
         if missing:
@@ -61,12 +68,16 @@ class ClosedSet:
         for c in self.colors:
             if s.transpose(c) not in self.colors:
                 raise SchemeError(f"transpose of {c} missing")
-        for a in self.colors:
-            for b in self.colors:
-                extra = set(s.composition_colors(a, b)) - self.colors
-                if extra:
-                    raise SchemeError(
-                        f"composition {a}*{b} leaves the set via {sorted(extra)}")
+        members = sorted(self.colors)
+        inside = np.ix_(members, members)
+        for c in range(s.r):
+            if c in self.colors:
+                continue
+            hits = np.argwhere(s.tensor_slice(c)[inside])
+            if hits.size:
+                a, b = members[hits[0][0]], members[hits[0][1]]
+                raise SchemeError(
+                    f"composition {a}*{b} leaves the set via {c}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,22 +122,47 @@ class Equivalence:
         return ClosedSet(self.scheme, self.colors)
 
 
+def _close(scheme: Scheme, closed: int, extra: int) -> int:
+    """Smallest closed color mask containing the closed mask ``closed``
+    and the colors of the mask ``extra``.
+
+    Worklist closure: each color taken from the worklist joins the
+    members and queues its transpose and its compositions, both ways,
+    with every current member.  A pair of members is composed once,
+    when the later of the two is added; pairs inside ``closed`` never.
+    The scheme is homogeneous, so every pair of colors has an entry in
+    the composition table.
+    """
+    comp = scheme.composition_table()
+    sigma = scheme.transpose_map
+    members = list(mask_colors(closed))
+    pending = extra & ~closed
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        closed |= bit
+        c = bit.bit_length() - 1
+        members.append(c)
+        found = 1 << int(sigma[c])
+        for m in members:
+            found |= comp[c, m] | comp[m, c]
+        pending |= found & ~closed
+    return closed
+
+
+def _mask(colors: Iterable[int]) -> int:
+    mask = 0
+    for c in colors:
+        mask |= 1 << c
+    return mask
+
+
 def generated_closed_set(scheme: Scheme, seed: Iterable[int]) -> ClosedSet:
     """Smallest closed set containing the seed colors."""
     scheme.require_homogeneous()
-    colors = {scheme.check_color(c) for c in seed}
-    colors.update(scheme.diagonal_colors)
-    done: set[tuple[int, int]] = set()
-    while True:
-        for c in list(colors):
-            colors.add(scheme.transpose(c))
-        pending = [(a, b) for a in colors for b in colors if (a, b) not in done]
-        if not pending:
-            break
-        for a, b in pending:
-            done.add((a, b))
-            colors.update(scheme.composition_colors(a, b))
-    return ClosedSet(scheme, frozenset(colors))
+    extra = _mask(scheme.check_color(c) for c in seed)
+    closed = _close(scheme, _mask(scheme.diagonal_colors), extra)
+    return ClosedSet(scheme, frozenset(mask_colors(closed)))
 
 
 def equivalence_from_colors(scheme: Scheme, colors: Iterable[int]) -> Equivalence:
@@ -203,25 +239,30 @@ def generated_equivalence(scheme: Scheme, color: int) -> Equivalence:
 def all_equivalences(scheme: Scheme) -> list[Equivalence]:
     """Every scheme equivalence, discrete and full included.
 
-    Closed sets are generated from single colors and closed under
-    pairwise joins; the result is sorted by color-set size, then by the
-    sorted color ids.
+    Starting from the diagonal, each closed set found is joined with
+    each single-color closed set until no new set appears; this reaches
+    every closed set, since each one is the join of the single-color
+    closed sets of its colors.  The result is sorted by color-set size,
+    then by the sorted color ids.
     """
     scheme.require_homogeneous()
     if scheme.r > RANK_CAP:
         raise RankTooLarge(scheme.r, RANK_CAP)
     if scheme._equivalences is not None:
         return list(scheme._equivalences)
-    family: set[frozenset[int]] = {
-        generated_closed_set(scheme, {c}).colors for c in range(scheme.r)}
-    while True:
-        joins = {
-            generated_closed_set(scheme, a | b).colors
-            for a, b in combinations(sorted(family, key=sorted), 2)}
-        if joins <= family:
-            break
-        family |= joins
-    eqs = [equivalence_from_colors(scheme, colors) for colors in family]
+    # the lone diagonal color of a homogeneous scheme is closed
+    bottom = _mask(scheme.diagonal_colors)
+    generators = {_close(scheme, bottom, 1 << c) for c in range(scheme.r)}
+    family = {bottom}
+    frontier = [bottom]
+    while frontier:
+        closed = frontier.pop()
+        for g in generators:
+            join = _close(scheme, closed, g)
+            if join not in family:
+                family.add(join)
+                frontier.append(join)
+    eqs = [equivalence_from_colors(scheme, mask_colors(m)) for m in family]
     if len({e.classes for e in eqs}) != len(family):
         raise SchemeError("distinct closed sets produced equal partitions")
     eqs.sort(key=lambda e: (len(e.colors), sorted(e.colors)))

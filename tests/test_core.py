@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +17,7 @@ from asck import (
     validate,
     wl_closure,
 )
-from asck.core import apply_remap, normalize_colors
+from asck.core import TENSOR_CACHE_MAX_RANK, apply_remap, normalize_colors
 from asck.errors import (
     InconsistentIntersectionNumbers,
     NonContiguousColors,
@@ -28,6 +30,13 @@ from asck.errors import (
 
 def z4_direct():
     return np.array([[(v - u) % 4 for v in range(4)] for u in range(4)])
+
+
+def product_colors(s, left, right):
+    """Colors met by the boolean matrix product of two color relations."""
+    a = (s.matrix == left).astype(np.float64)
+    b = (s.matrix == right).astype(np.float64)
+    return tuple(int(c) for c in np.unique(s.matrix[(a @ b) > 0]))
 
 
 def two_fiber_scheme():
@@ -135,6 +144,23 @@ class TestSchemeAccessors:
                 (c,) = s.composition_colors(a, b)
                 assert t[c, a, b] > 0
 
+    def test_composition_table_matches_tensor(self, corpus):
+        for member in corpus:
+            s = member.scheme
+            positive = s.tensor() > 0
+            expected = {}
+            for c, a, b in zip(*np.nonzero(positive)):
+                expected[int(a), int(b)] = expected.get((int(a), int(b)), 0) | (1 << int(c))
+            assert s.composition_table() == expected
+
+    @pytest.mark.parametrize("m", [70, 83, 90])
+    def test_composition_colors_above_tensor_cache_rank(self, m):
+        s = thin_scheme(cyclic_table(m))
+        assert s.r > TENSOR_CACHE_MAX_RANK
+        for left in range(0, s.r, 3):
+            for right in range(left % 5, s.r, 5):
+                assert s.composition_colors(left, right) == product_colors(s, left, right)
+
     def test_hash_identifies_matrix(self):
         a = thin_scheme(cyclic_table(5))
         b = thin_scheme(cyclic_table(5))
@@ -171,6 +197,26 @@ class TestCanonicalRecolor:
         relabeled = np.array(perm)[mat]
         assert np.array_equal(canonical_recolor(relabeled), canonical_recolor(mat))
         validate(relabeled)
+
+
+class TestFloatInput:
+    @pytest.mark.parametrize("convert", [canonical_recolor, normalize_colors, validate])
+    @pytest.mark.parametrize("bad", [1.5, np.inf, -np.inf, np.nan, 1e19])
+    def test_rejects_non_integer_entries(self, convert, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemeError, match="expected integer entries"):
+                convert(np.array([[0, bad], [bad, 0]]))
+
+    def test_integral_floats_match_integers(self):
+        ints = two_fiber_scheme().matrix * 3 + 1
+        floats = ints.astype(np.float64)
+        assert np.array_equal(canonical_recolor(floats), canonical_recolor(ints))
+        m_int, remap_int = normalize_colors(ints)
+        m_float, remap_float = normalize_colors(floats)
+        assert np.array_equal(m_float, m_int) and remap_float == remap_int
+        canonical = canonical_recolor(ints)
+        assert validate(canonical.astype(np.float64)).same_matrix(validate(canonical))
 
 
 class TestSchemeFromColors:

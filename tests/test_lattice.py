@@ -3,11 +3,14 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asck import (
     Digraph,
     all_equivalences,
     basis_digraph,
+    cayley_table,
     cyclic_table,
     digraph_color_matrix,
     dihedral_table,
@@ -38,7 +41,7 @@ from asck.errors import (
     SchemeError,
     TooFewPoints,
 )
-from asck.lattice import ClosedSet
+from asck.lattice import RANK_CAP, ClosedSet
 
 
 def z4():
@@ -305,3 +308,137 @@ class TestClosedSetCheck:
         broken = ClosedSet(s, frozenset({0, int(s.matrix[0, 1])}))
         with pytest.raises(SchemeError):
             broken.check()
+
+
+def matrix_group_table(*generators):
+    """Cayley table of the finite group generated by complex matrices."""
+    def key(m):
+        return tuple(np.round(m, 6).ravel().tolist())
+
+    identity = np.eye(generators[0].shape[0], dtype=complex)
+    elements = {key(identity): identity}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            gh = g @ h
+            if key(gh) not in elements:
+                elements[key(gh)] = gh
+                frontier.append(gh)
+    index = {k: i for i, k in enumerate(elements)}
+    mats = list(elements.values())
+    return cayley_table([[index[key(a @ b)] for b in mats] for a in mats])
+
+
+def dicyclic_table(k: int):
+    """Dicyclic group of order 4k (k = 2 gives the quaternion group)."""
+    a = np.diag([np.exp(1j * np.pi / k), np.exp(-1j * np.pi / k)])
+    x = np.array([[0, -1], [1, 0]], dtype=complex)
+    return matrix_group_table(a, x)
+
+
+def alternating_four_table():
+    def perm(p):
+        m = np.zeros((4, 4), dtype=complex)
+        m[p, range(4)] = 1
+        return m
+
+    return matrix_group_table(perm([1, 2, 0, 3]), perm([1, 0, 3, 2]))
+
+
+def groups_up_to_twelve():
+    """One table per isomorphism class of groups of order 1..12 (24 groups)."""
+    c, d, x = cyclic_table, dihedral_table, direct_product
+    return [c(1), c(2), c(3), c(4), x(c(2), c(2)), c(5), c(6), d(3), c(7),
+            c(8), x(c(4), c(2)), x(x(c(2), c(2)), c(2)), d(4), dicyclic_table(2),
+            c(9), x(c(3), c(3)), c(10), d(5), c(11),
+            c(12), x(c(2), c(6)), d(6), alternating_four_table(), dicyclic_table(3)]
+
+
+def brute_force_closed_sets(s):
+    """Every color subset meeting the three closure axioms, read from the
+    intersection tensor by testing all 2^r subsets."""
+    r = s.r
+    subsets = ((np.arange(2 ** r)[:, None] >> np.arange(r)) & 1).astype(bool)
+    positive = (s.tensor() > 0).astype(np.int64)
+    member = subsets.astype(np.int64)
+    # reach[s, c]: some a, b in subset s have p^c_ab > 0
+    reach = np.einsum("sa,cab,sb->sc", member, positive, member, optimize=True) > 0
+    ok = (subsets[:, list(s.diagonal_colors)].all(axis=1)
+          & (~subsets | subsets[:, s.transpose_map]).all(axis=1)
+          & (~reach | subsets).all(axis=1))
+    return [frozenset(np.nonzero(row)[0].tolist()) for row in subsets[ok]]
+
+
+def assert_matches_oracle(s):
+    closed_sets = brute_force_closed_sets(s)
+    expected = sorted(closed_sets, key=lambda cs: (len(cs), sorted(cs)))
+    eqs = all_equivalences(s)
+    assert [e.colors for e in eqs] == expected
+    for e in eqs:
+        e.closed_set().check()
+    for c in range(s.r):
+        smallest = frozenset.intersection(*(cs for cs in closed_sets if c in cs))
+        assert generated_closed_set(s, {c}).colors == smallest
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("table", groups_up_to_twelve(), ids=lambda t: f"order{t.m}")
+    def test_thin_groups(self, table):
+        assert_matches_oracle(thin_scheme(table))
+
+    def test_group_list_is_complete_up_to_isomorphism(self):
+        tables = groups_up_to_twelve()
+        orders = [t.m for t in tables]
+        assert orders == sorted(orders)
+        assert [orders.count(m) for m in range(1, 13)] == [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5]
+        spectra = set()
+        for t in tables:
+            radical = thin_radical(thin_scheme(t))
+            spectra.add((t.m, tuple(sorted(
+                element_order(radical, c) for c in radical.elements))))
+        # distinct element-order spectra: no two tables are isomorphic
+        assert len(spectra) == len(tables)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_rank_two(self, n):
+        assert_matches_oracle(rank_two_scheme(n))
+
+    @pytest.mark.parametrize("inner,outer", [(2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
+    def test_small_wreaths(self, inner, outer):
+        w = wreath(thin_scheme(cyclic_table(inner)), thin_scheme(cyclic_table(outer)))
+        assert w.r <= 12
+        assert_matches_oracle(w)
+
+    def test_wreath_with_rank_two(self):
+        assert_matches_oracle(wreath(rank_two_scheme(3), thin_scheme(dihedral_table(3))))
+
+    @given(st.integers(min_value=2, max_value=12), st.data())
+    def test_circulant_closures(self, n, data):
+        jumps = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1)))
+        g = Digraph.from_arcs(n, [(u, (u + j) % n) for u in range(n) for j in jumps])
+        s = wl_closure(digraph_color_matrix(g))
+        assert s.is_homogeneous and s.r <= 12
+        assert_matches_oracle(s)
+
+
+class TestLatticeSizes:
+    """Closed-set counts of non-cyclic groups: the subgroup counts."""
+
+    @pytest.mark.parametrize("table,count", [
+        (direct_product(direct_product(cyclic_table(2), cyclic_table(2)),
+                        direct_product(cyclic_table(2), cyclic_table(2))), 67),
+        (dihedral_table(12), 34),
+        (direct_product(direct_product(cyclic_table(2), cyclic_table(2)),
+                        cyclic_table(6)), 32),
+    ], ids=["Z2^4", "D12", "Z2xZ2xZ6"])
+    def test_subgroup_counts(self, table, count):
+        eqs = all_equivalences(thin_scheme(table))
+        assert len(eqs) == count
+        assert eqs[0].is_discrete and eqs[-1].is_full
+
+    def test_generated_closed_set_above_rank_cap(self):
+        s = thin_scheme(cyclic_table(29))
+        assert s.r > RANK_CAP
+        assert generated_closed_set(s, {1}).colors == frozenset(range(29))
+        assert generated_closed_set(s, {0}).colors == {0}
