@@ -151,6 +151,16 @@ def _fmt(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _size_verdict(scheme: Scheme, p: int,
+                  witnesses: dict[str, str]) -> PSchemeVerdict:
+    """``is_p_scheme``, recording its first offender as "size-offender"."""
+    verdict = is_p_scheme(scheme, p)
+    if not verdict:
+        witnesses["size-offender"] = (
+            f"color {verdict.offender_color} has size {verdict.offender_size}")
+    return verdict
+
+
 def _non_diagonal_colors(scheme: Scheme) -> list[int]:
     return [c for c in range(scheme.r) if not scheme.is_diagonal_color(c)]
 
@@ -166,10 +176,7 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
     start = time.perf_counter()
     witnesses: dict[str, str] = {}
 
-    verdict = is_p_scheme(scheme, p)
-    if not verdict:
-        witnesses["size-offender"] = (
-            f"color {verdict.offender_color} has size {verdict.offender_size}")
+    verdict = _size_verdict(scheme, p, witnesses)
 
     rhs = True
     for color in _non_diagonal_colors(scheme):
@@ -194,10 +201,7 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
     start = time.perf_counter()
     witnesses: dict[str, str] = {}
 
-    verdict = is_p_scheme(scheme, 2)
-    if not verdict:
-        witnesses["size-offender"] = (
-            f"color {verdict.offender_color} has size {verdict.offender_size}")
+    verdict = _size_verdict(scheme, 2, witnesses)
 
     rhs = True
     for color in _non_diagonal_colors(scheme):
@@ -224,10 +228,7 @@ def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
     start = time.perf_counter()
     witnesses: dict[str, str] = {}
 
-    verdict = is_p_scheme(scheme, p)
-    if not verdict:
-        witnesses["size-offender"] = (
-            f"color {verdict.offender_color} has size {verdict.offender_size}")
+    verdict = _size_verdict(scheme, p, witnesses)
 
     rhs = True
     for i, fiber in enumerate(scheme.fibers):
@@ -281,10 +282,7 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
     start = time.perf_counter()
     witnesses: dict[str, str] = {}
 
-    verdict = is_p_scheme(scheme, p)
-    if not verdict:
-        witnesses["size-offender"] = (
-            f"color {verdict.offender_color} has size {verdict.offender_size}")
+    verdict = _size_verdict(scheme, p, witnesses)
 
     quotient_verdict = is_p_scheme(quotient(scheme, e), p)
     class_verdicts = [
@@ -373,10 +371,7 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
 
     witnesses["blocks-p-schemes"] = _fmt(cond_blocks)
     lhs = cond_spread and cond_blocks
-    verdict = is_p_scheme(scheme, p)
-    if not verdict:
-        witnesses["size-offender"] = (
-            f"color {verdict.offender_color} has size {verdict.offender_size}")
+    verdict = _size_verdict(scheme, p, witnesses)
 
     return TheoremReport(
         check="block-criterion", scheme_hash=scheme.hash, n=scheme.n,

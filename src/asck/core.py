@@ -26,11 +26,6 @@ from .errors import (
     SchemeError,
 )
 
-# The full (r, r, r) intersection tensor is cached only up to this rank;
-# above it ``tensor`` rebuilds it on every call and single entries are
-# recomputed on demand (O(n) each).
-TENSOR_CACHE_MAX_RANK = 64
-
 
 def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Coerce input to a square int64 matrix without changing any value.
@@ -143,8 +138,8 @@ class Scheme:
     fibers: tuple[tuple[int, ...], ...]  # point classes of the diagonal colors
     degrees: np.ndarray                # out-degree of each color's basis digraph
     sizes: np.ndarray                  # total cell count of each color
-    _tensor: np.ndarray | None = field(default=None, repr=False)
     _composition: dict[tuple[int, int], int] | None = field(default=None, repr=False)
+    _hash: str | None = field(default=None, repr=False)
     # memoized derived structures; transparent caches of pure functions
     _equivalences: list | None = field(default=None, repr=False)
     _restrictions: dict = field(default_factory=dict, repr=False)
@@ -205,12 +200,12 @@ class Scheme:
         ``right``, for any (hence every) cell (u,w) of color ``through``.
 
         Argument order matches the tensor index order [through, left, right].
+        Counts over one cell in O(n) time and memory; ``tensor_slice``
+        would allocate r^2 entries for one number.
         """
         left = self.check_color(left)
         right = self.check_color(right)
         through = self.check_color(through)
-        if self._tensor is not None:
-            return int(self._tensor[through, left, right])
         u, w = self._first_cell(through)
         return int(np.count_nonzero(
             (self.matrix[u, :] == left) & (self.matrix[:, w] == right)))
@@ -218,8 +213,6 @@ class Scheme:
     def tensor_slice(self, through: int) -> np.ndarray:
         """The (r, r) matrix of intersection numbers seen from one color."""
         through = self.check_color(through)
-        if self._tensor is not None:
-            return self._tensor[through]
         u, w = self._first_cell(through)
         codes = self.matrix[u, :] * self.r + self.matrix[:, w]
         return np.bincount(codes, minlength=self.r * self.r).reshape(self.r, self.r)
@@ -227,17 +220,12 @@ class Scheme:
     def tensor(self) -> np.ndarray:
         """Full (r, r, r) intersection tensor, indexed [through, left, right].
 
-        Cached for rank <= TENSOR_CACHE_MAX_RANK, otherwise rebuilt on
-        every call; prefer ``tensor_slice`` or ``intersection_number``
-        for high-rank configurations.  Composition queries never build
-        it: they read ``composition_table``.
+        Stacked from ``tensor_slice`` on every call, so it costs r^3
+        memory each time; prefer ``tensor_slice`` or
+        ``intersection_number``.  Composition queries never build it:
+        they read ``composition_table``.
         """
-        if self._tensor is not None:
-            return self._tensor
-        t = np.stack([self.tensor_slice(c) for c in range(self.r)])
-        if self.r <= TENSOR_CACHE_MAX_RANK:
-            self._tensor = t
-        return t
+        return np.stack([self.tensor_slice(c) for c in range(self.r)])
 
     def composition_table(self) -> dict[tuple[int, int], int]:
         """Sparse composition table, built once and cached at any rank.
@@ -284,10 +272,15 @@ class Scheme:
 
     @property
     def hash(self) -> str:
-        """sha256 over the dimensions and the row-major color sequence."""
-        payload = f"{self.n} {self.r} " + " ".join(
-            str(int(c)) for c in self.matrix.ravel())
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        """sha256 over the dimensions and the row-major color sequence.
+
+        Computed once and kept in ``_hash``.
+        """
+        if self._hash is None:
+            payload = f"{self.n} {self.r} " + " ".join(
+                str(int(c)) for c in self.matrix.ravel())
+            self._hash = hashlib.sha256(payload.encode("ascii")).hexdigest()
+        return self._hash
 
     def same_matrix(self, other: "Scheme") -> bool:
         return self.n == other.n and bool(np.array_equal(self.matrix, other.matrix))

@@ -3,7 +3,8 @@
 Vertices are contiguous ids 0..n-1; digraphs extracted from a scheme
 carry a label tuple mapping those ids back to the scheme's points.
 All functions are pure and deterministic: components come out sorted by
-least vertex, partitions break ties toward the smallest shift.
+least vertex, and cyclic partitions lay the components' label intervals
+end to end in that order.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .errors import (
     NotSymmetric,
     SchemeError,
 )
-
-# Exhaustive shift-cover search is attempted only below this many
-# combinations; see cyclically_p_partite.
-SHIFT_SEARCH_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -263,24 +260,30 @@ def period(g: Digraph) -> int:
 
 def _component_labels(g: Digraph, p: int,
                       component: tuple[int, ...]) -> dict[int, int] | None:
-    """Propagate labels mod p over one weak component; None on conflict."""
+    """Integer labels over one weak component, or None on a conflict.
+
+    The least vertex gets 0; labels grow by 1 along an arc and shrink by
+    1 against it.  Two labels of one vertex that differ mod p are a
+    conflict.  Neighbours differ by 1, so the labels of a component form
+    a contiguous range of integers.
+    """
     labels = {component[0]: 0}
     queue = [component[0]]
     while queue:
         nxt: list[int] = []
         for u in queue:
             for v in g.out_adj[u]:
-                want = (labels[u] + 1) % p
+                want = labels[u] + 1
                 if v in labels:
-                    if labels[v] != want:
+                    if (labels[v] - want) % p:
                         return None
                 else:
                     labels[v] = want
                     nxt.append(v)
             for w in g.in_adj[u]:
-                want = (labels[u] - 1) % p
+                want = labels[u] - 1
                 if w in labels:
-                    if labels[w] != want:
+                    if (labels[w] - want) % p:
                         return None
                 else:
                     labels[w] = want
@@ -289,105 +292,31 @@ def _component_labels(g: Digraph, p: int,
     return labels
 
 
-def _rotate_mask(mask: int, shift: int, p: int) -> int:
-    full = (1 << p) - 1
-    shift %= p
-    return ((mask << shift) | (mask >> (p - shift))) & full if shift else mask
-
-
-def _cover_shifts(masks: list[int], p: int) -> list[int] | None:
-    """Choose a shift per mask so the rotated masks cover all p residues.
-
-    Exact subset-cover dynamic program over the 2^p residue states for
-    p <= 20; larger p falls back to exhaustive search when the
-    combination count permits, then to a greedy cover.  Returns None
-    when no assignment covers every residue.
-    """
-    full = (1 << p) - 1
-    if any(m == full for m in masks):
-        return [0] * len(masks)
-
-    if p <= 20:
-        # state -> (prev_state, shift) at the step it was first reached
-        layers: list[dict[int, tuple[int, int]]] = [{0: (-1, -1)}]
-        for m in masks:
-            cur = layers[-1]
-            nxt: dict[int, tuple[int, int]] = {}
-            for state in sorted(cur):
-                for shift in range(p):
-                    ns = state | _rotate_mask(m, shift, p)
-                    if ns not in nxt:
-                        nxt[ns] = (state, shift)
-            layers.append(nxt)
-        if full not in layers[-1]:
-            return None
-        shifts = [0] * len(masks)
-        state = full
-        for i in range(len(masks) - 1, -1, -1):
-            prev, shift = layers[i + 1][state]
-            shifts[i] = shift
-            state = prev
-        return shifts
-
-    if p ** len(masks) <= SHIFT_SEARCH_LIMIT:
-        def search(i: int, covered: int, acc: list[int]) -> list[int] | None:
-            if covered == full:
-                return acc + [0] * (len(masks) - i)
-            if i == len(masks):
-                return None
-            for shift in range(p):
-                got = search(i + 1, covered | _rotate_mask(masks[i], shift, p), acc + [shift])
-                if got is not None:
-                    return got
-            return None
-
-        return search(0, 0, [])
-
-    # Greedy: take the shift adding the most new residues at each step.
-    covered = 0
-    shifts = []
-    for m in masks:
-        best_shift, best_gain = 0, -1
-        for shift in range(p):
-            gain = bin((covered | _rotate_mask(m, shift, p)) & ~covered).count("1")
-            if gain > best_gain:
-                best_shift, best_gain = shift, gain
-        shifts.append(best_shift)
-        covered |= _rotate_mask(m, best_shift, p)
-    return shifts if covered == full else None
-
-
 def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
     """A witness partition into p cyclic classes, or None if none exists.
 
-    Labels are propagated mod p within each weak component; a conflict
-    anywhere means no partition.  Component labelings are unique up to a
-    shift, so the remaining freedom is a shift per component, chosen so
-    every residue class ends up nonempty.
+    Integer labels are propagated within each weak component; a conflict
+    mod p anywhere means no partition.  A component's labels form a
+    contiguous range, so mod p they cover a cyclic interval of
+    min(span, p) residues, and shifting a component moves its interval
+    around.  Every class can be made nonempty exactly when these capped
+    spans sum to at least p: the witness lays the intervals end to end,
+    the first component keeping its own labels.
     """
     if p < 2:
         raise InvalidP(p)
-    if g.n == 0:
-        return None
-    components = weakly_connected_components(g)
-    all_labels: list[dict[int, int]] = []
-    masks: list[int] = []
-    for comp in components:
+    classes: list[list[int]] = [[] for _ in range(p)]
+    cursor = None  # one past the last residue laid so far
+    for comp in weakly_connected_components(g):
         labels = _component_labels(g, p, comp)
         if labels is None:
             return None
-        all_labels.append(labels)
-        mask = 0
-        for value in labels.values():
-            mask |= 1 << value
-        masks.append(mask)
-    shifts = _cover_shifts(masks, p)
-    if shifts is None:
-        return None
-    classes: list[list[int]] = [[] for _ in range(p)]
-    for labels, shift in zip(all_labels, shifts):
+        shift = 0 if cursor is None else cursor - min(labels.values())
+        cursor = max(labels.values()) + shift + 1
         for v, value in labels.items():
             classes[(value + shift) % p].append(v)
+    if not all(classes):
+        return None
     partition = CyclicPartition(p, tuple(tuple(sorted(c)) for c in classes))
     partition.check(g)
     return partition

@@ -17,7 +17,7 @@ from asck import (
     validate,
     wl_closure,
 )
-from asck.core import TENSOR_CACHE_MAX_RANK, apply_remap, normalize_colors
+from asck.core import apply_remap, normalize_colors
 from asck.errors import (
     InconsistentIntersectionNumbers,
     NonContiguousColors,
@@ -124,7 +124,8 @@ class TestSchemeAccessors:
                 assert s.color_of(u, v) == c
 
     def test_tensor_consistency(self):
-        for s in (thin_scheme(cyclic_table(6)), rank_two_scheme(5)):
+        for s in (thin_scheme(cyclic_table(6)), rank_two_scheme(5),
+                  thin_scheme(cyclic_table(70))):
             t = s.tensor()
             for through in range(s.r):
                 assert np.array_equal(t[through], s.tensor_slice(through))
@@ -135,6 +136,7 @@ class TestSchemeAccessors:
                         1 for v in range(s.n)
                         if s.color_of(u, v) == left and s.color_of(v, w) == right)
                     assert t[1, left, right] == brute
+                    assert s.intersection_number(1, left, right) == brute
 
     def test_composition_colors(self):
         s = thin_scheme(cyclic_table(4))
@@ -156,7 +158,7 @@ class TestSchemeAccessors:
     @pytest.mark.parametrize("m", [70, 83, 90])
     def test_composition_colors_above_tensor_cache_rank(self, m):
         s = thin_scheme(cyclic_table(m))
-        assert s.r > TENSOR_CACHE_MAX_RANK
+        assert s.r > 64
         for left in range(0, s.r, 3):
             for right in range(left % 5, s.r, 5):
                 assert s.composition_colors(left, right) == product_colors(s, left, right)

@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +41,48 @@ def cycle(n: int) -> Digraph:
 def brute_period(g: Digraph) -> int:
     lengths = [len(c) for c in nx.simple_cycles(nx.DiGraph(list(g.arcs)))]
     return gcd(*lengths)
+
+
+def disjoint_union(parts: list[Digraph]) -> Digraph:
+    arcs, offset = set(), 0
+    for h in parts:
+        arcs |= {(u + offset, v + offset) for u, v in h.arcs}
+        offset += h.n
+    return Digraph(offset, frozenset(arcs))
+
+
+def path(n: int) -> Digraph:
+    return Digraph.from_arcs(n, [(u, u + 1) for u in range(n - 1)])
+
+
+def brute_partite(g: Digraph, p: int) -> bool:
+    """Whether one of the p^n labelings puts every arc from class i to
+    class i+1 mod p and leaves no class empty."""
+    labels = np.indices((p,) * g.n).reshape(g.n, -1).T
+    ok = np.ones(len(labels), dtype=bool)
+    for u, v in g.arcs:
+        ok &= (labels[:, v] - labels[:, u] - 1) % p == 0
+    for c in range(p):
+        ok &= (labels == c).any(axis=1)
+    return bool(ok.any())
+
+
+def random_small_union(rng: random.Random, n: int) -> Digraph:
+    """Paths and cycles on n vertices in all, arcs flipped at random and
+    vertices shuffled across components.  A one-vertex path is an
+    isolated vertex and a one-vertex cycle is a loop."""
+    parts = []
+    while sum(h.n for h in parts) < n:
+        k = rng.randint(1, min(4, n - sum(h.n for h in parts)))
+        arcs = [(u, u + 1) for u in range(k - 1)]
+        if rng.random() < 0.5:
+            arcs.append((k - 1, 0))
+        arcs = [(v, u) if rng.random() < 0.3 else (u, v) for u, v in arcs]
+        parts.append(Digraph.from_arcs(k, arcs))
+    g = disjoint_union(parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Digraph.from_arcs(n, [(perm[u], perm[v]) for u, v in g.arcs])
 
 
 def arcs_strategy(max_n=8):
@@ -222,16 +265,39 @@ class TestCyclicPartition:
         for _ in range(40):
             parts = [random_strongly_connected_digraph(rng, rng.randint(2, 6))
                      for _ in range(rng.randint(1, 3))]
-            offset, arcs, n = 0, set(), 0
-            for h in parts:
-                arcs |= {(u + offset, v + offset) for u, v in h.arcs}
-                offset += h.n
-            n = offset
-            g = Digraph(n, frozenset(arcs))
+            g = disjoint_union(parts)
             for p in (2, 3):
                 whole = cyclically_p_partite(g, p) is not None
                 each = all(cyclically_p_partite(h, p) is not None for h in parts)
                 assert whole == each
+
+    def test_matches_brute_force_labelings(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(300):
+            g = random_small_union(rng, rng.randint(1, 7))
+            for p in range(2, 6):
+                part = cyclically_p_partite(g, p)
+                assert (part is not None) == brute_partite(g, p)
+                if part is not None:
+                    part.check(g)
+                seen.add(part is not None)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("p", [23, 29, 31])
+    def test_path_unions_above_twenty(self, p):
+        # a directed path on m <= p vertices covers exactly m residues
+        rng = random.Random(p)
+        for total, present in ((p, True), (p + 3, True), (p - 1, False)):
+            for _ in range(5):
+                k = rng.randint(4, 9)
+                cuts = sorted(rng.sample(range(1, total), k - 1))
+                lengths = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+                g = disjoint_union([path(m) for m in lengths])
+                part = cyclically_p_partite(g, p)
+                assert (part is not None) == (sum(lengths) >= p) == present
+                if part is not None:
+                    part.check(g)
 
 
 class TestBipartite:
