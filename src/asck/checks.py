@@ -162,7 +162,9 @@ def _size_verdict(scheme: Scheme, p: int,
 
 
 def _non_diagonal_colors(scheme: Scheme) -> list[int]:
-    return [c for c in range(scheme.r) if not scheme.is_diagonal_color(c)]
+    off = np.ones(scheme.r, dtype=bool)
+    off[list(scheme.diagonal_colors)] = False
+    return np.flatnonzero(off).tolist()
 
 
 def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:

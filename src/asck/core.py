@@ -139,6 +139,7 @@ class Scheme:
     degrees: np.ndarray                # out-degree of each color's basis digraph
     sizes: np.ndarray                  # total cell count of each color
     _composition: dict[tuple[int, int], int] | None = field(default=None, repr=False)
+    _cell_index: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _hash: str | None = field(default=None, repr=False)
     # memoized derived structures; transparent caches of pure functions
     _equivalences: list | None = field(default=None, repr=False)
@@ -157,8 +158,24 @@ class Scheme:
 
     def cells(self, color: int) -> list[tuple[int, int]]:
         """All cells of a color in row-major order."""
-        self.check_color(color)
-        return [(int(u), int(v)) for u, v in np.argwhere(self.matrix == color)]
+        return [(u, v) for u, v in self.cell_array(color).tolist()]
+
+    def cell_array(self, color: int) -> np.ndarray:
+        """The (k, 2) array of a color's cells in row-major order, equal to
+        ``np.argwhere(matrix == color)``; a read-only view.
+
+        Sliced in O(1) from the cell index: all n^2 cells stably sorted by
+        color, cut at offsets taken from ``sizes``.  The index is built on
+        first use and kept in ``_cell_index``.
+        """
+        color = self.check_color(color)
+        if self._cell_index is None:
+            order = np.argsort(self.matrix.ravel(), kind="stable")
+            cells = np.stack(np.divmod(order, self.n), axis=1)
+            cells.setflags(write=False)
+            self._cell_index = (cells, np.concatenate(([0], np.cumsum(self.sizes))))
+        cells, offsets = self._cell_index
+        return cells[offsets[color]:offsets[color + 1]]
 
     def transpose(self, color: int) -> int:
         return int(self.transpose_map[self.check_color(color)])
@@ -265,8 +282,8 @@ class Scheme:
         return mask_colors(self.composition_table().get((left, right), 0))
 
     def _first_cell(self, color: int) -> tuple[int, int]:
-        flat = int(np.argmax(self.matrix.ravel() == color))
-        return flat // self.n, flat % self.n
+        u, w = self.cell_array(color)[0].tolist()
+        return u, w
 
     # -- identity ---------------------------------------------------------
 
@@ -320,21 +337,24 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int) -> None:
     For each cell (u, w) the sorted multiset of codes
     color(u,v) * r + color(v,w) over all v must agree across cells of one
     color; agreement of these multisets is equivalent to constancy of
-    every pairwise count.
+    every pairwise count.  Each color's reference multiset is taken at
+    its first cell in row-major order, and one row of cells is compared
+    against the references at a time, so the first mismatching cell in
+    row-major order is the witness.
     """
     n = matrix.shape[0]
-    reference: dict[int, tuple[tuple[int, int], np.ndarray]] = {}
+    us, ws = _first_cells(matrix, r)
+    reference = np.empty((r, n), dtype=np.int64)
     for u in range(n):
-        codes = np.sort(matrix[u][:, None] * r + matrix, axis=0)
         row = matrix[u]
-        for w in range(n):
+        codes = np.sort(row[:, None] * r + matrix, axis=0).T
+        fresh = row[us[row] == u]
+        reference[fresh] = codes[ws[fresh]]
+        bad = (codes != reference[row]).any(axis=1)
+        if bad.any():
+            w = int(np.argmax(bad))
             color = int(row[w])
-            sig = codes[:, w]
-            seen = reference.get(color)
-            if seen is None:
-                reference[color] = ((u, w), sig.copy())
-            elif not np.array_equal(seen[1], sig):
-                _raise_count_mismatch(matrix, r, color, seen[0], (u, w))
+            _raise_count_mismatch(matrix, r, color, (int(us[color]), int(ws[color])), (u, w))
 
 
 def _raise_count_mismatch(matrix: np.ndarray, r: int, color: int,
@@ -370,10 +390,12 @@ def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     fibers = tuple(
         tuple(int(u) for u in np.nonzero(diag == d)[0]) for d in diagonal_colors)
 
+    # with the axioms checked, each color's cells leave every point of its
+    # source fiber equally often, so the degree is size / |source fiber|
     us, _ = _first_cells(arr, r)
-    degrees = np.array(
-        [int(np.count_nonzero(arr[us[c]] == c)) for c in range(r)], dtype=np.int64)
     sizes = np.bincount(arr.ravel(), minlength=r).astype(np.int64)
+    fiber_sizes = np.bincount(diag, minlength=r)
+    degrees = sizes // fiber_sizes[diag[us]]
 
     arr = arr.copy()
     arr.setflags(write=False)

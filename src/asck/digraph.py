@@ -116,37 +116,36 @@ class CyclicPartition:
 # -- extraction from schemes ----------------------------------------------
 
 
+def _relabeled(cells: np.ndarray) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """Cells with their points renumbered 0..k-1 over the sorted support."""
+    pairs = cells.tolist()
+    support = sorted({p for pair in pairs for p in pair})
+    index = {p: i for i, p in enumerate(support)}
+    return [(index[u], index[v]) for u, v in pairs], tuple(support)
+
+
 def basis_digraph(scheme: Scheme, color: int) -> Digraph:
     """The digraph of one basis relation, on the relation's support.
 
     Vertices are reindexed 0..k-1; labels give the original points.
+    The cells are read from the scheme's cell index in O(|R| log |R|).
     """
-    scheme.check_color(color)
-    cells = np.argwhere(scheme.matrix == color)
-    support = sorted({int(p) for p in cells.ravel()})
-    index = {p: i for i, p in enumerate(support)}
-    arcs = frozenset((index[int(u)], index[int(v)]) for u, v in cells)
-    return Digraph(len(support), arcs, tuple(support))
+    arcs, support = _relabeled(scheme.cell_array(color))
+    return Digraph(len(support), frozenset(arcs), support)
 
 
 def basis_graph(scheme: Scheme, color: int) -> Digraph:
     """The symmetric loopless digraph of a color joined with its transpose.
 
-    Diagonal colors are rejected: their graph would be empty.
+    Diagonal colors are rejected: their graph would be empty.  The
+    transpose's cells are the color's cells reversed, so only the
+    color's own cells are read from the cell index.
     """
     scheme.check_color(color)
     if scheme.is_diagonal_color(color):
         raise DiagonalColor(color)
-    mask = (scheme.matrix == color) | (scheme.matrix == scheme.transpose(color))
-    cells = np.argwhere(mask)
-    support = sorted({int(p) for p in cells.ravel()})
-    index = {p: i for i, p in enumerate(support)}
-    arcs = set()
-    for u, v in cells:
-        a, b = index[int(u)], index[int(v)]
-        arcs.add((a, b))
-        arcs.add((b, a))
-    return Digraph(len(support), frozenset(arcs), tuple(support))
+    arcs, support = _relabeled(scheme.cell_array(color))
+    return Digraph(len(support), frozenset(arcs + [(b, a) for a, b in arcs]), support)
 
 
 # -- connectivity -----------------------------------------------------------

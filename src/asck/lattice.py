@@ -369,7 +369,8 @@ def thin_radical(scheme: Scheme) -> ThinRadical:
 
 def is_regular(scheme: Scheme) -> bool:
     """True when every color has degree 1 (the scheme is thin)."""
-    return len(thin_radical(scheme).elements) == scheme.r
+    scheme.require_homogeneous()
+    return bool((scheme.degrees == 1).all())
 
 
 def element_order(radical: ThinRadical, color: int) -> int:

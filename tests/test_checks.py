@@ -20,7 +20,7 @@ from asck import (
     wl_closure,
     wreath,
 )
-from asck.checks import is_power_of, require_prime
+from asck.checks import _non_diagonal_colors, is_power_of, require_prime
 from asck.errors import NotHomogeneous, NotPrime
 
 
@@ -45,6 +45,13 @@ class TestArithmetic:
         assert is_power_of(243, 3)
         assert not is_power_of(6, 2)
         assert not is_power_of(0, 2)
+
+
+def test_non_diagonal_colors_match_membership_test(corpus):
+    for member in corpus:
+        s = member.scheme
+        assert _non_diagonal_colors(s) == [
+            c for c in range(s.r) if c not in s.diagonal_colors]
 
 
 class TestIsPScheme:

@@ -1,4 +1,7 @@
+import random
+import tracemalloc
 from itertools import permutations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ from asck import (
     wl_closure,
     wreath,
 )
+from asck import constructions
+from asck.core import as_color_matrix
+from asck.corpus import _random_digraph
 from asck.errors import (
     InvalidGroupTable,
     NotABlock,
@@ -294,3 +300,131 @@ class TestWlClosure:
         s = wl_closure(digraph_color_matrix(Digraph(n, frozenset(arcs))))
         validate(s.matrix)
         assert wl_closure(s.matrix).same_matrix(s)
+
+
+# -- the hashed closure against the sort-based refinement -----------------------
+
+
+def sorted_signature_closure(matrix):
+    """The sort-based coherent closure, the oracle for ``wl_closure``.
+
+    Cells are first split by (color, transposed color, on-diagonal);
+    then each round recolors a cell by its old color together with the
+    sorted multiset of two-step color pairs through every intermediate
+    point, until a round no longer increases the color count.
+    """
+    arr = as_color_matrix(matrix)
+    n = arr.shape[0]
+    first = np.stack(
+        [arr.ravel(), arr.T.ravel(), np.eye(n, dtype=np.int64).ravel()], axis=1)
+    _, inverse = np.unique(first, axis=0, return_inverse=True)
+    cur = inverse.reshape(n, n).astype(np.int64)
+    while True:
+        r = int(cur.max()) + 1
+        sig = np.empty((n * n, n + 1), dtype=np.int64)
+        sig[:, 0] = cur.ravel()
+        for u in range(n):
+            codes = np.sort(cur[u][:, None] * r + cur, axis=0)
+            sig[u * n:(u + 1) * n, 1:] = codes.T
+        _, inverse = np.unique(sig, axis=0, return_inverse=True)
+        if int(inverse.max()) + 1 == r:
+            break
+        cur = inverse.reshape(n, n).astype(np.int64)
+    return validate(canonical_recolor(cur))
+
+
+def assert_same_closure(matrix):
+    got = wl_closure(matrix)
+    assert got.matrix.tobytes() == sorted_signature_closure(matrix).matrix.tobytes()
+
+
+def circulant_shape(rng, n):
+    """Jumps +a and -a for a seeded unit a mod n: isomorphic to the n-cycle."""
+    a = rng.choice([a for a in range(1, n // 2) if gcd(a, n) == 1])
+    return [(u, (u + j) % n) for u in range(n) for j in (a, n - a)]
+
+
+def chords_shape(rng, n):
+    """A spanning cycle through a seeded vertex order plus n // 2 random chords."""
+    order = list(range(n))
+    rng.shuffle(order)
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    while len(arcs) < n + n // 2:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.add((u, v))
+    return sorted(arcs)
+
+
+def ladder_matrix(make, n, seed=0):
+    return digraph_color_matrix(Digraph.from_arcs(n, make(random.Random(seed), n)))
+
+
+class TestClosureOracle:
+    @given(st.integers(min_value=1, max_value=12),
+           st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))))
+    def test_hypothesis_digraphs(self, n, raw_arcs):
+        arcs = {(u, v) for u, v in raw_arcs if u < n and v < n}
+        assert_same_closure(digraph_color_matrix(Digraph(n, frozenset(arcs))))
+
+    def test_seeded_random_digraphs(self):
+        rng = random.Random(710046)
+        for attempt in range(200):
+            assert_same_closure(digraph_color_matrix(_random_digraph(rng, attempt % 4)))
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 64])
+    @pytest.mark.parametrize("make", [circulant_shape, chords_shape])
+    def test_ladder_shapes(self, make, n):
+        assert_same_closure(ladder_matrix(make, n, seed=n))
+
+    def test_arbitrary_seed_colorings(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 9):
+            for colors in (2, 3, 6):
+                assert_same_closure(canonical_recolor(rng.integers(0, colors, size=(n, n))))
+
+
+class TestClosureRetry:
+    def test_degenerate_first_attempt_retries_to_exact_closure(self, monkeypatch):
+        real = constructions._hash_weights
+        attempts = []
+
+        def ones_on_first_attempt(rng, r, width):
+            if not any(rng is seen for seen in attempts):
+                attempts.append(rng)
+            if rng is attempts[0]:
+                return np.ones((4, r))
+            return real(rng, r, width)
+
+        monkeypatch.setattr(constructions, "_hash_weights", ones_on_first_attempt)
+        matrix = ladder_matrix(chords_shape, 16)
+        got = wl_closure(matrix)
+        assert len(attempts) == 2
+        assert got.matrix.tobytes() == sorted_signature_closure(matrix).matrix.tobytes()
+
+    def test_exhausted_seeds_raise(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_hash_weights",
+                            lambda rng, r, width: np.ones((4, r)))
+        with pytest.raises(SchemeError, match="not certified"):
+            wl_closure(ladder_matrix(chords_shape, 16))
+
+    def test_seed_tuple_does_not_change_bytes(self):
+        matrices = [ladder_matrix(make, n, seed) for make in (circulant_shape, chords_shape)
+                    for n, seed in ((16, 1), (24, 2), (32, 3))]
+        before = [wl_closure(m).matrix.tobytes() for m in matrices]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "_CLOSURE_SEEDS", (31415, 9265, 35))
+            after = [wl_closure(m).matrix.tobytes() for m in matrices]
+        assert after == before
+
+    def test_circulant_128_peak_memory(self):
+        """One n^2 x (n + 1) int64 signature array alone would be 16.5 MiB."""
+        matrix = ladder_matrix(circulant_shape, 128)
+        tracemalloc.start()
+        try:
+            s = wl_closure(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.r == 65
+        assert peak < 8 * 2 ** 20

@@ -11,13 +11,20 @@ from asck import (
     canonical_recolor,
     cyclic_table,
     digraph_color_matrix,
+    dihedral_table,
     rank_two_scheme,
     scheme_from_colors,
     thin_scheme,
     validate,
     wl_closure,
+    wreath,
 )
-from asck.core import apply_remap, normalize_colors
+from asck.core import (
+    _check_intersection_numbers,
+    _raise_count_mismatch,
+    apply_remap,
+    normalize_colors,
+)
 from asck.errors import (
     InconsistentIntersectionNumbers,
     NonContiguousColors,
@@ -91,6 +98,69 @@ class TestValidate:
             s.matrix[0, 0] = 3
 
 
+def loop_check_intersection_numbers(matrix, r):
+    """The per-cell loop that ``_check_intersection_numbers`` replaced; the
+    oracle for its verdicts and witnesses."""
+    n = matrix.shape[0]
+    reference = {}
+    for u in range(n):
+        codes = np.sort(matrix[u][:, None] * r + matrix, axis=0)
+        row = matrix[u]
+        for w in range(n):
+            color = int(row[w])
+            sig = codes[:, w]
+            seen = reference.get(color)
+            if seen is None:
+                reference[color] = ((u, w), sig.copy())
+            elif not np.array_equal(seen[1], sig):
+                _raise_count_mismatch(matrix, r, color, seen[0], (u, w))
+
+
+def count_mismatch(check, matrix):
+    """The fields and message of the InconsistentIntersectionNumbers that
+    ``check`` raises on the matrix, or None."""
+    try:
+        check(matrix, int(matrix.max()) + 1)
+    except InconsistentIntersectionNumbers as exc:
+        return (exc.color, exc.rs, exc.cell_a, exc.count_a, exc.cell_b, exc.count_b,
+                str(exc))
+    return None
+
+
+def perturbed_matrices():
+    """Valid schemes, the same with two off-diagonal cells (and their
+    transposes) swapped, and random colorings."""
+    rng = np.random.default_rng(2007)
+    bases = [thin_scheme(cyclic_table(6)), thin_scheme(dihedral_table(4)),
+             rank_two_scheme(5), two_fiber_scheme(),
+             wreath(rank_two_scheme(3), thin_scheme(cyclic_table(3))),
+             wl_closure(digraph_color_matrix(
+                 Digraph.from_arcs(8, [(u, (u + 1) % 8) for u in range(8)] + [(0, 4)])))]
+    for s in bases:
+        yield np.array(s.matrix)
+        off = np.argwhere(~np.eye(s.n, dtype=bool))
+        for _ in range(12):
+            (u, v), (x, y) = off[rng.choice(len(off), size=2, replace=False)]
+            m = np.array(s.matrix)
+            m[u, v], m[x, y] = m[x, y], m[u, v]
+            m[v, u], m[y, x] = m[y, x], m[v, u]
+            yield m
+    for n in (2, 3, 4, 6, 9):
+        for colors in (2, 3, 5):
+            yield canonical_recolor(rng.integers(0, colors, size=(n, n)))
+
+
+class TestIntersectionNumberCheck:
+    def test_witnesses_match_loop_oracle(self):
+        outcomes = [(count_mismatch(_check_intersection_numbers, m),
+                     count_mismatch(loop_check_intersection_numbers, m))
+                    for m in perturbed_matrices()]
+        for got, want in outcomes:
+            assert got == want
+        raised = sum(got is not None for got, _ in outcomes)
+        assert 0 < raised < len(outcomes)
+
+
 class TestSchemeAccessors:
     def test_transpose_involution(self):
         s = thin_scheme(cyclic_table(6))
@@ -122,6 +192,22 @@ class TestSchemeAccessors:
         for c in range(s.r):
             for u, v in s.cells(c):
                 assert s.color_of(u, v) == c
+
+    def test_cell_index_matches_argwhere(self, corpus):
+        for member in corpus:
+            s = member.scheme
+            for c in range(s.r):
+                cells = s.cell_array(c)
+                assert np.array_equal(cells, np.argwhere(s.matrix == c))
+                assert s.cells(c) == [tuple(cell) for cell in cells.tolist()]
+                assert not cells.flags.writeable
+
+    def test_degrees_match_row_counts(self, corpus):
+        for member in corpus:
+            s = member.scheme
+            for c in range(s.r):
+                u, _ = s.cells(c)[0]
+                assert s.degree(c) == np.count_nonzero(s.matrix[u] == c)
 
     def test_tensor_consistency(self):
         for s in (thin_scheme(cyclic_table(6)), rank_two_scheme(5),

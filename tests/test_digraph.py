@@ -148,6 +148,31 @@ class TestBasisGraph:
             basis_graph(rank_two_scheme(3), 0)
 
 
+def scanned_basis_graph(scheme, color, with_transpose):
+    """A basis (di)graph built by scanning all n^2 cells; the oracle for
+    the cell-index reads."""
+    mask = scheme.matrix == color
+    if with_transpose:
+        mask |= scheme.matrix == scheme.transpose(color)
+    cells = np.argwhere(mask)
+    support = sorted({int(p) for p in cells.ravel()})
+    index = {p: i for i, p in enumerate(support)}
+    arcs = {(index[int(u)], index[int(v)]) for u, v in cells}
+    if with_transpose:
+        arcs |= {(b, a) for a, b in arcs}
+    return Digraph(len(support), frozenset(arcs), tuple(support))
+
+
+class TestBasisGraphsMatchScan:
+    def test_every_corpus_color(self, corpus):
+        for member in corpus:
+            s = member.scheme
+            for c in range(s.r):
+                assert basis_digraph(s, c) == scanned_basis_graph(s, c, False)
+                if not s.is_diagonal_color(c):
+                    assert basis_graph(s, c) == scanned_basis_graph(s, c, True)
+
+
 class TestComponents:
     def test_cycle_is_one_component(self):
         assert strongly_connected_components(cycle(4)) == [(0, 1, 2, 3)]

@@ -382,6 +382,31 @@ def assert_matches_oracle(s):
         assert generated_closed_set(s, {c}).colors == smallest
 
 
+class TestIsRegular:
+    """is_regular reads the degrees; the thin radical is the oracle."""
+
+    def assert_matches_radical(self, s):
+        assert is_regular(s) == (len(thin_radical(s).elements) == s.r)
+
+    def test_homogeneous_corpus_members(self, corpus):
+        for member in corpus:
+            if member.scheme.is_homogeneous:
+                self.assert_matches_radical(member.scheme)
+
+    @pytest.mark.parametrize("table", groups_up_to_twelve(), ids=lambda t: f"order{t.m}")
+    def test_thin_groups(self, table):
+        s = thin_scheme(table)
+        assert is_regular(s)
+        self.assert_matches_radical(s)
+
+    @pytest.mark.parametrize("inner,outer", [(2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
+    def test_small_wreaths(self, inner, outer):
+        self.assert_matches_radical(
+            wreath(thin_scheme(cyclic_table(inner)), thin_scheme(cyclic_table(outer))))
+        self.assert_matches_radical(
+            wreath(rank_two_scheme(inner + 1), thin_scheme(cyclic_table(outer))))
+
+
 class TestBruteForceOracle:
     @pytest.mark.parametrize("table", groups_up_to_twelve(), ids=lambda t: f"order{t.m}")
     def test_thin_groups(self, table):
