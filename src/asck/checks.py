@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -151,6 +152,20 @@ def _fmt(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _begin(check: str, scheme: Scheme) -> tuple[dict[str, str], Callable[..., TheoremReport]]:
+    """Start timing a check.  Returns its witness dict and a function that adds
+    the name, scheme, witnesses and elapsed time to the other report fields."""
+    start = time.perf_counter()
+    witnesses: dict[str, str] = {}
+
+    def report(**fields) -> TheoremReport:
+        return TheoremReport(
+            check=check, scheme_hash=scheme.hash, n=scheme.n, r=scheme.r,
+            witnesses=witnesses, elapsed=time.perf_counter() - start, **fields)
+
+    return witnesses, report
+
+
 def _size_verdict(scheme: Scheme, p: int,
                   witnesses: dict[str, str]) -> PSchemeVerdict:
     """``is_p_scheme``, recording its first offender as "size-offender"."""
@@ -175,8 +190,7 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
     """
     scheme.require_homogeneous()
     require_prime(p)
-    start = time.perf_counter()
-    witnesses: dict[str, str] = {}
+    witnesses, report = _begin("partite-criterion", scheme)
 
     verdict = _size_verdict(scheme, p, witnesses)
 
@@ -189,10 +203,8 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
                 f"color {color} admits no cyclic {p}-partition")
             break
 
-    return TheoremReport(
-        check="partite-criterion", scheme_hash=scheme.hash, n=scheme.n,
-        r=scheme.r, p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
-        witnesses=witnesses, elapsed=time.perf_counter() - start,
+    return report(
+        p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
         lhs_name="p-scheme", rhs_name="all basis digraphs cyclically p-partite")
 
 
@@ -200,8 +212,7 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
     """2-scheme iff every basis graph (color joined with its transpose,
     diagonal dropped) is bipartite.  Works on any scheme; a cross-fiber
     color whose graph failed to 2-color would be an internal bug."""
-    start = time.perf_counter()
-    witnesses: dict[str, str] = {}
+    witnesses, report = _begin("bipartite-criterion", scheme)
 
     verdict = _size_verdict(scheme, 2, witnesses)
 
@@ -209,7 +220,7 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
     for color in _non_diagonal_colors(scheme):
         coloring = is_bipartite(basis_graph(scheme, color))
         if coloring is None:
-            u, v = scheme.cells(color)[0]
+            u, v = scheme.first_cells[color]
             if scheme.fiber_of(u) != scheme.fiber_of(v):
                 raise SchemeError(
                     f"cross-fiber color {color} produced a non-bipartite graph")
@@ -217,18 +228,15 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
             witnesses["odd-color"] = f"color {color} has a non-bipartite basis graph"
             break
 
-    return TheoremReport(
-        check="bipartite-criterion", scheme_hash=scheme.hash, n=scheme.n,
-        r=scheme.r, p=2, mode="iff", lhs=bool(verdict), rhs=rhs,
-        witnesses=witnesses, elapsed=time.perf_counter() - start,
+    return report(
+        p=2, mode="iff", lhs=bool(verdict), rhs=rhs,
         lhs_name="2-scheme", rhs_name="all basis graphs bipartite")
 
 
 def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
     """p-scheme iff the restriction to every fiber is a p-scheme."""
     require_prime(p)
-    start = time.perf_counter()
-    witnesses: dict[str, str] = {}
+    witnesses, report = _begin("fiber-reduction", scheme)
 
     verdict = _size_verdict(scheme, p, witnesses)
 
@@ -242,10 +250,8 @@ def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
                 f"of size {sub.offender_size}")
             break
 
-    return TheoremReport(
-        check="fiber-reduction", scheme_hash=scheme.hash, n=scheme.n,
-        r=scheme.r, p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
-        witnesses=witnesses, elapsed=time.perf_counter() - start,
+    return report(
+        p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
         lhs_name="p-scheme", rhs_name="all fiber restrictions p-schemes")
 
 
@@ -281,8 +287,7 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
     other; the size factorization across class pairs is verified too."""
     scheme.require_homogeneous()
     require_prime(p)
-    start = time.perf_counter()
-    witnesses: dict[str, str] = {}
+    witnesses, report = _begin("quotient-factorization", scheme)
 
     verdict = _size_verdict(scheme, p, witnesses)
 
@@ -302,10 +307,8 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
     verify_size_factorization(scheme, e)
     witnesses["size-factorization"] = "verified"
 
-    return TheoremReport(
-        check="quotient-factorization", scheme_hash=scheme.hash, n=scheme.n,
-        r=scheme.r, p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
-        witnesses=witnesses, elapsed=time.perf_counter() - start,
+    return report(
+        p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
         lhs_name="p-scheme", rhs_name="quotient and class restrictions p-schemes")
 
 
@@ -314,8 +317,7 @@ def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
     non-reflexive basis digraph is a directed p-cycle."""
     scheme.require_homogeneous()
     require_prime(p)
-    start = time.perf_counter()
-    witnesses: dict[str, str] = {}
+    witnesses, report = _begin("primitive-structure", scheme)
 
     lhs = is_primitive(scheme) and bool(is_p_scheme(scheme, p))
 
@@ -336,10 +338,8 @@ def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
     if not point_count_ok:
         witnesses["point-count"] = f"n={scheme.n} differs from p={p}"
 
-    return TheoremReport(
-        check="primitive-structure", scheme_hash=scheme.hash, n=scheme.n,
-        r=scheme.r, p=p, mode="implies", lhs=lhs, rhs=rhs,
-        witnesses=witnesses, elapsed=time.perf_counter() - start,
+    return report(
+        p=p, mode="implies", lhs=lhs, rhs=rhs,
         lhs_name="primitive p-scheme",
         rhs_name="regular, n=p, basis digraphs are directed p-cycles")
 
@@ -350,8 +350,7 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
     scheme is a p-scheme."""
     scheme.require_homogeneous()
     require_prime(p)
-    start = time.perf_counter()
-    witnesses: dict[str, str] = {}
+    witnesses, report = _begin("block-criterion", scheme)
 
     eqs = all_equivalences(scheme)
     top = maximal_below_full(scheme)
@@ -375,9 +374,7 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
     lhs = cond_spread and cond_blocks
     verdict = _size_verdict(scheme, p, witnesses)
 
-    return TheoremReport(
-        check="block-criterion", scheme_hash=scheme.hash, n=scheme.n,
-        r=scheme.r, p=p, mode="implies", lhs=lhs, rhs=bool(verdict),
-        witnesses=witnesses, elapsed=time.perf_counter() - start,
+    return report(
+        p=p, mode="implies", lhs=lhs, rhs=bool(verdict),
         lhs_name="two maximal equivalences and p-scheme blocks",
         rhs_name="p-scheme")

@@ -4,8 +4,8 @@ Exit codes: 0 when everything passed or both sides of a statement
 agreed; 1 when a yes/no query answered no; 2 on input or format
 errors; 3 when the two sides of a statement disagreed (which would be
 an implementation bug).  ``-`` stands for stdin/stdout everywhere a
-file is expected.  ASCK_THREADS caps corpus parallelism (0 or unset
-picks a default).
+file is expected.  ASCK_THREADS is accepted and ignored (corpus checks
+run serially), but a non-integer value is still an input error.
 """
 
 from __future__ import annotations
@@ -52,15 +52,12 @@ def _write_text(text: str, dest: str) -> None:
             fh.write(text)
 
 
-def _threads_from_env() -> int | None:
+def _check_threads_env() -> None:
     raw = os.environ.get("ASCK_THREADS", "").strip()
-    if not raw:
-        return None
     try:
-        value = int(raw)
+        int(raw or 0)
     except ValueError:
         raise SchemeError(f"ASCK_THREADS must be an integer, got {raw!r}") from None
-    return None if value <= 0 else value
 
 
 def _ints_csv(text: str, what: str) -> tuple[int, ...]:
@@ -179,11 +176,11 @@ def _corpus_rows(results: list) -> list:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    threads = _threads_from_env()
+    _check_threads_env()
     spec = CorpusSpec(max_n=args.max_n, primes=_ints_csv(args.primes, "--primes"),
                       seed=args.seed)
     members = generate_corpus(spec)
-    results = _corpus_rows(run_corpus_checks(members, spec.primes, threads))
+    results = _corpus_rows(run_corpus_checks(members, spec.primes))
     disagreements = [(m, rep) for m, rep in results if not rep.agree]
 
     if args.machine:

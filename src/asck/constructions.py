@@ -130,9 +130,10 @@ def quotient(scheme: Scheme, e: Equivalence) -> Scheme:
     relations; this is re-checked and a violation (or a validation
     failure of the result) raises QuotientValidationFailed.
     """
-    cached = scheme._quotients.get(e.classes)
-    if cached is not None:
-        return cached
+    return scheme.derived(("quotient", e.classes), lambda: _quotient(scheme, e))
+
+
+def _quotient(scheme: Scheme, e: Equivalence) -> Scheme:
     base = equivalence_from_colors(scheme, e.colors)
     if base.classes != e.classes:
         raise NotASchemeEquivalence(
@@ -157,11 +158,9 @@ def quotient(scheme: Scheme, e: Equivalence) -> Scheme:
                         f"color {c} occurs in distinct class-pair color sets "
                         f"{sorted(prev)} and {sorted(block)}")
     try:
-        result = validate(canonical_recolor(raw))
+        return validate(canonical_recolor(raw))
     except SchemeError as exc:
         raise QuotientValidationFailed(str(exc)) from exc
-    scheme._quotients[e.classes] = result
-    return result
 
 
 def is_block(scheme: Scheme, points: Sequence[int]) -> bool:
@@ -195,18 +194,17 @@ def restriction(scheme: Scheme, points: Sequence[int]) -> Scheme:
         raise NotABlock("empty point set")
     if pts[0] < 0 or pts[-1] >= scheme.n:
         raise NotABlock(f"points out of range 0..{scheme.n - 1}")
-    cached = scheme._restrictions.get(tuple(pts))
-    if cached is not None:
-        return cached
+    return scheme.derived(("restriction", tuple(pts)), lambda: _restriction(scheme, pts))
+
+
+def _restriction(scheme: Scheme, pts: list[int]) -> Scheme:
     if not is_block(scheme, pts):
         raise NotABlock(f"{pts} is not a class of any scheme equivalence")
     sub = scheme.matrix[np.ix_(pts, pts)]
     try:
-        result = validate(canonical_recolor(sub))
+        return validate(canonical_recolor(sub))
     except SchemeError as exc:
         raise RestrictionValidationFailed(str(exc)) from exc
-    scheme._restrictions[tuple(pts)] = result
-    return result
 
 
 # -- wreath product -----------------------------------------------------------
@@ -239,14 +237,24 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
 # -- coherent closure ---------------------------------------------------------
 
 
+# Largest digraph ``digraph_color_matrix`` encodes, since a .dg header can
+# name any n.  A closure that ends discrete keeps n^3 int64 counts while
+# ``validate`` runs: ``wl_closure`` peaks at 135 MiB (tracemalloc) at n = 256.
+MAX_CLOSURE_POINTS = 256
+
+
 def digraph_color_matrix(g: Digraph) -> np.ndarray:
     """Encode a digraph as a color matrix for the coherent closure.
 
     Distinguishes diagonal cells, loops, arcs, and off-diagonal
     non-arcs; unused classes are squeezed out to keep ids contiguous.
+    More than MAX_CLOSURE_POINTS vertices raise SchemeError before any array.
     """
     if g.n == 0:
         raise SchemeError("cannot encode an empty digraph")
+    if g.n > MAX_CLOSURE_POINTS:
+        raise SchemeError(
+            f"digraph has n={g.n} vertices; the closure allows n <= {MAX_CLOSURE_POINTS}")
     arr = np.where(np.eye(g.n, dtype=bool), 0, 3)
     for u, v in g.arcs:
         arr[u, v] = 1 if u == v else 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .errors import (
     NotTransposeClosed,
     SchemeError,
 )
+
+T = TypeVar("T")
 
 
 def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -85,11 +87,10 @@ def normalize_colors(matrix: Sequence[Sequence[int]] | np.ndarray
     return inverse.reshape(arr.shape).astype(np.int64), remap
 
 
-def _first_cells(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major first cell (u, v) of every color, as two arrays of length r."""
-    n = matrix.shape[0]
+def _first_cells(matrix: np.ndarray) -> np.ndarray:
+    """Row-major first cell (u, v) of every color, as an (r, 2) array."""
     _, first_flat = np.unique(matrix.ravel(), return_index=True)
-    return first_flat // n, first_flat % n
+    return np.stack(np.divmod(first_flat, matrix.shape[0]), axis=1)
 
 
 def mask_colors(mask: int) -> tuple[int, ...]:
@@ -112,7 +113,7 @@ def canonical_recolor(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarra
     """
     arr, _ = normalize_colors(matrix)
     r = int(arr.max()) + 1
-    us, vs = _first_cells(arr, r)
+    us, vs = _first_cells(arr).T
     diag_counts = np.bincount(arr.diagonal(), minlength=r)
     rank = sorted(range(r), key=lambda c: (diag_counts[c] == 0, us[c] * arr.shape[0] + vs[c]))
     perm = np.empty(r, dtype=np.int64)
@@ -138,13 +139,16 @@ class Scheme:
     fibers: tuple[tuple[int, ...], ...]  # point classes of the diagonal colors
     degrees: np.ndarray                # out-degree of each color's basis digraph
     sizes: np.ndarray                  # total cell count of each color
-    _composition: dict[tuple[int, int], int] | None = field(default=None, repr=False)
-    _cell_index: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _hash: str | None = field(default=None, repr=False)
-    # memoized derived structures; transparent caches of pure functions
-    _equivalences: list | None = field(default=None, repr=False)
-    _restrictions: dict = field(default_factory=dict, repr=False)
-    _quotients: dict = field(default_factory=dict, repr=False)
+    first_cells: np.ndarray            # (r, 2): row-major first cell (u, v) of each color
+    _derived: dict = field(default_factory=dict, repr=False)
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The scheme's one memo: ``build()``, a pure function of the scheme
+        and ``key``, runs on the first call for ``key`` (storing nothing if
+        it raises); later calls share its value, which must not be mutated."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     # -- basic queries ---------------------------------------------------
 
@@ -166,15 +170,17 @@ class Scheme:
 
         Sliced in O(1) from the cell index: all n^2 cells stably sorted by
         color, cut at offsets taken from ``sizes``.  The index is built on
-        first use and kept in ``_cell_index``.
+        first use and kept in the ``derived`` memo.
         """
         color = self.check_color(color)
-        if self._cell_index is None:
+
+        def index():
             order = np.argsort(self.matrix.ravel(), kind="stable")
             cells = np.stack(np.divmod(order, self.n), axis=1)
             cells.setflags(write=False)
-            self._cell_index = (cells, np.concatenate(([0], np.cumsum(self.sizes))))
-        cells, offsets = self._cell_index
+            return cells, np.concatenate(([0], np.cumsum(self.sizes)))
+
+        cells, offsets = self.derived("cell-index", index)
         return cells[offsets[color]:offsets[color + 1]]
 
     def transpose(self, color: int) -> int:
@@ -222,15 +228,13 @@ class Scheme:
         """
         left = self.check_color(left)
         right = self.check_color(right)
-        through = self.check_color(through)
-        u, w = self._first_cell(through)
+        u, w = self.first_cells[self.check_color(through)]
         return int(np.count_nonzero(
             (self.matrix[u, :] == left) & (self.matrix[:, w] == right)))
 
     def tensor_slice(self, through: int) -> np.ndarray:
         """The (r, r) matrix of intersection numbers seen from one color."""
-        through = self.check_color(through)
-        u, w = self._first_cell(through)
+        u, w = self.first_cells[self.check_color(through)]
         codes = self.matrix[u, :] * self.r + self.matrix[:, w]
         return np.bincount(codes, minlength=self.r * self.r).reshape(self.r, self.r)
 
@@ -254,9 +258,9 @@ class Scheme:
         read and the (r, r, r) tensor is never formed.  The returned
         dict is shared and must not be mutated.
         """
-        if self._composition is None:
+        def build() -> dict[tuple[int, int], int]:
             r, n = self.r, self.n
-            us, ws = _first_cells(self.matrix, r)
+            us, ws = self.first_cells.T
             table: dict[tuple[int, int], int] = {}
             # chunks of at most n colors keep the code array at n x n
             for lo in range(0, r, n):
@@ -269,8 +273,9 @@ class Scheme:
                 for c, code in zip(through[rows].tolist(), codes[rows, cols].tolist()):
                     pair = divmod(code, r)
                     table[pair] = table.get(pair, 0) | (1 << c)
-            self._composition = table
-        return self._composition
+            return table
+
+        return self.derived("composition", build)
 
     def composition_colors(self, left: int, right: int) -> tuple[int, ...]:
         """Colors carrying at least one left-then-right two-step, ascending.
@@ -281,23 +286,20 @@ class Scheme:
         right = self.check_color(right)
         return mask_colors(self.composition_table().get((left, right), 0))
 
-    def _first_cell(self, color: int) -> tuple[int, int]:
-        u, w = self.cell_array(color)[0].tolist()
-        return u, w
-
     # -- identity ---------------------------------------------------------
 
     @property
     def hash(self) -> str:
         """sha256 over the dimensions and the row-major color sequence.
 
-        Computed once and kept in ``_hash``.
+        Computed once and kept in the ``derived`` memo.
         """
-        if self._hash is None:
+        def build() -> str:
             payload = f"{self.n} {self.r} " + " ".join(
                 str(int(c)) for c in self.matrix.ravel())
-            self._hash = hashlib.sha256(payload.encode("ascii")).hexdigest()
-        return self._hash
+            return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+        return self.derived("hash", build)
 
     def same_matrix(self, other: "Scheme") -> bool:
         return self.n == other.n and bool(np.array_equal(self.matrix, other.matrix))
@@ -318,9 +320,8 @@ def _check_diagonal(matrix: np.ndarray, r: int) -> tuple[int, ...]:
     return tuple(int(c) for c in np.nonzero(on_diag)[0])
 
 
-def _check_transpose(matrix: np.ndarray, r: int) -> np.ndarray:
-    n = matrix.shape[0]
-    us, vs = _first_cells(matrix, r)
+def _check_transpose(matrix: np.ndarray, first: np.ndarray) -> np.ndarray:
+    us, vs = first.T
     sigma = matrix[vs, us]
     mismatch = sigma[matrix] != matrix.T
     if mismatch.any():
@@ -331,7 +332,7 @@ def _check_transpose(matrix: np.ndarray, r: int) -> np.ndarray:
     return sigma.astype(np.int64)
 
 
-def _check_intersection_numbers(matrix: np.ndarray, r: int) -> None:
+def _check_intersection_numbers(matrix: np.ndarray, r: int, first: np.ndarray) -> None:
     """Verify that intermediate-point counts depend only on the cell's color.
 
     For each cell (u, w) the sorted multiset of codes
@@ -343,7 +344,7 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int) -> None:
     row-major order is the witness.
     """
     n = matrix.shape[0]
-    us, ws = _first_cells(matrix, r)
+    us, ws = first.T
     reference = np.empty((r, n), dtype=np.int64)
     for u in range(n):
         row = matrix[u]
@@ -383,8 +384,9 @@ def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     r = int(arr.max()) + 1
 
     diagonal_colors = _check_diagonal(arr, r)
-    sigma = _check_transpose(arr, r)
-    _check_intersection_numbers(arr, r)
+    first = _first_cells(arr)
+    sigma = _check_transpose(arr, first)
+    _check_intersection_numbers(arr, r, first)
 
     diag = arr.diagonal()
     fibers = tuple(
@@ -392,16 +394,16 @@ def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
 
     # with the axioms checked, each color's cells leave every point of its
     # source fiber equally often, so the degree is size / |source fiber|
-    us, _ = _first_cells(arr, r)
     sizes = np.bincount(arr.ravel(), minlength=r).astype(np.int64)
     fiber_sizes = np.bincount(diag, minlength=r)
-    degrees = sizes // fiber_sizes[diag[us]]
+    degrees = sizes // fiber_sizes[diag[first[:, 0]]]
 
     arr = arr.copy()
     arr.setflags(write=False)
+    first.setflags(write=False)
     return Scheme(matrix=arr, n=n, r=r, transpose_map=sigma,
                   diagonal_colors=diagonal_colors, fibers=fibers,
-                  degrees=degrees, sizes=sizes)
+                  degrees=degrees, sizes=sizes, first_cells=first)
 
 
 def scheme_from_colors(n: int, cells_by_color: Iterable[Iterable[tuple[int, int]]]) -> Scheme:

@@ -12,7 +12,6 @@ order.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
@@ -394,10 +393,9 @@ def member_reports(member: CorpusMember,
 def run_corpus_checks(members: list[CorpusMember], primes: Iterable[int],
                       threads: int | None = None
                       ) -> list[tuple[CorpusMember, TheoremReport]]:
-    """Run member_reports over the corpus, in parallel, merged in corpus order."""
+    """Run member_reports on each member, serially and in corpus order.
+
+    ``threads`` is accepted for existing callers and ignored: the checks
+    are pure Python under the GIL, where a thread pool was slower."""
     primes = tuple(primes)
-    if threads is not None and threads < 1:
-        threads = None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_member = list(pool.map(lambda m: member_reports(m, primes), members))
-    return [(m, rep) for m, reports in zip(members, per_member) for rep in reports]
+    return [(m, rep) for m in members for rep in member_reports(m, primes)]

@@ -177,18 +177,14 @@ def equivalence_from_colors(scheme: Scheme, colors: Iterable[int]) -> Equivalenc
         raise NotASchemeEquivalence("union of relations is not reflexive")
     if not np.array_equal(member, member.T):
         raise NotASchemeEquivalence("union of relations is not symmetric")
-    closure = (member.astype(np.float64) @ member.astype(np.float64)) > 0
-    if not np.array_equal(closure, member):
+    # label each point by the least point of its row; a reflexive,
+    # symmetric relation is transitive iff it is "same label"
+    labels = np.argmax(member, axis=1)
+    if not np.array_equal(member, labels[:, None] == labels[None, :]):
         raise NotASchemeEquivalence("union of relations is not transitive")
-    seen: set[int] = set()
-    classes: list[tuple[int, ...]] = []
-    for u in range(scheme.n):
-        if u in seen:
-            continue
-        cls = tuple(int(v) for v in np.nonzero(member[u])[0])
-        classes.append(cls)
-        seen.update(cls)
-    return Equivalence(scheme, tuple(classes), colorset)
+    classes = tuple(tuple(np.flatnonzero(labels == least).tolist())
+                    for least in np.unique(labels))
+    return Equivalence(scheme, classes, colorset)
 
 
 def equivalence_from_partition(scheme: Scheme,
@@ -248,8 +244,10 @@ def all_equivalences(scheme: Scheme) -> list[Equivalence]:
     scheme.require_homogeneous()
     if scheme.r > RANK_CAP:
         raise RankTooLarge(scheme.r, RANK_CAP)
-    if scheme._equivalences is not None:
-        return list(scheme._equivalences)
+    return list(scheme.derived("equivalences", lambda: _enumerate_equivalences(scheme)))
+
+
+def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
     # the lone diagonal color of a homogeneous scheme is closed
     bottom = _mask(scheme.diagonal_colors)
     generators = {_close(scheme, bottom, 1 << c) for c in range(scheme.r)}
@@ -266,8 +264,7 @@ def all_equivalences(scheme: Scheme) -> list[Equivalence]:
     if len({e.classes for e in eqs}) != len(family):
         raise SchemeError("distinct closed sets produced equal partitions")
     eqs.sort(key=lambda e: (len(e.colors), sorted(e.colors)))
-    scheme._equivalences = eqs
-    return list(eqs)
+    return eqs
 
 
 def _proper(eqs: list[Equivalence]) -> list[Equivalence]:

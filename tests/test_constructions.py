@@ -146,6 +146,11 @@ class TestQuotient:
         with pytest.raises(SchemeError):
             quotient(z4, two_classes)
 
+    def test_memoized_per_equivalence(self):
+        s = thin_scheme(cyclic_table(6))
+        e = next(e for e in all_equivalences(s) if e.n_classes == 2)
+        assert quotient(s, e) is quotient(s, e)
+
     def test_size_factorization(self):
         for s in (thin_scheme(cyclic_table(12)), thin_scheme(dihedral_table(4)),
                   wreath(thin_scheme(cyclic_table(2)), thin_scheme(cyclic_table(3)))):
@@ -201,6 +206,10 @@ class TestBlocksAndRestriction:
         s = thin_scheme(cyclic_table(4))
         assert is_block(s, [0, 2])
         assert restriction(s, [0, 2]).same_matrix(thin_scheme(cyclic_table(2)))
+
+    def test_memoized_per_point_set(self):
+        s = thin_scheme(cyclic_table(4))
+        assert restriction(s, [0, 2]) is restriction(s, (2, 0, 2))
 
     def test_non_block_rejected(self):
         s = thin_scheme(cyclic_table(4))

@@ -1,4 +1,8 @@
+import ast
+import dataclasses
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from asck import (
 )
 from asck.core import (
     _check_intersection_numbers,
+    _first_cells,
     _raise_count_mismatch,
     apply_remap,
     normalize_colors,
@@ -152,7 +157,10 @@ def perturbed_matrices():
 
 class TestIntersectionNumberCheck:
     def test_witnesses_match_loop_oracle(self):
-        outcomes = [(count_mismatch(_check_intersection_numbers, m),
+        def check(matrix, r):
+            _check_intersection_numbers(matrix, r, _first_cells(matrix))
+
+        outcomes = [(count_mismatch(check, m),
                      count_mismatch(loop_check_intersection_numbers, m))
                     for m in perturbed_matrices()]
         for got, want in outcomes:
@@ -201,6 +209,7 @@ class TestSchemeAccessors:
                 assert np.array_equal(cells, np.argwhere(s.matrix == c))
                 assert s.cells(c) == [tuple(cell) for cell in cells.tolist()]
                 assert not cells.flags.writeable
+                assert s.first_cells[c].tolist() == cells[0].tolist()
 
     def test_degrees_match_row_counts(self, corpus):
         for member in corpus:
@@ -316,3 +325,62 @@ class TestSchemeFromColors:
     def test_missing_cell(self):
         with pytest.raises(SchemeError):
             scheme_from_colors(2, [[(0, 0), (1, 1)], [(0, 1)]])
+
+
+def private_writes(source: str) -> list[int]:
+    """Lines that assign, augment, delete or setattr an underscore
+    attribute of an object other than ``self``, or call a method on one,
+    directly or through a subscript or attribute chain."""
+
+    def touches_private(node) -> bool:
+        private = False
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            if isinstance(node, ast.Attribute):
+                private |= node.attr.startswith("_") and not node.attr.endswith("__")
+            node = node.value
+        return private and not (isinstance(node, ast.Name) and node.id == "self")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            name = node.args[1] if len(node.args) > 1 else None
+            if (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                    and isinstance(name, ast.Constant) and str(name.value).startswith("_")):
+                lines.append(node.lineno)
+            targets = [node.func.value] if isinstance(node.func, ast.Attribute) else []
+        else:
+            continue
+        flat = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+        if any(touches_private(t) for t in flat):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestSchemeOwnsDerivedData:
+    def test_detector_flags_foreign_writes(self):
+        flagged = ["scheme._quotients[e.classes] = result", "scheme._equivalences = eqs",
+                   "s._hash += 'x'", "del s._derived['hash']", "a, s._n = 1, 2",
+                   "setattr(scheme, '_hash', h)", "scheme._derived.setdefault(k, v)"]
+        allowed = ["self._lock = lock", "self._seen[k] = 1", "scheme.derived(k, f)",
+                   "x.y = 1", "s.__dict__['k'] = 1"]
+        assert [bool(private_writes(line)) for line in flagged] == [True] * len(flagged)
+        assert [bool(private_writes(line)) for line in allowed] == [False] * len(allowed)
+
+    def test_only_core_writes_scheme_private_fields(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "asck"
+        offenders = {path.name: private_writes(path.read_text())
+                     for path in sorted(src.glob("*.py")) if path.name != "core.py"}
+        assert len(offenders) >= 9
+        assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+    def test_one_private_field(self):
+        s = thin_scheme(cyclic_table(4))
+        assert [f.name for f in dataclasses.fields(s) if f.name.startswith("_")] == ["_derived"]
+        # the benchmark's tracer keys a WeakKeyDictionary on schemes and
+        # wraps the ``hash`` property
+        assert weakref.ref(s)() is s
+        assert isinstance(type(s).__dict__["hash"], property)

@@ -18,6 +18,7 @@ from asck import (
     write_dg,
 )
 from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, main
+from asck.constructions import MAX_CLOSURE_POINTS
 from asck.errors import NonContiguousColors
 
 
@@ -224,6 +225,16 @@ class TestCliGenerators:
         out = tmp_path / "c4.ccm"
         assert main(["gen", "wl-close", str(g), "-o", str(out)]) == EXIT_OK
         assert validate(read_ccm(out)).same_matrix(thin_scheme(cyclic_table(4)))
+
+    # 10**18 bytes exceed any process's address space, so not even a
+    # missing check could allocate the n x n encoding at n = 10**9
+    @pytest.mark.parametrize("n", [MAX_CLOSURE_POINTS + 1, 10 ** 9])
+    def test_gen_wl_close_rejects_oversized_header(self, n, tmp_path, capsys):
+        g = tmp_path / "big.dg"
+        g.write_text(f"dg {n} 0\n")
+        assert main(["gen", "wl-close", str(g)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"n={n}" in err and f"n <= {MAX_CLOSURE_POINTS}" in err
 
 
 class TestCliCorpus:

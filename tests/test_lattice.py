@@ -150,6 +150,14 @@ class TestAllEquivalences:
         eqs = all_equivalences(s)
         assert len(eqs) == 1 and eqs[0].is_discrete and eqs[0].is_full
 
+    def test_returns_a_fresh_list(self):
+        s = thin_scheme(cyclic_table(6))
+        first = all_equivalences(s)
+        first.clear()
+        second = all_equivalences(s)
+        assert len(second) == 4
+        assert second is not all_equivalences(s)
+
 
 class TestMinimalMaximal:
     def test_cyclic_four(self):
@@ -200,7 +208,61 @@ class TestPrimitivity:
             is_primitive(validate([[0]]))
 
 
+def brute_equivalence(scheme, colors):
+    """The classes of the color union, built point by point after a
+    brute-force transitivity test, or the message it is rejected with."""
+    member = np.isin(scheme.matrix, sorted(colors))
+    if not member.diagonal().all():
+        return "union of relations is not reflexive"
+    if not np.array_equal(member, member.T):
+        return "union of relations is not symmetric"
+    for u, v in zip(*np.nonzero(member)):
+        if (member[v] & ~member[u]).any():
+            return "union of relations is not transitive"
+    classes, seen = [], set()
+    for u in range(scheme.n):
+        if u not in seen:
+            cls = tuple(int(v) for v in np.flatnonzero(member[u]))
+            classes.append(cls)
+            seen.update(cls)
+    return tuple(classes)
+
+
+def equivalence_outcome(scheme, colors):
+    try:
+        return equivalence_from_colors(scheme, colors).classes
+    except NotASchemeEquivalence as exc:
+        return str(exc)
+
+
 class TestEquivalenceConstructors:
+    def test_from_colors_matches_brute_force(self, corpus):
+        rng = np.random.default_rng(5)
+        outcomes = []
+        for member in corpus[::3]:
+            s = member.scheme
+            for _ in range(6):
+                colors = set(np.flatnonzero(rng.random(s.r) < 0.4).tolist())
+                outcomes.append((s, colors))
+                # reflexive and symmetric unions reach the transitivity test
+                closed = colors | set(s.diagonal_colors)
+                outcomes.append((s, closed | {s.transpose(c) for c in closed}))
+        messages = set()
+        for s, colors in outcomes:
+            want = brute_equivalence(s, colors)
+            assert equivalence_outcome(s, colors) == want
+            messages.add(want if isinstance(want, str) else "classes")
+        assert len(messages) == 4
+
+    def test_from_colors_at_n_128(self):
+        s = thin_scheme(cyclic_table(128))
+        step = {int(s.matrix[0, v]) for v in (1, 127)}
+        subgroup = generated_closed_set(s, {int(s.matrix[0, 16])}).colors
+        for colors in (subgroup, {0} | step):
+            assert equivalence_outcome(s, colors) == brute_equivalence(s, colors)
+        assert len(equivalence_from_colors(s, subgroup).classes) == 16
+        assert "transitive" in equivalence_outcome(s, {0} | step)
+
     def test_from_colors(self):
         s = z4()
         c2 = int(s.matrix[0, 2])
