@@ -1,10 +1,11 @@
 """Scheme builders: thin schemes from group tables, quotients,
 restrictions, wreath products, and the coherent (2-dim WL) closure.
 
-Every construction ends with the same two steps: canonical recoloring
-(diagonal colors first, then by first cell) and full validation.  A
-validation failure here means a bug in the construction, so it is
-re-raised under a construction-specific error type.
+Every construction ends in ``core.canonical_scheme``: the colors are
+renamed into canonical order (diagonal colors first, then by first cell)
+and the axioms are checked.  A validation failure here means a bug in
+the construction, so it is re-raised under a construction-specific
+error type.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Scheme, as_color_matrix, canonical_recolor, normalize_colors, validate
+from .core import Scheme, as_color_matrix, canonical_scheme, normalize_colors
 from .digraph import Digraph
 from .errors import (
     InvalidGroupTable,
@@ -25,7 +26,12 @@ from .errors import (
     SchemeError,
     WreathValidationFailed,
 )
-from .lattice import Equivalence, equivalence_from_colors, generated_closed_set
+from .lattice import (
+    Equivalence,
+    closed_set_equivalence,
+    equivalence_from_colors,
+    generated_closed_set,
+)
 
 
 # -- group tables -------------------------------------------------------------
@@ -62,8 +68,10 @@ def cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> CayleyTable:
             break
     if identity < 0:
         raise InvalidGroupTable("no identity element")
-    if not np.array_equal(arr[arr], arr[:, arr]):
-        raise InvalidGroupTable("multiplication is not associative")
+    # (ab)c against a(bc) one row a at a time: m^2 entries live, not m^3
+    for a in range(m):
+        if not np.array_equal(arr[arr[a]], arr[a][arr]):
+            raise InvalidGroupTable("multiplication is not associative")
     arr = arr.copy()
     arr.setflags(write=False)
     return CayleyTable(m, arr, identity)
@@ -109,14 +117,14 @@ def thin_scheme(table: CayleyTable) -> Scheme:
     the input, so the result is regular.
     """
     inv = np.array([table.inverse(g) for g in range(table.m)])
-    return validate(canonical_recolor(table.table[inv]))
+    return canonical_scheme(table.table[inv])
 
 
 def rank_two_scheme(n: int) -> Scheme:
     """Diagonal plus everything-else; the unique rank-2 scheme on n >= 2 points."""
     if n < 2:
         raise SchemeError(f"rank-2 scheme needs at least 2 points, got {n}")
-    return validate(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
+    return canonical_scheme(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
 
 
 # -- quotient and restriction -------------------------------------------------
@@ -158,7 +166,7 @@ def _quotient(scheme: Scheme, e: Equivalence) -> Scheme:
                         f"color {c} occurs in distinct class-pair color sets "
                         f"{sorted(prev)} and {sorted(block)}")
     try:
-        return validate(canonical_recolor(raw))
+        return canonical_scheme(raw)
     except SchemeError as exc:
         raise QuotientValidationFailed(str(exc)) from exc
 
@@ -183,8 +191,7 @@ def is_block(scheme: Scheme, points: Sequence[int]) -> bool:
         return False
     inside = {int(c) for c in np.unique(scheme.matrix[np.ix_(pts, pts)])}
     closed = generated_closed_set(scheme, inside)
-    eq = equivalence_from_colors(scheme, closed.colors)
-    return tuple(pts) in eq.classes
+    return tuple(pts) in closed_set_equivalence(scheme, closed.colors).classes
 
 
 def restriction(scheme: Scheme, points: Sequence[int]) -> Scheme:
@@ -202,7 +209,7 @@ def _restriction(scheme: Scheme, pts: list[int]) -> Scheme:
         raise NotABlock(f"{pts} is not a class of any scheme equivalence")
     sub = scheme.matrix[np.ix_(pts, pts)]
     try:
-        return validate(canonical_recolor(sub))
+        return canonical_scheme(sub)
     except SchemeError as exc:
         raise RestrictionValidationFailed(str(exc)) from exc
 
@@ -229,7 +236,7 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
             else:
                 raw[block] = inner.r + outer.matrix[u2, v2]
     try:
-        return validate(canonical_recolor(raw))
+        return canonical_scheme(raw)
     except SchemeError as exc:
         raise WreathValidationFailed(str(exc)) from exc
 
@@ -239,7 +246,8 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
 
 # Largest digraph ``digraph_color_matrix`` encodes, since a .dg header can
 # name any n.  A closure that ends discrete keeps n^3 int64 counts while
-# ``validate`` runs: ``wl_closure`` peaks at 135 MiB (tracemalloc) at n = 256.
+# its axioms are checked: ``wl_closure`` peaks at 135 MiB (tracemalloc) at
+# n = 256.
 MAX_CLOSURE_POINTS = 256
 
 
@@ -306,12 +314,13 @@ def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     Cells with equal multisets of two-step pairs get equal hashes, so a
     hashed round is never finer than the exact (multiset) round, and
     every partition reached stays at least as coarse as the true
-    closure.  ``validate`` of the fixpoint is therefore the certificate:
-    a coherent partition that is no finer than the coarsest coherent
-    refinement is that refinement.  ``canonical_recolor`` then makes the
-    bytes independent of the weights.  If a hash collision leaves the
-    fixpoint incoherent, refinement goes on from it with the next seed
-    of ``_CLOSURE_SEEDS``; SchemeError is raised once they run out.
+    closure.  ``canonical_scheme`` of the fixpoint is therefore the
+    certificate: a coherent partition that is no finer than the coarsest
+    coherent refinement is that refinement, and the canonical recoloring
+    makes the bytes independent of the weights.  If a hash collision
+    leaves the fixpoint incoherent, refinement goes on from it with the
+    next seed of ``_CLOSURE_SEEDS``; SchemeError is raised once they run
+    out.
     """
     arr = as_color_matrix(matrix)
     n = arr.shape[0]
@@ -323,7 +332,7 @@ def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     for seed in _CLOSURE_SEEDS:
         cur = _hashed_fixpoint(cur, seed, width)
         try:
-            return validate(canonical_recolor(cur))
+            return canonical_scheme(cur)
         except SchemeError:
             continue
     raise SchemeError(

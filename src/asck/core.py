@@ -5,7 +5,8 @@ entry (u, v) is the color of the pair (u, v).  Colors must be exactly
 0..r-1.  ``validate`` checks the three axioms (diagonal is a union of
 colors, the color classes are transpose-closed, and intermediate-point
 counts depend only on colors) and returns a ``Scheme`` handle that
-caches the derived data every other module needs.
+caches the derived data every other module needs.  ``canonical_scheme``
+does the same after renaming the colors into canonical order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ T = TypeVar("T")
 
 
 def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """Coerce input to a square int64 matrix without changing any value.
+    """Coerce input to a nonempty square int64 matrix without changing
+    any value.
 
     Floats are accepted only when every entry is finite, integral and
     within int64 range; anything else raises SchemeError.
@@ -42,6 +44,8 @@ def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
             arr.dtype.kind == "f" and np.isfinite(arr).all()
             and (arr == np.floor(arr)).all() and (np.abs(arr) < 2.0 ** 63).all()):
         raise SchemeError(f"expected integer entries, got dtype {arr.dtype}")
+    if arr.shape[0] == 0:
+        raise SchemeError("expected at least one point")
     return arr.astype(np.int64)
 
 
@@ -52,8 +56,6 @@ def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     (carrying the ascending relabel map) when color ids have gaps.
     """
     arr = _integer_matrix(matrix)
-    if arr.shape[0] == 0:
-        raise SchemeError("expected at least one point")
     if arr.min() < 0:
         u, v = map(int, np.argwhere(arr < 0)[0])
         raise SchemeError(f"negative color {arr[u, v]} at cell ({u},{v})")
@@ -63,16 +65,6 @@ def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         remap = {int(old): new for new, old in enumerate(uniq)}
         raise NonContiguousColors(remap)
     return arr
-
-
-def apply_remap(matrix: Sequence[Sequence[int]] | np.ndarray,
-                remap: dict[int, int]) -> np.ndarray:
-    """Relabel colors according to ``remap`` (as carried by NonContiguousColors)."""
-    arr = np.asarray(matrix, dtype=np.int64)
-    lut = np.zeros(int(arr.max()) + 1, dtype=np.int64)
-    for old, new in remap.items():
-        lut[old] = new
-    return lut[arr]
 
 
 def normalize_colors(matrix: Sequence[Sequence[int]] | np.ndarray
@@ -103,32 +95,47 @@ def mask_colors(mask: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
+def _canonical(matrix: Sequence[Sequence[int]] | np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The canonically recolored matrix and its colors' first cells.
+
+    One ``np.unique`` over the entries gives the color ids, the first
+    row-major cell of each and the relabel.  Colors with a diagonal cell
+    come first, then the others, each group ordered by first cell: a
+    single argsort of first_flat + off_diagonal * n^2, whose keys are
+    distinct.
+    """
+    arr = _integer_matrix(matrix)
+    n = arr.shape[0]
+    _, first_flat, inverse = np.unique(arr.ravel(), return_index=True, return_inverse=True)
+    inverse = inverse.reshape(n, n)
+    off_diagonal = np.ones(first_flat.size, dtype=np.int64)
+    off_diagonal[inverse.diagonal()] = 0
+    order = np.argsort(first_flat + off_diagonal * (n * n))
+    perm = np.empty_like(order)
+    perm[order] = np.arange(order.size)
+    return perm[inverse], np.stack(np.divmod(first_flat[order], n), axis=1)
+
+
 def canonical_recolor(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Rename colors into the canonical order used by every construction here.
 
     Diagonal colors come first, then off-diagonal ones, each group ordered
     by the row-major position of its first cell.  The result is
     independent of the input labeling; gaps in the input ids are allowed
-    and removed.
+    and removed.  This is the matrix half of ``canonical_scheme``.
     """
-    arr, _ = normalize_colors(matrix)
-    r = int(arr.max()) + 1
-    us, vs = _first_cells(arr).T
-    diag_counts = np.bincount(arr.diagonal(), minlength=r)
-    rank = sorted(range(r), key=lambda c: (diag_counts[c] == 0, us[c] * arr.shape[0] + vs[c]))
-    perm = np.empty(r, dtype=np.int64)
-    for new, old in enumerate(rank):
-        perm[old] = new
-    return perm[arr]
+    return _canonical(matrix)[0]
 
 
 @dataclass(eq=False)
 class Scheme:
     """A validated coherent configuration.
 
-    Construct via ``validate``; fields are derived data and must not be
-    mutated.  ``matrix`` is the color matrix with its writeable flag off.
-    Identity-based equality; compare contents with ``same_matrix``.
+    Construct via ``validate`` or ``canonical_scheme``; fields are derived
+    data and must not be mutated.  ``matrix`` is the color matrix with its
+    writeable flag off.  Identity-based equality; compare contents with
+    ``same_matrix``.
     """
 
     matrix: np.ndarray
@@ -305,12 +312,11 @@ class Scheme:
         return self.n == other.n and bool(np.array_equal(self.matrix, other.matrix))
 
 
-def _check_diagonal(matrix: np.ndarray, r: int) -> tuple[int, ...]:
+def _check_diagonal(matrix: np.ndarray, sizes: np.ndarray) -> tuple[int, ...]:
     n = matrix.shape[0]
     diag = matrix.diagonal()
-    total = np.bincount(matrix.ravel(), minlength=r)
-    on_diag = np.bincount(diag, minlength=r)
-    mixed = np.nonzero((on_diag > 0) & (on_diag < total))[0]
+    on_diag = np.bincount(diag, minlength=sizes.size)
+    mixed = np.nonzero((on_diag > 0) & (on_diag < sizes))[0]
     if mixed.size:
         color = int(mixed[0])
         du = int(np.argmax(diag == color))
@@ -380,11 +386,29 @@ def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     matrix fails an axiom; NonContiguousColors when ids have gaps.
     """
     arr = as_color_matrix(matrix)
-    n = arr.shape[0]
-    r = int(arr.max()) + 1
+    return _certify(arr, _first_cells(arr))
 
-    diagonal_colors = _check_diagonal(arr, r)
-    first = _first_cells(arr)
+
+def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
+    """The Scheme of the canonically recolored matrix; the ending of every
+    construction.
+
+    Equal to ``validate(canonical_recolor(matrix))``, errors and witnesses
+    included, but the colors and their first cells come from one
+    ``np.unique`` over the entries.
+    """
+    return _certify(*_canonical(matrix))
+
+
+def _certify(arr: np.ndarray, first: np.ndarray) -> Scheme:
+    """Check the axioms on a matrix with colors 0..r-1 whose first cells
+    are ``first``, and wrap it; ``arr`` and ``first`` must be fresh
+    arrays, which the Scheme takes over read-only."""
+    n = arr.shape[0]
+    r = first.shape[0]
+    sizes = np.bincount(arr.ravel(), minlength=r).astype(np.int64)
+
+    diagonal_colors = _check_diagonal(arr, sizes)
     sigma = _check_transpose(arr, first)
     _check_intersection_numbers(arr, r, first)
 
@@ -394,11 +418,9 @@ def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
 
     # with the axioms checked, each color's cells leave every point of its
     # source fiber equally often, so the degree is size / |source fiber|
-    sizes = np.bincount(arr.ravel(), minlength=r).astype(np.int64)
     fiber_sizes = np.bincount(diag, minlength=r)
     degrees = sizes // fiber_sizes[diag[first[:, 0]]]
 
-    arr = arr.copy()
     arr.setflags(write=False)
     first.setflags(write=False)
     return Scheme(matrix=arr, n=n, r=r, transpose_map=sigma,

@@ -187,6 +187,13 @@ def equivalence_from_colors(scheme: Scheme, colors: Iterable[int]) -> Equivalenc
     return Equivalence(scheme, classes, colorset)
 
 
+def closed_set_equivalence(scheme: Scheme, colors: frozenset[int]) -> Equivalence:
+    """``equivalence_from_colors`` of a closed color set, built once per
+    scheme and set and kept in the ``derived`` memo."""
+    return scheme.derived(("equivalence", colors),
+                          lambda: equivalence_from_colors(scheme, colors))
+
+
 def equivalence_from_partition(scheme: Scheme,
                                classes: Iterable[Iterable[int]]) -> Equivalence:
     """Build an Equivalence from explicit classes, verifying both that the
@@ -260,7 +267,7 @@ def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
             if join not in family:
                 family.add(join)
                 frontier.append(join)
-    eqs = [equivalence_from_colors(scheme, mask_colors(m)) for m in family]
+    eqs = [closed_set_equivalence(scheme, frozenset(mask_colors(m))) for m in family]
     if len({e.classes for e in eqs}) != len(family):
         raise SchemeError("distinct closed sets produced equal partitions")
     eqs.sort(key=lambda e: (len(e.colors), sorted(e.colors)))

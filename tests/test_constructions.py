@@ -30,7 +30,7 @@ from asck import (
     wl_closure,
     wreath,
 )
-from asck import constructions
+from asck import constructions, lattice
 from asck.core import as_color_matrix
 from asck.corpus import _random_digraph
 from asck.errors import (
@@ -76,8 +76,21 @@ class TestCayleyTables:
             cayley_table([[(i - j) % 3 for j in range(3)] for i in range(3)])
 
     def test_rejects_non_associative(self):
-        with pytest.raises(InvalidGroupTable):
+        with pytest.raises(InvalidGroupTable, match="not associative"):
             cayley_table(NON_ASSOCIATIVE_LOOP)
+
+    def test_associativity_check_peak_memory(self):
+        """Two m^3 int64 arrays would be 32 MiB at m = 128."""
+        g = np.arange(128)
+        table = (g[:, None] + g[None, :]) % 128
+        tracemalloc.start()
+        try:
+            t = cayley_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.identity == 0
+        assert peak < 2 ** 20
 
     def test_direct_product(self):
         klein = direct_product(cyclic_table(2), cyclic_table(2))
@@ -210,6 +223,17 @@ class TestBlocksAndRestriction:
     def test_memoized_per_point_set(self):
         s = thin_scheme(cyclic_table(4))
         assert restriction(s, [0, 2]) is restriction(s, (2, 0, 2))
+
+    def test_blocks_read_the_lattice_equivalences(self, monkeypatch):
+        s = thin_scheme(dihedral_table(4))
+        eqs = all_equivalences(s)
+        real = lattice.equivalence_from_colors
+        calls = []
+        for module in (lattice, constructions):
+            monkeypatch.setattr(module, "equivalence_from_colors",
+                                lambda *args: calls.append(args) or real(*args))
+        assert all(is_block(s, cls) for e in eqs for cls in e.classes)
+        assert calls == []
 
     def test_non_block_rejected(self):
         s = thin_scheme(cyclic_table(4))

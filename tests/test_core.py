@@ -27,7 +27,7 @@ from asck.core import (
     _check_intersection_numbers,
     _first_cells,
     _raise_count_mismatch,
-    apply_remap,
+    canonical_scheme,
     normalize_colors,
 )
 from asck.errors import (
@@ -38,6 +38,15 @@ from asck.errors import (
     NotTransposeClosed,
     SchemeError,
 )
+
+
+def apply_remap(matrix, remap):
+    """Relabel colors according to ``remap`` (as carried by NonContiguousColors)."""
+    arr = np.asarray(matrix, dtype=np.int64)
+    lut = np.zeros(int(arr.max()) + 1, dtype=np.int64)
+    for old, new in remap.items():
+        lut[old] = new
+    return lut[arr]
 
 
 def z4_direct():
@@ -296,14 +305,78 @@ class TestCanonicalRecolor:
         validate(relabeled)
 
 
+def old_canonical_recolor(matrix):
+    """The composition ``canonical_scheme`` replaced: relabel to 0..r-1,
+    find first cells, rank colors with a Python sort.  Its oracle."""
+    arr, _ = normalize_colors(matrix)
+    r = int(arr.max()) + 1
+    us, vs = _first_cells(arr).T
+    diag_counts = np.bincount(arr.diagonal(), minlength=r)
+    rank = sorted(range(r), key=lambda c: (diag_counts[c] == 0, us[c] * arr.shape[0] + vs[c]))
+    perm = np.empty(r, dtype=np.int64)
+    for new, old in enumerate(rank):
+        perm[old] = new
+    return perm[arr]
+
+
+def old_canonical_scheme(matrix):
+    return validate(old_canonical_recolor(matrix))
+
+
+def scheme_outcome(build, matrix):
+    """Every field of the Scheme that ``build`` returns, with dtypes and
+    matrix bytes, or the type and message of the SchemeError it raises."""
+    try:
+        s = build(matrix)
+    except SchemeError as exc:
+        return type(exc), str(exc)
+    fields = {}
+    for f in dataclasses.fields(s):
+        value = getattr(s, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes(), value.flags.writeable)
+        fields[f.name] = value
+    return fields
+
+
+def gapped_relabel(rng, matrix):
+    """The matrix under a random injective relabel onto ids with gaps,
+    negative ones included."""
+    ids = rng.choice(np.arange(-50, 50), size=int(matrix.max()) + 1, replace=False)
+    return ids[matrix]
+
+
+class TestCanonicalScheme:
+    def test_matches_old_composition_on_corpus(self, corpus):
+        for member in corpus:
+            m = member.scheme.matrix
+            assert scheme_outcome(canonical_scheme, m) == scheme_outcome(old_canonical_scheme, m)
+
+    def test_matches_old_composition_on_relabeled_perturbations(self):
+        rng = np.random.default_rng(6)
+        outcomes = []
+        for m in perturbed_matrices():
+            m = gapped_relabel(rng, m)
+            assert canonical_recolor(m).tobytes() == old_canonical_recolor(m).tobytes()
+            outcomes.append(scheme_outcome(canonical_scheme, m))
+            assert outcomes[-1] == scheme_outcome(old_canonical_scheme, m)
+        raised = sum(isinstance(got, tuple) for got in outcomes)
+        assert 0 < raised < len(outcomes)
+
+
 class TestFloatInput:
-    @pytest.mark.parametrize("convert", [canonical_recolor, normalize_colors, validate])
-    @pytest.mark.parametrize("bad", [1.5, np.inf, -np.inf, np.nan, 1e19])
-    def test_rejects_non_integer_entries(self, convert, bad):
+    @pytest.mark.parametrize("convert", [canonical_recolor, canonical_scheme,
+                                         normalize_colors, validate])
+    @pytest.mark.parametrize("matrix,message", [
+        *[pytest.param(np.array([[0, bad], [bad, 0]]), "expected integer entries", id=str(bad))
+          for bad in (1.5, np.inf, -np.inf, np.nan, 1e19)],
+        pytest.param(np.zeros((0, 0)), "expected at least one point", id="empty"),
+    ])
+    def test_rejects_non_integer_entries(self, convert, matrix, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SchemeError, match="expected integer entries"):
-                convert(np.array([[0, bad], [bad, 0]]))
+            with pytest.raises(SchemeError, match=message):
+                convert(matrix)
 
     def test_integral_floats_match_integers(self):
         ints = two_fiber_scheme().matrix * 3 + 1

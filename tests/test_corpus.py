@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from asck import CorpusSpec, run_corpus_checks
@@ -18,3 +20,14 @@ class TestRunCorpusChecks:
         got = run_corpus_checks(members, primes, threads)
         assert [m for m, _ in got] == [m for m, _ in expected]
         assert rows(got) == rows(expected)
+
+
+# sha256 of the default corpus's sorted member + report.machine() blocks;
+# any change in a verdict, witness or report format changes it.
+DEFAULT_CORPUS_DIGEST = "f2fca5c83ea5778f5f03a663c0966fa01d6fde84e15b661075f52bd2172930a9"
+
+
+def test_default_corpus_output_is_byte_identical(corpus_results):
+    blocks = sorted(f"member={m.name}\n{rep.machine()}" for m, rep in corpus_results)
+    digest = hashlib.sha256("\n\n".join(blocks).encode()).hexdigest()
+    assert (len(corpus_results), digest) == (6898, DEFAULT_CORPUS_DIGEST)
