@@ -18,13 +18,7 @@ import numpy as np
 
 from .constructions import quotient, restriction
 from .core import Scheme
-from .digraph import (
-    basis_digraph,
-    basis_graph,
-    cyclically_p_partite,
-    is_bipartite,
-    is_strongly_connected,
-)
+from .digraph import basis_digraph, basis_periods, is_strongly_connected
 from .errors import NotPrime, SchemeError
 from .lattice import (
     Equivalence,
@@ -185,8 +179,10 @@ def _non_diagonal_colors(scheme: Scheme) -> list[int]:
 def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
     """p-scheme iff every non-reflexive basis digraph is cyclically p-partite.
 
-    The left side only inspects relation sizes; the right side only runs
-    the digraph partition search.
+    The left side only inspects relation sizes; the right side reads
+    ``basis_periods``, exactly: each weak component of a homogeneous basis
+    digraph holds a cycle, whose labels cover all p residues once p | d,
+    so the digraph is cyclically p-partite exactly when p divides d.
     """
     scheme.require_homogeneous()
     require_prime(p)
@@ -195,9 +191,9 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
     verdict = _size_verdict(scheme, p, witnesses)
 
     rhs = True
+    periods = basis_periods(scheme)
     for color in _non_diagonal_colors(scheme):
-        partition = cyclically_p_partite(basis_digraph(scheme, color), p)
-        if partition is None:
+        if periods[color] % p:
             rhs = False
             witnesses["unpartitioned-color"] = (
                 f"color {color} admits no cyclic {p}-partition")
@@ -211,15 +207,21 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
 def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
     """2-scheme iff every basis graph (color joined with its transpose,
     diagonal dropped) is bipartite.  Works on any scheme; a cross-fiber
-    color whose graph failed to 2-color would be an internal bug."""
+    color whose graph failed to 2-color would be an internal bug.
+
+    The right side reads ``basis_periods``, exactly: for a non-diagonal
+    color a semicycle has odd net length exactly when its underlying
+    closed walk has odd length, so the basis graph is bipartite exactly
+    when d is even.
+    """
     witnesses, report = _begin("bipartite-criterion", scheme)
 
     verdict = _size_verdict(scheme, 2, witnesses)
 
     rhs = True
+    periods = basis_periods(scheme)
     for color in _non_diagonal_colors(scheme):
-        coloring = is_bipartite(basis_graph(scheme, color))
-        if coloring is None:
+        if periods[color] % 2:
             u, v = scheme.first_cells[color]
             if scheme.fiber_of(u) != scheme.fiber_of(v):
                 raise SchemeError(

@@ -193,9 +193,6 @@ class Scheme:
     def transpose(self, color: int) -> int:
         return int(self.transpose_map[self.check_color(color)])
 
-    def is_symmetric_color(self, color: int) -> bool:
-        return self.transpose(color) == color
-
     def is_diagonal_color(self, color: int) -> bool:
         return self.check_color(color) in self.diagonal_colors
 

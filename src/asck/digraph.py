@@ -2,7 +2,11 @@
 
 Vertices are contiguous ids 0..n-1; digraphs extracted from a scheme
 carry a label tuple mapping those ids back to the scheme's points.
-All functions are pure and deterministic: components come out sorted by
+One potential labeling, ``_potentials``, gives the weak components,
+integer labels that change by 1 along each arc, and d, the gcd of the
+semicycle net lengths; the period, cyclic p-partitions (p | d),
+bipartiteness (d even) and ``basis_periods`` all read it, and Tarjan's
+algorithm answers strong connectivity.  All functions are pure and deterministic: components come out sorted by
 least vertex, and cyclic partitions lay the components' label intervals
 end to end in that order.
 """
@@ -11,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import Iterable
 
 import numpy as np
@@ -65,13 +68,6 @@ class Digraph:
         for u, v in self.arcs:
             adj[u].append(v)
         return tuple(tuple(sorted(vs)) for vs in adj)
-
-    @cached_property
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            adj[v].append(u)
-        return tuple(tuple(sorted(us)) for us in adj)
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
@@ -207,22 +203,77 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 def weakly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
     """Components of the symmetrized digraph, sorted by least vertex."""
-    parent = list(range(g.n))
+    return _digraph_potentials(g)[0]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for u, v in g.arcs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+def _digraph_potentials(g: Digraph) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
+    """``_potentials`` of g, with its weak components as ascending vertex
+    tuples in order of least vertex."""
+    arcs = np.array(list(g.arcs), dtype=np.int64).reshape(-1, 2)
+    comp, label, defect = _potentials(g.n, arcs[:, 0], arcs[:, 1])
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(groups[root])) for root in sorted(groups)]
+    for v, c in enumerate(comp):
+        groups.setdefault(c, []).append(v)
+    return [tuple(members) for members in groups.values()], label, defect
+
+
+def _potentials(n: int, tails: np.ndarray,
+                heads: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+    """Weak components, integer labels and arc defects of the digraph on
+    0..n-1 with arcs (tails[i], heads[i]).
+
+    Each weak component is labeled by BFS from its least vertex, which
+    gets 0; a label grows by 1 along an arc and shrinks by 1 against it,
+    out-neighbours first, each side in ascending order.  comp[v] is the
+    least vertex of v's component, whose labels form a contiguous range.
+    An arc's defect is label(u) + 1 - label(v).  Tree arcs have
+    defect 0, so any other arc's is the net length of its fundamental
+    semicycle: the gcd d of a component's defects is the gcd of its
+    semicycle net lengths, 0 without semicycles and the period when the
+    component is strongly connected.
+    """
+    def adjacency(src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int]]:
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        return ptr.tolist(), dst[np.lexsort((dst, src))].tolist()
+
+    sides = ((*adjacency(tails, heads), 1), (*adjacency(heads, tails), -1))
+    comp = [-1] * n
+    label = [0] * n
+    for root in range(n):
+        if comp[root] < 0:
+            comp[root] = root
+            queue = [root]
+            for u in queue:  # grows while it is read: a FIFO queue
+                for ptr, nbr, step in sides:
+                    for v in nbr[ptr[u]:ptr[u + 1]]:
+                        if comp[v] < 0:
+                            comp[v] = root
+                            label[v] = label[u] + step
+                            queue.append(v)
+    labels = np.array(label, dtype=np.int64)
+    return comp, label, labels[tails] + 1 - labels[heads]
+
+
+def basis_periods(scheme: Scheme) -> np.ndarray:
+    """Each color's gcd d of the semicycle net lengths of its basis digraph,
+    as a read-only int64 vector kept in the scheme's memo.
+
+    Every basis digraph is laid side by side in one digraph on the
+    (color, point) pairs in use, whose arcs are the n^2 cells, so one
+    ``_potentials`` run gives every cell's defect.  Reads only the matrix.
+    """
+    def build() -> np.ndarray:
+        n = scheme.n
+        colors = scheme.matrix.ravel()
+        tails, heads = np.divmod(np.arange(n * n), n)
+        pairs, vertex = np.unique(np.concatenate((colors * n + tails, colors * n + heads)),
+                                  return_inverse=True)
+        periods = np.zeros(scheme.r, dtype=np.int64)
+        np.gcd.at(periods, colors, _potentials(pairs.size, *vertex.reshape(2, -1))[2])
+        periods.setflags(write=False)
+        return periods
+
+    return scheme.derived("basis-periods", build)
 
 
 # -- period and cyclic partitions -------------------------------------------
@@ -231,72 +282,24 @@ def weakly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
 def period(g: Digraph) -> int:
     """gcd of all directed cycle lengths of a strongly connected digraph.
 
-    Computed as the gcd over arcs (u,v) of level(u) + 1 - level(v), with
-    levels taken from a BFS tree; every cycle length is an integer
-    combination of these arc defects and vice versa.
+    In a strongly connected digraph every semicycle's net length is an
+    integer combination of cycle lengths and vice versa, so this is the
+    gcd d of the arc defects of ``_potentials``.
     """
-    if not is_strongly_connected(g):
-        raise NotStronglyConnected(
-            f"{len(strongly_connected_components(g))} strong components")
+    strong = strongly_connected_components(g)
+    if len(strong) != 1:
+        raise NotStronglyConnected(f"{len(strong)} strong components")
     if g.m == 0:
         raise NoArcs("period is undefined without arcs")
-    level = [-1] * g.n
-    level[0] = 0
-    queue = [0]
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for v in g.out_adj[u]:
-                if level[v] == -1:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    result = 0
-    for u, v in g.sorted_arcs():
-        result = gcd(result, abs(level[u] + 1 - level[v]))
-    return result
-
-
-def _component_labels(g: Digraph, p: int,
-                      component: tuple[int, ...]) -> dict[int, int] | None:
-    """Integer labels over one weak component, or None on a conflict.
-
-    The least vertex gets 0; labels grow by 1 along an arc and shrink by
-    1 against it.  Two labels of one vertex that differ mod p are a
-    conflict.  Neighbours differ by 1, so the labels of a component form
-    a contiguous range of integers.
-    """
-    labels = {component[0]: 0}
-    queue = [component[0]]
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for v in g.out_adj[u]:
-                want = labels[u] + 1
-                if v in labels:
-                    if (labels[v] - want) % p:
-                        return None
-                else:
-                    labels[v] = want
-                    nxt.append(v)
-            for w in g.in_adj[u]:
-                want = labels[u] - 1
-                if w in labels:
-                    if (labels[w] - want) % p:
-                        return None
-                else:
-                    labels[w] = want
-                    nxt.append(w)
-        queue = nxt
-    return labels
+    return int(np.gcd.reduce(_digraph_potentials(g)[2]))
 
 
 def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
     """A witness partition into p cyclic classes, or None if none exists.
 
-    Integer labels are propagated within each weak component; a conflict
-    mod p anywhere means no partition.  A component's labels form a
-    contiguous range, so mod p they cover a cyclic interval of
+    A partition needs the labels of ``_potentials`` to be consistent mod
+    p, that is p | d: every arc defect is a multiple of p.  A component's labels form
+    a contiguous range, so mod p they cover a cyclic interval of
     min(span, p) residues, and shifting a component moves its interval
     around.  Every class can be made nonempty exactly when these capped
     spans sum to at least p: the witness lays the intervals end to end,
@@ -304,15 +307,16 @@ def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
     """
     if p < 2:
         raise InvalidP(p)
+    components, label, defect = _digraph_potentials(g)
+    if (defect % p).any():
+        return None
     classes: list[list[int]] = [[] for _ in range(p)]
     cursor = None  # one past the last residue laid so far
-    for comp in weakly_connected_components(g):
-        labels = _component_labels(g, p, comp)
-        if labels is None:
-            return None
-        shift = 0 if cursor is None else cursor - min(labels.values())
-        cursor = max(labels.values()) + shift + 1
-        for v, value in labels.items():
+    for members in components:
+        values = [label[v] for v in members]
+        shift = 0 if cursor is None else cursor - min(values)
+        cursor = max(values) + shift + 1
+        for v, value in zip(members, values):
             classes[(value + shift) % p].append(v)
     if not all(classes):
         return None
@@ -327,31 +331,21 @@ def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
 def is_bipartite(g: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """2-coloring of a symmetric loopless digraph, or None.
 
-    Both classes must be nonempty for a positive answer.  Isolated
-    vertices are appended (in ascending order) to whichever class is
-    currently smaller, class 0 on ties.
+    It exists when every arc defect of ``_potentials`` is even; a
+    vertex's class is then the parity of its label.  Both classes must
+    be nonempty for a positive answer.  Isolated vertices are appended
+    (in ascending order) to whichever class is currently smaller, class
+    0 on ties.
     """
     for u, v in g.sorted_arcs():
         if u == v:
             raise HasLoops(u)
         if (v, u) not in g.arcs:
             raise NotSymmetric((u, v))
-    side = [-1] * g.n
-    for root in range(g.n):
-        if side[root] != -1 or not g.out_adj[root]:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            nxt: list[int] = []
-            for u in queue:
-                for v in g.out_adj[u]:
-                    if side[v] == -1:
-                        side[v] = 1 - side[u]
-                        nxt.append(v)
-                    elif side[v] == side[u]:
-                        return None
-            queue = nxt
+    _, label, defect = _digraph_potentials(g)
+    if (defect % 2).any():
+        return None
+    side = [value % 2 if g.out_adj[v] else -1 for v, value in enumerate(label)]
     counts = [side.count(0), side.count(1)]
     for v in range(g.n):
         if side[v] == -1:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import networkx as nx
@@ -21,8 +22,11 @@ from asck import (
     strongly_connected_components,
     thin_scheme,
     weakly_connected_components,
+    wl_closure,
 )
+from asck.core import canonical_scheme
 from asck.corpus import random_strongly_connected_digraph
+from asck.digraph import basis_periods
 from asck.errors import (
     DiagonalColor,
     HasLoops,
@@ -32,6 +36,7 @@ from asck.errors import (
     NotSymmetric,
     SchemeError,
 )
+from test_constructions import chords_shape, circulant_shape, ladder_matrix
 
 
 def cycle(n: int) -> Digraph:
@@ -100,7 +105,6 @@ class TestDigraphType:
     def test_adjacency_sorted(self):
         g = Digraph.from_arcs(3, [(0, 2), (0, 1), (2, 0)])
         assert g.out_adj[0] == (1, 2)
-        assert g.in_adj[0] == (2,)
         assert g.m == 3
 
 
@@ -365,3 +369,224 @@ class TestBipartite:
         lhs = cyclically_p_partite(g, 2) is not None
         rhs = is_bipartite(sym) is not None
         assert lhs == rhs
+
+
+# -- the previous traversals, kept as oracles for _potentials ----------------
+
+
+def old_weakly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
+    """Union-find over the arcs."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.arcs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    return [tuple(sorted(groups[root])) for root in sorted(groups)]
+
+
+def old_period(g: Digraph) -> int:
+    """gcd of level(u) + 1 - level(v) over arcs, levels from a BFS tree."""
+    if not is_strongly_connected(g):
+        raise NotStronglyConnected(
+            f"{len(strongly_connected_components(g))} strong components")
+    if g.m == 0:
+        raise NoArcs("period is undefined without arcs")
+    level = [-1] * g.n
+    level[0] = 0
+    queue = [0]
+    while queue:
+        nxt: list[int] = []
+        for u in queue:
+            for v in g.out_adj[u]:
+                if level[v] == -1:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        queue = nxt
+    result = 0
+    for u, v in g.sorted_arcs():
+        result = gcd(result, abs(level[u] + 1 - level[v]))
+    return result
+
+
+def old_component_labels(g: Digraph, p: int,
+                         component: tuple[int, ...]) -> dict[int, int] | None:
+    """Labels over one weak component by a BFS that checks them mod p."""
+    in_adj = [sorted(u for u, w in g.arcs if w == v) for v in range(g.n)]
+    labels = {component[0]: 0}
+    queue = [component[0]]
+    while queue:
+        nxt: list[int] = []
+        for u in queue:
+            for v in g.out_adj[u]:
+                want = labels[u] + 1
+                if v in labels:
+                    if (labels[v] - want) % p:
+                        return None
+                else:
+                    labels[v] = want
+                    nxt.append(v)
+            for w in in_adj[u]:
+                want = labels[u] - 1
+                if w in labels:
+                    if (labels[w] - want) % p:
+                        return None
+                else:
+                    labels[w] = want
+                    nxt.append(w)
+        queue = nxt
+    return labels
+
+
+def old_cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
+    """Per-component mod-p labels laid end to end by the interval rule."""
+    if p < 2:
+        raise InvalidP(p)
+    classes: list[list[int]] = [[] for _ in range(p)]
+    cursor = None
+    for comp in old_weakly_connected_components(g):
+        labels = old_component_labels(g, p, comp)
+        if labels is None:
+            return None
+        shift = 0 if cursor is None else cursor - min(labels.values())
+        cursor = max(labels.values()) + shift + 1
+        for v, value in labels.items():
+            classes[(value + shift) % p].append(v)
+    if not all(classes):
+        return None
+    partition = CyclicPartition(p, tuple(tuple(sorted(c)) for c in classes))
+    partition.check(g)
+    return partition
+
+
+def old_is_bipartite(g: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """2-coloring BFS from the least vertex of each component with arcs."""
+    for u, v in g.sorted_arcs():
+        if u == v:
+            raise HasLoops(u)
+        if (v, u) not in g.arcs:
+            raise NotSymmetric((u, v))
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] != -1 or not g.out_adj[root]:
+            continue
+        side[root] = 0
+        queue = [root]
+        while queue:
+            nxt: list[int] = []
+            for u in queue:
+                for v in g.out_adj[u]:
+                    if side[v] == -1:
+                        side[v] = 1 - side[u]
+                        nxt.append(v)
+                    elif side[v] == side[u]:
+                        return None
+            queue = nxt
+    counts = [side.count(0), side.count(1)]
+    for v in range(g.n):
+        if side[v] == -1:
+            cls = 0 if counts[0] <= counts[1] else 1
+            side[v] = cls
+            counts[cls] += 1
+    if counts[0] == 0 or counts[1] == 0:
+        return None
+    zero = tuple(v for v in range(g.n) if side[v] == 0)
+    one = tuple(v for v in range(g.n) if side[v] == 1)
+    return zero, one
+
+
+def outcome(f, *args):
+    """f's return value, or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except SchemeError as exc:
+        return type(exc), str(exc)
+
+
+def random_digraph(rng: random.Random) -> Digraph:
+    """Dense, sparse, looped, symmetric, strongly connected or a union of
+    paths and cycles, on at most 11 vertices."""
+    n = rng.randint(0, 11)
+    style = rng.randrange(4)
+    if style == 0 and n:
+        return random_strongly_connected_digraph(rng, n)
+    if style == 1 and n:
+        return random_small_union(rng, n)
+    density = rng.choice([0.1, 0.25, 0.5])
+    arcs = {(u, v) for u in range(n) for v in range(n)
+            if (u != v or rng.random() < 0.2) and rng.random() < density}
+    if style == 3:
+        arcs |= {(v, u) for u, v in arcs}
+        if rng.random() < 0.7:
+            arcs = {(u, v) for u, v in arcs if u != v}
+    return Digraph(n, frozenset(arcs))
+
+
+class TestAgainstPreviousTraversals:
+    def test_seeded_random_digraphs(self):
+        rng = random.Random(31337)
+        for _ in range(3000):
+            g = random_digraph(rng)
+            assert weakly_connected_components(g) == old_weakly_connected_components(g)
+            assert outcome(period, g) == outcome(old_period, g)
+            assert outcome(is_bipartite, g) == outcome(old_is_bipartite, g)
+            for p in (1, 2, 3, 4, 5, 7):
+                assert (outcome(cyclically_p_partite, g, p)
+                        == outcome(old_cyclically_p_partite, g, p))
+
+
+def ladder_closures() -> list:
+    return [wl_closure(ladder_matrix(make, n, seed=n))
+            for make in (circulant_shape, chords_shape) for n in (16, 24)]
+
+
+class TestBasisPeriods:
+    def assert_matches_per_color(self, s):
+        periods = basis_periods(s)
+        assert periods.shape == (s.r,) and not periods.flags.writeable
+        for c in range(s.r):
+            g = basis_digraph(s, c)
+            if not s.is_diagonal_color(c):
+                bipartite = is_bipartite(basis_graph(s, c)) is not None
+                assert (periods[c] % 2 == 0) == bipartite
+                if s.is_homogeneous:
+                    for p in (2, 3, 5, 7, 11):
+                        partite = cyclically_p_partite(g, p) is not None
+                        assert (periods[c] % p == 0) == partite
+            if is_strongly_connected(g):
+                assert periods[c] == period(g)
+
+    def test_every_corpus_member(self, corpus):
+        for member in corpus:
+            self.assert_matches_per_color(member.scheme)
+
+    def test_closure_ladder_shapes(self):
+        for s in ladder_closures():
+            self.assert_matches_per_color(s)
+
+    def test_memoized(self):
+        s = thin_scheme(cyclic_table(6))
+        assert basis_periods(s) is basis_periods(s)
+        assert basis_periods(s).tolist() == [1, 6, 3, 2, 3, 6]
+
+    def test_discrete_configuration_peak_memory(self):
+        """Rank 16,384, one arc per color: no Python object per component."""
+        n = 128
+        s = canonical_scheme(np.arange(n * n).reshape(n, n))
+        tracemalloc.start()
+        try:
+            periods = basis_periods(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert periods.tolist() == [1] * n + [0] * (n * n - n)
+        assert peak < 10 * 2 ** 20
