@@ -68,13 +68,19 @@ class PSchemeVerdict:
 
 
 def is_p_scheme(scheme: Scheme, p: int) -> PSchemeVerdict:
-    """True iff every color's cell count is a power of p (diagonal included)."""
+    """True iff every color's cell count is a power of p (diagonal included).
+
+    The verdict is kept in the ``derived`` memo per prime."""
     require_prime(p)
-    for color in range(scheme.r):
-        size = scheme.relation_size(color)
-        if not is_power_of(size, p):
-            return PSchemeVerdict(False, color, size)
-    return PSchemeVerdict(True)
+
+    def build() -> PSchemeVerdict:
+        for color in range(scheme.r):
+            size = scheme.relation_size(color)
+            if not is_power_of(size, p):
+                return PSchemeVerdict(False, color, size)
+        return PSchemeVerdict(True)
+
+    return scheme.derived(("p-scheme", p), build)
 
 
 @dataclass(frozen=True)

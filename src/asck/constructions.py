@@ -5,7 +5,9 @@ Every construction ends in ``core.canonical_scheme``: the colors are
 renamed into canonical order (diagonal colors first, then by first cell)
 and the axioms are checked.  A validation failure here means a bug in
 the construction, so it is re-raised under a construction-specific
-error type.
+error type.  ``canonical_scheme`` interns by content, so constructions
+whose matrices are equal return one shared Scheme, certified once, and
+the quotients and restrictions kept in its memo are shared as well.
 """
 
 from __future__ import annotations

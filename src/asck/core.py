@@ -6,12 +6,16 @@ entry (u, v) is the color of the pair (u, v).  Colors must be exactly
 colors, the color classes are transpose-closed, and intermediate-point
 counts depend only on colors) and returns a ``Scheme`` handle that
 caches the derived data every other module needs.  ``canonical_scheme``
-does the same after renaming the colors into canonical order.
+does the same after renaming the colors into canonical order, and
+interns its result by content: equal inputs return one shared Scheme,
+certified once, whose ``derived`` memo every holder shares.
+``validate`` never interns; each call certifies and returns a new Scheme.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
@@ -95,9 +99,9 @@ def mask_colors(mask: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _canonical(matrix: Sequence[Sequence[int]] | np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The canonically recolored matrix and its colors' first cells.
+def _canonical(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonically recolored matrix and its colors' first cells, for
+    an int64 matrix from ``_integer_matrix``.
 
     One ``np.unique`` over the entries gives the color ids, the first
     row-major cell of each and the relabel.  Colors with a diagonal cell
@@ -105,7 +109,6 @@ def _canonical(matrix: Sequence[Sequence[int]] | np.ndarray
     single argsort of first_flat + off_diagonal * n^2, whose keys are
     distinct.
     """
-    arr = _integer_matrix(matrix)
     n = arr.shape[0]
     _, first_flat, inverse = np.unique(arr.ravel(), return_index=True, return_inverse=True)
     inverse = inverse.reshape(n, n)
@@ -125,7 +128,7 @@ def canonical_recolor(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarra
     independent of the input labeling; gaps in the input ids are allowed
     and removed.  This is the matrix half of ``canonical_scheme``.
     """
-    return _canonical(matrix)[0]
+    return _canonical(_integer_matrix(matrix))[0]
 
 
 @dataclass(eq=False)
@@ -135,7 +138,9 @@ class Scheme:
     Construct via ``validate`` or ``canonical_scheme``; fields are derived
     data and must not be mutated.  ``matrix`` is the color matrix with its
     writeable flag off.  Identity-based equality; compare contents with
-    ``same_matrix``.
+    ``same_matrix``.  ``validate`` returns a new Scheme on every call,
+    while ``canonical_scheme`` returns one shared Scheme for equal inputs,
+    so its ``derived`` memo is shared by every holder of the object.
     """
 
     matrix: np.ndarray
@@ -386,6 +391,12 @@ def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     return _certify(arr, _first_cells(arr))
 
 
+# Certified schemes by the int64 bytes of a ``canonical_scheme`` input
+# (the length fixes n).  Weak values pin nothing: an entry lives exactly
+# as long as its Scheme, so the table needs no size bound.
+_interned: weakref.WeakValueDictionary[bytes, Scheme] = weakref.WeakValueDictionary()
+
+
 def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     """The Scheme of the canonically recolored matrix; the ending of every
     construction.
@@ -393,8 +404,25 @@ def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     Equal to ``validate(canonical_recolor(matrix))``, errors and witnesses
     included, but the colors and their first cells come from one
     ``np.unique`` over the entries.
+
+    Interned by content, matched by full byte equality: while a result is
+    alive, every input with the same int64 bytes gets that same object,
+    and with it its ``derived`` memo.  The result is also filed under its
+    own matrix, the input whose recoloring is itself, so inputs that
+    recolor to equal matrices are certified once.  A raising input stores
+    nothing.
     """
-    return _certify(*_canonical(matrix))
+    arr = _integer_matrix(matrix)
+    key = arr.tobytes()
+    scheme = _interned.get(key)
+    if scheme is None:
+        recolored, first = _canonical(arr)
+        canonical_key = recolored.tobytes()
+        scheme = _interned.get(canonical_key)
+        if scheme is None:
+            scheme = _interned[canonical_key] = _certify(recolored, first)
+        _interned[key] = scheme
+    return scheme
 
 
 def _certify(arr: np.ndarray, first: np.ndarray) -> Scheme:

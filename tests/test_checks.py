@@ -1,6 +1,7 @@
 import pytest
 
 from asck import (
+    CorpusSpec,
     Digraph,
     all_equivalences,
     check_bipartite_criterion,
@@ -15,13 +16,15 @@ from asck import (
     is_p_scheme,
     is_prime,
     rank_two_scheme,
+    restriction,
     thin_scheme,
     validate,
     wl_closure,
     wreath,
 )
-from asck.checks import _non_diagonal_colors, is_power_of, require_prime
+from asck.checks import PSchemeVerdict, _non_diagonal_colors, is_power_of, require_prime
 from asck.errors import NotHomogeneous, NotPrime
+from asck.lattice import RANK_CAP
 
 
 def two_fiber_scheme():
@@ -69,8 +72,29 @@ class TestIsPScheme:
         assert (verdict.offender_color, verdict.offender_size) == (1, 12)
 
     def test_rejects_composite_p(self):
-        with pytest.raises(NotPrime):
-            is_p_scheme(thin_scheme(cyclic_table(4)), 4)
+        s = thin_scheme(cyclic_table(4))
+        assert is_p_scheme(s, 2)
+        for _ in range(2):
+            with pytest.raises(NotPrime):
+                is_p_scheme(s, 4)
+
+    def test_memo_matches_loop_on_corpus_and_restrictions(self, corpus):
+        def loop(s, p):
+            for color in range(s.r):
+                if not is_power_of(int(s.sizes[color]), p):
+                    return PSchemeVerdict(False, color, int(s.sizes[color]))
+            return PSchemeVerdict(True)
+
+        for member in corpus:
+            s = member.scheme
+            schemes = [s] + [restriction(s, fiber) for fiber in s.fibers]
+            if s.is_homogeneous and s.r <= RANK_CAP:
+                schemes += [restriction(s, c) for e in all_equivalences(s) for c in e.classes]
+            for t in schemes:
+                for p in CorpusSpec().primes:
+                    verdict = is_p_scheme(t, p)
+                    assert verdict == loop(t, p)
+                    assert is_p_scheme(t, p) is verdict
 
 
 class TestPartiteCriterion:

@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import subprocess
+import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -11,21 +13,28 @@ from hypothesis import strategies as st
 
 from asck import (
     Digraph,
+    all_equivalences,
     as_color_matrix,
     canonical_recolor,
     cyclic_table,
     digraph_color_matrix,
     dihedral_table,
+    quotient,
     rank_two_scheme,
+    restriction,
     scheme_from_colors,
     thin_scheme,
     validate,
     wl_closure,
     wreath,
 )
+from asck import core
 from asck.core import (
+    _canonical,
+    _certify,
     _check_intersection_numbers,
     _first_cells,
+    _integer_matrix,
     _raise_count_mismatch,
     canonical_scheme,
     normalize_colors,
@@ -38,6 +47,7 @@ from asck.errors import (
     NotTransposeClosed,
     SchemeError,
 )
+from asck.lattice import RANK_CAP
 
 
 def apply_remap(matrix, remap):
@@ -323,20 +333,33 @@ def old_canonical_scheme(matrix):
     return validate(old_canonical_recolor(matrix))
 
 
-def scheme_outcome(build, matrix):
-    """Every field of the Scheme that ``build`` returns, with dtypes and
-    matrix bytes, or the type and message of the SchemeError it raises."""
-    try:
-        s = build(matrix)
-    except SchemeError as exc:
-        return type(exc), str(exc)
+def uninterned_canonical_scheme(matrix):
+    """A fresh ``canonical_scheme`` build that bypasses the intern table."""
+    return _certify(*_canonical(_integer_matrix(matrix)))
+
+
+def scheme_fields(s):
+    """Every field of a Scheme, with dtypes and array bytes, except the
+    ``_derived`` memo, which is cache state and not output."""
     fields = {}
     for f in dataclasses.fields(s):
+        if f.name == "_derived":
+            continue
         value = getattr(s, f.name)
         if isinstance(value, np.ndarray):
             value = (value.dtype.str, value.shape, value.tobytes(), value.flags.writeable)
         fields[f.name] = value
     return fields
+
+
+def scheme_outcome(build, matrix):
+    """``scheme_fields`` of the Scheme that ``build`` returns, or the type
+    and message of the SchemeError it raises."""
+    try:
+        s = build(matrix)
+    except SchemeError as exc:
+        return type(exc), str(exc)
+    return scheme_fields(s)
 
 
 def gapped_relabel(rng, matrix):
@@ -350,7 +373,9 @@ class TestCanonicalScheme:
     def test_matches_old_composition_on_corpus(self, corpus):
         for member in corpus:
             m = member.scheme.matrix
-            assert scheme_outcome(canonical_scheme, m) == scheme_outcome(old_canonical_scheme, m)
+            old = scheme_outcome(old_canonical_scheme, m)
+            assert scheme_outcome(canonical_scheme, m) == old
+            assert scheme_outcome(uninterned_canonical_scheme, m) == old
 
     def test_matches_old_composition_on_relabeled_perturbations(self):
         rng = np.random.default_rng(6)
@@ -360,8 +385,123 @@ class TestCanonicalScheme:
             assert canonical_recolor(m).tobytes() == old_canonical_recolor(m).tobytes()
             outcomes.append(scheme_outcome(canonical_scheme, m))
             assert outcomes[-1] == scheme_outcome(old_canonical_scheme, m)
+            assert outcomes[-1] == scheme_outcome(uninterned_canonical_scheme, m)
         raised = sum(isinstance(got, tuple) for got in outcomes)
         assert 0 < raised < len(outcomes)
+
+
+def quotient_matrix(s, classes):
+    """The class-pair color-set matrix that ``quotient`` certifies."""
+    ids = {}
+    return np.array([[ids.setdefault(frozenset(np.unique(s.matrix[np.ix_(x, y)]).tolist()),
+                                     len(ids)) for y in classes] for x in classes])
+
+
+def blocks(s):
+    """The fibers of s and, when s is homogeneous of enumerable rank, the
+    classes of every scheme equivalence: the blocks the checks restrict to."""
+    found = dict.fromkeys(s.fibers)
+    if s.is_homogeneous and s.r <= RANK_CAP:
+        for e in all_equivalences(s):
+            found.update(dict.fromkeys(e.classes))
+    return list(found)
+
+
+# Builds a small corpus with its restrictions and quotients, plus a scheme
+# whose memo holds itself, drops them all and prints how many survive gc.
+PIN_PROBE = """
+import gc, weakref
+from asck import CorpusSpec, all_equivalences, cyclic_table, generate_corpus
+from asck import quotient, restriction, thin_scheme
+from asck.core import _interned, canonical_scheme
+
+def build():
+    members = generate_corpus(CorpusSpec(max_n=10, circulant_count=6, nonhomogeneous_count=4))
+    held = [m.scheme for m in members]
+    for s in [m.scheme for m in members]:
+        held += [restriction(s, fiber) for fiber in s.fibers]
+        if s.is_homogeneous:
+            for e in all_equivalences(s):
+                held.append(quotient(s, e))
+                held += [restriction(s, c) for c in e.classes]
+    looped = thin_scheme(cyclic_table(6))
+    assert canonical_scheme(looped.matrix) is looped
+    assert restriction(looped, looped.fibers[0]) is looped
+    held.append(looped)
+    assert len(_interned) > 0
+    return [weakref.ref(x) for x in held + members]
+
+refs = build()
+gc.collect()
+print(sum(ref() is not None for ref in refs), len(refs), len(_interned))
+"""
+
+
+class TestInterning:
+    def test_equal_bytes_share_one_scheme(self):
+        m = z4_direct()
+        s = canonical_scheme(m)
+        for same in (m.tolist(), m.astype(np.int8), m.astype(np.float64),
+                     np.asfortranarray(m)):
+            assert canonical_scheme(same) is s
+        # recoloring to equal matrices: certified once, under the result's bytes
+        assert canonical_scheme(s.matrix) is s
+        assert canonical_scheme(m * 5 - 7) is s
+        assert canonical_scheme(np.eye(4, dtype=np.int64)) is not s
+        assert validate(s.matrix) is not s
+        assert validate(s.matrix) is not validate(s.matrix)
+
+    def test_constructions_share_one_scheme(self):
+        s = thin_scheme(cyclic_table(6))
+        assert thin_scheme(cyclic_table(6)) is s
+        assert wl_closure(s.matrix) is s
+        assert restriction(s, range(6)) is s
+        assert restriction(wreath(rank_two_scheme(3), s), range(3)) is rank_two_scheme(3)
+
+    def test_equal_restrictions_of_different_parents_are_one_object(self, corpus):
+        by_bytes = {}
+        for member in corpus:
+            s = member.scheme
+            for block in blocks(s):
+                sub = s.matrix[np.ix_(block, block)].tobytes()
+                by_bytes.setdefault(sub, []).append((member.name, restriction(s, block)))
+        shared = 0
+        for found in by_bytes.values():
+            assert len({id(r) for _, r in found}) == 1
+            shared += len({name for name, _ in found}) > 1
+        assert shared > 0
+
+    def test_raising_input_stores_nothing(self):
+        bad = np.array([[0, 1], [1, 1]])
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(SchemeError) as info:
+                canonical_scheme(bad)
+            outcomes.append((type(info.value), str(info.value)))
+            assert bad.astype(np.int64).tobytes() not in core._interned
+            assert canonical_recolor(bad).tobytes() not in core._interned
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is NotAPartitionOfDiagonal
+
+    def test_nothing_is_pinned(self):
+        proc = subprocess.run([sys.executable, "-c", PIN_PROBE],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        alive, total, entries = map(int, proc.stdout.split())
+        assert total > 100
+        assert (alive, entries) == (0, 0)
+
+    def test_restrictions_and_quotients_equal_fresh_builds(self, corpus):
+        for member in corpus:
+            s = member.scheme
+            for block in blocks(s):
+                sub = s.matrix[np.ix_(block, block)]
+                assert scheme_fields(restriction(s, block)) == scheme_outcome(
+                    uninterned_canonical_scheme, sub)
+            if s.is_homogeneous and s.r <= RANK_CAP:
+                for e in all_equivalences(s):
+                    assert scheme_fields(quotient(s, e)) == scheme_outcome(
+                        uninterned_canonical_scheme, quotient_matrix(s, e.classes))
 
 
 class TestFloatInput:
