@@ -5,7 +5,11 @@ entry (u, v) is the color of the pair (u, v).  Colors must be exactly
 0..r-1.  ``validate`` checks the three axioms (diagonal is a union of
 colors, the color classes are transpose-closed, and intermediate-point
 counts depend only on colors) and returns a ``Scheme`` handle that
-caches the derived data every other module needs.  ``canonical_scheme``
+caches the derived data every other module needs.  One stable sort of
+the n^2 cells by color, made at certification, is the only source of
+per-color cell data: the sizes, the first cells, the cell index behind
+``cell_array`` and the order in which the intersection-number check
+walks the cells, n at a time in O(n^2) memory.  ``canonical_scheme``
 does the same after renaming the colors into canonical order, and
 interns its result by content: equal inputs return one shared Scheme,
 certified once, whose ``derived`` memo every holder shares.
@@ -34,6 +38,13 @@ from .errors import (
 T = TypeVar("T")
 
 
+def _integral(arr: np.ndarray) -> bool:
+    """Whether int64 holds every entry unchanged: an integer dtype, or
+    floats that are all finite, integral and within int64 range."""
+    return arr.dtype.kind in "iu" or arr.dtype.kind == "f" and bool(
+        np.isfinite(arr).all() and (arr == np.floor(arr)).all() and (np.abs(arr) < 2.0 ** 63).all())
+
+
 def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Coerce input to a nonempty square int64 matrix without changing
     any value.
@@ -44,9 +55,7 @@ def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SchemeError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.dtype.kind not in "iu" and not (
-            arr.dtype.kind == "f" and np.isfinite(arr).all()
-            and (arr == np.floor(arr)).all() and (np.abs(arr) < 2.0 ** 63).all()):
+    if not _integral(arr):
         raise SchemeError(f"expected integer entries, got dtype {arr.dtype}")
     if arr.shape[0] == 0:
         raise SchemeError("expected at least one point")
@@ -83,12 +92,6 @@ def normalize_colors(matrix: Sequence[Sequence[int]] | np.ndarray
     return inverse.reshape(arr.shape).astype(np.int64), remap
 
 
-def _first_cells(matrix: np.ndarray) -> np.ndarray:
-    """Row-major first cell (u, v) of every color, as an (r, 2) array."""
-    _, first_flat = np.unique(matrix.ravel(), return_index=True)
-    return np.stack(np.divmod(first_flat, matrix.shape[0]), axis=1)
-
-
 def mask_colors(mask: int) -> tuple[int, ...]:
     """The colors whose bits are set in a color bitmask, ascending."""
     colors = []
@@ -99,9 +102,9 @@ def mask_colors(mask: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _canonical(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonically recolored matrix and its colors' first cells, for
-    an int64 matrix from ``_integer_matrix``.
+def _canonical(arr: np.ndarray) -> np.ndarray:
+    """The canonically recolored matrix, for an int64 matrix from
+    ``_integer_matrix``.
 
     One ``np.unique`` over the entries gives the color ids, the first
     row-major cell of each and the relabel.  Colors with a diagonal cell
@@ -117,7 +120,7 @@ def _canonical(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(first_flat + off_diagonal * (n * n))
     perm = np.empty_like(order)
     perm[order] = np.arange(order.size)
-    return perm[inverse], np.stack(np.divmod(first_flat[order], n), axis=1)
+    return perm[inverse]
 
 
 def canonical_recolor(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -128,7 +131,7 @@ def canonical_recolor(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarra
     independent of the input labeling; gaps in the input ids are allowed
     and removed.  This is the matrix half of ``canonical_scheme``.
     """
-    return _canonical(_integer_matrix(matrix))[0]
+    return _canonical(_integer_matrix(matrix))
 
 
 @dataclass(eq=False)
@@ -152,6 +155,8 @@ class Scheme:
     degrees: np.ndarray                # out-degree of each color's basis digraph
     sizes: np.ndarray                  # total cell count of each color
     first_cells: np.ndarray            # (r, 2): row-major first cell (u, v) of each color
+    cell_index: np.ndarray             # (n^2, 2): every cell (u, v), stably sorted by color
+    cell_offsets: np.ndarray           # (r + 1,): where each color's run starts, then n^2
     _derived: dict = field(default_factory=dict, repr=False)
 
     def derived(self, key: Hashable, build: Callable[[], T]) -> T:
@@ -180,20 +185,11 @@ class Scheme:
         """The (k, 2) array of a color's cells in row-major order, equal to
         ``np.argwhere(matrix == color)``; a read-only view.
 
-        Sliced in O(1) from the cell index: all n^2 cells stably sorted by
-        color, cut at offsets taken from ``sizes``.  The index is built on
-        first use and kept in the ``derived`` memo.
+        Sliced in O(1) from ``cell_index``, the stable sort of all n^2
+        cells by color made at certification, at ``cell_offsets``.
         """
         color = self.check_color(color)
-
-        def index():
-            order = np.argsort(self.matrix.ravel(), kind="stable")
-            cells = np.stack(np.divmod(order, self.n), axis=1)
-            cells.setflags(write=False)
-            return cells, np.concatenate(([0], np.cumsum(self.sizes)))
-
-        cells, offsets = self.derived("cell-index", index)
-        return cells[offsets[color]:offsets[color + 1]]
+        return self.cell_index[self.cell_offsets[color]:self.cell_offsets[color + 1]]
 
     def transpose(self, color: int) -> int:
         return int(self.transpose_map[self.check_color(color)])
@@ -340,30 +336,44 @@ def _check_transpose(matrix: np.ndarray, first: np.ndarray) -> np.ndarray:
     return sigma.astype(np.int64)
 
 
-def _check_intersection_numbers(matrix: np.ndarray, r: int, first: np.ndarray) -> None:
+def _check_intersection_numbers(matrix: np.ndarray, r: int,
+                                cells: np.ndarray, offsets: np.ndarray) -> None:
     """Verify that intermediate-point counts depend only on the cell's color.
 
     For each cell (u, w) the sorted multiset of codes
     color(u,v) * r + color(v,w) over all v must agree across cells of one
     color; agreement of these multisets is equivalent to constancy of
-    every pairwise count.  Each color's reference multiset is taken at
-    its first cell in row-major order, and one row of cells is compared
-    against the references at a time, so the first mismatching cell in
-    row-major order is the witness.
+    every pairwise count.  The cells are walked in cell-index order, n at
+    a time through refilled (n, n) buffers, and each is compared with the
+    previous cell of its color.  Equal neighbours chain back to the
+    color's first cell, so each color's first flagged cell is its first
+    mismatch, and the least flagged cell in row-major order is the witness.
     """
     n = matrix.shape[0]
-    us, ws = first.T
-    reference = np.empty((r, n), dtype=np.int64)
-    for u in range(n):
-        row = matrix[u]
-        codes = np.sort(row[:, None] * r + matrix, axis=0).T
-        fresh = row[us[row] == u]
-        reference[fresh] = codes[ws[fresh]]
-        bad = (codes != reference[row]).any(axis=1)
-        if bad.any():
-            w = int(np.argmax(bad))
-            color = int(row[w])
-            _raise_count_mismatch(matrix, r, color, (int(us[color]), int(ws[color])), (u, w))
+    columns = np.ascontiguousarray(matrix.T)
+    codes = np.empty((n + 1, n), dtype=np.int64)  # row 0: the previous chunk's last row
+    rows, previous = codes[1:], codes[:-1]
+    right = np.empty((n, n), dtype=np.int64)
+    differs = np.empty((n, n), dtype=bool)
+    flagged = np.ones(n * n, dtype=bool)
+    flagged[offsets[:-1]] = False  # a color's first cell has no previous cell
+    for lo in range(0, n * n, n):
+        us, ws = cells[lo:lo + n].T
+        # mode="clip" lets take write straight into out; the indices are valid
+        np.take(matrix, us, axis=0, out=rows, mode="clip")
+        np.take(columns, ws, axis=0, out=right, mode="clip")
+        rows *= r
+        rows += right
+        rows.sort(axis=1)
+        np.not_equal(rows, previous, out=differs)
+        flagged[lo:lo + n] &= differs.any(axis=1)
+        codes[0] = codes[n]
+    if flagged.any():
+        u, w = cells[flagged].T
+        k = int(np.argmin(u * n + w))
+        color = int(matrix[u[k], w[k]])
+        _raise_count_mismatch(matrix, r, color, tuple(map(int, cells[offsets[color]])),
+                              (int(u[k]), int(w[k])))
 
 
 def _raise_count_mismatch(matrix: np.ndarray, r: int, color: int,
@@ -387,8 +397,7 @@ def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     InconsistentIntersectionNumbers with a concrete witness when the
     matrix fails an axiom; NonContiguousColors when ids have gaps.
     """
-    arr = as_color_matrix(matrix)
-    return _certify(arr, _first_cells(arr))
+    return _certify(as_color_matrix(matrix))
 
 
 # Certified schemes by the int64 bytes of a ``canonical_scheme`` input
@@ -402,8 +411,7 @@ def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     construction.
 
     Equal to ``validate(canonical_recolor(matrix))``, errors and witnesses
-    included, but the colors and their first cells come from one
-    ``np.unique`` over the entries.
+    included, without ``validate``'s second pass over the recolored ids.
 
     Interned by content, matched by full byte equality: while a result is
     alive, every input with the same int64 bytes gets that same object,
@@ -416,26 +424,30 @@ def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     key = arr.tobytes()
     scheme = _interned.get(key)
     if scheme is None:
-        recolored, first = _canonical(arr)
+        recolored = _canonical(arr)
         canonical_key = recolored.tobytes()
         scheme = _interned.get(canonical_key)
         if scheme is None:
-            scheme = _interned[canonical_key] = _certify(recolored, first)
+            scheme = _interned[canonical_key] = _certify(recolored)
         _interned[key] = scheme
     return scheme
 
 
-def _certify(arr: np.ndarray, first: np.ndarray) -> Scheme:
-    """Check the axioms on a matrix with colors 0..r-1 whose first cells
-    are ``first``, and wrap it; ``arr`` and ``first`` must be fresh
-    arrays, which the Scheme takes over read-only."""
+def _certify(arr: np.ndarray) -> Scheme:
+    """Check the axioms on a matrix with colors 0..r-1 and wrap it; ``arr``
+    must be a fresh array, which the Scheme takes over read-only.  One
+    stable argsort of the cells by color feeds every per-color field."""
     n = arr.shape[0]
-    r = first.shape[0]
-    sizes = np.bincount(arr.ravel(), minlength=r).astype(np.int64)
+    order = np.argsort(arr.ravel(), kind="stable")
+    sizes = np.bincount(arr.ravel()).astype(np.int64)
+    r = sizes.size
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    cells = np.stack(np.divmod(order, n), axis=1)
+    first = cells[offsets[:-1]]
 
     diagonal_colors = _check_diagonal(arr, sizes)
     sigma = _check_transpose(arr, first)
-    _check_intersection_numbers(arr, r, first)
+    _check_intersection_numbers(arr, r, cells, offsets)
 
     diag = arr.diagonal()
     fibers = tuple(
@@ -446,11 +458,12 @@ def _certify(arr: np.ndarray, first: np.ndarray) -> Scheme:
     fiber_sizes = np.bincount(diag, minlength=r)
     degrees = sizes // fiber_sizes[diag[first[:, 0]]]
 
-    arr.setflags(write=False)
-    first.setflags(write=False)
+    for a in (arr, first, cells, offsets):
+        a.setflags(write=False)
     return Scheme(matrix=arr, n=n, r=r, transpose_map=sigma,
                   diagonal_colors=diagonal_colors, fibers=fibers,
-                  degrees=degrees, sizes=sizes, first_cells=first)
+                  degrees=degrees, sizes=sizes, first_cells=first,
+                  cell_index=cells, cell_offsets=offsets)
 
 
 def scheme_from_colors(n: int, cells_by_color: Iterable[Iterable[tuple[int, int]]]) -> Scheme:

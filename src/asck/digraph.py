@@ -6,9 +6,10 @@ One potential labeling, ``_potentials``, gives the weak components,
 integer labels that change by 1 along each arc, and d, the gcd of the
 semicycle net lengths; the period, cyclic p-partitions (p | d),
 bipartiteness (d even) and ``basis_periods`` all read it, and Tarjan's
-algorithm answers strong connectivity.  All functions are pure and deterministic: components come out sorted by
-least vertex, and cyclic partitions lay the components' label intervals
-end to end in that order.
+algorithm answers strong connectivity.  All functions are pure and
+deterministic: components come out sorted by least vertex, and cyclic
+partitions lay the components' label intervals end to end in that
+order.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import warnings
 from itertools import permutations
 from math import gcd
 
@@ -70,6 +71,23 @@ class TestCayleyTables:
     def test_rejects_non_latin(self):
         with pytest.raises(InvalidGroupTable):
             cayley_table([[0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("table", [
+        pytest.param([[0.7, 1.2], [1.2, 0.7]], id="fractions"),
+        *[pytest.param(np.array([[0, 1], [1, bad]]), id=str(bad))
+          for bad in (1.5, np.inf, -np.inf, np.nan, 1e19)],
+    ])
+    def test_rejects_non_integer_entries(self, table):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGroupTable, match="element ids"):
+                cayley_table(table)
+
+    def test_integral_floats_match_integers(self):
+        ints = cyclic_table(5).table
+        floats = cayley_table(ints.astype(np.float64))
+        assert floats.table.dtype == np.int64
+        assert np.array_equal(floats.table, ints) and floats.identity == 0
 
     def test_rejects_missing_identity(self):
         with pytest.raises(InvalidGroupTable):

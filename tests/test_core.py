@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -33,7 +34,6 @@ from asck.core import (
     _canonical,
     _certify,
     _check_intersection_numbers,
-    _first_cells,
     _integer_matrix,
     _raise_count_mismatch,
     canonical_scheme,
@@ -57,6 +57,14 @@ def apply_remap(matrix, remap):
     for old, new in remap.items():
         lut[old] = new
     return lut[arr]
+
+
+def unique_first_cells(matrix):
+    """Row-major first cell (u, v) of every color, as an (r, 2) array: the
+    ``np.unique`` oracle for the first cells certification reads off its
+    cell sort."""
+    _, first_flat = np.unique(matrix.ravel(), return_index=True)
+    return np.stack(np.divmod(first_flat, matrix.shape[0]), axis=1)
 
 
 def z4_direct():
@@ -153,13 +161,17 @@ def count_mismatch(check, matrix):
 
 def perturbed_matrices():
     """Valid schemes, the same with two off-diagonal cells (and their
-    transposes) swapped, and random colorings."""
+    transposes) swapped or with a transposed pair split off into a new
+    color, and random colorings."""
     rng = np.random.default_rng(2007)
     bases = [thin_scheme(cyclic_table(6)), thin_scheme(dihedral_table(4)),
              rank_two_scheme(5), two_fiber_scheme(),
              wreath(rank_two_scheme(3), thin_scheme(cyclic_table(3))),
              wl_closure(digraph_color_matrix(
-                 Digraph.from_arcs(8, [(u, (u + 1) % 8) for u in range(8)] + [(0, 4)])))]
+                 Digraph.from_arcs(8, [(u, (u + 1) % 8) for u in range(8)] + [(0, 4)]))),
+             # colors spanning several n-cell chunks of the cell-index walk
+             rank_two_scheme(9),
+             wreath(rank_two_scheme(4), thin_scheme(cyclic_table(4)))]
     for s in bases:
         yield np.array(s.matrix)
         off = np.argwhere(~np.eye(s.n, dtype=bool))
@@ -169,23 +181,60 @@ def perturbed_matrices():
             m[u, v], m[x, y] = m[x, y], m[u, v]
             m[v, u], m[y, x] = m[y, x], m[v, u]
             yield m
+        for u in range(s.n - 1):
+            m = np.array(s.matrix)
+            m[u, u + 1] = m[u + 1, u] = s.r
+            yield m
     for n in (2, 3, 4, 6, 9):
         for colors in (2, 3, 5):
             yield canonical_recolor(rng.integers(0, colors, size=(n, n)))
 
 
+def cell_runs(matrix, r):
+    """Every cell grouped by color, row-major within a color, and the
+    offsets of the color runs, built from ``np.argwhere``."""
+    cells = np.concatenate([np.argwhere(matrix == c) for c in range(r)])
+    return cells, np.concatenate(([0], np.cumsum(np.bincount(matrix.ravel(), minlength=r))))
+
+
 class TestIntersectionNumberCheck:
     def test_witnesses_match_loop_oracle(self):
         def check(matrix, r):
-            _check_intersection_numbers(matrix, r, _first_cells(matrix))
+            _check_intersection_numbers(matrix, r, *cell_runs(matrix, r))
 
-        outcomes = [(count_mismatch(check, m),
+        outcomes = [(m, count_mismatch(check, m),
                      count_mismatch(loop_check_intersection_numbers, m))
                     for m in perturbed_matrices()]
-        for got, want in outcomes:
+        for _, got, want in outcomes:
             assert got == want
-        raised = sum(got is not None for got, _ in outcomes)
+        raised = sum(got is not None for _, got, _ in outcomes)
         assert 0 < raised < len(outcomes)
+
+        # some witnesses lie in a later n-cell chunk of the walk than
+        # their color's first cell
+        def chunks(m, mismatch):
+            cells, offsets = cell_runs(m, int(m.max()) + 1)
+            n, color = m.shape[0], mismatch[0]
+            return offsets[color] // n, cells.tolist().index(list(mismatch[4])) // n
+
+        spans = [chunks(m, got) for m, got, _ in outcomes if got is not None]
+        assert any(start < witness for start, witness in spans)
+
+
+class TestWorkingSet:
+    def test_discrete_configuration_validates_in_quadratic_memory(self):
+        """r = n^2 colors: one (r, n) reference row per color would be
+        n^3 int64 entries, 128 MiB at n = 256."""
+        n = 256
+        m = canonical_recolor(np.arange(n * n).reshape(n, n))
+        tracemalloc.start()
+        try:
+            s = validate(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.r == n * n
+        assert peak < 16 * 2 ** 20
 
 
 class TestSchemeAccessors:
@@ -320,7 +369,7 @@ def old_canonical_recolor(matrix):
     find first cells, rank colors with a Python sort.  Its oracle."""
     arr, _ = normalize_colors(matrix)
     r = int(arr.max()) + 1
-    us, vs = _first_cells(arr).T
+    us, vs = unique_first_cells(arr).T
     diag_counts = np.bincount(arr.diagonal(), minlength=r)
     rank = sorted(range(r), key=lambda c: (diag_counts[c] == 0, us[c] * arr.shape[0] + vs[c]))
     perm = np.empty(r, dtype=np.int64)
@@ -335,7 +384,7 @@ def old_canonical_scheme(matrix):
 
 def uninterned_canonical_scheme(matrix):
     """A fresh ``canonical_scheme`` build that bypasses the intern table."""
-    return _certify(*_canonical(_integer_matrix(matrix)))
+    return _certify(_canonical(_integer_matrix(matrix)))
 
 
 def scheme_fields(s):
