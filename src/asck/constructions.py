@@ -31,7 +31,6 @@ from .errors import (
 from .lattice import (
     Equivalence,
     closed_set_equivalence,
-    equivalence_from_colors,
     generated_closed_set,
 )
 
@@ -144,33 +143,49 @@ def quotient(scheme: Scheme, e: Equivalence) -> Scheme:
 
 
 def _quotient(scheme: Scheme, e: Equivalence) -> Scheme:
-    base = equivalence_from_colors(scheme, e.colors)
-    if base.classes != e.classes:
-        raise NotASchemeEquivalence(
-            "classes are not the classes of the color union")
-    classes = e.classes
-    k = len(classes)
-    raw = np.zeros((k, k), dtype=np.int64)
-    ids: dict[frozenset[int], int] = {}
-    seen_in: dict[int, frozenset[int]] = {}
-    for x in range(k):
-        for y in range(k):
-            block = frozenset(
-                int(c) for c in np.unique(
-                    scheme.matrix[np.ix_(classes[x], classes[y])]))
-            if block not in ids:
-                ids[block] = len(ids)
-            raw[x, y] = ids[block]
-            for c in block:
-                prev = seen_in.setdefault(c, block)
-                if prev != block:
-                    raise QuotientValidationFailed(
-                        f"color {c} occurs in distinct class-pair color sets "
-                        f"{sorted(prev)} and {sorted(block)}")
+    raw = _quotient_matrix(scheme, e)
     try:
         return canonical_scheme(raw)
     except SchemeError as exc:
         raise QuotientValidationFailed(str(exc)) from exc
+
+
+def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
+    """The (k, k) matrix of class-pair color-set ids, numbered in
+    row-major order of first appearance.
+
+    Each cell is labeled (class(u) * k + class(v)) * r + color, and one
+    ``np.unique`` of the labels yields every class pair's colors as one
+    ascending run.  The pairs are then walked row-major, and a color met
+    in two distinct color sets raises QuotientValidationFailed.
+    """
+    # a color union that is an equivalence is closed
+    base = closed_set_equivalence(scheme, frozenset(e.colors))
+    if base.classes != e.classes:
+        raise NotASchemeEquivalence(
+            "classes are not the classes of the color union")
+    k, r = len(e.classes), scheme.r
+    class_of = np.empty(scheme.n, dtype=np.int64)
+    for x, cls in enumerate(e.classes):
+        class_of[list(cls)] = x
+    labels = np.unique((class_of[:, None] * k + class_of[None, :]) * r + scheme.matrix)
+    pairs, colors = np.divmod(labels, r)
+    # every class pair holds a cell, so each pair has a nonempty run
+    bounds = np.searchsorted(pairs, np.arange(k * k + 1)).tolist()
+    colors = colors.tolist()
+    ids: dict[frozenset[int], int] = {}
+    seen_in: dict[int, frozenset[int]] = {}
+    raw = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = frozenset(colors[lo:hi])
+        raw.append(ids.setdefault(block, len(ids)))
+        for c in block:
+            prev = seen_in.setdefault(c, block)
+            if prev != block:
+                raise QuotientValidationFailed(
+                    f"color {c} occurs in distinct class-pair color sets "
+                    f"{sorted(prev)} and {sorted(block)}")
+    return np.array(raw, dtype=np.int64).reshape(k, k)
 
 
 def is_block(scheme: Scheme, points: Sequence[int]) -> bool:

@@ -3,12 +3,16 @@
 A closed set contains the diagonal, its own transposes, and every color
 reachable by composing two members; the union of its relations is then
 an equivalence relation on the point set.  Closure runs on color
-bitmasks over the scheme's composition table: a worklist adds one color
-at a time and composes it only with the current members.  Every closed
+bitmasks over closure rows kept in the scheme's ``derived`` memo: row c
+holds, for each color m, the mask of the colors composed from c and m
+in either order.  A worklist adds one color at a time and composes it
+only with the current members, one row entry per member.  Every closed
 set is the join of the single-color closed sets of its colors, so the
 full lattice is enumerated by joining each found set with each
 single-color generator, starting from the diagonal, without scanning
-all 2^r subsets.
+all 2^r subsets.  A join depends only on the union of the two masks,
+so a union that is already a found set, or was closed before, is
+skipped.
 """
 
 from __future__ import annotations
@@ -122,19 +126,35 @@ class Equivalence:
         return ClosedSet(self.scheme, self.colors)
 
 
+def _closure_rows(scheme: Scheme) -> tuple[list[list[int]], list[int]]:
+    """The closure engine's view of the composition table, kept in the
+    ``derived`` memo: ``rows[c][m]`` is the mask of the colors composed
+    from c and m in either order, and the transpose map as a list.
+
+    The scheme is homogeneous, so r <= n and the rows take O(n^2) ints.
+    """
+    def build() -> tuple[list[list[int]], list[int]]:
+        r = scheme.r
+        rows = [[0] * r for _ in range(r)]
+        for (a, b), mask in scheme.composition_table().items():
+            rows[a][b] |= mask
+            rows[b][a] |= mask
+        return rows, scheme.transpose_map.tolist()
+
+    return scheme.derived("closure-rows", build)
+
+
 def _close(scheme: Scheme, closed: int, extra: int) -> int:
     """Smallest closed color mask containing the closed mask ``closed``
     and the colors of the mask ``extra``.
 
     Worklist closure: each color taken from the worklist joins the
     members and queues its transpose and its compositions, both ways,
-    with every current member.  A pair of members is composed once,
-    when the later of the two is added; pairs inside ``closed`` never.
-    The scheme is homogeneous, so every pair of colors has an entry in
-    the composition table.
+    with every current member, read from the color's closure row.  A
+    pair of members is composed once, when the later of the two is
+    added; pairs inside ``closed`` never.
     """
-    comp = scheme.composition_table()
-    sigma = scheme.transpose_map
+    rows, sigma = _closure_rows(scheme)
     members = list(mask_colors(closed))
     pending = extra & ~closed
     while pending:
@@ -143,9 +163,10 @@ def _close(scheme: Scheme, closed: int, extra: int) -> int:
         closed |= bit
         c = bit.bit_length() - 1
         members.append(c)
-        found = 1 << int(sigma[c])
+        row = rows[c]
+        found = 1 << sigma[c]
         for m in members:
-            found |= comp[c, m] | comp[m, c]
+            found |= row[m]
         pending |= found & ~closed
     return closed
 
@@ -172,7 +193,10 @@ def equivalence_from_colors(scheme: Scheme, colors: Iterable[int]) -> Equivalenc
     symmetric, and transitive on the whole point set.
     """
     colorset = frozenset(scheme.check_color(c) for c in colors)
-    member = np.isin(scheme.matrix, sorted(colorset))
+    # membership is one gather from an r-entry table
+    lut = np.zeros(scheme.r, dtype=bool)
+    lut[list(colorset)] = True
+    member = lut[scheme.matrix]
     if not member.diagonal().all():
         raise NotASchemeEquivalence("union of relations is not reflexive")
     if not np.array_equal(member, member.T):
@@ -182,8 +206,12 @@ def equivalence_from_colors(scheme: Scheme, colors: Iterable[int]) -> Equivalenc
     labels = np.argmax(member, axis=1)
     if not np.array_equal(member, labels[:, None] == labels[None, :]):
         raise NotASchemeEquivalence("union of relations is not transitive")
-    classes = tuple(tuple(np.flatnonzero(labels == least).tolist())
-                    for least in np.unique(labels))
+    # one stable sort groups the points by label, each class ascending
+    order = np.argsort(labels, kind="stable")
+    cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+    points = order.tolist()
+    classes = tuple(tuple(points[lo:hi])
+                    for lo, hi in zip([0] + cuts, cuts + [scheme.n]))
     return Equivalence(scheme, classes, colorset)
 
 
@@ -242,11 +270,14 @@ def generated_equivalence(scheme: Scheme, color: int) -> Equivalence:
 def all_equivalences(scheme: Scheme) -> list[Equivalence]:
     """Every scheme equivalence, discrete and full included.
 
-    Starting from the diagonal, each closed set found is joined with
-    each single-color closed set until no new set appears; this reaches
-    every closed set, since each one is the join of the single-color
-    closed sets of its colors.  The result is sorted by color-set size,
-    then by the sorted color ids.
+    Starting from the diagonal and the single-color closed sets, each
+    closed set found is joined with each single-color closed set until
+    no new set appears; this reaches every closed set, since each one is
+    the join of the single-color closed sets of its colors.  The join
+    depends only on the union of the two masks, so it is skipped when
+    that union is a closed set already found or a union already closed:
+    every union is closed at most once, on the closure rows.  The result
+    is sorted by color-set size, then by the sorted color ids.
     """
     scheme.require_homogeneous()
     if scheme.r > RANK_CAP:
@@ -257,12 +288,19 @@ def all_equivalences(scheme: Scheme) -> list[Equivalence]:
 def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
     # the lone diagonal color of a homogeneous scheme is closed
     bottom = _mask(scheme.diagonal_colors)
-    generators = {_close(scheme, bottom, 1 << c) for c in range(scheme.r)}
-    family = {bottom}
-    frontier = [bottom]
+    generators = {_close(scheme, bottom, 1 << c)
+                  for c in range(scheme.r) if c not in scheme.diagonal_colors}
+    family = {bottom} | generators
+    joined = set()
+    frontier = list(family)
     while frontier:
         closed = frontier.pop()
         for g in generators:
+            # the join depends only on the union: close each union once
+            union = closed | g
+            if union in family or union in joined:
+                continue
+            joined.add(union)
             join = _close(scheme, closed, g)
             if join not in family:
                 family.add(join)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -6,6 +9,19 @@ from asck.io import write_ccm
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def in_tree_env():
+    """The environment for a ``python`` subprocess that imports the asck
+    under test: the tree's ``src`` first on PYTHONPATH, so no installed
+    copy is needed (pyproject's ``pythonpath`` reaches only pytest itself)."""
+    def env(**extra: str) -> dict[str, str]:
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        return dict(os.environ, PYTHONPATH=path, **extra)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ run, then asserts the same condition.
 """
 
 import io
-import os
 import random
 import subprocess
 import sys
@@ -173,7 +172,7 @@ def test_criterion_8_lattice_size_on_cyclic_groups(capsys):
            "(" + " ".join(counts) + ")")
 
 
-def test_criterion_9_cli_round_trip_and_determinism(corpus, capsys):
+def test_criterion_9_cli_round_trip_and_determinism(corpus, capsys, in_tree_env):
     round_trips = 0
     for m in corpus:
         again = read_ccm(io.StringIO(ccm_text(m.scheme.matrix)))
@@ -183,7 +182,7 @@ def test_criterion_9_cli_round_trip_and_determinism(corpus, capsys):
     runner = "from asck.cli import main; import sys; sys.exit(main())"
     outputs = []
     for hashseed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = in_tree_env(PYTHONHASHSEED=hashseed)
         proc = subprocess.run(
             [sys.executable, "-c", runner, "corpus"],
             capture_output=True, env=env, timeout=300)

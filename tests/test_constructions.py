@@ -32,15 +32,18 @@ from asck import (
     wreath,
 )
 from asck import constructions, lattice
-from asck.core import as_color_matrix
+from asck.constructions import _quotient_matrix
+from asck.core import Scheme, as_color_matrix
 from asck.corpus import _random_digraph
 from asck.errors import (
     InvalidGroupTable,
     NotABlock,
     NotASchemeEquivalence,
     NotHomogeneous,
+    QuotientValidationFailed,
     SchemeError,
 )
+from asck.lattice import RANK_CAP, Equivalence
 
 # smallest loop that is a non-group: latin, has identity, not associative
 NON_ASSOCIATIVE_LOOP = [
@@ -189,6 +192,114 @@ class TestQuotient:
                 verify_size_factorization(s, e)
 
 
+def old_quotient_matrix(scheme, e):
+    """The class-pair loop: one gather, one np.unique and one frozenset
+    per pair of classes, the base read by ``equivalence_from_colors``."""
+    base = lattice.equivalence_from_colors(scheme, e.colors)
+    if base.classes != e.classes:
+        raise NotASchemeEquivalence(
+            "classes are not the classes of the color union")
+    classes = e.classes
+    k = len(classes)
+    raw = np.zeros((k, k), dtype=np.int64)
+    ids, seen_in = {}, {}
+    for x in range(k):
+        for y in range(k):
+            block = frozenset(
+                int(c) for c in np.unique(
+                    scheme.matrix[np.ix_(classes[x], classes[y])]))
+            if block not in ids:
+                ids[block] = len(ids)
+            raw[x, y] = ids[block]
+            for c in block:
+                prev = seen_in.setdefault(c, block)
+                if prev != block:
+                    raise QuotientValidationFailed(
+                        f"color {c} occurs in distinct class-pair color sets "
+                        f"{sorted(prev)} and {sorted(block)}")
+    return raw
+
+
+def quotient_matrix_outcome(build, scheme, e):
+    try:
+        raw = build(scheme, e)
+    except SchemeError as exc:
+        return type(exc), str(exc)
+    return raw.dtype.str, raw.shape, raw.tobytes()
+
+
+def uncertified(matrix):
+    """A Scheme over a color matrix that skips certification; only the
+    matrix, n and r are filled in, which is all a quotient matrix reads."""
+    m = np.asarray(matrix, dtype=np.int64)
+    m.flags.writeable = False
+    n = m.shape[0]
+    return Scheme(matrix=m, n=n, r=int(m.max()) + 1, transpose_map=None,
+                  diagonal_colors=(0,), fibers=(tuple(range(n)),), degrees=None,
+                  sizes=None, first_cells=None, cell_index=None, cell_offsets=None)
+
+
+class TestQuotientMatrixOracle:
+    """One np.unique over labeled cells gives the class-pair loop's raw
+    matrix and its exceptions."""
+
+    def test_every_corpus_equivalence(self, corpus):
+        rng = random.Random(3)
+        kinds = set()
+        for member in corpus:
+            s = member.scheme
+            if not (s.is_homogeneous and s.r <= RANK_CAP):
+                continue
+            eqs = all_equivalences(s)
+            cases = [(s, e) for e in eqs]
+            cases += [(s, equivalence_from_partition(s, e.classes)) for e in eqs]
+            # classes of one equivalence, colors of another or a random union
+            for e in rng.sample(eqs, min(3, len(eqs))):
+                f = rng.choice(eqs)
+                colors = frozenset(c for c in range(s.r) if rng.random() < 0.5)
+                cases += [(s, Equivalence(s, e.classes, f.colors)),
+                          (s, Equivalence(s, e.classes, colors))]
+            for scheme, e in cases:
+                want = quotient_matrix_outcome(old_quotient_matrix, scheme, e)
+                assert quotient_matrix_outcome(_quotient_matrix, scheme, e) == want
+                kinds.add(want[1] if isinstance(want[0], type) else "raw")
+        assert kinds == {"raw", "classes are not the classes of the color union",
+                         "union of relations is not reflexive",
+                         "union of relations is not symmetric",
+                         "union of relations is not transitive"}
+
+    def test_partitions_of_quotients(self):
+        for s in (thin_scheme(cyclic_table(12)), thin_scheme(dihedral_table(6)),
+                  wreath(thin_scheme(cyclic_table(2)), rank_two_scheme(3)),
+                  wreath(wreath(thin_scheme(cyclic_table(2)), thin_scheme(cyclic_table(2))),
+                         thin_scheme(cyclic_table(3)))):
+            eqs = all_equivalences(s)
+            for fine in eqs:
+                q = quotient(s, fine)
+                for coarse in eqs:
+                    if coarse.colors >= fine.colors:
+                        e = induced_on_quotient(q, fine, coarse)
+                        assert (quotient_matrix_outcome(_quotient_matrix, q, e)
+                                == quotient_matrix_outcome(old_quotient_matrix, q, e))
+
+    def test_color_in_two_class_pair_sets(self):
+        # classes {0,1}, {2,3}, {4,5}; color 2 meets 3 in X x Y and 4 in X x Z
+        cross = {(0, 1): [[2, 3], [3, 2]], (0, 2): [[2, 4], [4, 2]], (1, 2): [[5, 5], [5, 5]]}
+        m = np.zeros((6, 6), dtype=np.int64)
+        for x in range(3):
+            m[2 * x:2 * x + 2, 2 * x:2 * x + 2] = [[0, 1], [1, 0]]
+            for y in range(x + 1, 3):
+                block = np.array(cross[x, y])
+                m[2 * x:2 * x + 2, 2 * y:2 * y + 2] = block
+                m[2 * y:2 * y + 2, 2 * x:2 * x + 2] = block.T
+        s = uncertified(m)
+        e = Equivalence(s, ((0, 1), (2, 3), (4, 5)), frozenset({0, 1}))
+        want = (QuotientValidationFailed,
+                "color 2 occurs in distinct class-pair color sets [2, 3] and [2, 4]")
+        assert quotient_matrix_outcome(_quotient_matrix, s, e) == want
+        assert quotient_matrix_outcome(old_quotient_matrix, s, e) == want
+
+
 def induced_on_quotient(qF, F, E):
     classes = [tuple(sorted({F.class_of(p) for p in cls})) for cls in E.classes]
     return equivalence_from_partition(qF, classes)
@@ -247,10 +358,11 @@ class TestBlocksAndRestriction:
         eqs = all_equivalences(s)
         real = lattice.equivalence_from_colors
         calls = []
-        for module in (lattice, constructions):
-            monkeypatch.setattr(module, "equivalence_from_colors",
-                                lambda *args: calls.append(args) or real(*args))
+        assert not hasattr(constructions, "equivalence_from_colors")
+        monkeypatch.setattr(lattice, "equivalence_from_colors",
+                            lambda *args: calls.append(args) or real(*args))
         assert all(is_block(s, cls) for e in eqs for cls in e.classes)
+        assert all(quotient(s, e).n == e.n_classes for e in eqs)
         assert calls == []
 
     def test_non_block_rejected(self):

@@ -532,8 +532,8 @@ class TestInterning:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] is NotAPartitionOfDiagonal
 
-    def test_nothing_is_pinned(self):
-        proc = subprocess.run([sys.executable, "-c", PIN_PROBE],
+    def test_nothing_is_pinned(self, in_tree_env):
+        proc = subprocess.run([sys.executable, "-c", PIN_PROBE], env=in_tree_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         alive, total, entries = map(int, proc.stdout.split())

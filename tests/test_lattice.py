@@ -41,6 +41,8 @@ from asck.errors import (
     SchemeError,
     TooFewPoints,
 )
+from asck import lattice
+from asck.core import mask_colors
 from asck.lattice import RANK_CAP, ClosedSet
 
 
@@ -529,3 +531,135 @@ class TestLatticeSizes:
         assert s.r > RANK_CAP
         assert generated_closed_set(s, {1}).colors == frozenset(range(29))
         assert generated_closed_set(s, {0}).colors == {0}
+
+
+def old_close(scheme, closed, extra):
+    """The worklist closure read straight from the composition table:
+    two dict lookups per member and a numpy transpose, no closure rows."""
+    comp = scheme.composition_table()
+    sigma = scheme.transpose_map
+    members = list(mask_colors(closed))
+    pending = extra & ~closed
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        closed |= bit
+        c = bit.bit_length() - 1
+        members.append(c)
+        found = 1 << int(sigma[c])
+        for m in members:
+            found |= comp[c, m] | comp[m, c]
+        pending |= found & ~closed
+    return closed
+
+
+def old_equivalence_from_colors(scheme, colors):
+    """Membership by ``np.isin``, one ``flatnonzero`` per ``np.unique`` label."""
+    colorset = frozenset(scheme.check_color(c) for c in colors)
+    member = np.isin(scheme.matrix, sorted(colorset))
+    if not member.diagonal().all():
+        raise NotASchemeEquivalence("union of relations is not reflexive")
+    if not np.array_equal(member, member.T):
+        raise NotASchemeEquivalence("union of relations is not symmetric")
+    labels = np.argmax(member, axis=1)
+    if not np.array_equal(member, labels[:, None] == labels[None, :]):
+        raise NotASchemeEquivalence("union of relations is not transitive")
+    classes = tuple(tuple(np.flatnonzero(labels == least).tolist())
+                    for least in np.unique(labels))
+    return lattice.Equivalence(scheme, classes, colorset)
+
+
+def old_all_equivalences(scheme):
+    """Every found set joined with every generator, each join closed
+    afresh by ``old_close``, with no union skipped."""
+    bottom = 0
+    for c in scheme.diagonal_colors:
+        bottom |= 1 << c
+    generators = {old_close(scheme, bottom, 1 << c) for c in range(scheme.r)}
+    family = {bottom}
+    frontier = [bottom]
+    while frontier:
+        closed = frontier.pop()
+        for g in generators:
+            join = old_close(scheme, closed, g)
+            if join not in family:
+                family.add(join)
+                frontier.append(join)
+    eqs = [old_equivalence_from_colors(scheme, mask_colors(m)) for m in family]
+    eqs.sort(key=lambda e: (len(e.colors), sorted(e.colors)))
+    return eqs
+
+
+def groups_thirteen_to_twenty_four():
+    """Thin-scheme groups of order 13..24: every cyclic and dihedral one,
+    and a spread of abelian, dicyclic and product groups."""
+    c, d, x = cyclic_table, dihedral_table, direct_product
+    return ([c(m) for m in range(13, 25)] + [d(k) for k in range(7, 13)] + [
+        x(c(2), c(8)), x(c(4), c(4)), x(x(c(2), c(2)), c(4)),
+        x(x(c(2), c(2)), x(c(2), c(2))), x(d(4), c(2)), x(dicyclic_table(2), c(2)),
+        dicyclic_table(4), x(c(3), c(6)), x(d(3), c(3)), x(c(2), c(10)),
+        dicyclic_table(5), x(c(2), c(12)), x(x(c(2), c(2)), c(6)), x(d(3), c(4)),
+        x(alternating_four_table(), c(2)), dicyclic_table(6)])
+
+
+def lattice_listing(eqs):
+    return [(sorted(e.colors), e.classes) for e in eqs]
+
+
+def old_outcome(build, scheme, colors):
+    try:
+        return build(scheme, colors).classes
+    except SchemeError as exc:
+        return type(exc), str(exc)
+
+
+class TestPreviousEngineOracle:
+    """The closure rows, the union skip and the lookup-table equivalences
+    reproduce the engine they replaced: same sets, classes and order."""
+
+    def test_homogeneous_corpus_members(self, corpus):
+        checked = 0
+        for member in corpus:
+            s = member.scheme
+            if s.is_homogeneous and s.r <= RANK_CAP:
+                assert lattice_listing(all_equivalences(s)) == lattice_listing(
+                    old_all_equivalences(s)), member.name
+                checked += 1
+        assert checked > 200
+
+    @pytest.mark.parametrize("table", groups_up_to_twelve() + groups_thirteen_to_twenty_four(),
+                             ids=lambda t: f"order{t.m}")
+    def test_thin_groups(self, table):
+        s = validate(thin_scheme(table).matrix)
+        assert lattice_listing(all_equivalences(s)) == lattice_listing(
+            old_all_equivalences(s))
+
+    def test_equivalence_from_colors_on_random_unions(self, corpus):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for member in corpus[::2]:
+            s = member.scheme
+            for _ in range(6):
+                colors = set(np.flatnonzero(rng.random(s.r) < 0.4).tolist())
+                closed = colors | set(s.diagonal_colors)
+                for union in (colors, closed | {s.transpose(c) for c in closed}):
+                    want = old_outcome(old_equivalence_from_colors, s, union)
+                    assert old_outcome(equivalence_from_colors, s, union) == want
+                    outcomes.add(want[1] if isinstance(want[0], type) else "classes")
+        assert outcomes == {"classes", "union of relations is not reflexive",
+                            "union of relations is not symmetric",
+                            "union of relations is not transitive"}
+
+    def test_each_union_is_closed_once(self, monkeypatch):
+        z2 = cyclic_table(2)
+        s = validate(thin_scheme(direct_product(direct_product(z2, z2),
+                                                direct_product(z2, z2))).matrix)
+        real = lattice._close
+        calls = []
+        monkeypatch.setattr(lattice, "_close", lambda scheme, closed, extra: (
+            calls.append((closed, closed | extra)) or real(scheme, closed, extra)))
+        assert len(all_equivalences(s)) == 67
+        unions = [union for _, union in calls]
+        assert len(set(unions)) == len(unions)
+        assert all(union != closed for closed, union in calls)
+        assert 0 < len(calls) < 67 * 16
