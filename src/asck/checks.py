@@ -18,7 +18,7 @@ import numpy as np
 
 from .constructions import quotient, restriction
 from .core import Scheme
-from .digraph import basis_digraph, basis_periods, is_strongly_connected
+from .digraph import basis_periods
 from .errors import NotPrime, SchemeError
 from .lattice import (
     Equivalence,
@@ -322,7 +322,13 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
 
 def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
     """A primitive p-scheme is regular on exactly p points and every
-    non-reflexive basis digraph is a directed p-cycle."""
+    non-reflexive basis digraph is a directed p-cycle.
+
+    The cycle test reads ``degrees`` and ``basis_periods``, exactly: a
+    non-diagonal color of a homogeneous scheme spans all n points, it is
+    a permutation exactly when its degree is 1, and a permutation of p
+    points is a single p-cycle exactly when d = p.
+    """
     scheme.require_homogeneous()
     require_prime(p)
     witnesses, report = _begin("primitive-structure", scheme)
@@ -332,10 +338,9 @@ def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
     regular = is_regular(scheme)
     point_count_ok = scheme.n == p
     cycles_ok = True
+    periods = basis_periods(scheme)
     for color in _non_diagonal_colors(scheme):
-        g = basis_digraph(scheme, color)
-        if not (g.n == p and is_strongly_connected(g)
-                and all(len(out) == 1 for out in g.out_adj)):
+        if not (point_count_ok and scheme.degrees[color] == 1 and periods[color] == p):
             cycles_ok = False
             witnesses["non-cycle-color"] = (
                 f"color {color} is not a directed {p}-cycle")

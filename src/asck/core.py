@@ -174,9 +174,6 @@ class Scheme:
             raise InvalidColor(color, self.r)
         return int(color)
 
-    def color_of(self, u: int, v: int) -> int:
-        return int(self.matrix[u, v])
-
     def cells(self, color: int) -> list[tuple[int, int]]:
         """All cells of a color in row-major order."""
         return [(u, v) for u, v in self.cell_array(color).tolist()]
@@ -249,47 +246,18 @@ class Scheme:
         Stacked from ``tensor_slice`` on every call, so it costs r^3
         memory each time; prefer ``tensor_slice`` or
         ``intersection_number``.  Composition queries never build it:
-        they read ``composition_table``.
+        ``composition_colors`` and the lattice's closure rows count on
+        each color's first cell.
         """
         return np.stack([self.tensor_slice(c) for c in range(self.r)])
-
-    def composition_table(self) -> dict[tuple[int, int], int]:
-        """Sparse composition table, built once and cached at any rank.
-
-        ``table[(a, b)]`` is the bitmask (bit c set) of the colors c with
-        p^c_ab > 0; pairs with no a-then-b two-step are absent.  Each
-        color contributes the distinct codes color(u,v) * r + color(v,w)
-        over v for its first cell (u, w), so at most r * n triples are
-        read and the (r, r, r) tensor is never formed.  The returned
-        dict is shared and must not be mutated.
-        """
-        def build() -> dict[tuple[int, int], int]:
-            r, n = self.r, self.n
-            us, ws = self.first_cells.T
-            table: dict[tuple[int, int], int] = {}
-            # chunks of at most n colors keep the code array at n x n
-            for lo in range(0, r, n):
-                through = np.arange(lo, min(lo + n, r))
-                codes = np.sort(self.matrix[us[through], :] * r
-                                + self.matrix[:, ws[through]].T, axis=1)
-                fresh = np.ones(codes.shape, dtype=bool)
-                fresh[:, 1:] = codes[:, 1:] != codes[:, :-1]
-                rows, cols = np.nonzero(fresh)
-                for c, code in zip(through[rows].tolist(), codes[rows, cols].tolist()):
-                    pair = divmod(code, r)
-                    table[pair] = table.get(pair, 0) | (1 << c)
-            return table
-
-        return self.derived("composition", build)
 
     def composition_colors(self, left: int, right: int) -> tuple[int, ...]:
         """Colors carrying at least one left-then-right two-step, ascending.
 
-        Read from ``composition_table`` at every rank.
+        One ``intersection_number`` per color, in O(r * n) time and O(n)
+        memory.
         """
-        left = self.check_color(left)
-        right = self.check_color(right)
-        return mask_colors(self.composition_table().get((left, right), 0))
+        return tuple(c for c in range(self.r) if self.intersection_number(c, left, right))
 
     # -- identity ---------------------------------------------------------
 

@@ -161,34 +161,6 @@ def random_circulant_digraph(rng: random.Random, n: int) -> Digraph:
     return Digraph(n, arcs)
 
 
-def random_strongly_connected_digraph(rng: random.Random, n: int) -> Digraph:
-    """A random strongly connected digraph: a spanning cycle plus chords.
-
-    One third are bare cycles (period n), one third add chords whose
-    stride keeps a residue structure (period a proper divisor), one
-    third add arbitrary chords (period usually 1).
-    """
-    if n == 1:
-        return Digraph(1, frozenset({(0, 0)} if rng.random() < 0.5 else set()))
-    arcs = {(u, (u + 1) % n) for u in range(n)}
-    style = rng.randrange(3)
-    if style == 1:
-        divisors = [d for d in range(2, n) if n % d == 0]
-        if divisors:
-            d = rng.choice(divisors)
-            strides = [j for j in range(2, n) if j % d == 1]
-            for j in rng.sample(strides, min(len(strides), rng.randint(1, 2))):
-                u = rng.randrange(n)
-                arcs.add((u, (u + j) % n))
-    elif style == 2:
-        extra = rng.randint(1, max(1, n // 2))
-        for _ in range(extra):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                arcs.add((u, v))
-    return Digraph(n, frozenset(arcs))
-
-
 def _random_digraph(rng: random.Random, kind: int) -> Digraph:
     if kind == 0:
         n = rng.randint(3, 10)

@@ -73,12 +73,6 @@ class Digraph:
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
 
-    def is_symmetric(self) -> bool:
-        return all((v, u) in self.arcs for u, v in self.arcs)
-
-    def has_loops(self) -> bool:
-        return any(u == v for u, v in self.arcs)
-
 
 @dataclass(frozen=True)
 class CyclicPartition:

@@ -62,7 +62,7 @@ class ClosedSet:
     def check(self) -> None:
         """Raise if the three closure invariants fail (used by tests).
 
-        Reads intersection numbers, not the composition table that the
+        Reads intersection numbers, not the closure rows that the
         closure engine runs on, so it verifies that engine independently.
         """
         s = self.scheme
@@ -105,10 +105,6 @@ class Equivalence:
         return hash((id(self.scheme), self.classes))
 
     @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
-    @property
     def is_discrete(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
 
@@ -122,23 +118,27 @@ class Equivalence:
                 return i
         raise SchemeError(f"point {point} not in the support")
 
-    def closed_set(self) -> ClosedSet:
-        return ClosedSet(self.scheme, self.colors)
-
 
 def _closure_rows(scheme: Scheme) -> tuple[list[list[int]], list[int]]:
-    """The closure engine's view of the composition table, kept in the
-    ``derived`` memo: ``rows[c][m]`` is the mask of the colors composed
-    from c and m in either order, and the transpose map as a list.
+    """The closure engine's composition table, kept in the ``derived``
+    memo: ``rows[c][m]`` is the mask of the colors composed from c and m
+    in either order, and the transpose map as a list.
 
-    The scheme is homogeneous, so r <= n and the rows take O(n^2) ints.
+    Color c's first cell (u, w) meets the pair (color(u,v), color(v,w))
+    at each point v, and p^c_ab > 0 exactly for the pairs (a, b) met, so
+    one ``np.unique`` of the r * n triples (c, a, b) gives every
+    composition.  The scheme is homogeneous, so r <= n and the walk and
+    the rows take O(n^2) ints.
     """
     def build() -> tuple[list[list[int]], list[int]]:
         r = scheme.r
+        us, ws = scheme.first_cells.T
+        triples = np.unique((np.arange(r)[:, None] * r + scheme.matrix[us, :]) * r
+                            + scheme.matrix[:, ws].T)
         rows = [[0] * r for _ in range(r)]
-        for (a, b), mask in scheme.composition_table().items():
-            rows[a][b] |= mask
-            rows[b][a] |= mask
+        for c, a, b in zip(*(x.tolist() for x in np.unravel_index(triples, (r, r, r)))):
+            rows[a][b] |= 1 << c
+            rows[b][a] |= 1 << c
         return rows, scheme.transpose_map.tolist()
 
     return scheme.derived("closure-rows", build)

@@ -32,8 +32,8 @@ from asck import (
     wl_closure,
     wreath,
 )
-from asck.corpus import random_strongly_connected_digraph
 from asck.digraph import Digraph
+from test_digraph import random_strongly_connected_digraph
 
 
 def report(capsys, num: int, ok: bool, detail: str) -> None:

@@ -4,6 +4,7 @@ from asck import (
     CorpusSpec,
     Digraph,
     all_equivalences,
+    basis_digraph,
     check_bipartite_criterion,
     check_block_criterion,
     check_fiber_reduction,
@@ -15,6 +16,8 @@ from asck import (
     direct_product,
     is_p_scheme,
     is_prime,
+    is_regular,
+    is_strongly_connected,
     rank_two_scheme,
     restriction,
     thin_scheme,
@@ -153,14 +156,14 @@ class TestFiberReduction:
 class TestQuotientFactorization:
     def test_cyclic_four(self):
         s = thin_scheme(cyclic_table(4))
-        e = next(e for e in all_equivalences(s) if e.n_classes == 2)
+        e = next(e for e in all_equivalences(s) if len(e.classes) == 2)
         rep = check_quotient_factorization(s, e, 2)
         assert rep.lhs and rep.rhs and rep.agree
         assert rep.witnesses["size-factorization"] == "verified"
 
     def test_cyclic_six_at_three(self):
         s = thin_scheme(cyclic_table(6))
-        e = next(e for e in all_equivalences(s) if e.n_classes == 2)
+        e = next(e for e in all_equivalences(s) if len(e.classes) == 2)
         rep = check_quotient_factorization(s, e, 3)
         assert not rep.lhs and not rep.rhs and rep.agree
         assert "size 2" in rep.witnesses["quotient-offender"]
@@ -170,6 +173,26 @@ class TestQuotientFactorization:
         e = next(e for e in all_equivalences(s) if e.is_discrete)
         rep = check_quotient_factorization(s, e, 2)
         assert rep.lhs and rep.rhs and rep.agree
+
+
+def old_primitive_rhs(s, p):
+    """The rhs and witnesses of ``check_primitive_structure`` as first
+    built: each color's basis digraph, Tarjan and its out-degrees."""
+    witnesses = {}
+    cycles_ok = True
+    for color in _non_diagonal_colors(s):
+        g = basis_digraph(s, color)
+        if not (g.n == p and is_strongly_connected(g)
+                and all(len(out) == 1 for out in g.out_adj)):
+            cycles_ok = False
+            witnesses["non-cycle-color"] = f"color {color} is not a directed {p}-cycle"
+            break
+    regular = is_regular(s)
+    if not regular:
+        witnesses["not-regular"] = "some color has degree > 1"
+    if s.n != p:
+        witnesses["point-count"] = f"n={s.n} differs from p={p}"
+    return regular and s.n == p and cycles_ok, witnesses
 
 
 class TestPrimitiveStructure:
@@ -187,6 +210,24 @@ class TestPrimitiveStructure:
     def test_imprimitive_is_vacuous(self):
         rep = check_primitive_structure(thin_scheme(cyclic_table(4)), 2)
         assert not rep.lhs and rep.agree
+
+    def test_rhs_matches_digraph_oracle_on_corpus(self, corpus):
+        checked = 0
+        for member in corpus:
+            s = member.scheme
+            if s.is_homogeneous and s.n >= 2 and s.r <= RANK_CAP:
+                for p in CorpusSpec().primes:
+                    rep = check_primitive_structure(s, p)
+                    assert (rep.rhs, rep.witnesses) == old_primitive_rhs(s, p), member.name
+                    checked += 1
+        assert checked == 1395
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rhs_matches_digraph_oracle_on_small_schemes(self, n):
+        for s in (thin_scheme(cyclic_table(n)), rank_two_scheme(n)):
+            for p in (2, 3, 5, 7, 11):
+                rep = check_primitive_structure(s, p)
+                assert (rep.rhs, rep.witnesses) == old_primitive_rhs(s, p)
 
 
 class TestBlockCriterion:

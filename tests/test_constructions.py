@@ -150,7 +150,7 @@ class TestRankTwo:
 class TestQuotient:
     def test_cyclic_four_by_subgroup(self):
         s = thin_scheme(cyclic_table(4))
-        e = next(e for e in all_equivalences(s) if e.n_classes == 2)
+        e = next(e for e in all_equivalences(s) if len(e.classes) == 2)
         assert quotient(s, e).same_matrix(thin_scheme(cyclic_table(2)))
 
     def test_discrete_is_identity(self):
@@ -165,24 +165,24 @@ class TestQuotient:
 
     def test_dihedral_by_reflection_subgroup(self):
         s = thin_scheme(dihedral_table(3))
-        by_classes = {e.n_classes: e for e in all_equivalences(s)}
+        by_classes = {len(e.classes): e for e in all_equivalences(s)}
         assert quotient(s, by_classes[2]).same_matrix(thin_scheme(cyclic_table(2)))
-        three = next(e for e in minimal_equivalences(s) if e.n_classes == 3)
+        three = next(e for e in minimal_equivalences(s) if len(e.classes) == 3)
         assert quotient(s, three).same_matrix(rank_two_scheme(3))
 
     def test_rejects_foreign_equivalence(self):
         z6 = thin_scheme(cyclic_table(6))
         z4 = thin_scheme(cyclic_table(4))
-        three_classes = next(e for e in all_equivalences(z6) if e.n_classes == 3)
+        three_classes = next(e for e in all_equivalences(z6) if len(e.classes) == 3)
         with pytest.raises(NotASchemeEquivalence):
             quotient(z4, three_classes)
-        two_classes = next(e for e in all_equivalences(z6) if e.n_classes == 2)
+        two_classes = next(e for e in all_equivalences(z6) if len(e.classes) == 2)
         with pytest.raises(SchemeError):
             quotient(z4, two_classes)
 
     def test_memoized_per_equivalence(self):
         s = thin_scheme(cyclic_table(6))
-        e = next(e for e in all_equivalences(s) if e.n_classes == 2)
+        e = next(e for e in all_equivalences(s) if len(e.classes) == 2)
         assert quotient(s, e) is quotient(s, e)
 
     def test_size_factorization(self):
@@ -328,8 +328,8 @@ class TestQuotientOfQuotient:
     ])
     def test_two_stage_collapse(self, scheme, fine, coarse):
         eqs = all_equivalences(scheme)
-        F = next(e for e in eqs if e.n_classes == fine)
-        E = next(e for e in eqs if e.n_classes == coarse)
+        F = next(e for e in eqs if len(e.classes) == fine)
+        E = next(e for e in eqs if len(e.classes) == coarse)
         assert all(any(set(fc) <= set(ec) for ec in E.classes) for fc in F.classes)
         direct = quotient(scheme, E)
         qF = quotient(scheme, F)
@@ -362,7 +362,7 @@ class TestBlocksAndRestriction:
         monkeypatch.setattr(lattice, "equivalence_from_colors",
                             lambda *args: calls.append(args) or real(*args))
         assert all(is_block(s, cls) for e in eqs for cls in e.classes)
-        assert all(quotient(s, e).n == e.n_classes for e in eqs)
+        assert all(quotient(s, e).n == len(e.classes) for e in eqs)
         assert calls == []
 
     def test_non_block_rejected(self):

@@ -47,7 +47,7 @@ from asck.errors import (
     NotTransposeClosed,
     SchemeError,
 )
-from asck.lattice import RANK_CAP
+from asck.lattice import RANK_CAP, _closure_rows
 
 
 def apply_remap(matrix, remap):
@@ -267,7 +267,7 @@ class TestSchemeAccessors:
         s = rank_two_scheme(4)
         for c in range(s.r):
             for u, v in s.cells(c):
-                assert s.color_of(u, v) == c
+                assert int(s.matrix[u, v]) == c
 
     def test_cell_index_matches_argwhere(self, corpus):
         for member in corpus:
@@ -297,7 +297,7 @@ class TestSchemeAccessors:
                 for right in range(s.r):
                     brute = sum(
                         1 for v in range(s.n)
-                        if s.color_of(u, v) == left and s.color_of(v, w) == right)
+                        if int(s.matrix[u, v]) == left and int(s.matrix[v, w]) == right)
                     assert t[1, left, right] == brute
                     assert s.intersection_number(1, left, right) == brute
 
@@ -309,14 +309,15 @@ class TestSchemeAccessors:
                 (c,) = s.composition_colors(a, b)
                 assert t[c, a, b] > 0
 
-    def test_composition_table_matches_tensor(self, corpus):
+    def test_closure_rows_match_tensor(self, corpus):
         for member in corpus:
             s = member.scheme
             positive = s.tensor() > 0
-            expected = {}
-            for c, a, b in zip(*np.nonzero(positive)):
-                expected[int(a), int(b)] = expected.get((int(a), int(b)), 0) | (1 << int(c))
-            assert s.composition_table() == expected
+            expected = [[0] * s.r for _ in range(s.r)]
+            for c, a, b in zip(*(x.tolist() for x in np.nonzero(
+                    positive | positive.transpose(0, 2, 1)))):
+                expected[a][b] |= 1 << c
+            assert _closure_rows(s) == (expected, s.transpose_map.tolist())
 
     @pytest.mark.parametrize("m", [70, 83, 90])
     def test_composition_colors_above_tensor_cache_rank(self, m):

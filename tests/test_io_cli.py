@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -261,6 +262,13 @@ class TestCliCorpus:
         first = capsys.readouterr().out
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    def test_default_machine_output_is_pinned(self, capsys):
+        # sha256 of the default ``asck corpus --machine`` stdout; any
+        # change in a member, verdict, witness or format changes it
+        assert main(["corpus", "--machine"]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "c4837677bbb0fd40735e604b094f7100212eb17809e5884e9b5ee04cddc68851"
 
     def test_invalid_thread_env_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("ASCK_THREADS", "soon")

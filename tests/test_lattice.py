@@ -94,7 +94,7 @@ class TestGeneratedEquivalence:
 
     def test_diagonal_gives_discrete(self):
         e = generated_equivalence(z4(), 0)
-        assert e.is_discrete and e.n_classes == 4
+        assert e.is_discrete and len(e.classes) == 4
 
     def test_classes_match_weak_components(self, corpus):
         sample = [m for m in corpus if m.scheme.is_homogeneous
@@ -115,7 +115,7 @@ class TestAllEquivalences:
     def test_cyclic_four(self):
         eqs = all_equivalences(z4())
         assert len(eqs) == 3
-        assert sorted(e.n_classes for e in eqs) == [1, 2, 4]
+        assert sorted(len(e.classes) for e in eqs) == [1, 2, 4]
 
     def test_cyclic_six(self):
         assert len(all_equivalences(thin_scheme(cyclic_table(6)))) == 4
@@ -166,7 +166,7 @@ class TestMinimalMaximal:
         s = z4()
         mins, maxs = minimal_equivalences(s), maximal_equivalences(s)
         assert len(mins) == 1 and len(maxs) == 1
-        assert mins[0] == maxs[0] and mins[0].n_classes == 2
+        assert mins[0] == maxs[0] and len(mins[0].classes) == 2
 
     def test_cyclic_six(self):
         s = thin_scheme(cyclic_table(6))
@@ -440,7 +440,7 @@ def assert_matches_oracle(s):
     eqs = all_equivalences(s)
     assert [e.colors for e in eqs] == expected
     for e in eqs:
-        e.closed_set().check()
+        ClosedSet(e.scheme, e.colors).check()
     for c in range(s.r):
         smallest = frozenset.intersection(*(cs for cs in closed_sets if c in cs))
         assert generated_closed_set(s, {c}).colors == smallest
@@ -533,11 +533,19 @@ class TestLatticeSizes:
         assert generated_closed_set(s, {0}).colors == {0}
 
 
-def old_close(scheme, closed, extra):
-    """The worklist closure read straight from the composition table:
-    two dict lookups per member and a numpy transpose, no closure rows."""
-    comp = scheme.composition_table()
-    sigma = scheme.transpose_map
+def tensor_composition(scheme):
+    """The composition table read from ``tensor()``: ``comp[a, b]`` is the
+    mask of the colors c with p^c_ab > 0."""
+    comp = {}
+    for c, a, b in zip(*(x.tolist() for x in np.nonzero(scheme.tensor()))):
+        comp[a, b] = comp.get((a, b), 0) | (1 << c)
+    return comp
+
+
+def old_close(comp, sigma, closed, extra):
+    """The worklist closure read straight from a composition table
+    ``comp``: two dict lookups per member and a numpy transpose map
+    ``sigma``, no closure rows."""
     members = list(mask_colors(closed))
     pending = extra & ~closed
     while pending:
@@ -572,16 +580,17 @@ def old_equivalence_from_colors(scheme, colors):
 def old_all_equivalences(scheme):
     """Every found set joined with every generator, each join closed
     afresh by ``old_close``, with no union skipped."""
+    comp, sigma = tensor_composition(scheme), scheme.transpose_map
     bottom = 0
     for c in scheme.diagonal_colors:
         bottom |= 1 << c
-    generators = {old_close(scheme, bottom, 1 << c) for c in range(scheme.r)}
+    generators = {old_close(comp, sigma, bottom, 1 << c) for c in range(scheme.r)}
     family = {bottom}
     frontier = [bottom]
     while frontier:
         closed = frontier.pop()
         for g in generators:
-            join = old_close(scheme, closed, g)
+            join = old_close(comp, sigma, closed, g)
             if join not in family:
                 family.add(join)
                 frontier.append(join)
