@@ -10,6 +10,7 @@ agreement means lhs == rhs; for implication-shaped ones it means
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,6 +47,12 @@ def require_prime(p: int) -> int:
     return p
 
 
+def _first(failing: np.ndarray) -> int | None:
+    """The least color set in an r-entry mask, or None."""
+    color = int(failing.argmax())
+    return color if failing[color] else None
+
+
 def is_power_of(x: int, p: int) -> bool:
     """Whether x = p^k for some k >= 0, by repeated division."""
     if x < 1:
@@ -67,18 +74,32 @@ class PSchemeVerdict:
         return self.value
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@functools.cache
+def _largest_int64_power(p: int) -> int:
+    power = p
+    while power <= _INT64_MAX // p:
+        power *= p
+    return power
+
+
 def is_p_scheme(scheme: Scheme, p: int) -> PSchemeVerdict:
     """True iff every color's cell count is a power of p (diagonal included).
 
-    The verdict is kept in the ``derived`` memo per prime."""
+    As p is prime, the divisors of its largest int64 power are exactly
+    the powers of p that fit in int64, so the offenders are the sizes
+    that leave a remainder in that power, tested as one vector; the first
+    is taken by ``argmax``.  The verdict is kept in the ``derived`` memo
+    per prime."""
     require_prime(p)
 
     def build() -> PSchemeVerdict:
-        for color in range(scheme.r):
-            size = scheme.relation_size(color)
-            if not is_power_of(size, p):
-                return PSchemeVerdict(False, color, size)
-        return PSchemeVerdict(True)
+        color = _first(np.remainder(_largest_int64_power(p), scheme.sizes) != 0)
+        if color is None:
+            return PSchemeVerdict(True)
+        return PSchemeVerdict(False, color, int(scheme.sizes[color]))
 
     return scheme.derived(("p-scheme", p), build)
 
@@ -176,10 +197,12 @@ def _size_verdict(scheme: Scheme, p: int,
     return verdict
 
 
-def _non_diagonal_colors(scheme: Scheme) -> list[int]:
-    off = np.ones(scheme.r, dtype=bool)
-    off[list(scheme.diagonal_colors)] = False
-    return np.flatnonzero(off).tolist()
+def _non_diagonal(scheme: Scheme) -> np.ndarray:
+    """The r-entry mask of the colors off the diagonal: a diagonal color
+    lies wholly on the diagonal, so a color is off it exactly when its
+    first cell is."""
+    u, v = scheme.first_cells.T
+    return u != v
 
 
 def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
@@ -196,14 +219,11 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
 
     verdict = _size_verdict(scheme, p, witnesses)
 
-    rhs = True
-    periods = basis_periods(scheme)
-    for color in _non_diagonal_colors(scheme):
-        if periods[color] % p:
-            rhs = False
-            witnesses["unpartitioned-color"] = (
-                f"color {color} admits no cyclic {p}-partition")
-            break
+    color = _first(_non_diagonal(scheme) & (basis_periods(scheme) % p != 0))
+    rhs = color is None
+    if not rhs:
+        witnesses["unpartitioned-color"] = (
+            f"color {color} admits no cyclic {p}-partition")
 
     return report(
         p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
@@ -224,17 +244,14 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
 
     verdict = _size_verdict(scheme, 2, witnesses)
 
-    rhs = True
-    periods = basis_periods(scheme)
-    for color in _non_diagonal_colors(scheme):
-        if periods[color] % 2:
-            u, v = scheme.first_cells[color]
-            if scheme.fiber_of(u) != scheme.fiber_of(v):
-                raise SchemeError(
-                    f"cross-fiber color {color} produced a non-bipartite graph")
-            rhs = False
-            witnesses["odd-color"] = f"color {color} has a non-bipartite basis graph"
-            break
+    color = _first(_non_diagonal(scheme) & (basis_periods(scheme) % 2 != 0))
+    rhs = color is None
+    if not rhs:
+        u, v = scheme.first_cells[color]
+        if scheme.fiber_of(u) != scheme.fiber_of(v):
+            raise SchemeError(
+                f"cross-fiber color {color} produced a non-bipartite graph")
+        witnesses["odd-color"] = f"color {color} has a non-bipartite basis graph"
 
     return report(
         p=2, mode="iff", lhs=bool(verdict), rhs=rhs,
@@ -337,14 +354,11 @@ def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
 
     regular = is_regular(scheme)
     point_count_ok = scheme.n == p
-    cycles_ok = True
-    periods = basis_periods(scheme)
-    for color in _non_diagonal_colors(scheme):
-        if not (point_count_ok and scheme.degrees[color] == 1 and periods[color] == p):
-            cycles_ok = False
-            witnesses["non-cycle-color"] = (
-                f"color {color} is not a directed {p}-cycle")
-            break
+    cycle = point_count_ok & (scheme.degrees == 1) & (basis_periods(scheme) == p)
+    color = _first(_non_diagonal(scheme) & ~cycle)
+    cycles_ok = color is None
+    if not cycles_ok:
+        witnesses["non-cycle-color"] = f"color {color} is not a directed {p}-cycle"
     rhs = regular and point_count_ok and cycles_ok
     if not regular:
         witnesses["not-regular"] = "some color has degree > 1"

@@ -11,6 +11,7 @@ run serially), but a non-integer value is still an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import IO
@@ -223,7 +224,11 @@ def _add_machine(parser: argparse.ArgumentParser) -> None:
                         help="structured key=value output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Parsing leaves it
+    unchanged, and each handler looks up the functions it calls when it
+    runs, so every ``main`` call may share it."""
     parser = argparse.ArgumentParser(
         prog="asck", description="coherent configuration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,7 +9,9 @@ caches the derived data every other module needs.  One stable sort of
 the n^2 cells by color, made at certification, is the only source of
 per-color cell data: the sizes, the first cells, the cell index behind
 ``cell_array`` and the order in which the intersection-number check
-walks the cells, n at a time in O(n^2) memory.  ``canonical_scheme``
+walks the cells, n at a time in O(n^2) memory.  That check walks only
+the colors with at least two cells, so a discrete configuration costs
+no walk, and its codes are int32 up to rank 46,340.  ``canonical_scheme``
 does the same after renaming the colors into canonical order, and
 interns its result by content: equal inputs return one shared Scheme,
 certified once, whose ``derived`` memo every holder shares.
@@ -269,7 +271,7 @@ class Scheme:
         """
         def build() -> str:
             payload = f"{self.n} {self.r} " + " ".join(
-                str(int(c)) for c in self.matrix.ravel())
+                " ".join(map(str, row.tolist())) for row in self.matrix)
             return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
         return self.derived("hash", build)
@@ -311,33 +313,43 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int,
     For each cell (u, w) the sorted multiset of codes
     color(u,v) * r + color(v,w) over all v must agree across cells of one
     color; agreement of these multisets is equivalent to constancy of
-    every pairwise count.  The cells are walked in cell-index order, n at
-    a time through refilled (n, n) buffers, and each is compared with the
-    previous cell of its color.  Equal neighbours chain back to the
+    every pairwise count.  The codes are below r^2, so they are int32
+    whenever r^2 <= 2^31 and int64 otherwise.  Only the cells of colors
+    with at least two cells are walked, in cell-index order, n at a time
+    through refilled (n, n) buffers (the last chunk may be short), and
+    each is compared with the previous cell of its color.  A color's
+    first cell, and so every cell of a single-cell color, has no previous
+    cell and is never flagged.  Equal neighbours chain back to the
     color's first cell, so each color's first flagged cell is its first
     mismatch, and the least flagged cell in row-major order is the witness.
     """
     n = matrix.shape[0]
-    columns = np.ascontiguousarray(matrix.T)
-    codes = np.empty((n + 1, n), dtype=np.int64)  # row 0: the previous chunk's last row
-    rows, previous = codes[1:], codes[:-1]
-    right = np.empty((n, n), dtype=np.int64)
+    sizes = np.diff(offsets)
+    shared = sizes > 1
+    walk = cells[np.repeat(shared, sizes)]
+    flagged = np.ones(len(walk), dtype=bool)
+    flagged[np.cumsum(sizes[shared]) - sizes[shared]] = False  # first cells
+    dtype = np.int32 if r * r <= 2 ** 31 else np.int64
+    left = matrix.astype(dtype, copy=False)
+    columns = np.ascontiguousarray(left.T)
+    codes = np.empty((n + 1, n), dtype=dtype)  # row 0: the previous chunk's last row
+    right = np.empty((n, n), dtype=dtype)
     differs = np.empty((n, n), dtype=bool)
-    flagged = np.ones(n * n, dtype=bool)
-    flagged[offsets[:-1]] = False  # a color's first cell has no previous cell
-    for lo in range(0, n * n, n):
-        us, ws = cells[lo:lo + n].T
+    for lo in range(0, len(walk), n):
+        us, ws = walk[lo:lo + n].T
+        k = us.size
+        rows = codes[1:k + 1]
         # mode="clip" lets take write straight into out; the indices are valid
-        np.take(matrix, us, axis=0, out=rows, mode="clip")
-        np.take(columns, ws, axis=0, out=right, mode="clip")
+        np.take(left, us, axis=0, out=rows, mode="clip")
+        np.take(columns, ws, axis=0, out=right[:k], mode="clip")
         rows *= r
-        rows += right
+        rows += right[:k]
         rows.sort(axis=1)
-        np.not_equal(rows, previous, out=differs)
-        flagged[lo:lo + n] &= differs.any(axis=1)
-        codes[0] = codes[n]
+        np.not_equal(rows, codes[:k], out=differs[:k])
+        flagged[lo:lo + k] &= differs[:k].any(axis=1)
+        codes[0] = codes[k]
     if flagged.any():
-        u, w = cells[flagged].T
+        u, w = walk[flagged].T
         k = int(np.argmin(u * n + w))
         color = int(matrix[u[k], w[k]])
         _raise_count_mismatch(matrix, r, color, tuple(map(int, cells[offsets[color]])),
@@ -346,16 +358,20 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int,
 
 def _raise_count_mismatch(matrix: np.ndarray, r: int, color: int,
                           cell_a: tuple[int, int], cell_b: tuple[int, int]) -> None:
-    def counts(cell: tuple[int, int]) -> np.ndarray:
+    """Raise for the least code whose count differs between two cells,
+    counting over the codes that occur, in O(n log n) at any rank."""
+    def codes(cell: tuple[int, int]) -> np.ndarray:
         u, w = cell
-        codes = matrix[u, :] * r + matrix[:, w]
-        return np.bincount(codes, minlength=r * r)
+        return matrix[u, :] * r + matrix[:, w]
 
-    ca, cb = counts(cell_a), counts(cell_b)
-    code = int(np.argmax(ca != cb))
+    a, b = codes(cell_a), codes(cell_b)
+    keys = np.union1d(a, b)
+    ca, cb = (np.bincount(np.searchsorted(keys, x), minlength=keys.size) for x in (a, b))
+    k = int(np.argmax(ca != cb))
+    code = int(keys[k])
     raise InconsistentIntersectionNumbers(
         color, (code // r, code % r),
-        cell_a, int(ca[code]), cell_b, int(cb[code]))
+        cell_a, int(ca[k]), cell_b, int(cb[k]))
 
 
 def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:

@@ -6,7 +6,9 @@ One potential labeling, ``_potentials``, gives the weak components,
 integer labels that change by 1 along each arc, and d, the gcd of the
 semicycle net lengths; the period, cyclic p-partitions (p | d),
 bipartiteness (d even) and ``basis_periods`` all read it, and Tarjan's
-algorithm answers strong connectivity.  All functions are pure and
+algorithm answers strong connectivity.  ``basis_periods`` runs it only
+on the off-diagonal colors with at least two cells; every other color's
+d is read off its first cell.  All functions are pure and
 deterministic: components come out sorted by least vertex, and cyclic
 partitions lay the components' label intervals end to end in that
 order.
@@ -253,17 +255,22 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
     """Each color's gcd d of the semicycle net lengths of its basis digraph,
     as a read-only int64 vector kept in the scheme's memo.
 
-    Every basis digraph is laid side by side in one digraph on the
-    (color, point) pairs in use, whose arcs are the n^2 cells, so one
-    ``_potentials`` run gives every cell's defect.  Reads only the matrix.
+    Read off ``first_cells``: a diagonal color's arcs are loops, so
+    d = 1, and a single off-diagonal cell is a tree arc, so d = 0.  The
+    basis digraphs of the other colors, off the diagonal with at least
+    two cells, are laid side by side in one digraph on the (color, point)
+    pairs in use, whose arcs are those colors' cells from ``cell_index``,
+    so one ``_potentials`` run gives every such cell's defect.
     """
     def build() -> np.ndarray:
-        n = scheme.n
-        colors = scheme.matrix.ravel()
-        tails, heads = np.divmod(np.arange(n * n), n)
+        n, sizes = scheme.n, scheme.sizes
+        u, v = scheme.first_cells.T
+        periods = (u == v).astype(np.int64)
+        labeled = (sizes > 1) & (u != v)
+        colors = np.repeat(np.flatnonzero(labeled), sizes[labeled])
+        tails, heads = scheme.cell_index[np.repeat(labeled, sizes)].T
         pairs, vertex = np.unique(np.concatenate((colors * n + tails, colors * n + heads)),
                                   return_inverse=True)
-        periods = np.zeros(scheme.r, dtype=np.int64)
         np.gcd.at(periods, colors, _potentials(pairs.size, *vertex.reshape(2, -1))[2])
         periods.setflags(write=False)
         return periods

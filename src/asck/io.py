@@ -91,7 +91,7 @@ def ccm_text(matrix: np.ndarray) -> str:
     arr = np.asarray(matrix, dtype=np.int64)
     n = arr.shape[0]
     r = int(arr.max()) + 1
-    body = "\n".join(" ".join(str(int(c)) for c in row) for row in arr)
+    body = "\n".join(" ".join(map(str, row.tolist())) for row in arr)
     return f"ccm {n} {r}\n{body}\n"
 
 

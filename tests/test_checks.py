@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from asck import (
@@ -25,9 +28,12 @@ from asck import (
     wl_closure,
     wreath,
 )
-from asck.checks import PSchemeVerdict, _non_diagonal_colors, is_power_of, require_prime
-from asck.errors import NotHomogeneous, NotPrime
+from asck.checks import PSchemeVerdict, _non_diagonal, is_power_of, require_prime
+from asck.core import canonical_scheme
+from asck.errors import NotHomogeneous, NotPrime, SchemeError
 from asck.lattice import RANK_CAP
+from test_constructions import ladder_closures_64
+from test_digraph import old_basis_periods
 
 
 def two_fiber_scheme():
@@ -53,11 +59,26 @@ class TestArithmetic:
         assert not is_power_of(0, 2)
 
 
+def old_non_diagonal_colors(s):
+    """The non-diagonal colors, ascending, as the per-color loops read them."""
+    off = np.ones(s.r, dtype=bool)
+    off[list(s.diagonal_colors)] = False
+    return np.flatnonzero(off).tolist()
+
+
 def test_non_diagonal_colors_match_membership_test(corpus):
     for member in corpus:
         s = member.scheme
-        assert _non_diagonal_colors(s) == [
+        assert np.flatnonzero(_non_diagonal(s)).tolist() == [
             c for c in range(s.r) if c not in s.diagonal_colors]
+
+
+def old_is_p_scheme(s, p):
+    """The per-color loop that ``is_p_scheme`` replaced."""
+    for color in range(s.r):
+        if not is_power_of(int(s.sizes[color]), p):
+            return PSchemeVerdict(False, color, int(s.sizes[color]))
+    return PSchemeVerdict(True)
 
 
 class TestIsPScheme:
@@ -74,6 +95,22 @@ class TestIsPScheme:
         assert not verdict
         assert (verdict.offender_color, verdict.offender_size) == (1, 12)
 
+    def test_sizes_across_int64(self):
+        """Powers of p up to the largest in int64, their neighbours and
+        products with other primes, against the division loop."""
+        for p in (2, 3, 5, 7, 11, 2 ** 31 - 1):
+            powers = [p ** k for k in range(64) if p ** k < 2 ** 63]
+            sizes = sorted({x for q in powers for x in (q, q - 1, q + 1, 2 * q, 3 * q)
+                            if 0 < x < 2 ** 63})
+            stand_in = SimpleNamespace(sizes=np.array(sizes, dtype=np.int64),
+                                       derived=lambda key, build: build())
+            verdict = is_p_scheme(stand_in, p)
+            want = [x for x in sizes if not is_power_of(x, p)][0]
+            assert (verdict.offender_size, sizes[verdict.offender_color]) == (want, want)
+            for x in powers:
+                one = SimpleNamespace(sizes=np.array([x]), derived=lambda key, build: build())
+                assert is_p_scheme(one, p)
+
     def test_rejects_composite_p(self):
         s = thin_scheme(cyclic_table(4))
         assert is_p_scheme(s, 2)
@@ -82,12 +119,7 @@ class TestIsPScheme:
                 is_p_scheme(s, 4)
 
     def test_memo_matches_loop_on_corpus_and_restrictions(self, corpus):
-        def loop(s, p):
-            for color in range(s.r):
-                if not is_power_of(int(s.sizes[color]), p):
-                    return PSchemeVerdict(False, color, int(s.sizes[color]))
-            return PSchemeVerdict(True)
-
+        loop = old_is_p_scheme
         for member in corpus:
             s = member.scheme
             schemes = [s] + [restriction(s, fiber) for fiber in s.fibers]
@@ -180,7 +212,7 @@ def old_primitive_rhs(s, p):
     built: each color's basis digraph, Tarjan and its out-degrees."""
     witnesses = {}
     cycles_ok = True
-    for color in _non_diagonal_colors(s):
+    for color in old_non_diagonal_colors(s):
         g = basis_digraph(s, color)
         if not (g.n == p and is_strongly_connected(g)
                 and all(len(out) == 1 for out in g.out_adj)):
@@ -193,6 +225,101 @@ def old_primitive_rhs(s, p):
     if s.n != p:
         witnesses["point-count"] = f"n={s.n} differs from p={p}"
     return regular and s.n == p and cycles_ok, witnesses
+
+
+def old_size_side(s, p):
+    """The p-scheme verdict and its "size-offender" witness, per color."""
+    verdict = old_is_p_scheme(s, p)
+    if verdict:
+        return True, {}
+    return False, {"size-offender": f"color {verdict.offender_color} "
+                                    f"has size {verdict.offender_size}"}
+
+
+def old_partite(s, p):
+    """lhs, rhs and witnesses of the partite criterion, by per-color loops
+    over the all-cells periods."""
+    lhs, witnesses = old_size_side(s, p)
+    rhs = True
+    periods = old_basis_periods(s)
+    for color in old_non_diagonal_colors(s):
+        if periods[color] % p:
+            rhs = False
+            witnesses["unpartitioned-color"] = f"color {color} admits no cyclic {p}-partition"
+            break
+    return lhs, rhs, witnesses
+
+
+def old_bipartite(s):
+    """lhs, rhs and witnesses of the bipartite criterion, by per-color loops
+    over the all-cells periods."""
+    lhs, witnesses = old_size_side(s, 2)
+    rhs = True
+    periods = old_basis_periods(s)
+    for color in old_non_diagonal_colors(s):
+        if periods[color] % 2:
+            u, v = s.first_cells[color]
+            if s.fiber_of(u) != s.fiber_of(v):
+                raise SchemeError(f"cross-fiber color {color} produced a non-bipartite graph")
+            rhs = False
+            witnesses["odd-color"] = f"color {color} has a non-bipartite basis graph"
+            break
+    return lhs, rhs, witnesses
+
+
+def old_primitive_loop_rhs(s, p):
+    """The rhs and witnesses of ``check_primitive_structure`` by a per-color
+    loop over ``degrees`` and the all-cells periods."""
+    witnesses = {}
+    cycles_ok = True
+    periods = old_basis_periods(s)
+    for color in old_non_diagonal_colors(s):
+        if not (s.n == p and s.degrees[color] == 1 and periods[color] == p):
+            cycles_ok = False
+            witnesses["non-cycle-color"] = f"color {color} is not a directed {p}-cycle"
+            break
+    regular = is_regular(s)
+    if not regular:
+        witnesses["not-regular"] = "some color has degree > 1"
+    if s.n != p:
+        witnesses["point-count"] = f"n={s.n} differs from p={p}"
+    return regular and s.n == p and cycles_ok, witnesses
+
+
+def sides(report):
+    return report.lhs, report.rhs, report.witnesses
+
+
+class TestVectorizedAgainstPerColorLoops:
+    """Size verdicts and the partite, bipartite and primitive right-hand
+    sides read masks with ``argmax``; the per-color loops are the oracle."""
+
+    def assert_matches_loops(self, s, primes=(2, 3, 5)):
+        for p in primes:
+            assert is_p_scheme(s, p) == old_is_p_scheme(s, p)
+            if s.is_homogeneous:
+                assert sides(check_partite_criterion(s, p)) == old_partite(s, p)
+                if s.n >= 2 and s.r <= RANK_CAP:
+                    rep = check_primitive_structure(s, p)
+                    assert (rep.rhs, rep.witnesses) == old_primitive_loop_rhs(s, p)
+        assert sides(check_bipartite_criterion(s)) == old_bipartite(s)
+
+    def test_corpus(self, corpus):
+        for member in corpus:
+            self.assert_matches_loops(member.scheme)
+
+    def test_ladder_closures_and_discrete_configuration(self):
+        discrete = canonical_scheme(np.arange(64 * 64).reshape(64, 64))
+        for s in (*ladder_closures_64(), discrete):
+            self.assert_matches_loops(s)
+
+    def test_witnesses_occur(self, corpus):
+        """The oracles above compare failing verdicts, not only passing ones."""
+        schemes = [m.scheme for m in corpus if m.scheme.is_homogeneous]
+        assert any(not check_partite_criterion(s, 3).rhs for s in schemes)
+        assert any(not check_bipartite_criterion(s).rhs for s in schemes)
+        assert any(check_primitive_structure(s, 3).rhs for s in schemes
+                   if s.n >= 2 and s.r <= RANK_CAP)
 
 
 class TestPrimitiveStructure:

@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 import warnings
@@ -521,6 +522,14 @@ def chords_shape(rng, n):
 
 def ladder_matrix(make, n, seed=0):
     return digraph_color_matrix(Digraph.from_arcs(n, make(random.Random(seed), n)))
+
+
+@functools.cache
+def ladder_closures_64():
+    """The closures of the n = 64 circulant (rank 33, homogeneous) and
+    cycle-plus-chords (discrete, rank 4,096) ladder shapes, built once."""
+    return tuple(wl_closure(ladder_matrix(make, 64, seed=64))
+                 for make in (circulant_shape, chords_shape))
 
 
 class TestClosureOracle:

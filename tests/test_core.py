@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from asck.errors import (
     SchemeError,
 )
 from asck.lattice import RANK_CAP, _closure_rows
+from test_constructions import ladder_closures_64
 
 
 def apply_remap(matrix, remap):
@@ -159,6 +161,24 @@ def count_mismatch(check, matrix):
     return None
 
 
+def perturbations(s, rng):
+    """The scheme's matrix, the same with two off-diagonal cells (and their
+    transposes) swapped, and with a transposed pair split off into a new
+    color."""
+    yield np.array(s.matrix)
+    off = np.argwhere(~np.eye(s.n, dtype=bool))
+    for _ in range(12):
+        (u, v), (x, y) = off[rng.choice(len(off), size=2, replace=False)]
+        m = np.array(s.matrix)
+        m[u, v], m[x, y] = m[x, y], m[u, v]
+        m[v, u], m[y, x] = m[y, x], m[v, u]
+        yield m
+    for u in range(s.n - 1):
+        m = np.array(s.matrix)
+        m[u, u + 1] = m[u + 1, u] = s.r
+        yield m
+
+
 def perturbed_matrices():
     """Valid schemes, the same with two off-diagonal cells (and their
     transposes) swapped or with a transposed pair split off into a new
@@ -173,18 +193,7 @@ def perturbed_matrices():
              rank_two_scheme(9),
              wreath(rank_two_scheme(4), thin_scheme(cyclic_table(4)))]
     for s in bases:
-        yield np.array(s.matrix)
-        off = np.argwhere(~np.eye(s.n, dtype=bool))
-        for _ in range(12):
-            (u, v), (x, y) = off[rng.choice(len(off), size=2, replace=False)]
-            m = np.array(s.matrix)
-            m[u, v], m[x, y] = m[x, y], m[u, v]
-            m[v, u], m[y, x] = m[y, x], m[v, u]
-            yield m
-        for u in range(s.n - 1):
-            m = np.array(s.matrix)
-            m[u, u + 1] = m[u + 1, u] = s.r
-            yield m
+        yield from perturbations(s, rng)
     for n in (2, 3, 4, 6, 9):
         for colors in (2, 3, 5):
             yield canonical_recolor(rng.integers(0, colors, size=(n, n)))
@@ -219,6 +228,133 @@ class TestIntersectionNumberCheck:
 
         spans = [chunks(m, got) for m, got, _ in outcomes if got is not None]
         assert any(start < witness for start, witness in spans)
+
+
+def old_check_intersection_numbers(matrix, r, cells, offsets):
+    """The int64 walk over all n^2 cells that ``_check_intersection_numbers``
+    replaced, reporting through ``counter_mismatch``; the oracle for its
+    outcomes."""
+    n = matrix.shape[0]
+    columns = np.ascontiguousarray(matrix.T)
+    codes = np.empty((n + 1, n), dtype=np.int64)
+    rows, previous = codes[1:], codes[:-1]
+    right = np.empty((n, n), dtype=np.int64)
+    differs = np.empty((n, n), dtype=bool)
+    flagged = np.ones(n * n, dtype=bool)
+    flagged[offsets[:-1]] = False
+    for lo in range(0, n * n, n):
+        us, ws = cells[lo:lo + n].T
+        np.take(matrix, us, axis=0, out=rows, mode="clip")
+        np.take(columns, ws, axis=0, out=right, mode="clip")
+        rows *= r
+        rows += right
+        rows.sort(axis=1)
+        np.not_equal(rows, previous, out=differs)
+        flagged[lo:lo + n] &= differs.any(axis=1)
+        codes[0] = codes[n]
+    if flagged.any():
+        u, w = cells[flagged].T
+        k = int(np.argmin(u * n + w))
+        color = int(matrix[u[k], w[k]])
+        counter_mismatch(matrix, r, color, tuple(map(int, cells[offsets[color]])),
+                         (int(u[k]), int(w[k])))
+
+
+def counter_mismatch(matrix, r, color, cell_a, cell_b):
+    """``_raise_count_mismatch`` by ``Counter``: the least code whose count
+    differs between the two cells."""
+    def counts(cell):
+        u, w = cell
+        return Counter(int(a) * r + int(b) for a, b in zip(matrix[u, :], matrix[:, w]))
+
+    ca, cb = counts(cell_a), counts(cell_b)
+    code = min(c for c in ca.keys() | cb.keys() if ca[c] != cb[c])
+    raise InconsistentIntersectionNumbers(
+        color, (code // r, code % r), cell_a, ca[code], cell_b, cb[code])
+
+
+def raised(call, *args):
+    """The type, fields and message of the SchemeError that ``call(*args)``
+    raises, or None."""
+    try:
+        call(*args)
+    except SchemeError as exc:
+        return type(exc), vars(exc), str(exc)
+    return None
+
+
+def stable_runs(matrix):
+    """Every cell stably sorted by color, and the offsets of the color runs."""
+    order = np.argsort(matrix.ravel(), kind="stable")
+    sizes = np.bincount(matrix.ravel())
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return np.stack(np.divmod(order, matrix.shape[0]), axis=1), offsets
+
+
+def discrete_configuration(n):
+    return canonical_recolor(np.arange(n * n).reshape(n, n))
+
+
+def partly_discrete_schemes():
+    """Closures of digraphs with some symmetry: singleton and multi-cell
+    colors side by side."""
+    shapes = [(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)]),
+              (7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),
+              (9, [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 6), (6, 7), (7, 8),
+                   (8, 4), (4, 0)])]
+    return [wl_closure(digraph_color_matrix(Digraph.from_arcs(n, arcs)))
+            for n, arcs in shapes]
+
+
+def merge_transposed_pair(matrix, u, v):
+    """The matrix with the color of (u, v) merged into that of (v, u),
+    recolored to contiguous ids: transpose-closed, but a discrete
+    configuration then fails the intersection-number axiom."""
+    m = np.array(matrix)
+    m[u, v] = m[v, u]
+    return canonical_recolor(m)
+
+
+class TestNarrowSingletonWalk:
+    """``_check_intersection_numbers`` walks only multi-cell colors, with
+    int32 codes when r^2 <= 2^31; the parent's int64 all-cells walk is
+    the oracle."""
+
+    def test_outcomes_match_int64_all_cells_oracle(self):
+        rng = np.random.default_rng(1002)
+        bases = [thin_scheme(cyclic_table(12)), rank_two_scheme(7),
+                 wreath(rank_two_scheme(3), thin_scheme(cyclic_table(4))),
+                 *ladder_closures_64(), *partly_discrete_schemes()]
+        matrices = [normalize_colors(m)[0] for s in bases for m in perturbations(s, rng)]
+        matrices += [merge_transposed_pair(discrete_configuration(n), u, v)
+                     for n, u, v in ((2, 0, 1), (5, 3, 1), (9, 2, 7))]
+        mixed = raising = 0
+        for m in matrices:
+            r = int(m.max()) + 1
+            runs = stable_runs(m)
+            got = raised(_check_intersection_numbers, m, r, *runs)
+            assert got == raised(old_check_intersection_numbers, m, r, *runs)
+            sizes = np.bincount(m.ravel())
+            if got is not None:
+                raising += 1
+                mixed += bool((sizes == 1).any() and (sizes > 1).any())
+        assert 0 < raising < len(matrices)
+        assert mixed > 10
+
+    @pytest.mark.parametrize("n", [215, 216])
+    def test_code_width_boundary(self, n):
+        """r = n^2 is 46,225 (int32 codes) at n = 215 and 46,656 (int64)
+        at n = 216; one merged transposed pair leaves r = n^2 - 1."""
+        assert ((n * n) ** 2 <= 2 ** 31) == (n == 215)
+        discrete = discrete_configuration(n)
+        assert validate(discrete).r == n * n
+        assert raised(old_check_intersection_numbers, discrete, n * n,
+                      *stable_runs(discrete)) is None
+        merged = merge_transposed_pair(discrete, 3, 7)
+        got = raised(validate, merged)
+        assert got is not None and got[0] is InconsistentIntersectionNumbers
+        assert got == raised(old_check_intersection_numbers, merged, n * n - 1,
+                             *stable_runs(merged))
 
 
 class TestWorkingSet:

@@ -15,6 +15,7 @@ from asck import (
     basis_graph,
     cyclic_table,
     cyclically_p_partite,
+    digraph_color_matrix,
     is_bipartite,
     is_strongly_connected,
     period,
@@ -25,7 +26,7 @@ from asck import (
     wl_closure,
 )
 from asck.core import canonical_scheme
-from asck.digraph import basis_periods
+from asck.digraph import _potentials, basis_periods
 from asck.errors import (
     DiagonalColor,
     HasLoops,
@@ -35,7 +36,7 @@ from asck.errors import (
     NotSymmetric,
     SchemeError,
 )
-from test_constructions import chords_shape, circulant_shape, ladder_matrix
+from test_constructions import chords_shape, circulant_shape, ladder_closures_64, ladder_matrix
 
 
 def cycle(n: int) -> Digraph:
@@ -577,7 +578,32 @@ def ladder_closures() -> list:
             for make in (circulant_shape, chords_shape) for n in (16, 24)]
 
 
+def old_basis_periods(s):
+    """The all-cells build that ``basis_periods`` replaced: every cell an
+    arc of one ``_potentials`` run, single-cell colors included."""
+    n = s.n
+    colors = s.matrix.ravel()
+    tails, heads = np.divmod(np.arange(n * n), n)
+    pairs, vertex = np.unique(np.concatenate((colors * n + tails, colors * n + heads)),
+                              return_inverse=True)
+    periods = np.zeros(s.r, dtype=np.int64)
+    np.gcd.at(periods, colors, _potentials(pairs.size, *vertex.reshape(2, -1))[2])
+    return periods
+
+
+def discrete_scheme(n):
+    return canonical_scheme(np.arange(n * n).reshape(n, n))
+
+
 class TestBasisPeriods:
+    def test_matches_all_cells_build(self, corpus):
+        schemes = [m.scheme for m in corpus] + [*ladder_closures_64(), discrete_scheme(64)]
+        schemes += [wl_closure(digraph_color_matrix(Digraph.from_arcs(7, arcs)))
+                    for arcs in ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)],
+                                 [(0, 1), (0, 2), (0, 3), (3, 3), (4, 5), (5, 6)])]
+        for s in schemes:
+            assert basis_periods(s).tolist() == old_basis_periods(s).tolist()
+
     def assert_matches_per_color(self, s):
         periods = basis_periods(s)
         assert periods.shape == (s.r,) and not periods.flags.writeable

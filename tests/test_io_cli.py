@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from asck import (
     write_ccm,
     write_dg,
 )
-from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, main
+from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
 from asck.constructions import MAX_CLOSURE_POINTS
 from asck.errors import NonContiguousColors
+from test_constructions import chords_shape
 
 
 def z4_text() -> str:
@@ -148,6 +150,34 @@ class TestCliBasics:
         assert "classes: 0 2 / 1 3" in out
 
 
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_machine_flag_does_not_stick(self, tmp_path, capsys):
+        path = tmp_path / "z4.ccm"
+        path.write_text(z4_text())
+        assert main(["info", str(path), "--machine"]) == EXIT_OK
+        assert "n=4" in capsys.readouterr().out.splitlines()
+        assert main(["info", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "n: 4"
+
+    def test_parse_failure_then_valid_call(self, tmp_path, capsys):
+        path = tmp_path / "z4.ccm"
+        path.write_text(z4_text())
+        with pytest.raises(SystemExit) as exc:
+            main(["check-p", str(path), "-p", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+        assert main(["check-p", str(path), "-p", "2", "--machine"]) == EXIT_OK
+        assert "p-scheme=true" in capsys.readouterr().out.splitlines()
+        with pytest.raises(SystemExit):
+            main(["theorem1", str(path)])
+        assert "the following arguments are required: -p" in capsys.readouterr().err
+        assert main(["theorem1", str(path), "-p", "3"]) == EXIT_OK
+        assert "p: 3" in capsys.readouterr().out.splitlines()
+
+
 class TestCliChecks:
     def test_check_p_true(self, tmp_path, capsys):
         path = tmp_path / "z4.ccm"
@@ -236,6 +266,43 @@ class TestCliGenerators:
         assert main(["gen", "wl-close", str(g)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"n={n}" in err and f"n <= {MAX_CLOSURE_POINTS}" in err
+
+
+def ladder_digraphs_64():
+    """A circulant with jumps +-7 and a cycle-plus-chords digraph, n = 64."""
+    n = 64
+    circulant = [(u, (u + j) % n) for u in range(n) for j in (7, n - 7)]
+    return {"circulant": Digraph.from_arcs(n, circulant),
+            "chords": Digraph.from_arcs(n, chords_shape(random.Random(64), n))}
+
+
+class TestCliLadder:
+    def test_pipeline_output_is_pinned(self, tmp_path, capsys):
+        # sha256 of every stdout and written .ccm of the closure pipeline;
+        # theorem1 runs on the homogeneous circulant closure only
+        digest = hashlib.sha256()
+
+        def call(argv):
+            assert main(argv) == EXIT_OK
+            out = capsys.readouterr().out
+            digest.update(out.encode())
+            return out
+
+        for kind, g in ladder_digraphs_64().items():
+            src, out = tmp_path / f"{kind}.dg", tmp_path / f"{kind}.ccm"
+            write_dg(g, src)
+            call(["gen", "wl-close", str(src), "-o", str(out)])
+            digest.update(out.read_bytes())
+            call(["validate", str(out)])
+            info = call(["info", str(out), "--machine"]).splitlines()
+            assert ("homogeneous=true" in info) == (kind == "circulant")
+            if kind == "circulant":
+                call(["theorem1", str(out), "-p", "2", "--machine"])
+            else:
+                assert "r=4096" in info
+            call(["corollary2", str(out), "--machine"])
+        assert digest.hexdigest() == (
+            "9685f8ce8e4a99ffaf94f60859c7058ebef92a44f913609c75f0fcb555a1add4")
 
 
 class TestCliCorpus:
