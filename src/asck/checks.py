@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import quotient, restriction
+from .constructions import _class_restrictions, quotient, restriction
 from .core import Scheme
 from .digraph import basis_periods
 from .errors import NotPrime, SchemeError
@@ -30,6 +30,7 @@ from .lattice import (
 )
 
 
+@functools.cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -51,15 +52,6 @@ def _first(failing: np.ndarray) -> int | None:
     """The least color set in an r-entry mask, or None."""
     color = int(failing.argmax())
     return color if failing[color] else None
-
-
-def is_power_of(x: int, p: int) -> bool:
-    """Whether x = p^k for some k >= 0, by repeated division."""
-    if x < 1:
-        return False
-    while x % p == 0:
-        x //= p
-    return x == 1
 
 
 @dataclass(frozen=True)
@@ -282,27 +274,49 @@ def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
 
 def verify_size_factorization(scheme: Scheme, e: Equivalence) -> None:
     """Check |R| = (nonempty class pairs of R) x (constant block count)
-    for every color; raises with a witness on any violation."""
-    classes = e.classes
-    k = len(classes)
-    cls = np.zeros(scheme.n, dtype=np.int64)
+    for every color; raises with a witness on any violation.
+
+    A pass is kept in the ``derived`` memo per ``e.classes``, so each
+    scheme and partition is verified once, whatever the prime."""
+    scheme.derived(("size-factorization", e.classes),
+                   lambda: _size_factorization(scheme, e.classes))
+
+
+def _size_factorization(scheme: Scheme, classes: tuple[tuple[int, ...], ...]) -> None:
+    """One pass over all colors at once.
+
+    Each cell is labeled (class(u) * k + class(v)) * r + color, so one
+    ``np.unique`` of the n^2 labels counts every color's cells in every
+    class pair, in O(n^2) memory whatever k and r are.  Per color, the
+    number of class pairs met and the least and greatest count are
+    gathered from those runs; the least failing color is the witness
+    (``argmax``), and its message is chosen in the order of the
+    per-color loop this replaces: vanished, unequal counts, wrong size.
+    """
+    k, r = len(classes), scheme.r
+    class_of = np.zeros(scheme.n, dtype=np.int64)
     for i, c in enumerate(classes):
-        cls[list(c)] = i
-    pair_index = np.add.outer(cls * k, cls)
-    for color in range(scheme.r):
-        counts = np.bincount(pair_index[scheme.matrix == color],
-                             minlength=k * k)
-        nonzero = counts[counts > 0]
-        if nonzero.size == 0:
-            raise SchemeError(f"color {color} vanished")
-        if nonzero.min() != nonzero.max():
-            raise SchemeError(
-                f"color {color} has unequal block counts "
-                f"{int(nonzero.min())} vs {int(nonzero.max())}")
-        if int(nonzero.size) * int(nonzero[0]) != scheme.relation_size(color):
-            raise SchemeError(
-                f"color {color}: {int(nonzero.size)} blocks x {int(nonzero[0])} "
-                f"!= size {scheme.relation_size(color)}")
+        class_of[list(c)] = i
+    labels, counts = np.unique(
+        (class_of[:, None] * k + class_of[None, :]) * r + scheme.matrix,
+        return_counts=True)
+    colors = labels % r
+    blocks = np.bincount(colors, minlength=r)
+    low = np.full(r, np.iinfo(np.int64).max)
+    np.minimum.at(low, colors, counts)
+    high = np.zeros(r, dtype=np.int64)
+    np.maximum.at(high, colors, counts)
+    vanished = blocks == 0
+    color = _first(vanished | (low != high) | (blocks * high != scheme.sizes))
+    if color is None:
+        return
+    if vanished[color]:
+        raise SchemeError(f"color {color} vanished")
+    lo, hi, m = int(low[color]), int(high[color]), int(blocks[color])
+    if lo != hi:
+        raise SchemeError(f"color {color} has unequal block counts {lo} vs {hi}")
+    raise SchemeError(
+        f"color {color}: {m} blocks x {hi} != size {int(scheme.sizes[color])}")
 
 
 def check_quotient_factorization(scheme: Scheme, e: Equivalence,
@@ -316,9 +330,11 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
 
     verdict = _size_verdict(scheme, p, witnesses)
 
+    # ``quotient`` has checked that e.classes are the classes of the
+    # equivalence of e.colors, so each class is a block
     quotient_verdict = is_p_scheme(quotient(scheme, e), p)
     class_verdicts = [
-        bool(is_p_scheme(restriction(scheme, cls), p)) for cls in e.classes]
+        bool(is_p_scheme(sub, p)) for sub in _class_restrictions(scheme, e.classes)]
     if len(set(class_verdicts)) > 1:
         raise SchemeError("class restrictions disagree with each other")
     rhs = bool(quotient_verdict) and class_verdicts[0]
@@ -371,25 +387,53 @@ def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
         rhs_name="regular, n=p, basis digraphs are directed p-cycles")
 
 
+def _block_restrictions(scheme: Scheme) -> tuple[
+        int, tuple[tuple[int, ...], ...], tuple[Scheme, ...]]:
+    """The prime-independent half of the block criterion, built once per
+    scheme and kept in the ``derived`` memo: the number of equivalences
+    maximal below the full one, every proper block (a class of a lattice
+    equivalence, smaller than the point set) by size and then by points,
+    and their restrictions in the same order.
+
+    The restrictions come from ``_class_restrictions``, without
+    ``is_block``; ``check_block_criterion`` says why that is exact."""
+    def build():
+        restricted = {
+            cls: sub for e in all_equivalences(scheme) if not e.is_full
+            for cls, sub in zip(e.classes, _class_restrictions(scheme, e.classes))}
+        blocks = sorted(restricted, key=lambda c: (len(c), c))
+        return (len(maximal_below_full(scheme)), tuple(blocks),
+                tuple(restricted[b] for b in blocks))
+
+    return scheme.derived("block-restrictions", build)
+
+
 def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
     """If at least two equivalences are maximal below the full one and
     the restriction to every proper block is a p-scheme, then the whole
-    scheme is a p-scheme."""
+    scheme is a p-scheme.
+
+    The lattice, the maximal count and the block restrictions do not
+    depend on p and are read from ``_block_restrictions``; per prime only
+    the memoized ``is_p_scheme`` verdicts of the restrictions are read.
+
+    No block is re-tested with ``is_block``, exactly: a block B is a class
+    of the equivalence E_T of a closed set T.  Each color of T leaves
+    each point of B (the scheme is homogeneous) and stays inside B, and
+    each pair inside B has a color of T, so the colors inside B are
+    exactly T.  T is closed, so B is a class of the equivalence its inner
+    colors generate, which is the test ``is_block`` makes."""
     scheme.require_homogeneous()
     require_prime(p)
     witnesses, report = _begin("block-criterion", scheme)
 
-    eqs = all_equivalences(scheme)
-    top = maximal_below_full(scheme)
-    cond_spread = len(top) >= 2
-    witnesses["maximal-below-full"] = str(len(top))
+    top, blocks, subs = _block_restrictions(scheme)
+    cond_spread = top >= 2
+    witnesses["maximal-below-full"] = str(top)
 
-    blocks = sorted(
-        {cls for e in eqs for cls in e.classes if len(cls) < scheme.n},
-        key=lambda c: (len(c), c))
     cond_blocks = True
-    for block in blocks:
-        sub = is_p_scheme(restriction(scheme, block), p)
+    for block, restricted in zip(blocks, subs):
+        sub = is_p_scheme(restricted, p)
         if not sub:
             cond_blocks = False
             witnesses["block-offender"] = (

@@ -224,7 +224,41 @@ def restriction(scheme: Scheme, points: Sequence[int]) -> Scheme:
 def _restriction(scheme: Scheme, pts: list[int]) -> Scheme:
     if not is_block(scheme, pts):
         raise NotABlock(f"{pts} is not a class of any scheme equivalence")
-    sub = scheme.matrix[np.ix_(pts, pts)]
+    return _induced(scheme.matrix[np.ix_(pts, pts)])
+
+
+def _class_restrictions(scheme: Scheme,
+                        classes: tuple[tuple[int, ...], ...]) -> tuple[Scheme, ...]:
+    """``restriction`` to each class of a scheme equivalence of a
+    homogeneous scheme, with no ``is_block`` test.  Each class must be
+    ascending, as every ``Equivalence`` of ``asck.lattice`` keeps it.
+
+    Exact: let T be the closed color set of the equivalence E_T and B one
+    of its classes.  In a homogeneous scheme every color leaves every
+    point at least once, and the out-neighbours of a point under a color
+    of T are E_T-related to it, so they stay in its class: every color of
+    T occurs inside B x B.  Every pair inside B is E_T-related, so no
+    other color does.  The colors inside B are therefore exactly T, which
+    is closed, so B is a class of the equivalence that its inner colors
+    generate, which is what ``is_block`` decides.  It also follows that
+    every class has the same size, the sum of the degrees of T.
+
+    The tuple is kept in the ``derived`` memo per partition, and each
+    restriction under the same ``("restriction", cls)`` entry that
+    ``restriction`` fills, so both return one object.  All classes are
+    gathered in one indexed read (they have one size).
+    """
+    def build() -> tuple[Scheme, ...]:
+        pts = np.array(classes)
+        subs = scheme.matrix[pts[:, :, None], pts[:, None, :]]
+        return tuple(scheme.derived(("restriction", cls), lambda sub=sub: _induced(sub))
+                     for cls, sub in zip(classes, subs))
+
+    return scheme.derived(("class-restrictions", classes), build)
+
+
+def _induced(sub: np.ndarray) -> Scheme:
+    """The canonical scheme of a restricted sub-matrix."""
     try:
         return canonical_scheme(sub)
     except SchemeError as exc:

@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,12 +27,16 @@ from asck import (
     thin_scheme,
     validate,
     wl_closure,
+    verify_size_factorization,
     wreath,
 )
-from asck.checks import PSchemeVerdict, _non_diagonal, is_power_of, require_prime
+from asck import checks, constructions
+from asck import corpus as corpus_module
+from asck.checks import PSchemeVerdict, _non_diagonal, require_prime
 from asck.core import canonical_scheme
+from asck.corpus import CorpusMember, member_reports, run_corpus_checks
 from asck.errors import NotHomogeneous, NotPrime, SchemeError
-from asck.lattice import RANK_CAP
+from asck.lattice import RANK_CAP, Equivalence, minimal_equivalences
 from test_constructions import ladder_closures_64
 from test_digraph import old_basis_periods
 
@@ -41,6 +46,16 @@ def two_fiber_scheme():
     return wl_closure(digraph_color_matrix(g))
 
 
+def is_power_of(x: int, p: int) -> bool:
+    """Whether x = p^k for some k >= 0, by repeated division: the oracle
+    of ``is_p_scheme``'s vector test."""
+    if x < 1:
+        return False
+    while x % p == 0:
+        x //= p
+    return x == 1
+
+
 class TestArithmetic:
     def test_is_prime(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
@@ -48,8 +63,18 @@ class TestArithmetic:
     def test_require_prime(self):
         assert require_prime(13) == 13
         for bad in (0, 1, 4, 9):
-            with pytest.raises(NotPrime):
-                require_prime(bad)
+            for _ in range(2):
+                with pytest.raises(NotPrime):
+                    require_prime(bad)
+
+    def test_is_prime_matches_trial_division_twice(self):
+        """Cached answers equal fresh ones, for primes and composites."""
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+        for _ in range(2):
+            assert [p for p in range(-3, 200) if is_prime(p)] == [
+                p for p in range(-3, 200) if trial(p)]
+        assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 + 1)
 
     def test_is_power_of(self):
         assert is_power_of(1, 3)
@@ -320,6 +345,194 @@ class TestVectorizedAgainstPerColorLoops:
         assert any(not check_bipartite_criterion(s).rhs for s in schemes)
         assert any(check_primitive_structure(s, 3).rhs for s in schemes
                    if s.n >= 2 and s.r <= RANK_CAP)
+
+
+def old_verify_size_factorization(scheme, e):
+    """The per-color loop that ``verify_size_factorization`` replaced: one
+    n x n mask and one bincount over the class pairs per color."""
+    classes = e.classes
+    k = len(classes)
+    cls = np.zeros(scheme.n, dtype=np.int64)
+    for i, c in enumerate(classes):
+        cls[list(c)] = i
+    pair_index = np.add.outer(cls * k, cls)
+    for color in range(scheme.r):
+        counts = np.bincount(pair_index[scheme.matrix == color],
+                             minlength=k * k)
+        nonzero = counts[counts > 0]
+        if nonzero.size == 0:
+            raise SchemeError(f"color {color} vanished")
+        if nonzero.min() != nonzero.max():
+            raise SchemeError(
+                f"color {color} has unequal block counts "
+                f"{int(nonzero.min())} vs {int(nonzero.max())}")
+        if int(nonzero.size) * int(nonzero[0]) != scheme.relation_size(color):
+            raise SchemeError(
+                f"color {color}: {int(nonzero.size)} blocks x {int(nonzero[0])} "
+                f"!= size {scheme.relation_size(color)}")
+
+
+def outcome(verify, scheme, e):
+    """None when ``verify`` passes, else the type and message it raised."""
+    try:
+        verify(scheme, e)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def stand_in(matrix, sizes):
+    """A scheme-shaped object with sizes that need not match its matrix,
+    which no certified Scheme has, and no memo."""
+    matrix = np.array(matrix, dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
+    return SimpleNamespace(matrix=matrix, n=matrix.shape[0], r=sizes.size, sizes=sizes,
+                           relation_size=lambda c: int(sizes[c]),
+                           derived=lambda key, build: build())
+
+
+class TestSizeFactorizationOracle:
+    """The one-pass size factorization against the per-color loop."""
+
+    def test_every_corpus_equivalence(self, corpus):
+        pairs = 0
+        for member in corpus:
+            s = member.scheme
+            if s.is_homogeneous and s.r <= RANK_CAP:
+                for e in all_equivalences(s):
+                    assert outcome(old_verify_size_factorization, s, e) is None
+                    assert outcome(verify_size_factorization, s, e) is None
+                    pairs += 1
+        assert pairs > 1000
+
+    def test_arbitrary_partitions(self, corpus):
+        """Random partitions, most of them no scheme equivalence, give the
+        same pass or the same first failure."""
+        rng = np.random.default_rng(13)
+        failures = set()
+        for member in corpus:
+            s = member.scheme
+            if s.n > 12:
+                continue
+            for _ in range(4):
+                label = rng.integers(0, rng.integers(1, s.n + 1), size=s.n)
+                classes = tuple(tuple(np.flatnonzero(label == x).tolist())
+                                for x in np.unique(label))
+                e = Equivalence(s, classes, frozenset())
+                want = outcome(old_verify_size_factorization, s, e)
+                assert outcome(verify_size_factorization, s, e) == want
+                failures.add(want)
+        assert len(failures) > 10
+
+    @pytest.mark.parametrize("scheme, classes, message", [
+        (stand_in([[0, 1], [1, 0]], [2, 2, 1]), ((0,), (1,)),
+         "color 2 vanished"),
+        (thin_scheme(cyclic_table(3)), ((0, 1), (2,)),
+         "color 0 has unequal block counts 1 vs 2"),
+        (stand_in([[0, 1], [1, 0]], [2, 3]), ((0,), (1,)),
+         "color 1: 2 blocks x 1 != size 3"),
+        (stand_in([[0, 1], [1, 0]], [2, 2, 0]), ((0, 1),),
+         "color 2 vanished"),
+    ])
+    def test_each_message(self, scheme, classes, message):
+        """A certified Scheme has every color and sizes equal to its cell
+        counts, so "vanished" and "!= size" are reached on stand-ins."""
+        e = Equivalence(scheme, classes, frozenset())
+        want = (SchemeError, message)
+        assert outcome(old_verify_size_factorization, scheme, e) == want
+        assert outcome(verify_size_factorization, scheme, e) == want
+
+    def test_failure_is_not_memoized(self):
+        s = thin_scheme(cyclic_table(3))
+        e = Equivalence(s, ((0, 1), (2,)), frozenset())
+        for _ in range(2):
+            with pytest.raises(SchemeError, match="unequal block counts"):
+                verify_size_factorization(s, e)
+
+
+def fresh_members(corpus):
+    """The corpus members on new, uninterned Schemes with empty memos."""
+    return [CorpusMember(m.name, m.family, validate(m.scheme.matrix)) for m in corpus]
+
+
+def machine_blocks(results):
+    """Each (member, check, p)'s ``machine()`` blocks, in report order."""
+    blocks = {}
+    for member, rep in results:
+        blocks.setdefault((member.name, rep.check, rep.p), []).append(rep.machine())
+    return blocks
+
+
+class TestPrimeIndependentWork:
+    def test_reports_do_not_depend_on_memo_state(self, corpus, corpus_results):
+        """Fresh schemes, primes in other orders: every report equals the
+        default run's, over every (member, check, p) of it."""
+        primes = CorpusSpec().primes
+        default = machine_blocks(corpus_results)
+        covered = set()
+        for order in (primes[::-1], (3, 2) + primes[2:][::-1]):
+            fresh = fresh_members(corpus)
+            got = machine_blocks(
+                (m, rep) for m in fresh for rep in member_reports(m, order))
+            common = got.keys() & default.keys()
+            assert all(got[key] == default[key] for key in common)
+            covered |= common
+        assert covered == default.keys()
+
+    def test_call_counts(self, corpus, monkeypatch):
+        """One default run on fresh schemes: the block and quotient checks
+        never call ``is_block``, and each (scheme, classes) pair's size
+        factorization is built once."""
+        inside = []
+        is_block_calls = Counter()
+        real_is_block = constructions.is_block
+
+        def counting_is_block(*args):
+            is_block_calls["inside" if inside else "outside"] += 1
+            return real_is_block(*args)
+
+        def marking(check):
+            def run(*args):
+                inside.append(check)
+                try:
+                    return check(*args)
+                finally:
+                    inside.pop()
+            return run
+
+        builds = Counter()
+        real_build = checks._size_factorization
+
+        def counting_build(scheme, classes):
+            builds[id(scheme), classes] += 1
+            return real_build(scheme, classes)
+
+        monkeypatch.setattr(constructions, "is_block", counting_is_block)
+        monkeypatch.setattr(checks, "_size_factorization", counting_build)
+        for name in ("check_block_criterion", "check_quotient_factorization"):
+            monkeypatch.setattr(corpus_module, name, marking(getattr(corpus_module, name)))
+
+        fresh = fresh_members(corpus)
+        results = run_corpus_checks(fresh, CorpusSpec().primes)
+        assert len(results) == 6898
+        assert is_block_calls["inside"] == 0
+        # the fiber-reduction check still restricts through is_block
+        assert is_block_calls["outside"] > 0
+        pairs = {(id(m.scheme), e.classes) for m in fresh
+                 if m.scheme.is_homogeneous and m.scheme.n >= 2 and m.scheme.r <= RANK_CAP
+                 for e in minimal_equivalences(m.scheme)[:2]}
+        assert set(builds) == pairs
+        assert set(builds.values()) == {1}
+
+        # in corpus order the block criterion restricts to every class
+        # first; alone, the quotient check must not call is_block either
+        before = is_block_calls["outside"]
+        for m in fresh_members(corpus):
+            s = m.scheme
+            if s.is_homogeneous and s.n >= 2 and s.r <= RANK_CAP:
+                for e in minimal_equivalences(s)[:2]:
+                    check_quotient_factorization(s, e, 2)
+        assert is_block_calls["outside"] == before
 
 
 class TestPrimitiveStructure:

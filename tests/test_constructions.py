@@ -33,7 +33,7 @@ from asck import (
     wreath,
 )
 from asck import constructions, lattice
-from asck.constructions import _quotient_matrix
+from asck.constructions import _class_restrictions, _quotient_matrix
 from asck.core import Scheme, as_color_matrix
 from asck.corpus import _random_digraph
 from asck.errors import (
@@ -371,6 +371,29 @@ class TestBlocksAndRestriction:
         assert not is_block(s, [0, 1])
         with pytest.raises(NotABlock):
             restriction(s, [0, 1])
+        _class_restrictions(s, ((0, 2), (1, 3)))
+        with pytest.raises(NotABlock):
+            restriction(s, [0, 1])
+
+    def test_lattice_classes_need_no_is_block(self, corpus):
+        """Every class of every lattice equivalence is a block, and its
+        restriction without ``is_block`` is the object ``restriction``
+        returns, from the shared memo entry and from a cold scheme."""
+        classes = 0
+        for member in corpus:
+            s = member.scheme
+            if not (s.is_homogeneous and s.r <= RANK_CAP):
+                continue
+            fresh, cold = validate(s.matrix), validate(s.matrix)
+            for e in all_equivalences(fresh):
+                subs = _class_restrictions(fresh, e.classes)
+                assert _class_restrictions(fresh, e.classes) is subs
+                for cls, sub in zip(e.classes, subs):
+                    assert is_block(s, cls)
+                    assert restriction(fresh, cls) is sub
+                    assert restriction(cold, cls) is sub
+                    classes += 1
+        assert classes == 7200
 
     def test_primitive_has_only_trivial_blocks(self):
         s = rank_two_scheme(4)
