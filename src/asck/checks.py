@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import _class_restrictions, quotient, restriction
+from .constructions import _class_pair_runs, _class_restrictions, quotient, restriction
 from .core import Scheme
 from .digraph import basis_periods
 from .errors import NotPrime, SchemeError
@@ -274,7 +274,8 @@ def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
 
 def verify_size_factorization(scheme: Scheme, e: Equivalence) -> None:
     """Check |R| = (nonempty class pairs of R) x (constant block count)
-    for every color; raises with a witness on any violation.
+    for every color; raises with a witness on any violation, and
+    NotASchemeEquivalence when the classes do not partition the points.
 
     A pass is kept in the ``derived`` memo per ``e.classes``, so each
     scheme and partition is verified once, whatever the prime."""
@@ -285,22 +286,15 @@ def verify_size_factorization(scheme: Scheme, e: Equivalence) -> None:
 def _size_factorization(scheme: Scheme, classes: tuple[tuple[int, ...], ...]) -> None:
     """One pass over all colors at once.
 
-    Each cell is labeled (class(u) * k + class(v)) * r + color, so one
-    ``np.unique`` of the n^2 labels counts every color's cells in every
-    class pair, in O(n^2) memory whatever k and r are.  Per color, the
-    number of class pairs met and the least and greatest count are
+    ``_class_pair_runs`` counts every color's cells in every class pair
+    (and rejects classes that do not partition the points).  Per color,
+    the number of class pairs met and the least and greatest count are
     gathered from those runs; the least failing color is the witness
     (``argmax``), and its message is chosen in the order of the
     per-color loop this replaces: vanished, unequal counts, wrong size.
     """
-    k, r = len(classes), scheme.r
-    class_of = np.zeros(scheme.n, dtype=np.int64)
-    for i, c in enumerate(classes):
-        class_of[list(c)] = i
-    labels, counts = np.unique(
-        (class_of[:, None] * k + class_of[None, :]) * r + scheme.matrix,
-        return_counts=True)
-    colors = labels % r
+    r = scheme.r
+    _, colors, counts = _class_pair_runs(scheme, classes)
     blocks = np.bincount(colors, minlength=r)
     low = np.full(r, np.iinfo(np.int64).max)
     np.minimum.at(low, colors, counts)

@@ -13,7 +13,7 @@ the quotients and restrictions kept in its memo are shared as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,8 +154,7 @@ def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
     """The (k, k) matrix of class-pair color-set ids, numbered in
     row-major order of first appearance.
 
-    Each cell is labeled (class(u) * k + class(v)) * r + color, and one
-    ``np.unique`` of the labels yields every class pair's colors as one
+    ``_class_pair_runs`` gives every class pair's colors as one
     ascending run.  The pairs are then walked row-major, and a color met
     in two distinct color sets raises QuotientValidationFailed.
     """
@@ -164,12 +163,8 @@ def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
     if base.classes != e.classes:
         raise NotASchemeEquivalence(
             "classes are not the classes of the color union")
-    k, r = len(e.classes), scheme.r
-    class_of = np.empty(scheme.n, dtype=np.int64)
-    for x, cls in enumerate(e.classes):
-        class_of[list(cls)] = x
-    labels = np.unique((class_of[:, None] * k + class_of[None, :]) * r + scheme.matrix)
-    pairs, colors = np.divmod(labels, r)
+    k = len(e.classes)
+    pairs, colors, _ = _class_pair_runs(scheme, e.classes)
     # every class pair holds a cell, so each pair has a nonempty run
     bounds = np.searchsorted(pairs, np.arange(k * k + 1)).tolist()
     colors = colors.tolist()
@@ -186,6 +181,29 @@ def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
                     f"color {c} occurs in distinct class-pair color sets "
                     f"{sorted(prev)} and {sorted(block)}")
     return np.array(raw, dtype=np.int64).reshape(k, k)
+
+
+def _class_pair_runs(scheme: Scheme, classes: tuple[tuple[int, ...], ...]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (class pair, color) met, with its cell count.
+
+    Each cell (u, v) is labeled (class(u) * k + class(v)) * r + color,
+    and one ``np.unique`` of the n^2 labels, in O(n^2) memory whatever k
+    and r are, gives the class pair, the color and the count of each
+    distinct label, ascending, so each class pair's colors form one run.
+    Raises NotASchemeEquivalence when a class is empty, two overlap or
+    a point is missing.
+    """
+    points = [p for cls in classes for p in cls]
+    if not all(classes) or sorted(points) != list(range(scheme.n)):
+        raise NotASchemeEquivalence("classes do not partition the point set")
+    k, r = len(classes), scheme.r
+    class_of = np.empty(scheme.n, dtype=np.int64)
+    class_of[points] = np.repeat(np.arange(k), [len(cls) for cls in classes])
+    labels, counts = np.unique((class_of[:, None] * k + class_of[None, :]) * r
+                               + scheme.matrix, return_counts=True)
+    pairs, colors = np.divmod(labels, r)
+    return pairs, colors, counts
 
 
 def is_block(scheme: Scheme, points: Sequence[int]) -> bool:

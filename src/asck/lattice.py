@@ -13,6 +13,12 @@ single-color generator, starting from the diagonal, without scanning
 all 2^r subsets.  A join depends only on the union of the two masks,
 so a union that is already a found set, or was closed before, is
 skipped.
+
+Each closed set gives one equivalence, built from its colors by
+``equivalence_from_colors``; the lattice queries (all, minimal and
+maximal-below-full equivalences, primitivity) feed the quotients and
+restrictions of ``constructions`` and the block criterion of ``checks``.
+The module reads only ``core`` and ``errors``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from typing import Iterable
 import numpy as np
 
 from .core import Scheme, mask_colors
-from .digraph import basis_digraph, weakly_connected_components
 from .errors import (
     NotASchemeEquivalence,
     NotThinElement,
@@ -111,12 +116,6 @@ class Equivalence:
     @property
     def is_full(self) -> bool:
         return len(self.classes) == 1
-
-    def class_of(self, point: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if point in cls:
-                return i
-        raise SchemeError(f"point {point} not in the support")
 
 
 def _closure_rows(scheme: Scheme) -> tuple[list[list[int]], list[int]]:
@@ -222,51 +221,6 @@ def closed_set_equivalence(scheme: Scheme, colors: frozenset[int]) -> Equivalenc
                           lambda: equivalence_from_colors(scheme, colors))
 
 
-def equivalence_from_partition(scheme: Scheme,
-                               classes: Iterable[Iterable[int]]) -> Equivalence:
-    """Build an Equivalence from explicit classes, verifying both that the
-    classes partition the points and that their pair relation is a union
-    of colors."""
-    normalized = tuple(tuple(sorted(int(p) for p in cls)) for cls in classes)
-    if any(not cls for cls in normalized):
-        raise NotASchemeEquivalence("classes must be nonempty")
-    normalized = tuple(sorted(normalized, key=lambda c: c[0]))
-    flat = [p for cls in normalized for p in cls]
-    if sorted(flat) != list(range(scheme.n)):
-        raise NotASchemeEquivalence("classes do not partition the point set")
-    member = np.zeros((scheme.n, scheme.n), dtype=bool)
-    for cls in normalized:
-        member[np.ix_(cls, cls)] = True
-    colorset = {int(c) for c in np.unique(scheme.matrix[member])}
-    outside = {int(c) for c in np.unique(scheme.matrix[~member])} if (~member).any() else set()
-    overlap = colorset & outside
-    if overlap:
-        raise NotASchemeEquivalence(
-            f"colors {sorted(overlap)} cross class boundaries")
-    return Equivalence(scheme, normalized, frozenset(colorset))
-
-
-def generated_equivalence(scheme: Scheme, color: int) -> Equivalence:
-    """Smallest scheme equivalence whose relation contains the color.
-
-    Its classes coincide with the weakly connected components of the
-    color's basis digraph; both are computed and compared.
-    """
-    closed = generated_closed_set(scheme, {color})
-    eq = equivalence_from_colors(scheme, closed.colors)
-    g = basis_digraph(scheme, color)
-    assert g.labels is not None
-    components = tuple(
-        tuple(g.labels[v] for v in comp) for comp in weakly_connected_components(g))
-    uncovered = sorted(set(range(scheme.n)) - {p for comp in components for p in comp})
-    components = tuple(sorted(components + tuple((p,) for p in uncovered)))
-    if components != tuple(sorted(eq.classes)):
-        raise SchemeError(
-            f"closure classes {eq.classes} disagree with digraph components "
-            f"{components} for color {color}")
-    return eq
-
-
 def all_equivalences(scheme: Scheme) -> list[Equivalence]:
     """Every scheme equivalence, discrete and full included.
 
@@ -312,41 +266,26 @@ def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
     return eqs
 
 
-def _proper(eqs: list[Equivalence]) -> list[Equivalence]:
-    return [e for e in eqs if not e.is_discrete and not e.is_full]
-
-
 def minimal_equivalences(scheme: Scheme) -> list[Equivalence]:
     """Minimal proper equivalences (discrete and full excluded).
 
-    Each one is also generated by a single non-diagonal color; that is
-    re-derived and checked here.
+    Each one is generated by any one of its non-diagonal colors, with no
+    check needed: let T be minimal and c a non-diagonal color of T.  The
+    closed set generated by c is in the enumerated family (every
+    single-color closed set is), lies inside T, and is not discrete
+    (it holds c); it is not full either, since T is not.  So it is a
+    proper equivalence at most T, and minimality makes it T.
     """
-    proper = _proper(all_equivalences(scheme))
-    minimal = [e for e in proper
-               if not any(f.colors < e.colors for f in proper)]
-    for e in minimal:
-        if not any(
-                generated_closed_set(scheme, {c}).colors == e.colors
-                for c in e.colors if not scheme.is_diagonal_color(c)):
-            raise SchemeError(
-                f"minimal equivalence {sorted(e.colors)} has no single generator")
-    return minimal
-
-
-def maximal_equivalences(scheme: Scheme) -> list[Equivalence]:
-    """Maximal proper equivalences (discrete and full excluded)."""
-    proper = _proper(all_equivalences(scheme))
-    return [e for e in proper
-            if not any(e.colors < f.colors for f in proper)]
+    proper = [e for e in all_equivalences(scheme) if not e.is_discrete and not e.is_full]
+    return [e for e in proper if not any(f.colors < e.colors for f in proper)]
 
 
 def maximal_below_full(scheme: Scheme) -> list[Equivalence]:
     """Maximal elements among all equivalences except the full one.
 
-    Unlike maximal_equivalences this keeps the discrete equivalence as a
-    candidate, so a primitive scheme reports exactly one maximal
-    element.  The block criterion check counts these.
+    The discrete equivalence is kept as a candidate, so a primitive
+    scheme reports exactly one maximal element.  The block criterion
+    check counts these.
     """
     candidates = [e for e in all_equivalences(scheme) if not e.is_full]
     return [e for e in candidates

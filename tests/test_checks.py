@@ -22,6 +22,7 @@ from asck import (
     is_prime,
     is_regular,
     is_strongly_connected,
+    quotient,
     rank_two_scheme,
     restriction,
     thin_scheme,
@@ -35,7 +36,7 @@ from asck import corpus as corpus_module
 from asck.checks import PSchemeVerdict, _non_diagonal, require_prime
 from asck.core import canonical_scheme
 from asck.corpus import CorpusMember, member_reports, run_corpus_checks
-from asck.errors import NotHomogeneous, NotPrime, SchemeError
+from asck.errors import NotASchemeEquivalence, NotHomogeneous, NotPrime, SchemeError
 from asck.lattice import RANK_CAP, Equivalence, minimal_equivalences
 from test_constructions import ladder_closures_64
 from test_digraph import old_basis_periods
@@ -372,6 +373,42 @@ def old_verify_size_factorization(scheme, e):
                 f"!= size {scheme.relation_size(color)}")
 
 
+def labeled_size_factorization(scheme, e):
+    """The labeling ``_size_factorization`` ran inline before
+    ``_class_pair_runs``; a point in no class was labeled class 0."""
+    classes = e.classes
+    k, r = len(classes), scheme.r
+    class_of = np.zeros(scheme.n, dtype=np.int64)
+    for i, c in enumerate(classes):
+        class_of[list(c)] = i
+    labels, counts = np.unique(
+        (class_of[:, None] * k + class_of[None, :]) * r + scheme.matrix,
+        return_counts=True)
+    colors = labels % r
+    blocks = np.bincount(colors, minlength=r)
+    low = np.full(r, np.iinfo(np.int64).max)
+    np.minimum.at(low, colors, counts)
+    high = np.zeros(r, dtype=np.int64)
+    np.maximum.at(high, colors, counts)
+    vanished = blocks == 0
+    failing = vanished | (low != high) | (blocks * high != scheme.sizes)
+    if not failing.any():
+        return
+    color = int(failing.argmax())
+    if vanished[color]:
+        raise SchemeError(f"color {color} vanished")
+    lo, hi, m = int(low[color]), int(high[color]), int(blocks[color])
+    if lo != hi:
+        raise SchemeError(f"color {color} has unequal block counts {lo} vs {hi}")
+    raise SchemeError(
+        f"color {color}: {m} blocks x {hi} != size {int(scheme.sizes[color])}")
+
+
+def size_factorization(scheme, e):
+    """``checks._size_factorization`` with no memo in front of it."""
+    checks._size_factorization(scheme, e.classes)
+
+
 def outcome(verify, scheme, e):
     """None when ``verify`` passes, else the type and message it raised."""
     try:
@@ -401,6 +438,8 @@ class TestSizeFactorizationOracle:
             if s.is_homogeneous and s.r <= RANK_CAP:
                 for e in all_equivalences(s):
                     assert outcome(old_verify_size_factorization, s, e) is None
+                    assert outcome(labeled_size_factorization, s, e) is None
+                    assert outcome(size_factorization, s, e) is None
                     assert outcome(verify_size_factorization, s, e) is None
                     pairs += 1
         assert pairs > 1000
@@ -420,6 +459,7 @@ class TestSizeFactorizationOracle:
                                 for x in np.unique(label))
                 e = Equivalence(s, classes, frozenset())
                 want = outcome(old_verify_size_factorization, s, e)
+                assert outcome(labeled_size_factorization, s, e) == want
                 assert outcome(verify_size_factorization, s, e) == want
                 failures.add(want)
         assert len(failures) > 10
@@ -440,6 +480,7 @@ class TestSizeFactorizationOracle:
         e = Equivalence(scheme, classes, frozenset())
         want = (SchemeError, message)
         assert outcome(old_verify_size_factorization, scheme, e) == want
+        assert outcome(labeled_size_factorization, scheme, e) == want
         assert outcome(verify_size_factorization, scheme, e) == want
 
     def test_failure_is_not_memoized(self):
@@ -448,6 +489,30 @@ class TestSizeFactorizationOracle:
         for _ in range(2):
             with pytest.raises(SchemeError, match="unequal block counts"):
                 verify_size_factorization(s, e)
+
+    @pytest.mark.parametrize("classes", [
+        ((0, 1),), ((0, 1), (1, 2, 3)), ((0, 1, 2, 3), ()),
+    ], ids=["uncovered", "overlapping", "empty-class"])
+    def test_rejects_non_partition(self, classes, monkeypatch):
+        """Classes that do not partition the points are rejected before
+        any count, each time; the earlier inline labeling passed the
+        uncovered ones.  ``quotient`` rejects them first, with its own message."""
+        s = validate(thin_scheme(cyclic_table(4)).matrix)
+        e = Equivalence(s, classes, frozenset())
+        builds = []
+        real_build = checks._size_factorization
+        monkeypatch.setattr(checks, "_size_factorization",
+                            lambda *args: builds.append(args) or real_build(*args))
+        for _ in range(2):
+            with pytest.raises(NotASchemeEquivalence,
+                               match="^classes do not partition the point set$"):
+                verify_size_factorization(s, e)
+        assert len(builds) == 2
+        if classes == ((0, 1),):
+            assert outcome(labeled_size_factorization, s, e) is None
+        with pytest.raises(NotASchemeEquivalence,
+                           match="^classes are not the classes of the color union$"):
+            quotient(s, Equivalence(s, classes, frozenset({0})))
 
 
 def fresh_members(corpus):

@@ -19,8 +19,7 @@ from asck import (
     digraph_color_matrix,
     dihedral_table,
     direct_product,
-    equivalence_from_partition,
-    generated_equivalence,
+    equivalence_from_colors,
     is_block,
     minimal_equivalences,
     quotient,
@@ -221,6 +220,34 @@ def old_quotient_matrix(scheme, e):
     return raw
 
 
+def labeled_quotient_matrix(scheme, e):
+    """The labeling ``_quotient_matrix`` ran inline before
+    ``_class_pair_runs``: one ``np.unique`` of the labeled cells."""
+    base = lattice.closed_set_equivalence(scheme, frozenset(e.colors))
+    if base.classes != e.classes:
+        raise NotASchemeEquivalence(
+            "classes are not the classes of the color union")
+    k, r = len(e.classes), scheme.r
+    class_of = np.empty(scheme.n, dtype=np.int64)
+    for x, cls in enumerate(e.classes):
+        class_of[list(cls)] = x
+    labels = np.unique((class_of[:, None] * k + class_of[None, :]) * r + scheme.matrix)
+    pairs, colors = np.divmod(labels, r)
+    bounds = np.searchsorted(pairs, np.arange(k * k + 1)).tolist()
+    colors = colors.tolist()
+    ids, seen_in, raw = {}, {}, []
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = frozenset(colors[lo:hi])
+        raw.append(ids.setdefault(block, len(ids)))
+        for c in block:
+            prev = seen_in.setdefault(c, block)
+            if prev != block:
+                raise QuotientValidationFailed(
+                    f"color {c} occurs in distinct class-pair color sets "
+                    f"{sorted(prev)} and {sorted(block)}")
+    return np.array(raw, dtype=np.int64).reshape(k, k)
+
+
 def quotient_matrix_outcome(build, scheme, e):
     try:
         raw = build(scheme, e)
@@ -242,7 +269,8 @@ def uncertified(matrix):
 
 class TestQuotientMatrixOracle:
     """One np.unique over labeled cells gives the class-pair loop's raw
-    matrix and its exceptions."""
+    matrix and its exceptions, as did the labeling it ran inline before
+    ``_class_pair_runs``."""
 
     def test_every_corpus_equivalence(self, corpus):
         rng = random.Random(3)
@@ -253,7 +281,8 @@ class TestQuotientMatrixOracle:
                 continue
             eqs = all_equivalences(s)
             cases = [(s, e) for e in eqs]
-            cases += [(s, equivalence_from_partition(s, e.classes)) for e in eqs]
+            # equal equivalences on new objects, outside the memo
+            cases += [(s, equivalence_from_colors(s, e.colors)) for e in eqs]
             # classes of one equivalence, colors of another or a random union
             for e in rng.sample(eqs, min(3, len(eqs))):
                 f = rng.choice(eqs)
@@ -263,6 +292,7 @@ class TestQuotientMatrixOracle:
             for scheme, e in cases:
                 want = quotient_matrix_outcome(old_quotient_matrix, scheme, e)
                 assert quotient_matrix_outcome(_quotient_matrix, scheme, e) == want
+                assert quotient_matrix_outcome(labeled_quotient_matrix, scheme, e) == want
                 kinds.add(want[1] if isinstance(want[0], type) else "raw")
         assert kinds == {"raw", "classes are not the classes of the color union",
                          "union of relations is not reflexive",
@@ -280,8 +310,9 @@ class TestQuotientMatrixOracle:
                 for coarse in eqs:
                     if coarse.colors >= fine.colors:
                         e = induced_on_quotient(q, fine, coarse)
-                        assert (quotient_matrix_outcome(_quotient_matrix, q, e)
-                                == quotient_matrix_outcome(old_quotient_matrix, q, e))
+                        want = quotient_matrix_outcome(old_quotient_matrix, q, e)
+                        assert quotient_matrix_outcome(_quotient_matrix, q, e) == want
+                        assert quotient_matrix_outcome(labeled_quotient_matrix, q, e) == want
 
     def test_color_in_two_class_pair_sets(self):
         # classes {0,1}, {2,3}, {4,5}; color 2 meets 3 in X x Y and 4 in X x Z
@@ -299,11 +330,18 @@ class TestQuotientMatrixOracle:
                 "color 2 occurs in distinct class-pair color sets [2, 3] and [2, 4]")
         assert quotient_matrix_outcome(_quotient_matrix, s, e) == want
         assert quotient_matrix_outcome(old_quotient_matrix, s, e) == want
+        assert quotient_matrix_outcome(labeled_quotient_matrix, s, e) == want
 
 
 def induced_on_quotient(qF, F, E):
-    classes = [tuple(sorted({F.class_of(p) for p in cls})) for cls in E.classes]
-    return equivalence_from_partition(qF, classes)
+    """E on the points of qF, which are F's class indices, built from
+    the colors of qF inside E's classes."""
+    index = {p: x for x, cls in enumerate(F.classes) for p in cls}
+    classes = [sorted({index[p] for p in cls}) for cls in E.classes]
+    colors = {int(c) for cls in classes for c in np.unique(qF.matrix[np.ix_(cls, cls)])}
+    e = equivalence_from_colors(qF, colors)
+    assert sorted(e.classes) == sorted(map(tuple, classes))
+    return e
 
 
 def isomorphic(a, b) -> bool:

@@ -1,5 +1,7 @@
+import ast
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +19,10 @@ from asck import (
     direct_product,
     element_order,
     equivalence_from_colors,
-    equivalence_from_partition,
     generated_closed_set,
-    generated_equivalence,
     is_primitive,
     is_regular,
     maximal_below_full,
-    maximal_equivalences,
     minimal_equivalences,
     rank_two_scheme,
     thin_radical,
@@ -41,9 +40,10 @@ from asck.errors import (
     SchemeError,
     TooFewPoints,
 )
+import asck
 from asck import lattice
 from asck.core import mask_colors
-from asck.lattice import RANK_CAP, ClosedSet
+from asck.lattice import RANK_CAP, ClosedSet, closed_set_equivalence
 
 
 def z4():
@@ -80,6 +80,11 @@ class TestGeneratedClosedSet:
             generated_closed_set(s, {0})
 
 
+def generated_equivalence(s, color):
+    """The equivalence of the closed set one color generates."""
+    return closed_set_equivalence(s, generated_closed_set(s, {color}).colors)
+
+
 class TestGeneratedEquivalence:
     def test_connected_color(self):
         s = z4()
@@ -90,7 +95,6 @@ class TestGeneratedEquivalence:
         s = z4()
         e = generated_equivalence(s, int(s.matrix[0, 2]))
         assert e.classes == ((0, 2), (1, 3))
-        assert e.class_of(3) == 1
 
     def test_diagonal_gives_discrete(self):
         e = generated_equivalence(z4(), 0)
@@ -164,24 +168,38 @@ class TestAllEquivalences:
 class TestMinimalMaximal:
     def test_cyclic_four(self):
         s = z4()
-        mins, maxs = minimal_equivalences(s), maximal_equivalences(s)
+        mins, maxs = minimal_equivalences(s), maximal_below_full(s)
         assert len(mins) == 1 and len(maxs) == 1
         assert mins[0] == maxs[0] and len(mins[0].classes) == 2
 
     def test_cyclic_six(self):
         s = thin_scheme(cyclic_table(6))
         assert len(minimal_equivalences(s)) == 2
-        assert len(maximal_equivalences(s)) == 2
+        assert len(maximal_below_full(s)) == 2
 
     def test_rank_two_empty(self):
         s = rank_two_scheme(4)
         assert minimal_equivalences(s) == []
-        assert maximal_equivalences(s) == []
+        assert [e.is_discrete for e in maximal_below_full(s)] == [True]
 
     def test_one_point_empty(self):
         s = validate([[0]])
         assert minimal_equivalences(s) == []
-        assert maximal_equivalences(s) == []
+        assert maximal_below_full(s) == []
+
+    def test_each_color_generates_its_minimal_equivalence(self, corpus):
+        """The exact argument in ``minimal_equivalences``, as an oracle:
+        every non-diagonal color of a minimal equivalence generates it."""
+        checked = 0
+        for member in corpus:
+            s = member.scheme
+            if not (s.is_homogeneous and s.r <= RANK_CAP):
+                continue
+            for e in minimal_equivalences(s):
+                for c in e.colors - set(s.diagonal_colors):
+                    assert generated_closed_set(s, {c}).colors == e.colors, member.name
+                    checked += 1
+        assert checked == 712
 
     def test_below_full_counts_discrete(self):
         klein = thin_scheme(direct_product(cyclic_table(2), cyclic_table(2)))
@@ -275,23 +293,6 @@ class TestEquivalenceConstructors:
         s = z4()
         with pytest.raises(NotASchemeEquivalence):
             equivalence_from_colors(s, [0, int(s.matrix[0, 1])])
-
-    def test_from_partition(self):
-        s = z4()
-        e = equivalence_from_partition(s, [(0, 2), (1, 3)])
-        assert e.colors == {0, int(s.matrix[0, 2])}
-
-    def test_from_partition_rejects_color_split(self):
-        with pytest.raises(NotASchemeEquivalence):
-            equivalence_from_partition(z4(), [(0, 1), (2, 3)])
-
-    def test_from_partition_rejects_bad_cover(self):
-        with pytest.raises(NotASchemeEquivalence):
-            equivalence_from_partition(z4(), [(0, 1), (1, 2, 3)])
-
-    def test_from_partition_rejects_empty_class(self):
-        with pytest.raises(NotASchemeEquivalence):
-            equivalence_from_partition(z4(), [(0, 1, 2, 3), ()])
 
 
 class TestSubgroupCriterion:
@@ -672,3 +673,26 @@ class TestPreviousEngineOracle:
         assert len(set(unions)) == len(unions)
         assert all(union != closed for closed, union in calls)
         assert 0 < len(calls) < 67 * 16
+
+
+class TestLayering:
+    def test_lattice_imports_only_core_and_errors(self):
+        """Read from the source text, so nothing is imported to check it."""
+        path = Path(__file__).resolve().parents[1] / "src" / "asck" / "lattice.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= ({node.module} if node.module
+                             else {alias.name for alias in node.names})
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ([node.module] if isinstance(node, ast.ImportFrom)
+                         else [alias.name for alias in node.names])
+                assert not any(n.split(".")[0] == "asck" for n in names)
+        assert imported == {"core", "errors"}
+
+    def test_removed_names_not_exported(self):
+        for name in ("generated_equivalence", "equivalence_from_partition",
+                     "maximal_equivalences"):
+            assert name not in asck.__all__
+            assert not hasattr(lattice, name)
+        assert not hasattr(lattice.Equivalence, "class_of")
