@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import _class_pair_runs, _class_restrictions, quotient, restriction
+from .constructions import _class_pair_runs, _class_restriction, quotient, restriction
 from .core import Scheme
 from .digraph import basis_periods
 from .errors import NotPrime, SchemeError
@@ -224,13 +224,14 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
 
 def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
     """2-scheme iff every basis graph (color joined with its transpose,
-    diagonal dropped) is bipartite.  Works on any scheme; a cross-fiber
-    color whose graph failed to 2-color would be an internal bug.
+    diagonal dropped) is bipartite.  Works on any scheme.
 
     The right side reads ``basis_periods``, exactly: for a non-diagonal
     color a semicycle has odd net length exactly when its underlying
     closed walk has odd length, so the basis graph is bipartite exactly
-    when d is even.
+    when d is even.  A cross-fiber color never fails: its arcs run from
+    one fiber X to another fiber Y, so each semicycle alternates X and Y
+    and has even length, hence even net length, and d is even.
     """
     witnesses, report = _begin("bipartite-criterion", scheme)
 
@@ -239,10 +240,6 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
     color = _first(_non_diagonal(scheme) & (basis_periods(scheme) % 2 != 0))
     rhs = color is None
     if not rhs:
-        u, v = scheme.first_cells[color]
-        if scheme.fiber_of(u) != scheme.fiber_of(v):
-            raise SchemeError(
-                f"cross-fiber color {color} produced a non-bipartite graph")
         witnesses["odd-color"] = f"color {color} has a non-bipartite basis graph"
 
     return report(
@@ -316,8 +313,9 @@ def _size_factorization(scheme: Scheme, classes: tuple[tuple[int, ...], ...]) ->
 def check_quotient_factorization(scheme: Scheme, e: Equivalence,
                                  p: int) -> TheoremReport:
     """p-scheme iff the quotient by e and the restriction to a class of e
-    are both p-schemes.  All classes are tested and must agree with each
-    other; the size factorization across class pairs is verified too."""
+    are both p-schemes.  Only the class of point 0 is restricted to:
+    every class of e gives the same verdict (``_class_restriction`` says
+    why).  The size factorization across class pairs is verified too."""
     scheme.require_homogeneous()
     require_prime(p)
     witnesses, report = _begin("quotient-factorization", scheme)
@@ -325,18 +323,15 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
     verdict = _size_verdict(scheme, p, witnesses)
 
     # ``quotient`` has checked that e.classes are the classes of the
-    # equivalence of e.colors, so each class is a block
+    # equivalence of e.colors, so e.classes[0] is a block
     quotient_verdict = is_p_scheme(quotient(scheme, e), p)
-    class_verdicts = [
-        bool(is_p_scheme(sub, p)) for sub in _class_restrictions(scheme, e.classes)]
-    if len(set(class_verdicts)) > 1:
-        raise SchemeError("class restrictions disagree with each other")
-    rhs = bool(quotient_verdict) and class_verdicts[0]
+    class_verdict = is_p_scheme(_class_restriction(scheme, e.classes[0]), p)
+    rhs = bool(quotient_verdict) and bool(class_verdict)
     if not quotient_verdict:
         witnesses["quotient-offender"] = (
             f"quotient color {quotient_verdict.offender_color} has size "
             f"{quotient_verdict.offender_size}")
-    if not class_verdicts[0]:
+    if not class_verdict:
         witnesses["class-offender"] = "class restrictions are not p-schemes"
 
     verify_size_factorization(scheme, e)
@@ -385,19 +380,14 @@ def _block_restrictions(scheme: Scheme) -> tuple[
         int, tuple[tuple[int, ...], ...], tuple[Scheme, ...]]:
     """The prime-independent half of the block criterion, built once per
     scheme and kept in the ``derived`` memo: the number of equivalences
-    maximal below the full one, every proper block (a class of a lattice
-    equivalence, smaller than the point set) by size and then by points,
-    and their restrictions in the same order.
-
-    The restrictions come from ``_class_restrictions``, without
-    ``is_block``; ``check_block_criterion`` says why that is exact."""
+    maximal below the full one, the class of point 0 of each other lattice
+    equivalence (a proper block) by size and then by points, and their
+    restrictions by ``_class_restriction`` in the same order."""
     def build():
-        restricted = {
-            cls: sub for e in all_equivalences(scheme) if not e.is_full
-            for cls, sub in zip(e.classes, _class_restrictions(scheme, e.classes))}
-        blocks = sorted(restricted, key=lambda c: (len(c), c))
+        blocks = sorted((e.classes[0] for e in all_equivalences(scheme) if not e.is_full),
+                        key=lambda c: (len(c), c))
         return (len(maximal_below_full(scheme)), tuple(blocks),
-                tuple(restricted[b] for b in blocks))
+                tuple(_class_restriction(scheme, b) for b in blocks))
 
     return scheme.derived("block-restrictions", build)
 
@@ -411,12 +401,12 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
     depend on p and are read from ``_block_restrictions``; per prime only
     the memoized ``is_p_scheme`` verdicts of the restrictions are read.
 
-    No block is re-tested with ``is_block``, exactly: a block B is a class
-    of the equivalence E_T of a closed set T.  Each color of T leaves
-    each point of B (the scheme is homogeneous) and stays inside B, and
-    each pair inside B has a color of T, so the colors inside B are
-    exactly T.  T is closed, so B is a class of the equivalence its inner
-    colors generate, which is the test ``is_block`` makes."""
+    No block is re-tested with ``is_block``, and each equivalence is
+    tested at the class of point 0 alone; ``_class_restriction`` argues
+    both.  The first failing block is the one a test of every class
+    would report: the classes of one equivalence have one size, the class
+    of point 0 sorts first among them, and no block is met twice, as its
+    inner colors fix its equivalence."""
     scheme.require_homogeneous()
     require_prime(p)
     witnesses, report = _begin("block-criterion", scheme)

@@ -245,10 +245,9 @@ def _restriction(scheme: Scheme, pts: list[int]) -> Scheme:
     return _induced(scheme.matrix[np.ix_(pts, pts)])
 
 
-def _class_restrictions(scheme: Scheme,
-                        classes: tuple[tuple[int, ...], ...]) -> tuple[Scheme, ...]:
-    """``restriction`` to each class of a scheme equivalence of a
-    homogeneous scheme, with no ``is_block`` test.  Each class must be
+def _class_restriction(scheme: Scheme, cls: tuple[int, ...]) -> Scheme:
+    """``restriction`` to one class of a scheme equivalence of a
+    homogeneous scheme, with no ``is_block`` test.  The class must be
     ascending, as every ``Equivalence`` of ``asck.lattice`` keeps it.
 
     Exact: let T be the closed color set of the equivalence E_T and B one
@@ -259,20 +258,15 @@ def _class_restrictions(scheme: Scheme,
     other color does.  The colors inside B are therefore exactly T, which
     is closed, so B is a class of the equivalence that its inner colors
     generate, which is what ``is_block`` decides.  It also follows that
-    every class has the same size, the sum of the degrees of T.
+    each color c of T has |B| * deg(c) cells inside B x B, so all classes
+    of E_T restrict to one multiset of color sizes and get one verdict
+    from ``is_p_scheme``, which reads only sizes.
 
-    The tuple is kept in the ``derived`` memo per partition, and each
-    restriction under the same ``("restriction", cls)`` entry that
-    ``restriction`` fills, so both return one object.  All classes are
-    gathered in one indexed read (they have one size).
+    The restriction is kept under the same ``("restriction", cls)`` memo
+    entry that ``restriction`` fills, so both return one object.
     """
-    def build() -> tuple[Scheme, ...]:
-        pts = np.array(classes)
-        subs = scheme.matrix[pts[:, :, None], pts[:, None, :]]
-        return tuple(scheme.derived(("restriction", cls), lambda sub=sub: _induced(sub))
-                     for cls, sub in zip(classes, subs))
-
-    return scheme.derived(("class-restrictions", classes), build)
+    return scheme.derived(("restriction", cls),
+                          lambda: _induced(scheme.matrix[np.ix_(cls, cls)]))
 
 
 def _induced(sub: np.ndarray) -> Scheme:

@@ -102,9 +102,6 @@ class CyclicPartition:
                 raise SchemeError(
                     f"arc ({u},{v}) goes from class {seen[u]} to {seen[v]}")
 
-    def class_of(self) -> dict[int, int]:
-        return {v: i for i, cls in enumerate(self.classes) for v in cls}
-
 
 # -- extraction from schemes ----------------------------------------------
 

@@ -232,6 +232,10 @@ def all_equivalences(scheme: Scheme) -> list[Equivalence]:
     that union is a closed set already found or a union already closed:
     every union is closed at most once, on the closure rows.  The result
     is sorted by color-set size, then by the sorted color ids.
+
+    Distinct closed sets give distinct partitions: the colors partition
+    the n x n cells and none is empty, so the union of a closed set's
+    relations determines the set, and the partition determines the union.
     """
     scheme.require_homogeneous()
     if scheme.r > RANK_CAP:
@@ -260,8 +264,6 @@ def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
                 family.add(join)
                 frontier.append(join)
     eqs = [closed_set_equivalence(scheme, frozenset(mask_colors(m))) for m in family]
-    if len({e.classes for e in eqs}) != len(family):
-        raise SchemeError("distinct closed sets produced equal partitions")
     eqs.sort(key=lambda e: (len(e.colors), sorted(e.colors)))
     return eqs
 

@@ -34,10 +34,11 @@ from asck import (
 from asck import checks, constructions
 from asck import corpus as corpus_module
 from asck.checks import PSchemeVerdict, _non_diagonal, require_prime
+from asck.constructions import _class_restriction
 from asck.core import canonical_scheme
 from asck.corpus import CorpusMember, member_reports, run_corpus_checks
 from asck.errors import NotASchemeEquivalence, NotHomogeneous, NotPrime, SchemeError
-from asck.lattice import RANK_CAP, Equivalence, minimal_equivalences
+from asck.lattice import RANK_CAP, Equivalence, maximal_below_full, minimal_equivalences
 from test_constructions import ladder_closures_64
 from test_digraph import old_basis_periods
 
@@ -546,8 +547,9 @@ class TestPrimeIndependentWork:
 
     def test_call_counts(self, corpus, monkeypatch):
         """One default run on fresh schemes: the block and quotient checks
-        never call ``is_block``, and each (scheme, classes) pair's size
-        factorization is built once."""
+        never call ``is_block``, the block criterion builds one restriction
+        per equivalence other than the full one, and each (scheme, classes)
+        pair's size factorization is built once."""
         inside = []
         is_block_calls = Counter()
         real_is_block = constructions.is_block
@@ -556,14 +558,22 @@ class TestPrimeIndependentWork:
             is_block_calls["inside" if inside else "outside"] += 1
             return real_is_block(*args)
 
-        def marking(check):
-            def run(*args):
-                inside.append(check)
+        def marking(name, check):
+            def run(scheme, *args):
+                inside.append((name, scheme))
                 try:
-                    return check(*args)
+                    return check(scheme, *args)
                 finally:
                     inside.pop()
             return run
+
+        block_builds = Counter()
+        real_induced = constructions._induced
+
+        def counting_induced(sub):
+            if inside and inside[-1][0] == "check_block_criterion":
+                block_builds[id(inside[-1][1])] += 1
+            return real_induced(sub)
 
         builds = Counter()
         real_build = checks._size_factorization
@@ -574,8 +584,10 @@ class TestPrimeIndependentWork:
 
         monkeypatch.setattr(constructions, "is_block", counting_is_block)
         monkeypatch.setattr(checks, "_size_factorization", counting_build)
+        monkeypatch.setattr(constructions, "_induced", counting_induced)
         for name in ("check_block_criterion", "check_quotient_factorization"):
-            monkeypatch.setattr(corpus_module, name, marking(getattr(corpus_module, name)))
+            monkeypatch.setattr(corpus_module, name,
+                                marking(name, getattr(corpus_module, name)))
 
         fresh = fresh_members(corpus)
         results = run_corpus_checks(fresh, CorpusSpec().primes)
@@ -588,9 +600,13 @@ class TestPrimeIndependentWork:
                  for e in minimal_equivalences(m.scheme)[:2]}
         assert set(builds) == pairs
         assert set(builds.values()) == {1}
+        assert block_builds == {
+            id(m.scheme): sum(not e.is_full for e in all_equivalences(m.scheme))
+            for m in lattice_members(fresh)}
+        assert sum(block_builds.values()) == 1150
 
-        # in corpus order the block criterion restricts to every class
-        # first; alone, the quotient check must not call is_block either
+        # in corpus order the block criterion restricts first; alone, the
+        # quotient check must not call is_block either
         before = is_block_calls["outside"]
         for m in fresh_members(corpus):
             s = m.scheme
@@ -635,7 +651,75 @@ class TestPrimitiveStructure:
                 assert (rep.rhs, rep.witnesses) == old_primitive_rhs(s, p)
 
 
+def direct_class_restrictions(s):
+    """Every class of every equivalence of s other than the full one,
+    with its restriction by direct indexing, by size and then by points."""
+    blocks = sorted({cls for e in all_equivalences(s) if not e.is_full for cls in e.classes},
+                    key=lambda c: (len(c), c))
+    return [(cls, canonical_scheme(s.matrix[np.ix_(cls, cls)])) for cls in blocks]
+
+
+def all_classes_block_sides(s, p, restricted):
+    """lhs and witnesses of the block criterion as first built: every
+    class of every equivalence but the full one is tested, and the first
+    failing one is the witness."""
+    _, witnesses = old_size_side(s, p)
+    top = len(maximal_below_full(s))
+    witnesses["maximal-below-full"] = str(top)
+    cond_blocks = True
+    for block, sub in restricted:
+        verdict = old_is_p_scheme(sub, p)
+        if not verdict:
+            cond_blocks = False
+            witnesses["block-offender"] = (
+                f"block {list(block)} restriction has color "
+                f"{verdict.offender_color} of size {verdict.offender_size}")
+            break
+    witnesses["blocks-p-schemes"] = "true" if cond_blocks else "false"
+    return top >= 2 and cond_blocks, witnesses
+
+
+def lattice_members(corpus):
+    return [m for m in corpus if m.scheme.is_homogeneous and m.scheme.n >= 2
+            and m.scheme.r <= RANK_CAP]
+
+
 class TestBlockCriterion:
+    def test_matches_all_classes_oracle_on_corpus(self, corpus):
+        """Testing the class of point 0 per equivalence gives the lhs and
+        witnesses, block offender included, of testing every class."""
+        checked = offenders = 0
+        for member in lattice_members(corpus):
+            s = member.scheme
+            restricted = direct_class_restrictions(s)
+            for p in CorpusSpec().primes:
+                rep = check_block_criterion(s, p)
+                assert (rep.lhs, rep.witnesses) == all_classes_block_sides(
+                    s, p, restricted), member.name
+                offenders += "block-offender" in rep.witnesses
+                checked += 1
+        assert checked == 1395
+        assert offenders > 0
+
+    def test_every_class_gives_one_verdict(self, corpus):
+        """All classes of one equivalence restrict to one multiset of
+        color sizes, so each gets the verdict of the class of point 0,
+        the one the checks restrict to, at every prime."""
+        equivalences = 0
+        for member in lattice_members(corpus):
+            s = member.scheme
+            for e in all_equivalences(s):
+                if e.is_full:
+                    continue
+                subs = [canonical_scheme(s.matrix[np.ix_(c, c)]) for c in e.classes]
+                assert len({tuple(sorted(sub.sizes.tolist())) for sub in subs}) == 1
+                rep = _class_restriction(s, e.classes[0])
+                for p in CorpusSpec().primes:
+                    assert {bool(is_p_scheme(sub, p)) for sub in subs} == {
+                        bool(is_p_scheme(rep, p))}
+                equivalences += 1
+        assert equivalences == 1150
+
     def test_klein_group(self):
         klein = thin_scheme(direct_product(cyclic_table(2), cyclic_table(2)))
         rep = check_block_criterion(klein, 2)

@@ -32,7 +32,7 @@ from asck import (
     wreath,
 )
 from asck import constructions, lattice
-from asck.constructions import _class_restrictions, _quotient_matrix
+from asck.constructions import _class_restriction, _quotient_matrix
 from asck.core import Scheme, as_color_matrix
 from asck.corpus import _random_digraph
 from asck.errors import (
@@ -405,11 +405,14 @@ class TestBlocksAndRestriction:
         assert calls == []
 
     def test_non_block_rejected(self):
-        s = thin_scheme(cyclic_table(4))
+        """A non-block is rejected before and after a lattice class's
+        restriction fills the shared memo."""
+        s = validate(thin_scheme(cyclic_table(4)).matrix)
         assert not is_block(s, [0, 1])
         with pytest.raises(NotABlock):
             restriction(s, [0, 1])
-        _class_restrictions(s, ((0, 2), (1, 3)))
+        for cls in ((0, 2), (1, 3)):
+            assert _class_restriction(s, cls) is restriction(s, cls)
         with pytest.raises(NotABlock):
             restriction(s, [0, 1])
 
@@ -424,12 +427,10 @@ class TestBlocksAndRestriction:
                 continue
             fresh, cold = validate(s.matrix), validate(s.matrix)
             for e in all_equivalences(fresh):
-                subs = _class_restrictions(fresh, e.classes)
-                assert _class_restrictions(fresh, e.classes) is subs
-                for cls, sub in zip(e.classes, subs):
+                for cls in e.classes:
                     assert is_block(s, cls)
-                    assert restriction(fresh, cls) is sub
-                    assert restriction(cold, cls) is sub
+                    sub = _class_restriction(fresh, cls)
+                    assert sub is restriction(fresh, cls) is restriction(cold, cls)
                     classes += 1
         assert classes == 7200
 

@@ -759,7 +759,33 @@ def private_writes(source: str) -> list[int]:
     return lines
 
 
+def memo_kinds(source: str) -> set[str]:
+    """The kind of every ``derived(...)`` key in the source: the key
+    itself if it is a string, or a tuple key's leading string."""
+    kinds = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "derived":
+            key = node.args[0]
+            if isinstance(key, ast.Tuple):
+                key = key.elts[0]
+            assert isinstance(key, ast.Constant) and isinstance(key.value, str), ast.dump(key)
+            kinds.add(key.value)
+    return kinds
+
+
 class TestSchemeOwnsDerivedData:
+    def test_memo_kinds(self):
+        """Every memo layer in ``src/asck``; a new one is named here and
+        in the README's memo paragraph."""
+        assert memo_kinds("s.derived(('a', k), f)\nt.derived('b', g)\nu.other('c')") == {
+            "a", "b"}
+        src = Path(__file__).resolve().parents[1] / "src" / "asck"
+        kinds = set().union(*(memo_kinds(path.read_text()) for path in src.glob("*.py")))
+        assert kinds == {"hash", "closure-rows", "equivalences", "equivalence",
+                         "basis-periods", "p-scheme", "size-factorization",
+                         "block-restrictions", "quotient", "restriction"}
+
     def test_detector_flags_foreign_writes(self):
         flagged = ["scheme._quotients[e.classes] = result", "scheme._equivalences = eqs",
                    "s._hash += 'x'", "del s._derived['hash']", "a, s._n = 1, 2",

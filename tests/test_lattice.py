@@ -151,6 +151,16 @@ class TestAllEquivalences:
         with pytest.raises(RankTooLarge):
             all_equivalences(thin_scheme(cyclic_table(25)))
 
+    def test_distinct_closed_sets_give_distinct_partitions(self, corpus):
+        checked = 0
+        for member in corpus:
+            s = member.scheme
+            if s.is_homogeneous and s.r <= RANK_CAP:
+                eqs = all_equivalences(s)
+                assert len({e.classes for e in eqs}) == len({e.colors for e in eqs}) == len(eqs)
+                checked += 1
+        assert checked == 280
+
     def test_one_point(self):
         s = validate([[0]])
         eqs = all_equivalences(s)
