@@ -81,14 +81,14 @@ def _cmd_info(args: argparse.Namespace) -> int:
     s = _read_scheme(args.file)
     if args.machine:
         pairs = {
-            "degrees": ",".join(str(d) for d in s.degrees),
+            "degrees": ",".join(map(str, s.degrees.tolist())),
             "fiber-sizes": ",".join(str(len(f)) for f in s.fibers),
             "fibers": str(len(s.fibers)),
             "homogeneous": "true" if s.is_homogeneous else "false",
             "n": str(s.n),
             "r": str(s.r),
             "scheme": s.hash,
-            "sizes": ",".join(str(z) for z in s.sizes),
+            "sizes": ",".join(map(str, s.sizes.tolist())),
         }
         print("\n".join(f"{k}={v}" for k, v in pairs.items()))
     else:
@@ -96,8 +96,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"rank: {s.r}")
         print(f"fibers: {len(s.fibers)} (sizes {' '.join(str(len(f)) for f in s.fibers)})")
         print(f"homogeneous: {'true' if s.is_homogeneous else 'false'}")
-        print(f"degrees: {' '.join(str(d) for d in s.degrees)}")
-        print(f"sizes: {' '.join(str(z) for z in s.sizes)}")
+        print(f"degrees: {' '.join(map(str, s.degrees.tolist()))}")
+        print(f"sizes: {' '.join(map(str, s.sizes.tolist()))}")
         print(f"hash: {s.hash}")
     return EXIT_OK
 

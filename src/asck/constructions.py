@@ -343,20 +343,35 @@ def _hash_weights(rng: np.random.Generator, r: int, width: int) -> np.ndarray:
     return rng.integers(1, 1 << width, size=(4, r)).astype(np.float64)
 
 
+# Round keys of ``_hashed_fixpoint`` must stay below this to fit int64.
+_ROUND_KEY_BOUND = 2 ** 63
+
+
 def _hashed_fixpoint(cur: np.ndarray, seed: int, width: int) -> np.ndarray:
-    """Refine ``cur`` by hashed rounds until a round splits no color."""
+    """Refine ``cur`` by hashed rounds until a round splits no color.
+
+    A round's new ids rank the triples (cur, h1, h2) lexicographically,
+    h1 and h2 being the two hashes: each hash is ranked on its own, then
+    one int64 ``np.unique`` of (cur * k1 + rank1) * k2 + rank2, with k1
+    and k2 the numbers of distinct values, gives the ids.  That key is
+    below r * k1 * k2 <= n^6 (2^48 at n = 256, 2^60 at n = 1,024), so it
+    fits int64 up to n = 1,448; past that, (cur, rank1) is ranked first
+    whenever the product would not fit, and the ids are the same.
+    """
     rng = np.random.default_rng(seed)
     while True:
         r = int(cur.max()) + 1
         x1, y1, x2, y2 = _hash_weights(rng, r, width)
         # einsum runs numpy's own loop: a threaded BLAS product was seen to
         # wait ~20 ms per call for its worker threads on a 2-vCPU machine.
-        # Both hashes are exact integers, so the complex pairs compare exactly.
-        _, pair = np.unique(np.einsum("uv,vw->uw", x1[cur], y1[cur])
-                            + 1j * np.einsum("uv,vw->uw", x2[cur], y2[cur]),
-                            return_inverse=True)
-        _, inverse = np.unique(cur * cur.size + pair.reshape(cur.shape),
-                               return_inverse=True)
+        # Both hashes are exact integers, so their ranks compare exactly.
+        _, rank1 = np.unique(np.einsum("uv,vw->uw", x1[cur], y1[cur]), return_inverse=True)
+        _, rank2 = np.unique(np.einsum("uv,vw->uw", x2[cur], y2[cur]), return_inverse=True)
+        k1, k2 = int(rank1.max()) + 1, int(rank2.max()) + 1
+        key = cur * k1 + rank1.reshape(cur.shape)
+        if r * k1 * k2 > _ROUND_KEY_BOUND:
+            _, key = np.unique(key, return_inverse=True)
+        _, inverse = np.unique(key * k2 + rank2.reshape(key.shape), return_inverse=True)
         if int(inverse.max()) + 1 == r:
             return cur
         cur = inverse.reshape(cur.shape)

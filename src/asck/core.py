@@ -9,9 +9,10 @@ caches the derived data every other module needs.  One stable sort of
 the n^2 cells by color, made at certification, is the only source of
 per-color cell data: the sizes, the first cells, the cell index behind
 ``cell_array`` and the order in which the intersection-number check
-walks the cells, n at a time in O(n^2) memory.  That check walks only
-the colors with at least two cells, so a discrete configuration costs
-no walk, and its codes are int32 up to rank 46,340.  ``canonical_scheme``
+walks the cells, about 2^16 codes at a time in O(n^2) memory.  That
+check walks only the colors with at least two cells, so a discrete
+configuration costs no walk, and its codes are int16 up to rank 181 and
+int32 up to rank 46,340.  ``canonical_scheme``
 does the same after renaming the colors into canonical order, and
 interns its result by content: equal inputs return one shared Scheme,
 certified once, whose ``derived`` memo every holder shares.
@@ -47,12 +48,15 @@ def _integral(arr: np.ndarray) -> bool:
         np.isfinite(arr).all() and (arr == np.floor(arr)).all() and (np.abs(arr) < 2.0 ** 63).all())
 
 
-def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray,
+                    copy: bool = False) -> np.ndarray:
     """Coerce input to a nonempty square int64 matrix without changing
     any value.
 
     Floats are accepted only when every entry is finite, integral and
-    within int64 range; anything else raises SchemeError.
+    within int64 range; anything else raises SchemeError.  An int64
+    ndarray comes back as itself unless ``copy`` is set, so a caller
+    that keeps or freezes the result asks for a copy.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -61,24 +65,27 @@ def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         raise SchemeError(f"expected integer entries, got dtype {arr.dtype}")
     if arr.shape[0] == 0:
         raise SchemeError("expected at least one point")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=copy)
 
 
 def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """Coerce input to a square int64 matrix with contiguous colors 0..r-1.
+    """Coerce input to a new square int64 matrix with contiguous colors
+    0..r-1.
 
     Raises SchemeError for malformed arrays and NonContiguousColors
-    (carrying the ascending relabel map) when color ids have gaps.
+    (carrying the ascending relabel map) when color ids have gaps.  The
+    gap test is one ``np.bincount`` over the ids; ``np.unique`` runs only
+    to build the relabel map.  Ids above n^2 - 1 leave a gap among at
+    most n^2 colors, so they take that path before any count is
+    allocated for them.
     """
-    arr = _integer_matrix(matrix)
+    arr = _integer_matrix(matrix, copy=True)
     if arr.min() < 0:
         u, v = map(int, np.argwhere(arr < 0)[0])
         raise SchemeError(f"negative color {arr[u, v]} at cell ({u},{v})")
-    uniq = np.unique(arr)
-    r = int(arr.max()) + 1
-    if uniq.size != r:
-        remap = {int(old): new for new, old in enumerate(uniq)}
-        raise NonContiguousColors(remap)
+    if int(arr.max()) >= arr.size or not np.bincount(arr.ravel()).all():
+        uniq = np.unique(arr)
+        raise NonContiguousColors({int(old): new for new, old in enumerate(uniq)})
     return arr
 
 
@@ -270,8 +277,7 @@ class Scheme:
         Computed once and kept in the ``derived`` memo.
         """
         def build() -> str:
-            payload = f"{self.n} {self.r} " + " ".join(
-                " ".join(map(str, row.tolist())) for row in self.matrix)
+            payload = f"{self.n} {self.r} " + " ".join(map(str, self.matrix.ravel().tolist()))
             return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
         return self.derived("hash", build)
@@ -306,6 +312,10 @@ def _check_transpose(matrix: np.ndarray, first: np.ndarray) -> np.ndarray:
     return sigma.astype(np.int64)
 
 
+# The intersection-number walk fills about this many codes per chunk.
+_WALK_CODES = 2 ** 16
+
+
 def _check_intersection_numbers(matrix: np.ndarray, r: int,
                                 cells: np.ndarray, offsets: np.ndarray) -> None:
     """Verify that intermediate-point counts depend only on the cell's color.
@@ -313,15 +323,18 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int,
     For each cell (u, w) the sorted multiset of codes
     color(u,v) * r + color(v,w) over all v must agree across cells of one
     color; agreement of these multisets is equivalent to constancy of
-    every pairwise count.  The codes are below r^2, so they are int32
-    whenever r^2 <= 2^31 and int64 otherwise.  Only the cells of colors
-    with at least two cells are walked, in cell-index order, n at a time
-    through refilled (n, n) buffers (the last chunk may be short), and
-    each is compared with the previous cell of its color.  A color's
-    first cell, and so every cell of a single-cell color, has no previous
-    cell and is never flagged.  Equal neighbours chain back to the
-    color's first cell, so each color's first flagged cell is its first
-    mismatch, and the least flagged cell in row-major order is the witness.
+    every pairwise count.  The codes are below r^2, so they are int16
+    whenever r^2 <= 2^15 (r <= 181), int32 whenever r^2 <= 2^31 and
+    int64 otherwise.  Only the cells of colors with at least two cells
+    are walked, in cell-index order, in chunks of max(1, 2^16 // n)
+    cells (about 2^16 codes) through refilled buffers of that many rows,
+    or fewer when the walk is shorter (the last chunk may be short), and
+    each cell is compared with the previous cell of its color.  A
+    color's first cell, and so every cell of a single-cell color, has no
+    previous cell and is never flagged.  Equal neighbours chain back to
+    the color's first cell, so each color's first flagged cell is its
+    first mismatch, and the least flagged cell in row-major order is the
+    witness.
     """
     n = matrix.shape[0]
     sizes = np.diff(offsets)
@@ -329,14 +342,15 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int,
     walk = cells[np.repeat(shared, sizes)]
     flagged = np.ones(len(walk), dtype=bool)
     flagged[np.cumsum(sizes[shared]) - sizes[shared]] = False  # first cells
-    dtype = np.int32 if r * r <= 2 ** 31 else np.int64
+    dtype = np.int16 if r * r <= 2 ** 15 else np.int32 if r * r <= 2 ** 31 else np.int64
+    chunk = max(1, min(len(walk), _WALK_CODES // n))
     left = matrix.astype(dtype, copy=False)
     columns = np.ascontiguousarray(left.T)
-    codes = np.empty((n + 1, n), dtype=dtype)  # row 0: the previous chunk's last row
-    right = np.empty((n, n), dtype=dtype)
-    differs = np.empty((n, n), dtype=bool)
-    for lo in range(0, len(walk), n):
-        us, ws = walk[lo:lo + n].T
+    codes = np.empty((chunk + 1, n), dtype=dtype)  # row 0: the previous chunk's last row
+    right = np.empty((chunk, n), dtype=dtype)
+    differs = np.empty((chunk, n), dtype=bool)
+    for lo in range(0, len(walk), chunk):
+        us, ws = walk[lo:lo + chunk].T
         k = us.size
         rows = codes[1:k + 1]
         # mode="clip" lets take write straight into out; the indices are valid

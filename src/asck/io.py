@@ -53,12 +53,29 @@ def _ints(name: str, lineno: int, line: str, expect: int) -> list[int]:
         raise ParseError(name, lineno, f"non-integer field in: {line!r}") from None
 
 
+def _int64_rows(name: str, lines: list[tuple[int, str]], n: int) -> np.ndarray:
+    """Parse matrix rows one line at a time, raising ParseError at the
+    first line with the wrong field count or a non-integer field, and
+    then at the first line with a field outside int64."""
+    rows = [_ints(name, lineno, line, n) for lineno, line in lines]
+    for (lineno, line), row in zip(lines, rows):
+        if not all(-2 ** 63 <= x < 2 ** 63 for x in row):
+            raise ParseError(name, lineno, f"field out of range in: {line!r}")
+    return np.array(rows, dtype=np.int64)
+
+
 def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
     """Parse a .ccm file into a color matrix.
 
     The matrix is checked for shape and contiguous color ids (a gap
     raises NonContiguousColors with the repair map) but not for the
     configuration axioms; run validate for those.
+
+    Once every row has n fields, one ``np.array`` call parses all the
+    tokens; it accepts exactly what ``int`` accepts, and raises
+    ValueError or OverflowError otherwise.  On any failure the rows are
+    parsed again one line at a time, which raises ParseError naming the
+    first bad line.
     """
     name, lines = _content_lines(source)
     if not lines:
@@ -76,10 +93,16 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
     if len(lines) - 1 != n:
         raise ParseError(name, lineno,
                          f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for lineno, line in lines[1:]:
-        rows.append(_ints(name, lineno, line, n))
-    matrix = as_color_matrix(np.array(rows, dtype=np.int64))
+    tokens = [line.split() for _, line in lines[1:]]
+    values = None
+    if all(len(row) == n for row in tokens):
+        try:
+            values = np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+    if values is None:
+        values = _int64_rows(name, lines[1:], n)
+    matrix = as_color_matrix(values)
     actual_r = int(matrix.max()) + 1
     if actual_r != r:
         raise ParseError(name, lines[0][0],
@@ -91,7 +114,7 @@ def ccm_text(matrix: np.ndarray) -> str:
     arr = np.asarray(matrix, dtype=np.int64)
     n = arr.shape[0]
     r = int(arr.max()) + 1
-    body = "\n".join(" ".join(map(str, row.tolist())) for row in arr)
+    body = "\n".join(" ".join(map(str, row)) for row in arr.tolist())
     return f"ccm {n} {r}\n{body}\n"
 
 

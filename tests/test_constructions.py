@@ -618,6 +618,62 @@ class TestClosureOracle:
                 assert_same_closure(canonical_recolor(rng.integers(0, colors, size=(n, n))))
 
 
+def old_hashed_fixpoint(cur, seed, width):
+    """The rounds that ``_hashed_fixpoint`` replaced, which ranked the two
+    hashes as one complex128 ``np.unique``; the oracle for its fixpoints."""
+    rng = np.random.default_rng(seed)
+    while True:
+        r = int(cur.max()) + 1
+        x1, y1, x2, y2 = constructions._hash_weights(rng, r, width)
+        _, pair = np.unique(np.einsum("uv,vw->uw", x1[cur], y1[cur])
+                            + 1j * np.einsum("uv,vw->uw", x2[cur], y2[cur]),
+                            return_inverse=True)
+        _, inverse = np.unique(cur * cur.size + pair.reshape(cur.shape),
+                               return_inverse=True)
+        if int(inverse.max()) + 1 == r:
+            return cur
+        cur = inverse.reshape(cur.shape)
+
+
+def assert_fixpoints_match_oracle(matrix, key_bound=2 ** 63):
+    """Every ``_hashed_fixpoint`` call of ``wl_closure(matrix)`` returns the
+    oracle's array, byte for byte, with round keys bounded by ``key_bound``."""
+    real = constructions._hashed_fixpoint
+    seeds = []
+
+    def checked(cur, seed, width):
+        got = real(cur, seed, width)
+        want = old_hashed_fixpoint(cur, seed, width)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        seeds.append(seed)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_hashed_fixpoint", checked)
+        mp.setattr(constructions, "_ROUND_KEY_BOUND", key_bound)
+        wl_closure(matrix)
+    assert seeds
+
+
+class TestRoundKeyOracle:
+    @given(st.integers(min_value=1, max_value=12),
+           st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))))
+    def test_hypothesis_digraphs(self, n, raw_arcs):
+        arcs = {(u, v) for u, v in raw_arcs if u < n and v < n}
+        assert_fixpoints_match_oracle(digraph_color_matrix(Digraph(n, frozenset(arcs))))
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 64])
+    @pytest.mark.parametrize("make", [circulant_shape, chords_shape])
+    def test_ladder_shapes(self, make, n):
+        assert_fixpoints_match_oracle(ladder_matrix(make, n, seed=n))
+
+    @pytest.mark.parametrize("make", [circulant_shape, chords_shape])
+    def test_keys_ranked_in_two_steps(self, make):
+        """Past n = 1,448 a round's key may not fit int64, and (cur, h1)
+        is ranked first; a zero bound takes that path in every round."""
+        assert_fixpoints_match_oracle(ladder_matrix(make, 32, seed=3), key_bound=0)
+
+
 class TestClosureRetry:
     def test_degenerate_first_attempt_retries_to_exact_closure(self, monkeypatch):
         real = constructions._hash_weights

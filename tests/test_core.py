@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import subprocess
 import sys
 import tracemalloc
@@ -118,6 +119,27 @@ class TestValidate:
         s = validate(remapped)
         assert s.r == 2
 
+    @pytest.mark.parametrize("high", [4, 2 ** 40, 2 ** 63 - 1])
+    def test_ids_above_cell_count_raise_with_remap(self, high):
+        """An id of at least n^2 leaves a gap; it is reported without a
+        count array sized by the id."""
+        matrix = np.array([[0, high], [high, 0]], dtype=np.int64)
+        with pytest.raises(NonContiguousColors) as exc:
+            as_color_matrix(matrix)
+        assert exc.value.remap == {0: 0, high: 1}
+
+    @pytest.mark.parametrize("build", [validate, canonical_scheme])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    def test_callers_array_is_neither_frozen_nor_aliased(self, build, dtype):
+        m = np.array(z4_direct(), dtype=dtype)
+        s = build(m)
+        assert m.flags.writeable
+        assert not np.shares_memory(s.matrix, m)
+        m[0, 1] = 3
+        assert s.matrix[0, 1] == 1
+        view = np.array(z4_direct(), dtype=dtype)[:, :]
+        assert not np.shares_memory(build(view).matrix, view.base)
+
     def test_rejects_non_square(self):
         with pytest.raises(SchemeError):
             as_color_matrix([[0, 1]])
@@ -207,8 +229,10 @@ def cell_runs(matrix, r):
 
 
 class TestIntersectionNumberCheck:
-    def test_witnesses_match_loop_oracle(self):
+    def test_witnesses_match_loop_oracle(self, monkeypatch):
         def check(matrix, r):
+            # chunks of n cells, as the spans below count them
+            monkeypatch.setattr(core, "_WALK_CODES", matrix.shape[0] ** 2)
             _check_intersection_numbers(matrix, r, *cell_runs(matrix, r))
 
         outcomes = [(m, count_mismatch(check, m),
@@ -357,6 +381,81 @@ class TestNarrowSingletonWalk:
                              *stable_runs(merged))
 
 
+def swapped_cyclic(m):
+    """The thin scheme of Z_m with the colors of cells (0, 1) and (0, 2)
+    swapped: rank m still, every color of size m, and incoherent."""
+    g = np.arange(m)
+    matrix = (g[None, :] - g[:, None]) % m
+    matrix[0, 1], matrix[0, 2] = 2, 1
+    return matrix
+
+
+def walk_position(matrix, cell):
+    """Where ``cell`` sits in the walk: the cells of the multi-cell colors,
+    stably sorted by color."""
+    cells, offsets = stable_runs(matrix)
+    sizes = np.diff(offsets)
+    walk = cells[np.repeat(sizes > 1, sizes)].tolist()
+    return walk.index(list(cell)), walk
+
+
+class TestChunkedWalk:
+    """``_check_intersection_numbers`` walks about 2^16 codes per chunk,
+    with int16 codes when r^2 <= 2^15; the int64 walk of n-cell chunks
+    over all cells that it replaced is the oracle."""
+
+    @pytest.mark.parametrize("m", [181, 182])
+    def test_int16_boundary(self, m):
+        assert (m * m <= 2 ** 15) == (m == 181)
+        coherent = thin_scheme(cyclic_table(m)).matrix
+        assert raised(_check_intersection_numbers, coherent, m, *stable_runs(coherent)) is None
+        matrix = swapped_cyclic(m)
+        runs = stable_runs(matrix)
+        want = raised(old_check_intersection_numbers, matrix, m, *runs)
+        assert want is not None and want[0] is InconsistentIntersectionNumbers
+        assert raised(_check_intersection_numbers, matrix, m, *runs) == want
+        assert m * m > core._WALK_CODES // m  # the walk takes several chunks
+
+    def test_witness_just_before_at_and_after_a_chunk_boundary(self, monkeypatch):
+        """With chunks of p + 1, p and p - 1 cells, the witness at walk
+        position p is the last cell of a chunk, the first of the next, or
+        the one after it; on the small bases, chunks of 1 to 3 cells put a
+        boundary before nearly every cell, so every cell leans on the
+        chaining row."""
+        rng = np.random.default_rng(1016)
+        bases = [wreath(rank_two_scheme(4), thin_scheme(cyclic_table(4))),
+                 rank_two_scheme(9), ladder_closures_64()[0]]
+        straddled = 0
+        for m in (x for b in bases for x in perturbations(b, rng)):
+            n, r = m.shape[0], int(m.max()) + 1
+            runs = stable_runs(m)
+            want = raised(old_check_intersection_numbers, m, r, *runs)
+            sizes = [1, 2, 3] if n <= 16 else []
+            if want is not None:
+                p, walk = walk_position(m, want[1]["cell_b"])
+                color_start = walk.index(list(want[1]["cell_a"]))
+                sizes += [k for k in (p - 1, p, p + 1) if k >= 1]
+            for rows in sizes:
+                monkeypatch.setattr(core, "_WALK_CODES", rows * n)
+                assert raised(_check_intersection_numbers, m, r, *runs) == want
+                # the witness's color straddles a chunk boundary
+                straddled += want is not None and color_start // rows < p // rows
+        assert straddled > 10
+
+    def test_buffers_fit_a_short_walk(self):
+        """Buffers hold min(walk, chunk) rows: 25 walked cells at n = 5,
+        not the 13,107 rows of a full chunk (about 330 KB)."""
+        s = rank_two_scheme(5)
+        matrix = np.array(s.matrix)
+        tracemalloc.start()
+        try:
+            _check_intersection_numbers(matrix, s.r, s.cell_index, s.cell_offsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 10
+
+
 class TestWorkingSet:
     def test_discrete_configuration_validates_in_quadratic_memory(self):
         """r = n^2 colors: one (r, n) reference row per color would be
@@ -462,6 +561,19 @@ class TestSchemeAccessors:
         for left in range(0, s.r, 3):
             for right in range(left % 5, s.r, 5):
                 assert s.composition_colors(left, right) == product_colors(s, left, right)
+
+    def test_hash_matches_per_row_payload(self, corpus):
+        """The payload that the flat join replaced, the rows joined one at a
+        time, is the oracle."""
+        def per_row_hash(s):
+            payload = f"{s.n} {s.r} " + " ".join(
+                " ".join(map(str, row.tolist())) for row in s.matrix)
+            return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+        schemes = [m.scheme for m in corpus] + list(ladder_closures_64())
+        assert len({s.n for s in schemes}) > 5
+        for s in schemes:
+            assert s.hash == per_row_hash(s)
 
     def test_hash_identifies_matrix(self):
         a = thin_scheme(cyclic_table(5))

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asck import (
     Digraph,
@@ -11,6 +13,7 @@ from asck import (
     ccm_text,
     cyclic_table,
     dg_text,
+    rank_two_scheme,
     read_ccm,
     read_dg,
     thin_scheme,
@@ -21,7 +24,9 @@ from asck import (
 )
 from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
 from asck.constructions import MAX_CLOSURE_POINTS
-from asck.errors import NonContiguousColors
+from asck.core import as_color_matrix
+from asck.errors import NonContiguousColors, SchemeError
+from asck.io import _content_lines, _ints
 from test_constructions import chords_shape
 
 
@@ -73,6 +78,90 @@ class TestCcmFormat:
         assert info.value.remap == {0: 0, 2: 1}
 
 
+def old_read_ccm(source):
+    """The per-line ``read_ccm`` that the one-call parse replaced; the
+    oracle for its matrices and errors."""
+    name, lines = _content_lines(source)
+    if not lines:
+        raise ParseError(name, 1, "empty input")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != "ccm":
+        raise ParseError(name, lineno, f"expected header 'ccm <n> <r>', got {header!r}")
+    try:
+        n, r = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError(name, lineno, "non-integer header fields") from None
+    if n < 1 or r < 1:
+        raise ParseError(name, lineno, f"n and r must be positive, got n={n} r={r}")
+    if len(lines) - 1 != n:
+        raise ParseError(name, lineno,
+                         f"expected {n} matrix rows, found {len(lines) - 1}")
+    rows = []
+    for lineno, line in lines[1:]:
+        rows.append(_ints(name, lineno, line, n))
+    matrix = as_color_matrix(np.array(rows, dtype=np.int64))
+    actual_r = int(matrix.max()) + 1
+    if actual_r != r:
+        raise ParseError(name, lines[0][0],
+                         f"header says r={r} but the matrix has {actual_r} colors")
+    return matrix
+
+
+def parse_outcome(read, text):
+    """The matrix ``read`` makes of the text, or the type and message of
+    what it raises.  Where the per-line oracle overflowed in numpy, the
+    outcome is the ParseError naming the first line with an out-of-range
+    field, as the per-line fallback now raises it."""
+    try:
+        return read(io.StringIO(text)).tolist()
+    except OverflowError:
+        _, lines = _content_lines(io.StringIO(text))
+        lineno, line = next((i, line) for i, line in lines[1:]
+                            if any(not -2 ** 63 <= int(x) < 2 ** 63 for x in line.split()))
+        return ParseError, f"<stream>:{lineno}: field out of range in: {line!r}"
+    except SchemeError as exc:
+        return type(exc), str(exc)
+
+
+CCM_TEXTS = [ccm_text(s.matrix) for s in (
+    thin_scheme(cyclic_table(4)), rank_two_scheme(3),
+    wreath(thin_scheme(cyclic_table(2)), thin_scheme(cyclic_table(3))))]
+ODD_TOKENS = ["1_0", "+3", "\u0663", "x", "1.0", "-0", "00", "+1", "\uff11", "1__0",
+              str(2 ** 63 - 1), str(2 ** 63), str(-2 ** 63), str(-2 ** 63 - 1),
+              "99999999999999999999999"]
+
+
+class TestOneCallParse:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_per_line_parse(self, data):
+        lines = data.draw(st.sampled_from(CCM_TEXTS)).splitlines()
+        for _ in range(data.draw(st.integers(0, 4))):
+            kind = data.draw(st.sampled_from(["token", "token", "drop", "add", "comment", "blank"]))
+            at = data.draw(st.integers(1, len(lines) - 1))
+            fields = lines[at].split()
+            if kind == "token" and fields:
+                fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                    st.sampled_from(ODD_TOKENS))
+                lines[at] = " ".join(fields)
+            elif kind == "drop" and fields:
+                del fields[data.draw(st.integers(0, len(fields) - 1))]
+                lines[at] = " ".join(fields)
+            elif kind == "add":
+                lines[at] = lines[at] + " " + data.draw(st.sampled_from(["0", "1", "x"]))
+            elif kind == "comment":
+                lines.insert(at, "  # a comment")
+            else:
+                lines.insert(at, data.draw(st.sampled_from(["", "   "])))
+        text = "\n".join(lines) + "\n"
+        assert parse_outcome(read_ccm, text) == parse_outcome(old_read_ccm, text)
+
+    @pytest.mark.parametrize("text", CCM_TEXTS)
+    def test_valid_texts_parse_alike(self, text):
+        assert parse_outcome(read_ccm, text) == parse_outcome(old_read_ccm, text)
+
+
 class TestDgFormat:
     def test_round_trip(self, tmp_path):
         g = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 0)])
@@ -114,6 +203,14 @@ class TestCliBasics:
         path.write_text("ccm 3 3\n0 1 1\n2 0 1\n2 2 0\n")
         assert main(["validate", str(path)]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["99999999999999999999999", str(-2 ** 63 - 1)])
+    def test_out_of_range_entry_is_an_input_error(self, entry, tmp_path, capsys):
+        path = tmp_path / "huge.ccm"
+        path.write_text(f"ccm 2 2\n0 1\n1 {entry}\n")
+        assert main(["validate", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: field out of range in: '1 {entry}'\n")
 
     def test_missing_file(self, capsys):
         assert main(["validate", "no-such-file.ccm"]) == EXIT_INPUT
