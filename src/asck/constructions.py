@@ -1,6 +1,13 @@
 """Scheme builders: thin schemes from group tables, quotients,
 restrictions, wreath products, and the coherent (2-dim WL) closure.
 
+Group tables are verified once, in O(m^2 log m) numpy work with no
+per-element loop.  Associativity is Light's test: the elements g with
+(xg)y = x(gy) for all x, y are closed under the product, so testing a
+generating set, built greedily from the least element outside the
+submagma generated so far, decides associativity exactly, whether or
+not the table is associative (see ``cayley_table``).
+
 Every construction ends in ``core.canonical_scheme``: the colors are
 renamed into canonical order (diagonal colors first, then by first cell)
 and the axioms are checked.  A validation failure here means a bug in
@@ -12,6 +19,7 @@ the quotients and restrictions kept in its memo are shared as well.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,8 +59,31 @@ class CayleyTable:
 
 
 def cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> CayleyTable:
-    """Check that a multiplication table is a group and wrap it."""
-    arr = np.asarray(table)
+    """Check that a multiplication table is a group and wrap it.
+
+    O(m^2 log m) time and a few m^2 arrays, with no per-element loop.
+    The Latin test sorts each axis once and reports the least g whose
+    row or column is not a permutation; the identity is the least e
+    whose row and column are both the identity map.
+
+    Associativity is Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups*, vol. 1, 1961).  For one g it compares (xg)y
+    with x(gy) for all x, y, two m^2 gathers.  The set L of elements that
+    pass is closed under the product: for g, h in L, (x(gh))y =
+    ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y).  So the table is
+    associative exactly when a set S that generates it lies in L.  S is
+    built greedily: start from the submagma {identity} (which is in L),
+    test the least element outside the submagma generated so far, add it
+    and close again under H <- H u H.H.  This is exact for any table,
+    associative or not: every element is tested or is a product of tested
+    elements.  For a group each new generator at least doubles the
+    subgroup, so |S| <= log2(m) + 1.
+    """
+    try:
+        arr = np.asarray(table)
+    except ValueError:
+        raise InvalidGroupTable(
+            "expected a nonempty square table, got a ragged sequence") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise InvalidGroupTable(f"expected a nonempty square table, got {arr.shape}")
     m = arr.shape[0]
@@ -60,28 +91,51 @@ def cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> CayleyTable:
         raise InvalidGroupTable("entries must be element ids 0..m-1")
     arr = arr.astype(np.int64)
     ids = np.arange(m)
-    for g in range(m):
-        if sorted(arr[g]) != list(ids) or sorted(arr[:, g]) != list(ids):
-            raise InvalidGroupTable(f"row or column {g} is not a permutation")
-    identity = -1
-    for e in range(m):
-        if np.array_equal(arr[e], ids) and np.array_equal(arr[:, e], ids):
-            identity = e
-            break
-    if identity < 0:
+    not_latin = ((np.sort(arr, axis=1) != ids).any(axis=1)
+                 | (np.sort(arr, axis=0) != ids[:, None]).any(axis=0))
+    if not_latin.any():
+        raise InvalidGroupTable(
+            f"row or column {int(np.argmax(not_latin))} is not a permutation")
+    is_identity = (arr == ids).all(axis=1) & (arr == ids[:, None]).all(axis=0)
+    if not is_identity.any():
         raise InvalidGroupTable("no identity element")
-    # (ab)c against a(bc) one row a at a time: m^2 entries live, not m^3
-    for a in range(m):
-        if not np.array_equal(arr[arr[a]], arr[a][arr]):
+    identity = int(np.argmax(is_identity))
+    generated = np.zeros(m, dtype=bool)
+    generated[identity] = True
+    while not generated.all():
+        g = int(np.argmin(generated))
+        if not _light_holds(arr, g):
             raise InvalidGroupTable("multiplication is not associative")
+        generated[g] = True
+        closed, h = 0, generated.nonzero()[0]
+        while closed < len(h) < m:
+            closed = len(h)
+            generated[arr[h[:, None], h]] = True
+            h = generated.nonzero()[0]
     arr.setflags(write=False)
     return CayleyTable(m, arr, identity)
 
 
+def _light_holds(arr: np.ndarray, g: int) -> bool:
+    """Whether (xg)y = x(gy) for all x, y: two m^2 gathers."""
+    return np.array_equal(arr[arr[:, g]], arr[:, arr[g]])
+
+
+def _group_order(value: int, what: str) -> int:
+    """A group order as a Python int; ``operator.index`` accepts ints and
+    numpy integers, anything else raises InvalidGroupTable."""
+    try:
+        m = operator.index(value)
+    except TypeError:
+        raise InvalidGroupTable(f"{what} must be an integer, got {value!r}") from None
+    if m < 1:
+        raise InvalidGroupTable(f"{what} must be positive, got {m}")
+    return m
+
+
 def cyclic_table(m: int) -> CayleyTable:
     """The cyclic group of order m."""
-    if m < 1:
-        raise InvalidGroupTable(f"order must be positive, got {m}")
+    m = _group_order(m, "order")
     g = np.arange(m)
     return cayley_table((g[:, None] + g[None, :]) % m)
 
@@ -94,18 +148,15 @@ def direct_product(a: CayleyTable, b: CayleyTable) -> CayleyTable:
 
 
 def dihedral_table(k: int) -> CayleyTable:
-    """The dihedral group of order 2k; element a*k + i encodes flip^a rot^i."""
-    if k < 1:
-        raise InvalidGroupTable(f"rotation order must be positive, got {k}")
-    m = 2 * k
-    arr = np.zeros((m, m), dtype=np.int64)
-    for x in range(m):
-        a, i = divmod(x, k)
-        for y in range(m):
-            b, j = divmod(y, k)
-            rot = (i + j) % k if a == 0 else (i - j) % k
-            arr[x, y] = ((a + b) % 2) * k + rot
-    return cayley_table(arr)
+    """The dihedral group of order 2k; element a*k + i encodes flip^a rot^i.
+
+    (a, i)(b, j) = (a + b mod 2, i + j mod k) when a = 0 and
+    (a + b mod 2, i - j mod k) when a = 1.
+    """
+    k = _group_order(k, "rotation order")
+    a, i = np.divmod(np.arange(2 * k), k)
+    rot = (i[:, None] + np.where(a == 0, 1, -1)[:, None] * i[None, :]) % k
+    return cayley_table((a[:, None] + a[None, :]) % 2 * k + rot)
 
 
 # -- basic builders -----------------------------------------------------------
@@ -117,7 +168,7 @@ def thin_scheme(table: CayleyTable) -> Scheme:
     Every color has degree 1 and the colors form a group isomorphic to
     the input, so the result is regular.
     """
-    inv = np.array([table.inverse(g) for g in range(table.m)])
+    inv = np.argmax(table.table == table.identity, axis=1)
     return canonical_scheme(table.table[inv])
 
 
@@ -289,15 +340,10 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
     inner.require_homogeneous()
     outer.require_homogeneous()
     n1, n2 = inner.n, outer.n
-    n = n1 * n2
-    raw = np.zeros((n, n), dtype=np.int64)
-    for u2 in range(n2):
-        for v2 in range(n2):
-            block = np.s_[u2 * n1:(u2 + 1) * n1, v2 * n1:(v2 + 1) * n1]
-            if u2 == v2:
-                raw[block] = inner.matrix
-            else:
-                raw[block] = inner.r + outer.matrix[u2, v2]
+    raw = np.repeat(np.repeat(inner.r + outer.matrix, n1, axis=0), n1, axis=1)
+    # the (u2, u2) blocks: axes (u2, u1, v2, v1) of the row-major view
+    diagonal = np.arange(n2)
+    raw.reshape(n2, n1, n2, n1)[diagonal, :, diagonal, :] = inner.matrix
     try:
         return canonical_scheme(raw)
     except SchemeError as exc:

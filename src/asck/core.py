@@ -58,7 +58,10 @@ def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray,
     ndarray comes back as itself unless ``copy`` is set, so a caller
     that keeps or freezes the result asks for a copy.
     """
-    arr = np.asarray(matrix)
+    try:
+        arr = np.asarray(matrix)
+    except ValueError:
+        raise SchemeError("expected a square matrix, got a ragged sequence") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SchemeError(f"expected a square matrix, got shape {arr.shape}")
     if not _integral(arr):
@@ -66,6 +69,21 @@ def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray,
     if arr.shape[0] == 0:
         raise SchemeError("expected at least one point")
     return arr.astype(np.int64, copy=copy)
+
+
+def _decimal_words(arr: np.ndarray) -> np.ndarray:
+    """The decimal text of every entry of an int64 array, as an object
+    array of its shape.
+
+    ``str`` runs once per value, not once per entry.  Entries in
+    0..size-1, which every color matrix has, index a table of the
+    decimal strings of 0..max; any other array indexes the strings of
+    its ``np.unique`` values, so no table outgrows the array.
+    """
+    if arr.min() >= 0 and arr.max() < arr.size:
+        return np.array([str(v) for v in range(int(arr.max()) + 1)], dtype=object)[arr]
+    values, inverse = np.unique(arr, return_inverse=True)
+    return np.array([str(v) for v in values.tolist()], dtype=object)[inverse.reshape(arr.shape)]
 
 
 def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -277,7 +295,7 @@ class Scheme:
         Computed once and kept in the ``derived`` memo.
         """
         def build() -> str:
-            payload = f"{self.n} {self.r} " + " ".join(map(str, self.matrix.ravel().tolist()))
+            payload = f"{self.n} {self.r} " + " ".join(_decimal_words(self.matrix).ravel().tolist())
             return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
         return self.derived("hash", build)

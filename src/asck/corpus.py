@@ -29,7 +29,6 @@ from .checks import (
 )
 from .constructions import (
     CayleyTable,
-    cayley_table,
     cyclic_table,
     digraph_color_matrix,
     dihedral_table,
@@ -187,14 +186,14 @@ def _random_digraph(rng: random.Random, kind: int) -> Digraph:
 # -- families -----------------------------------------------------------------
 
 
-def _thin_cyclic(spec: CorpusSpec) -> list[CorpusMember]:
+def _thin_cyclic(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
     return [
         CorpusMember(f"thin-cyclic-{m:02d}", "thin-cyclic",
                      thin_scheme(cyclic_table(m)))
         for m in range(1, min(24, spec.max_n) + 1)]
 
 
-def _thin_abelian(spec: CorpusSpec) -> list[CorpusMember]:
+def _thin_abelian(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
     members = []
     for order in range(4, min(27, spec.max_n) + 1):
         for name, table in abelian_tables(order):
@@ -205,44 +204,35 @@ def _thin_abelian(spec: CorpusSpec) -> list[CorpusMember]:
     return members
 
 
-def _thin_dihedral(spec: CorpusSpec) -> list[CorpusMember]:
+def _thin_dihedral(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
     return [
         CorpusMember(f"thin-dihedral-{k:02d}", "thin-dihedral",
                      thin_scheme(dihedral_table(k)))
         for k in range(3, min(12, spec.max_n // 2) + 1)]
 
 
-def _rank_two(spec: CorpusSpec) -> list[CorpusMember]:
+def _rank_two(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
     return [
         CorpusMember(f"rank-two-{n:02d}", "rank-two", rank_two_scheme(n))
         for n in range(2, min(24, spec.max_n) + 1)]
 
 
-def _wreath_cyclic(spec: CorpusSpec) -> list[CorpusMember]:
-    members = []
-    for a in range(2, 9):
-        for b in range(2, 9):
-            if a * b > spec.max_n:
-                continue
-            members.append(CorpusMember(
-                f"wreath-cyclic-{a}-{b}", "wreath-cyclic",
-                wreath(thin_scheme(cyclic_table(a)), thin_scheme(cyclic_table(b)))))
-    return members
+def _wreath_cyclic(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
+    thin = {a: thin_scheme(cyclic_table(a)) for a in range(2, 9)}
+    return [
+        CorpusMember(f"wreath-cyclic-{a}-{b}", "wreath-cyclic", wreath(thin[a], thin[b]))
+        for a in range(2, 9) for b in range(2, 9) if a * b <= spec.max_n]
 
 
-def _wreath_triple(spec: CorpusSpec) -> list[CorpusMember]:
-    members = []
-    for a, b, c in product((2, 3), repeat=3):
-        if a * b * c > spec.max_n:
-            continue
-        inner = wreath(thin_scheme(cyclic_table(a)), thin_scheme(cyclic_table(b)))
-        members.append(CorpusMember(
-            f"wreath-triple-{a}-{b}-{c}", "wreath-triple",
-            wreath(inner, thin_scheme(cyclic_table(c)))))
-    return members
+def _wreath_triple(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
+    thin = {a: thin_scheme(cyclic_table(a)) for a in (2, 3)}
+    return [
+        CorpusMember(f"wreath-triple-{a}-{b}-{c}", "wreath-triple",
+                     wreath(wreath(thin[a], thin[b]), thin[c]))
+        for a, b, c in product((2, 3), repeat=3) if a * b * c <= spec.max_n]
 
 
-def _wreath_mixed(spec: CorpusSpec) -> list[CorpusMember]:
+def _wreath_mixed(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
     z2 = thin_scheme(cyclic_table(2))
     pairs: list[tuple[str, Scheme, Scheme]] = []
     for k in range(3, 7):
@@ -261,9 +251,10 @@ def _wreath_mixed(spec: CorpusSpec) -> list[CorpusMember]:
         for name, i, o in pairs if i.n * o.n <= spec.max_n]
 
 
-def _quotients(spec: CorpusSpec) -> list[CorpusMember]:
+def _quotients(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
+    """Quotients of the thin abelian and thin dihedral members, in order."""
     members = []
-    bases = _thin_abelian(spec) + _thin_dihedral(spec)
+    bases = [m for m in earlier if m.family in ("thin-abelian", "thin-dihedral")]
     for base in bases:
         scheme = base.scheme
         if scheme.r > RANK_CAP:
@@ -274,7 +265,7 @@ def _quotients(spec: CorpusSpec) -> list[CorpusMember]:
     return members
 
 
-def _wl_circulant(spec: CorpusSpec) -> list[CorpusMember]:
+def _wl_circulant(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
     if spec.max_n < 5:
         return []
     rng = random.Random(spec.seed * 1000003 + 1)
@@ -292,7 +283,7 @@ def _wl_circulant(spec: CorpusSpec) -> list[CorpusMember]:
     return members
 
 
-def _wl_random(spec: CorpusSpec) -> list[CorpusMember]:
+def _wl_random(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
     rng = random.Random(spec.seed * 1000003 + 2)
     members = []
     attempts = 0
@@ -309,7 +300,9 @@ def _wl_random(spec: CorpusSpec) -> list[CorpusMember]:
     return members
 
 
-_FAMILIES: tuple[Callable[[CorpusSpec], list[CorpusMember]], ...] = (
+# Each family is called with the spec and the members made before it;
+# only the quotient family reads those.
+_FAMILIES: tuple[Callable[[CorpusSpec, list[CorpusMember]], list[CorpusMember]], ...] = (
     _thin_cyclic,
     _thin_abelian,
     _thin_dihedral,
@@ -326,7 +319,7 @@ _FAMILIES: tuple[Callable[[CorpusSpec], list[CorpusMember]], ...] = (
 def generate_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusMember]:
     members: list[CorpusMember] = []
     for family in _FAMILIES:
-        members.extend(family(spec))
+        members.extend(family(spec, members))
     names = [m.name for m in members]
     if len(set(names)) != len(names):
         raise SchemeError("corpus member names are not unique")

@@ -12,7 +12,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .core import as_color_matrix
+from .core import _decimal_words, as_color_matrix
 from .digraph import Digraph
 from .errors import SchemeError
 
@@ -112,9 +112,12 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
 
 def ccm_text(matrix: np.ndarray) -> str:
     arr = np.asarray(matrix, dtype=np.int64)
+    if arr.ndim != 2:
+        # a row of decimal strings would be joined character by character
+        raise SchemeError(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
     r = int(arr.max()) + 1
-    body = "\n".join(" ".join(map(str, row)) for row in arr.tolist())
+    body = "\n".join(" ".join(row) for row in _decimal_words(arr).tolist())
     return f"ccm {n} {r}\n{body}\n"
 
 

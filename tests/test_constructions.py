@@ -7,7 +7,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asck import (
@@ -33,8 +33,8 @@ from asck import (
 )
 from asck import constructions, lattice
 from asck.constructions import _class_restriction, _quotient_matrix
-from asck.core import Scheme, as_color_matrix
-from asck.corpus import _random_digraph
+from asck.core import Scheme, _integral, as_color_matrix
+from asck.corpus import CorpusSpec, _random_digraph, generate_corpus
 from asck.errors import (
     InvalidGroupTable,
     NotABlock,
@@ -53,6 +53,127 @@ NON_ASSOCIATIVE_LOOP = [
     (3, 4, 1, 2, 0),
     (4, 2, 0, 1, 3),
 ]
+
+
+def loop_product(k):
+    """NON_ASSOCIATIVE_LOOP x Z_k, built by hand: a 5k-element loop that
+    is not a group, since ``direct_product`` would reject its factor."""
+    loop = np.array(NON_ASSOCIATIVE_LOOP)
+    g = np.arange(k)
+    zk = (g[:, None] + g[None, :]) % k
+    ga, ha = np.divmod(np.arange(5 * k), k)
+    return loop[np.ix_(ga, ga)] * k + zk[np.ix_(ha, ha)]
+
+
+def old_cayley_table(table):
+    """The row-by-row verifier that Light's test replaced, verbatim."""
+    arr = np.asarray(table)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise InvalidGroupTable(f"expected a nonempty square table, got {arr.shape}")
+    m = arr.shape[0]
+    if not _integral(arr) or arr.min() < 0 or arr.max() >= m:
+        raise InvalidGroupTable("entries must be element ids 0..m-1")
+    arr = arr.astype(np.int64)
+    ids = np.arange(m)
+    for g in range(m):
+        if sorted(arr[g]) != list(ids) or sorted(arr[:, g]) != list(ids):
+            raise InvalidGroupTable(f"row or column {g} is not a permutation")
+    identity = -1
+    for e in range(m):
+        if np.array_equal(arr[e], ids) and np.array_equal(arr[:, e], ids):
+            identity = e
+            break
+    if identity < 0:
+        raise InvalidGroupTable("no identity element")
+    # (ab)c against a(bc) one row a at a time: m^2 entries live, not m^3
+    for a in range(m):
+        if not np.array_equal(arr[arr[a]], arr[a][arr]):
+            raise InvalidGroupTable("multiplication is not associative")
+    arr.setflags(write=False)
+    return constructions.CayleyTable(m, arr, identity)
+
+
+def old_dihedral_table(k):
+    """The loop-built dihedral table that broadcasting replaced."""
+    if k < 1:
+        raise InvalidGroupTable(f"rotation order must be positive, got {k}")
+    m = 2 * k
+    arr = np.zeros((m, m), dtype=np.int64)
+    for x in range(m):
+        a, i = divmod(x, k)
+        for y in range(m):
+            b, j = divmod(y, k)
+            rot = (i + j) % k if a == 0 else (i - j) % k
+            arr[x, y] = ((a + b) % 2) * k + rot
+    return old_cayley_table(arr)
+
+
+def old_wreath_matrix(inner, outer):
+    """The block-by-block raw matrix of ``wreath`` before its
+    canonical recoloring: the loop that broadcasting replaced."""
+    n1, n2 = inner.n, outer.n
+    n = n1 * n2
+    raw = np.zeros((n, n), dtype=np.int64)
+    for u2 in range(n2):
+        for v2 in range(n2):
+            block = np.s_[u2 * n1:(u2 + 1) * n1, v2 * n1:(v2 + 1) * n1]
+            if u2 == v2:
+                raw[block] = inner.matrix
+            else:
+                raw[block] = inner.r + outer.matrix[u2, v2]
+    return raw
+
+
+def table_outcome(verify, table):
+    """The verified table, dtype and identity, or the error's type and message."""
+    try:
+        t = verify(table)
+    except InvalidGroupTable as exc:
+        return type(exc), str(exc)
+    return t.m, t.table.dtype, t.table.flags.writeable, t.table.tolist(), t.identity
+
+
+@st.composite
+def perturbed_group_tables(draw):
+    """A group of order <= 24 (cyclic, a product of two cyclic groups or
+    dihedral) or NON_ASSOCIATIVE_LOOP x Z_k, then one perturbation:
+    none, an isotope (random, or the principal loop isotope), a
+    single-entry edit or a dropped identity; and an optional relabeling
+    of the elements before it."""
+    base = draw(st.sampled_from(["cyclic", "product", "dihedral", "loop"]))
+    if base == "cyclic":
+        table = cyclic_table(draw(st.integers(1, 24))).table
+    elif base == "product":
+        a, b = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        table = direct_product(cyclic_table(a), cyclic_table(b)).table
+    elif base == "dihedral":
+        table = dihedral_table(draw(st.integers(1, 12))).table
+    else:
+        table = loop_product(draw(st.integers(1, 4)))
+    table = np.array(table)
+    m = len(table)
+    perm = st.permutations(range(m)).map(np.array)
+    if draw(st.booleans()):
+        relabel = draw(perm)
+        inverse = np.argsort(relabel)
+        table = relabel[table[np.ix_(inverse, inverse)]]
+    kind = draw(st.sampled_from(["none", "isotope", "principal", "edit", "no-identity"]))
+    if kind == "isotope":
+        rows, cols, values = draw(perm), draw(perm), draw(perm)
+        table = values[table[np.ix_(rows, cols)]]
+    elif kind == "principal":
+        # x o y = (x / b)(a \ y), a loop with identity ab: a group for a
+        # group table, often another non-associative loop for a loop
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        table = table[np.ix_(np.argsort(table[:, b]), np.argsort(table[a]))]
+    elif kind == "edit":
+        x, y = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        table[x, y] = draw(st.integers(-1, m))
+    elif kind == "no-identity" and m > 1:
+        e = int(np.argmax((table == np.arange(m)).all(axis=1)))
+        g = draw(st.integers(0, m - 1).filter(lambda g: g != e))
+        table[[e, g]] = table[[g, e]]
+    return table
 
 
 def two_fiber_scheme():
@@ -113,6 +234,74 @@ class TestCayleyTables:
         assert t.identity == 0
         assert peak < 2 ** 20
 
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(InvalidGroupTable, match="expected a nonempty square table"):
+            cayley_table([[0, 1], [1]])
+
+    @pytest.mark.parametrize("order", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("build,what", [(cyclic_table, "order"),
+                                            (dihedral_table, "rotation order")])
+    def test_rejects_non_integer_orders(self, build, what, order):
+        with pytest.raises(InvalidGroupTable, match=f"^{what} must be an integer, got "):
+            build(order)
+
+    @pytest.mark.parametrize("build,message", [
+        (cyclic_table, "order must be positive, got 0"),
+        (dihedral_table, "rotation order must be positive, got 0"),
+    ])
+    def test_orders_below_one_keep_their_message(self, build, message):
+        for order in (0, np.int64(0)):
+            with pytest.raises(InvalidGroupTable, match=f"^{message}$"):
+                build(order)
+
+    def test_numpy_integer_orders(self):
+        assert cyclic_table(np.int64(3)).table.tolist() == cyclic_table(3).table.tolist()
+        assert dihedral_table(np.int32(3)).m == 6
+
+    @settings(max_examples=300)
+    @given(perturbed_group_tables())
+    def test_matches_row_by_row_oracle(self, table):
+        assert table_outcome(cayley_table, table) == table_outcome(old_cayley_table, table)
+
+    @pytest.mark.parametrize("table,generators", [
+        *[pytest.param(cyclic_table(m).table, [1] if m > 1 else [], id=f"z{m}")
+          for m in (1, 2, 7, 24, 1000)],
+        pytest.param(functools.reduce(direct_product, [cyclic_table(2)] * 4).table,
+                     [1, 2, 4, 8], id="z2^4"),
+        pytest.param(dihedral_table(12).table, [1, 12], id="d24"),
+    ])
+    def test_light_tests_one_greedy_generating_set(self, monkeypatch, table, generators):
+        """Each tested element at least doubles the subgroup generated so
+        far, so a group of order m tests at most log2(m) elements."""
+        tested = []
+        light_holds = constructions._light_holds
+
+        def counted(arr, g):
+            tested.append(g)
+            return light_holds(arr, g)
+
+        monkeypatch.setattr(constructions, "_light_holds", counted)
+        t = cayley_table(table)
+        assert tested == generators
+        assert len(tested) <= t.m.bit_length() - 1
+
+    def test_order_1000_peak_memory(self):
+        """A few m^2 arrays: the input copy and Light's two gathers."""
+        g = np.arange(1000)
+        table = (g[:, None] + g[None, :]) % 1000
+        tracemalloc.start()
+        try:
+            t = cayley_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.identity == 0
+        assert peak < 4 * table.nbytes
+
+    def test_rejects_non_associative_loop_of_order_1000(self):
+        with pytest.raises(InvalidGroupTable, match="multiplication is not associative"):
+            cayley_table(loop_product(200))
+
     def test_direct_product(self):
         klein = direct_product(cyclic_table(2), cyclic_table(2))
         assert klein.m == 4
@@ -122,6 +311,10 @@ class TestCayleyTables:
         t = dihedral_table(3).table
         assert any(t[a, b] != t[b, a] for a in range(6) for b in range(6))
         assert dihedral_table(4).m == 8
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_dihedral_matches_loop_oracle(self, k):
+        assert table_outcome(dihedral_table, k) == table_outcome(old_dihedral_table, k)
 
 
 class TestThinScheme:
@@ -472,6 +665,22 @@ class TestWreath:
     def test_requires_homogeneous(self):
         with pytest.raises(NotHomogeneous):
             wreath(two_fiber_scheme(), thin_scheme(cyclic_table(2)))
+
+    def test_matches_block_loop_on_every_corpus_pair(self, monkeypatch):
+        pairs = []
+        monkeypatch.setattr("asck.corpus.wreath",
+                            lambda i, o: pairs.append((i, o)) or wreath(i, o))
+        members = generate_corpus(CorpusSpec())
+        assert len(pairs) >= sum(m.family.startswith("wreath-") for m in members) > 0
+        raws = []
+        finish = constructions.canonical_scheme
+        monkeypatch.setattr(constructions, "canonical_scheme",
+                            lambda raw: raws.append(raw) or finish(raw))
+        for inner, outer in pairs:
+            raws.clear()
+            wreath(inner, outer)
+            assert len(raws) == 1 and raws[0].dtype == np.int64
+            assert np.array_equal(raws[0], old_wreath_matrix(inner, outer))
 
     def test_one_point_factors_are_neutral(self):
         s = thin_scheme(cyclic_table(3))

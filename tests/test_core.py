@@ -144,6 +144,13 @@ class TestValidate:
         with pytest.raises(SchemeError):
             as_color_matrix([[0, 1]])
 
+    @pytest.mark.parametrize("ragged", [[[0, 1], [1]], [[0, 1], [1, [0]]]])
+    @pytest.mark.parametrize("entry", [validate, as_color_matrix, canonical_recolor,
+                                       normalize_colors, canonical_scheme])
+    def test_rejects_ragged_rows(self, entry, ragged):
+        with pytest.raises(SchemeError, match="^expected a square matrix, got a ragged"):
+            entry(ragged)
+
     def test_rejects_negative(self):
         with pytest.raises(SchemeError):
             as_color_matrix([[0, -1], [-1, 0]])

@@ -1,9 +1,10 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
-from asck import CorpusSpec, run_corpus_checks
-from asck.corpus import member_reports
+from asck import CorpusSpec, constructions, generate_corpus, run_corpus_checks
+from asck.corpus import _FAMILIES, member_reports
 
 
 def rows(results):
@@ -31,3 +32,28 @@ def test_default_corpus_output_is_byte_identical(corpus_results):
     blocks = sorted(f"member={m.name}\n{rep.machine()}" for m, rep in corpus_results)
     digest = hashlib.sha256("\n\n".join(blocks).encode()).hexdigest()
     assert (len(corpus_results), digest) == (6898, DEFAULT_CORPUS_DIGEST)
+
+
+def test_group_tables_are_verified_where_they_are_built(monkeypatch):
+    """The quotient family reads the thin members already made, and the
+    wreath families build each thin cyclic base once."""
+    calls = Counter()
+    family = [None]
+    verify = constructions.cayley_table
+
+    def counted(table):
+        calls[family[0]] += 1
+        return verify(table)
+
+    def tagged(make):
+        def run(*args):
+            family[0] = make.__name__
+            return make(*args)
+        return run
+
+    monkeypatch.setattr(constructions, "cayley_table", counted)
+    monkeypatch.setattr("asck.corpus._FAMILIES", tuple(map(tagged, _FAMILIES)))
+    generate_corpus(CorpusSpec())
+    assert calls["_quotients"] == 0
+    assert calls["_wreath_cyclic"] <= 7
+    assert calls["_wreath_triple"] <= 2

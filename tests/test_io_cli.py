@@ -27,7 +27,7 @@ from asck.constructions import MAX_CLOSURE_POINTS
 from asck.core import as_color_matrix
 from asck.errors import NonContiguousColors, SchemeError
 from asck.io import _content_lines, _ints
-from test_constructions import chords_shape
+from test_constructions import chords_shape, ladder_closures_64
 
 
 def z4_text() -> str:
@@ -45,6 +45,27 @@ class TestCcmFormat:
         w = wreath(thin_scheme(cyclic_table(2)), thin_scheme(cyclic_table(3)))
         again = read_ccm(io.StringIO(ccm_text(w.matrix)))
         assert np.array_equal(again, w.matrix)
+
+    def test_text_matches_per_row_join(self, corpus):
+        """The per-entry ``str`` rows that the string table replaced are
+        the oracle, on every corpus member, the n = 64 ladder closures
+        and arrays that are not color matrices."""
+        def per_row_text(matrix):
+            arr = np.asarray(matrix, dtype=np.int64)
+            body = "\n".join(" ".join(map(str, row)) for row in arr.tolist())
+            return f"ccm {arr.shape[0]} {int(arr.max()) + 1}\n{body}\n"
+
+        odd = [[[0, -1], [1, 2]], [[0, -3], [5, 2]], [[0, 10 ** 15], [7, 1]],
+               [[2 ** 63 - 1, -2 ** 63], [0, 0]]]
+        matrices = ([m.scheme.matrix for m in corpus]
+                    + [s.matrix for s in ladder_closures_64()] + odd)
+        for matrix in matrices:
+            assert ccm_text(matrix) == per_row_text(matrix)
+
+    @pytest.mark.parametrize("matrix", [[10, 2], 7])
+    def test_text_rejects_non_matrices(self, matrix):
+        with pytest.raises(SchemeError, match="expected a square matrix"):
+            ccm_text(matrix)
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# generated\n\nccm 2 2\n# rows follow\n0 1\n1 0\n"
