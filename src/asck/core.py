@@ -119,16 +119,6 @@ def normalize_colors(matrix: Sequence[Sequence[int]] | np.ndarray
     return inverse.reshape(arr.shape).astype(np.int64), remap
 
 
-def mask_colors(mask: int) -> tuple[int, ...]:
-    """The colors whose bits are set in a color bitmask, ascending."""
-    colors = []
-    while mask:
-        low = mask & -mask
-        colors.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(colors)
-
-
 def _canonical(arr: np.ndarray) -> np.ndarray:
     """The canonically recolored matrix, for an int64 matrix from
     ``_integer_matrix``.

@@ -122,12 +122,15 @@ def abelian_tables(order: int) -> list[tuple[str, CayleyTable]]:
     for p, e in _factorize(order):
         options_per_prime.append([tuple(p ** part for part in parts)
                                   for parts in _partitions(e)])
+    # each cyclic factor is built once
+    sizes = {f for options in options_per_prime for parts in options for f in parts}
+    cyclic = {f: cyclic_table(f) for f in sizes}
     result = []
     for combo in product(*options_per_prime):
         factors = sorted(f for group in combo for f in group)
-        table = cyclic_table(factors[0])
+        table = cyclic[factors[0]]
         for f in factors[1:]:
-            table = direct_product(table, cyclic_table(f))
+            table = direct_product(table, cyclic[f])
         result.append(("x".join(str(f) for f in factors), table))
     result.sort(key=lambda item: item[0])
     return result
@@ -217,15 +220,22 @@ def _rank_two(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMembe
         for n in range(2, min(24, spec.max_n) + 1)]
 
 
+def _thin_cyclic_bases(earlier: list[CorpusMember]) -> dict[int, Scheme]:
+    """The thin-cyclic members made so far, by order.  Every base a
+    wreath family reads is there: thin-cyclic covers 1..min(24, max_n),
+    and a wreath reads Z_a only for a <= 8 and a * 2 <= max_n."""
+    return {m.scheme.n: m.scheme for m in earlier if m.family == "thin-cyclic"}
+
+
 def _wreath_cyclic(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
-    thin = {a: thin_scheme(cyclic_table(a)) for a in range(2, 9)}
+    thin = _thin_cyclic_bases(earlier)
     return [
         CorpusMember(f"wreath-cyclic-{a}-{b}", "wreath-cyclic", wreath(thin[a], thin[b]))
         for a in range(2, 9) for b in range(2, 9) if a * b <= spec.max_n]
 
 
 def _wreath_triple(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
-    thin = {a: thin_scheme(cyclic_table(a)) for a in (2, 3)}
+    thin = _thin_cyclic_bases(earlier)
     return [
         CorpusMember(f"wreath-triple-{a}-{b}-{c}", "wreath-triple",
                      wreath(wreath(thin[a], thin[b]), thin[c]))
@@ -233,22 +243,27 @@ def _wreath_triple(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[Corpus
 
 
 def _wreath_mixed(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
-    z2 = thin_scheme(cyclic_table(2))
-    pairs: list[tuple[str, Scheme, Scheme]] = []
+    """Wreaths of Z_2 with dihedral, rank-two and Klein bases, each base
+    the member of that name in ``earlier``.  A base that is not there is
+    larger than max_n, so no pair holding it fits."""
+    made = {m.name: m.scheme for m in earlier}
+    z2 = "thin-cyclic-02"
+    pairs: list[tuple[str, str, str]] = []
     for k in range(3, 7):
-        dk = thin_scheme(dihedral_table(k))
+        dk = f"thin-dihedral-{k:02d}"
         pairs.append((f"dihedral{k}-z2", dk, z2))
         pairs.append((f"z2-dihedral{k}", z2, dk))
     for k in range(3, 6):
-        rk = rank_two_scheme(k)
+        rk = f"rank-two-{k:02d}"
         pairs.append((f"rank2of{k}-z2", rk, z2))
         pairs.append((f"z2-rank2of{k}", z2, rk))
-    klein = thin_scheme(direct_product(cyclic_table(2), cyclic_table(2)))
+    klein = "thin-abelian-2x2"
     pairs.append(("klein-z2", klein, z2))
     pairs.append(("z2-klein", z2, klein))
     return [
-        CorpusMember(f"wreath-mixed-{name}", "wreath-mixed", wreath(i, o))
-        for name, i, o in pairs if i.n * o.n <= spec.max_n]
+        CorpusMember(f"wreath-mixed-{name}", "wreath-mixed", wreath(made[i], made[o]))
+        for name, i, o in pairs
+        if i in made and o in made and made[i].n * made[o].n <= spec.max_n]
 
 
 def _quotients(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
@@ -301,7 +316,7 @@ def _wl_random(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMemb
 
 
 # Each family is called with the spec and the members made before it;
-# only the quotient family reads those.
+# the wreath and quotient families take their bases from those.
 _FAMILIES: tuple[Callable[[CorpusSpec, list[CorpusMember]], list[CorpusMember]], ...] = (
     _thin_cyclic,
     _thin_abelian,

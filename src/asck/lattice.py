@@ -10,15 +10,21 @@ only with the current members, one row entry per member.  Every closed
 set is the join of the single-color closed sets of its colors, so the
 full lattice is enumerated by joining each found set with each
 single-color generator, starting from the diagonal, without scanning
-all 2^r subsets.  A join depends only on the union of the two masks,
-so a union that is already a found set, or was closed before, is
-skipped.
+all 2^r subsets.  Each found set keeps the list of its colors next to
+its mask, and a join starts from that list.  A join depends only on
+the union of the two masks, so a union that is already a found set, or
+was closed before, is skipped.
 
-Each closed set gives one equivalence, built from its colors by
-``equivalence_from_colors``; the lattice queries (all, minimal and
-maximal-below-full equivalences, primitivity) feed the quotients and
-restrictions of ``constructions`` and the block criterion of ``checks``.
-The module reads only ``core`` and ``errors``.
+Each closed set gives one equivalence.  Its classes come from one
+labeling, ``_labeled_classes``: one gather of an r-entry table over the
+matrix, and each point labeled by the least point of its row.
+``equivalence_from_colors`` checks any color union on top of that
+labeling; the enumeration builds its closed sets' classes unchecked
+(their unions are equivalences by the closure axioms) and files them
+under the memo that ``closed_set_equivalence`` reads.  The lattice
+queries (all, minimal and maximal-below-full equivalences, primitivity)
+feed the quotients and restrictions of ``constructions`` and the block
+criterion of ``checks``.  The module reads only ``core`` and ``errors``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Scheme, mask_colors
+from .core import Scheme
 from .errors import (
     NotASchemeEquivalence,
     NotThinElement,
@@ -111,7 +117,8 @@ class Equivalence:
 
     @property
     def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.classes)
+        # the classes partition the points: n classes are n singletons
+        return len(self.classes) == self.scheme.n
 
     @property
     def is_full(self) -> bool:
@@ -143,18 +150,20 @@ def _closure_rows(scheme: Scheme) -> tuple[list[list[int]], list[int]]:
     return scheme.derived("closure-rows", build)
 
 
-def _close(scheme: Scheme, closed: int, extra: int) -> int:
-    """Smallest closed color mask containing the closed mask ``closed``
-    and the colors of the mask ``extra``.
+def _close(rows: list[list[int]], sigma: list[int], closed: int,
+           members: list[int], extra: int) -> tuple[int, list[int]]:
+    """Smallest closed color mask containing the closed mask ``closed``,
+    whose colors are listed in ``members``, and the colors of the mask
+    ``extra``; returned with a new list of its colors.
 
-    Worklist closure: each color taken from the worklist joins the
-    members and queues its transpose and its compositions, both ways,
-    with every current member, read from the color's closure row.  A
-    pair of members is composed once, when the later of the two is
-    added; pairs inside ``closed`` never.
+    Worklist closure on the closure rows ``rows`` and the transpose map
+    ``sigma``: each color taken from the worklist joins the members and
+    queues its transpose and its compositions, both ways, with every
+    current member, read from the color's closure row.  A pair of
+    members is composed once, when the later of the two is added; pairs
+    inside ``closed`` never.
     """
-    rows, sigma = _closure_rows(scheme)
-    members = list(mask_colors(closed))
+    members = members.copy()
     pending = extra & ~closed
     while pending:
         bit = pending & -pending
@@ -167,7 +176,7 @@ def _close(scheme: Scheme, closed: int, extra: int) -> int:
         for m in members:
             found |= row[m]
         pending |= found & ~closed
-    return closed
+    return closed, members
 
 
 def _mask(colors: Iterable[int]) -> int:
@@ -181,42 +190,61 @@ def generated_closed_set(scheme: Scheme, seed: Iterable[int]) -> ClosedSet:
     """Smallest closed set containing the seed colors."""
     scheme.require_homogeneous()
     extra = _mask(scheme.check_color(c) for c in seed)
-    closed = _close(scheme, _mask(scheme.diagonal_colors), extra)
-    return ClosedSet(scheme, frozenset(mask_colors(closed)))
+    rows, sigma = _closure_rows(scheme)
+    bottom = list(scheme.diagonal_colors)
+    _, members = _close(rows, sigma, _mask(bottom), bottom, extra)
+    return ClosedSet(scheme, frozenset(members))
+
+
+def _labeled_classes(scheme: Scheme, colors: list[int]
+                     ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The cells of the union of ``colors``, each point's label and the
+    points grouped by label.
+
+    Membership is one gather from an r-entry table, and each point is
+    labeled by the least point of its row, by one ``argmax``.  Points
+    are grouped in ascending order, so when the union is an equivalence
+    every class is ascending and the classes come in the order of their
+    least points, which are their labels.
+    """
+    lut = np.zeros(scheme.r, dtype=bool)
+    lut[colors] = True
+    member = lut[scheme.matrix]
+    labels = member.argmax(axis=1)
+    groups: dict[int, list[int]] = {}
+    for p, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(p)
+    return member, labels, tuple(map(tuple, groups.values()))
 
 
 def equivalence_from_colors(scheme: Scheme, colors: Iterable[int]) -> Equivalence:
     """The equivalence whose pair relation is the union of the given colors.
 
     Raises NotASchemeEquivalence when that union is not reflexive,
-    symmetric, and transitive on the whole point set.
+    symmetric, and transitive on the whole point set.  The classes are
+    those of ``_labeled_classes``, which the three checks make exact: a
+    reflexive, symmetric relation is transitive iff it is "same label".
     """
     colorset = frozenset(scheme.check_color(c) for c in colors)
-    # membership is one gather from an r-entry table
-    lut = np.zeros(scheme.r, dtype=bool)
-    lut[list(colorset)] = True
-    member = lut[scheme.matrix]
+    member, labels, classes = _labeled_classes(scheme, list(colorset))
     if not member.diagonal().all():
         raise NotASchemeEquivalence("union of relations is not reflexive")
     if not np.array_equal(member, member.T):
         raise NotASchemeEquivalence("union of relations is not symmetric")
-    # label each point by the least point of its row; a reflexive,
-    # symmetric relation is transitive iff it is "same label"
-    labels = np.argmax(member, axis=1)
     if not np.array_equal(member, labels[:, None] == labels[None, :]):
         raise NotASchemeEquivalence("union of relations is not transitive")
-    # one stable sort groups the points by label, each class ascending
-    order = np.argsort(labels, kind="stable")
-    cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
-    points = order.tolist()
-    classes = tuple(tuple(points[lo:hi])
-                    for lo, hi in zip([0] + cuts, cuts + [scheme.n]))
     return Equivalence(scheme, classes, colorset)
 
 
 def closed_set_equivalence(scheme: Scheme, colors: frozenset[int]) -> Equivalence:
-    """``equivalence_from_colors`` of a closed color set, built once per
-    scheme and set and kept in the ``derived`` memo."""
+    """The equivalence of a color set, kept in the ``derived`` memo under
+    ``("equivalence", colors)``.
+
+    The lattice enumeration files every closed set there, so for those
+    this is a lookup; on a miss, ``equivalence_from_colors`` builds it
+    with its three checks, so a caller's colors that are not a closed
+    set still raise NotASchemeEquivalence.
+    """
     return scheme.derived(("equivalence", colors),
                           lambda: equivalence_from_colors(scheme, colors))
 
@@ -244,28 +272,60 @@ def all_equivalences(scheme: Scheme) -> list[Equivalence]:
 
 
 def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
+    """The closed sets of a homogeneous scheme and their equivalences.
+
+    The family maps each closed mask found to the list of its colors, so
+    a join starts from that list; the closure rows are read once.  A
+    color and its transpose generate the same closed set, so only the
+    first of the two is closed.
+
+    The classes are built by ``_labeled_classes`` with no axiom check,
+    and filed under the ``("equivalence", colors)`` memo that
+    ``closed_set_equivalence`` reads.  The checks would pass: in a
+    homogeneous scheme a closed set holds the lone diagonal color, so
+    its union is reflexive; it holds the transpose of each member, so
+    the union is symmetric; and it holds every color of a composed pair
+    (p^c_ab > 0 with a, b in the set puts c in the set), so the union is
+    transitive.
+    """
+    rows, sigma = _closure_rows(scheme)
     # the lone diagonal color of a homogeneous scheme is closed
-    bottom = _mask(scheme.diagonal_colors)
-    generators = {_close(scheme, bottom, 1 << c)
-                  for c in range(scheme.r) if c not in scheme.diagonal_colors}
-    family = {bottom} | generators
-    joined = set()
+    bottom_members = list(scheme.diagonal_colors)
+    bottom = _mask(bottom_members)
+    family = {bottom: bottom_members}
+    for c in range(scheme.r):
+        if not (bottom >> c) & 1 and sigma[c] >= c:
+            mask, members = _close(rows, sigma, bottom, bottom_members, 1 << c)
+            family.setdefault(mask, members)
+    generators = [g for g in family if g != bottom]
+    # every mask found or closed: the join depends only on the union,
+    # so each union is closed once
+    seen = set(family)
     frontier = list(family)
     while frontier:
         closed = frontier.pop()
+        members = family[closed]
         for g in generators:
-            # the join depends only on the union: close each union once
             union = closed | g
-            if union in family or union in joined:
+            if union in seen:
                 continue
-            joined.add(union)
-            join = _close(scheme, closed, g)
+            seen.add(union)
+            join, join_members = _close(rows, sigma, closed, members, g)
             if join not in family:
-                family.add(join)
+                family[join] = join_members
+                seen.add(join)
                 frontier.append(join)
-    eqs = [closed_set_equivalence(scheme, frozenset(mask_colors(m))) for m in family]
-    eqs.sort(key=lambda e: (len(e.colors), sorted(e.colors)))
-    return eqs
+    ordered = sorted(family.values(), key=lambda ms: (len(ms), sorted(ms)))
+    return [_unchecked_equivalence(scheme, members) for members in ordered]
+
+
+def _unchecked_equivalence(scheme: Scheme, members: list[int]) -> Equivalence:
+    """The memo's equivalence of a closed set, built with no axiom check
+    when missing; exact only for closed sets, by the argument in
+    ``_enumerate_equivalences``."""
+    colors = frozenset(members)
+    return scheme.derived(("equivalence", colors), lambda: Equivalence(
+        scheme, _labeled_classes(scheme, members)[2], colors))
 
 
 def minimal_equivalences(scheme: Scheme) -> list[Equivalence]:

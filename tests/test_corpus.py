@@ -35,8 +35,8 @@ def test_default_corpus_output_is_byte_identical(corpus_results):
 
 
 def test_group_tables_are_verified_where_they_are_built(monkeypatch):
-    """The quotient family reads the thin members already made, and the
-    wreath families build each thin cyclic base once."""
+    """The wreath and quotient families read the members already made,
+    and ``abelian_tables`` builds each cyclic factor once per order."""
     calls = Counter()
     family = [None]
     verify = constructions.cayley_table
@@ -54,6 +54,4 @@ def test_group_tables_are_verified_where_they_are_built(monkeypatch):
     monkeypatch.setattr(constructions, "cayley_table", counted)
     monkeypatch.setattr("asck.corpus._FAMILIES", tuple(map(tagged, _FAMILIES)))
     generate_corpus(CorpusSpec())
-    assert calls["_quotients"] == 0
-    assert calls["_wreath_cyclic"] <= 7
-    assert calls["_wreath_triple"] <= 2
+    assert dict(calls) == {"_thin_cyclic": 24, "_thin_abelian": 88, "_thin_dihedral": 10}

@@ -13,6 +13,7 @@ from asck import (
     ccm_text,
     cyclic_table,
     dg_text,
+    dihedral_table,
     rank_two_scheme,
     read_ccm,
     read_dg,
@@ -25,6 +26,7 @@ from asck import (
 from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
 from asck.constructions import MAX_CLOSURE_POINTS
 from asck.core import as_color_matrix
+from asck.corpus import abelian_tables
 from asck.errors import NonContiguousColors, SchemeError
 from asck.io import _content_lines, _ints
 from test_constructions import chords_shape, ladder_closures_64
@@ -421,6 +423,38 @@ class TestCliLadder:
             call(["corollary2", str(out), "--machine"])
         assert digest.hexdigest() == (
             "9685f8ce8e4a99ffaf94f60859c7058ebef92a44f913609c75f0fcb555a1add4")
+
+
+def relabeled_group_schemes():
+    """The thin scheme of every abelian and every dihedral group of order
+    8..24, its points relabeled by a permutation from a fixed seed."""
+    rng = random.Random(24)
+    tables = [t for m in range(8, 25) for _, t in abelian_tables(m)]
+    tables += [dihedral_table(k) for k in range(4, 13)]
+    schemes = []
+    for t in tables:
+        matrix = thin_scheme(t).matrix
+        perm = list(range(t.m))
+        rng.shuffle(perm)
+        moved = np.empty_like(matrix)
+        moved[np.ix_(perm, perm)] = matrix
+        schemes.append(moved)
+    return schemes
+
+
+class TestCliClosedSets:
+    def test_output_is_pinned(self, tmp_path, capsys):
+        # sha256 of the closed-sets stdout over the 38 relabeled groups
+        digest = hashlib.sha256()
+        schemes = relabeled_group_schemes()
+        for i, matrix in enumerate(schemes):
+            path = tmp_path / f"g{i}.ccm"
+            write_ccm(matrix, path)
+            assert main(["closed-sets", str(path)]) == EXIT_OK
+            digest.update(capsys.readouterr().out.encode())
+        assert len(schemes) == 38
+        assert digest.hexdigest() == (
+            "ef54444f499ba2bf6a3aa07ddec6e6d3dd23f67c3f144c37abc7807d5f9692d2")
 
 
 class TestCliCorpus:

@@ -42,7 +42,6 @@ from asck.errors import (
 )
 import asck
 from asck import lattice
-from asck.core import mask_colors
 from asck.lattice import RANK_CAP, ClosedSet, closed_set_equivalence
 
 
@@ -553,6 +552,16 @@ def tensor_composition(scheme):
     return comp
 
 
+def mask_colors(mask):
+    """The colors whose bits are set in a color bitmask, ascending."""
+    colors = []
+    while mask:
+        low = mask & -mask
+        colors.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(colors)
+
+
 def old_close(comp, sigma, closed, extra):
     """The worklist closure read straight from a composition table
     ``comp``: two dict lookups per member and a numpy transpose map
@@ -676,13 +685,62 @@ class TestPreviousEngineOracle:
                                                 direct_product(z2, z2))).matrix)
         real = lattice._close
         calls = []
-        monkeypatch.setattr(lattice, "_close", lambda scheme, closed, extra: (
-            calls.append((closed, closed | extra)) or real(scheme, closed, extra)))
+        monkeypatch.setattr(lattice, "_close", lambda rows, sigma, closed, members, extra: (
+            calls.append((closed, closed | extra))
+            or real(rows, sigma, closed, members, extra)))
         assert len(all_equivalences(s)) == 67
         unions = [union for _, union in calls]
         assert len(set(unions)) == len(unions)
         assert all(union != closed for closed, union in calls)
         assert 0 < len(calls) < 67 * 16
+
+
+def lattice_schemes(corpus):
+    """Fresh copies (empty memos) of the corpus lattices, then of the
+    thin groups of order 8..24."""
+    groups = [t for t in groups_up_to_twelve() if t.m >= 8] + groups_thirteen_to_twenty_four()
+    return ([validate(m.scheme.matrix) for m in corpus
+             if m.scheme.is_homogeneous and m.scheme.r <= RANK_CAP]
+            + [validate(thin_scheme(t).matrix) for t in groups])
+
+
+class TestUncheckedClassBuild:
+    """The enumeration builds each closed set's classes with no axiom
+    check; the checked build of the same colors is the oracle."""
+
+    def assert_matches_checked(self, s):
+        eqs = all_equivalences(s)
+        for e in eqs:
+            assert e.classes == equivalence_from_colors(s, e.colors).classes
+            assert closed_set_equivalence(s, e.colors) is e
+        return len(eqs)
+
+    def test_corpus_lattices(self, corpus):
+        counts = [self.assert_matches_checked(s) for s in lattice_schemes(corpus)]
+        assert len(counts) == 280 + 49
+
+    @pytest.mark.parametrize("table", [t for t in groups_up_to_twelve() if t.m < 8],
+                             ids=lambda t: f"order{t.m}")
+    def test_small_thin_groups(self, table):
+        self.assert_matches_checked(validate(thin_scheme(table).matrix))
+
+
+class TestRelabeling:
+    """Least-point labels do not lean on the point numbering: relabeling
+    the points by a seeded permutation P keeps the color sets and their
+    order and maps each class to its P-image."""
+
+    def test_lattices_commute_with_relabeling(self, corpus):
+        rng = np.random.default_rng(18)
+        for s in lattice_schemes(corpus):
+            perm = rng.permutation(s.n)
+            moved = np.empty_like(s.matrix)
+            moved[np.ix_(perm, perm)] = s.matrix
+            eqs, relabeled = all_equivalences(s), all_equivalences(validate(moved))
+            assert [e.colors for e in relabeled] == [e.colors for e in eqs]
+            for e, f in zip(eqs, relabeled):
+                assert ({frozenset(perm[list(cls)].tolist()) for cls in e.classes}
+                        == {frozenset(cls) for cls in f.classes})
 
 
 class TestLayering:
