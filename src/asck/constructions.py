@@ -36,11 +36,7 @@ from .errors import (
     SchemeError,
     WreathValidationFailed,
 )
-from .lattice import (
-    Equivalence,
-    closed_set_equivalence,
-    generated_closed_set,
-)
+from .lattice import Equivalence, closed_set_equivalence
 
 
 # -- group tables -------------------------------------------------------------
@@ -186,9 +182,9 @@ def quotient(scheme: Scheme, e: Equivalence) -> Scheme:
     """Scheme on the classes of e; the color of a class pair (X, Y) is
     the set of original colors occurring inside X x Y.
 
-    Distinct colors always induce identical-or-disjoint class-pair
-    relations; this is re-checked and a violation (or a validation
-    failure of the result) raises QuotientValidationFailed.
+    Those sets are double cosets, so distinct colors induce identical or
+    disjoint class-pair relations (see ``_quotient_matrix``); a
+    validation failure of the result raises QuotientValidationFailed.
     """
     return scheme.derived(("quotient", e.classes), lambda: _quotient(scheme, e))
 
@@ -205,9 +201,16 @@ def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
     """The (k, k) matrix of class-pair color-set ids, numbered in
     row-major order of first appearance.
 
-    ``_class_pair_runs`` gives every class pair's colors as one
-    ascending run.  The pairs are then walked row-major, and a color met
-    in two distinct color sets raises QuotientValidationFailed.
+    Each class pair is labeled by the least color of its ascending run
+    in ``_class_pair_runs``.  Exact: let T be the closed set of e.  For
+    a class pair X x Y holding a cell (x, y) of color s, every cell
+    (x', y') inside it has a color in TsT, through x and y; and every
+    color c of TsT has s in TcT, so a path x -> v -> v' -> y of colors
+    in T, c, T puts a cell (v, v') of color c inside X x Y.  The colors
+    inside X x Y are therefore the double coset TsT, and double cosets
+    partition the colors (Zieschang, *Theory of Association Schemes*,
+    2005), so two class pairs hold equal color sets exactly when their
+    least colors are equal.
     """
     # a color union that is an equivalence is closed
     base = closed_set_equivalence(scheme, frozenset(e.colors))
@@ -216,22 +219,10 @@ def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
             "classes are not the classes of the color union")
     k = len(e.classes)
     pairs, colors, _ = _class_pair_runs(scheme, e.classes)
-    # every class pair holds a cell, so each pair has a nonempty run
-    bounds = np.searchsorted(pairs, np.arange(k * k + 1)).tolist()
-    colors = colors.tolist()
-    ids: dict[frozenset[int], int] = {}
-    seen_in: dict[int, frozenset[int]] = {}
-    raw = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        block = frozenset(colors[lo:hi])
-        raw.append(ids.setdefault(block, len(ids)))
-        for c in block:
-            prev = seen_in.setdefault(c, block)
-            if prev != block:
-                raise QuotientValidationFailed(
-                    f"color {c} occurs in distinct class-pair color sets "
-                    f"{sorted(prev)} and {sorted(block)}")
-    return np.array(raw, dtype=np.int64).reshape(k, k)
+    # every class pair holds a cell, so each of the k^2 pairs starts a run
+    least = colors[np.flatnonzero(np.diff(pairs, prepend=-1))]
+    _, first, inverse = np.unique(least, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse].reshape(k, k)
 
 
 def _class_pair_runs(scheme: Scheme, classes: tuple[tuple[int, ...], ...]
@@ -260,11 +251,19 @@ def _class_pair_runs(scheme: Scheme, classes: tuple[tuple[int, ...], ...]
 def is_block(scheme: Scheme, points: Sequence[int]) -> bool:
     """Whether the point set is a class of some scheme equivalence or a fiber.
 
-    For a homogeneous scheme this is decided exactly: the set is a block
-    iff it is a class of the equivalence generated by the colors found
-    inside it.  For non-homogeneous schemes only fibers, singletons and
-    the full point set are recognized (their equivalence lattices are
-    not enumerated here).
+    For a homogeneous scheme this is decided exactly by one row count:
+    with T the colors inside B x B, B is a block iff every u in B has
+    exactly |B| points v with color(u, v) in T.  If so, N_T(u) = B for
+    every u in B, as N_T(u) always contains B.  T then holds the
+    diagonal color, and every transpose, as B x B is symmetric.  For a,
+    b in T and p^c_ab > 0, homogeneity gives a cell (u, w) of color c
+    with u in B; its midpoint v has color(u, v) = a, so v is in B, and
+    color(v, w) = b, so w is in B and c is in T.  So T is closed and B =
+    N_T(u) is a class of E_T.  Conversely a class of E_T holds exactly
+    the colors of T (see ``_class_restriction``), and N_T(u) is u's
+    class.  For non-homogeneous schemes only fibers, singletons and the
+    full point set are recognized (their equivalence lattices are not
+    enumerated here).
     """
     pts = sorted({int(p) for p in points})
     if not pts or pts[0] < 0 or pts[-1] >= scheme.n:
@@ -275,9 +274,10 @@ def is_block(scheme: Scheme, points: Sequence[int]) -> bool:
         return True
     if not scheme.is_homogeneous:
         return False
-    inside = {int(c) for c in np.unique(scheme.matrix[np.ix_(pts, pts)])}
-    closed = generated_closed_set(scheme, inside)
-    return tuple(pts) in closed_set_equivalence(scheme, closed.colors).classes
+    inside = np.zeros(scheme.r, dtype=bool)
+    inside[scheme.matrix[np.ix_(pts, pts)]] = True
+    # each row of B already counts the |B| points of B
+    return np.count_nonzero(inside[scheme.matrix[pts]]) == len(pts) ** 2
 
 
 def restriction(scheme: Scheme, points: Sequence[int]) -> Scheme:
@@ -306,9 +306,9 @@ def _class_restriction(scheme: Scheme, cls: tuple[int, ...]) -> Scheme:
     point at least once, and the out-neighbours of a point under a color
     of T are E_T-related to it, so they stay in its class: every color of
     T occurs inside B x B.  Every pair inside B is E_T-related, so no
-    other color does.  The colors inside B are therefore exactly T, which
-    is closed, so B is a class of the equivalence that its inner colors
-    generate, which is what ``is_block`` decides.  It also follows that
+    other color does.  The colors inside B are therefore exactly T, so
+    each u in B has exactly |B| points v with color(u, v) in T, its
+    class, which is the row count ``is_block`` tests.  It also follows that
     each color c of T has |B| * deg(c) cells inside B x B, so all classes
     of E_T restrict to one multiset of color sizes and get one verdict
     from ``is_p_scheme``, which reads only sizes.
@@ -356,8 +356,9 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
 # Largest digraph ``digraph_color_matrix`` encodes, since a .dg header can
 # name any n.  Certification works in O(n^2) memory at every rank: a
 # closure that ends discrete (n^2 colors) peaks in ``wl_closure`` at
-# 10.6 MiB (tracemalloc) at n = 256.  Raising the bound changes what the
-# CLI accepts, so it waits for a matching size bound on .ccm input.
+# 9.7 MiB (tracemalloc, worst of the seeded cycle-plus-chords inputs 0-9)
+# at n = 256.  Raising the bound changes what the CLI accepts, so it waits
+# for a matching size bound on .ccm input.
 MAX_CLOSURE_POINTS = 256
 
 
@@ -385,39 +386,36 @@ _CLOSURE_SEEDS = (710046, 1, 2, 3, 4, 5, 6, 7)
 
 
 def _hash_weights(rng: np.random.Generator, r: int, width: int) -> np.ndarray:
-    """Rows x1, y1, x2, y2 of integer weights in [1, 2**width), one per color."""
-    return rng.integers(1, 1 << width, size=(4, r)).astype(np.float64)
-
-
-# Round keys of ``_hashed_fixpoint`` must stay below this to fit int64.
-_ROUND_KEY_BOUND = 2 ** 63
+    """Rows x, y of integer weights in [1, 2**width), one per color."""
+    return rng.integers(1, 1 << width, size=(2, r)).astype(np.float64)
 
 
 def _hashed_fixpoint(cur: np.ndarray, seed: int, width: int) -> np.ndarray:
     """Refine ``cur`` by hashed rounds until a round splits no color.
 
-    A round's new ids rank the triples (cur, h1, h2) lexicographically,
-    h1 and h2 being the two hashes: each hash is ranked on its own, then
-    one int64 ``np.unique`` of (cur * k1 + rank1) * k2 + rank2, with k1
-    and k2 the numbers of distinct values, gives the ids.  That key is
-    below r * k1 * k2 <= n^6 (2^48 at n = 256, 2^60 at n = 1,024), so it
-    fits int64 up to n = 1,448; past that, (cur, rank1) is ranked first
-    whenever the product would not fit, and the ids are the same.
+    A round's new ids rank the pairs (cur, hash): the hash is ranked on
+    its own, then one int64 ``np.unique`` of cur * k + rank, with k the
+    number of distinct hashes, gives the ids.  Both r and k are at most
+    n^2, so the key is below n^4 and fits int64 for every n below 55,000.
+
+    One hash per round is enough.  A hashed round is never finer than
+    the exact round (see ``wl_closure``), so a collision only merges
+    cells that the exact round would split.  Their two-step multisets
+    still differ in the next round, whose weights are fresh, so the
+    split is delayed; or the rounds stop early on an incoherent
+    partition, which ``canonical_scheme`` rejects and the next seed of
+    ``_CLOSURE_SEEDS`` refines further.
     """
     rng = np.random.default_rng(seed)
     while True:
         r = int(cur.max()) + 1
-        x1, y1, x2, y2 = _hash_weights(rng, r, width)
+        x, y = _hash_weights(rng, r, width)
         # einsum runs numpy's own loop: a threaded BLAS product was seen to
         # wait ~20 ms per call for its worker threads on a 2-vCPU machine.
-        # Both hashes are exact integers, so their ranks compare exactly.
-        _, rank1 = np.unique(np.einsum("uv,vw->uw", x1[cur], y1[cur]), return_inverse=True)
-        _, rank2 = np.unique(np.einsum("uv,vw->uw", x2[cur], y2[cur]), return_inverse=True)
-        k1, k2 = int(rank1.max()) + 1, int(rank2.max()) + 1
-        key = cur * k1 + rank1.reshape(cur.shape)
-        if r * k1 * k2 > _ROUND_KEY_BOUND:
-            _, key = np.unique(key, return_inverse=True)
-        _, inverse = np.unique(key * k2 + rank2.reshape(key.shape), return_inverse=True)
+        # The hash is an exact integer, so its ranks compare exactly.
+        _, rank = np.unique(np.einsum("uv,vw->uw", x[cur], y[cur]), return_inverse=True)
+        k = int(rank.max()) + 1
+        _, inverse = np.unique(cur * k + rank.reshape(cur.shape), return_inverse=True)
         if int(inverse.max()) + 1 == r:
             return cur
         cur = inverse.reshape(cur.shape)
@@ -427,8 +425,8 @@ def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     """The coarsest coherent configuration refining the given coloring.
 
     Cells are first split by (color, transposed color, on-diagonal).
-    Then each round splits the cells of every color by two hashes of
-    the two-step color pairs through the intermediate points: with
+    Then each round splits the cells of every color by a hash of the
+    two-step color pairs through the intermediate points: with
     integer weights x, y per color, drawn fresh each round, the hash of
     (u, w) is sum_v x[color(u,v)] * y[color(v,w)], the entry (u, w) of
     the product x[cur] @ y[cur].  Weights lie in [1, 2**width) with

@@ -242,8 +242,7 @@ class Scheme:
         ``right``, for any (hence every) cell (u,w) of color ``through``.
 
         Argument order matches the tensor index order [through, left, right].
-        Counts over one cell in O(n) time and memory; ``tensor_slice``
-        would allocate r^2 entries for one number.
+        Counts over one cell in O(n) time and memory.
         """
         left = self.check_color(left)
         right = self.check_color(right)
@@ -251,22 +250,19 @@ class Scheme:
         return int(np.count_nonzero(
             (self.matrix[u, :] == left) & (self.matrix[:, w] == right)))
 
-    def tensor_slice(self, through: int) -> np.ndarray:
-        """The (r, r) matrix of intersection numbers seen from one color."""
-        u, w = self.first_cells[self.check_color(through)]
-        codes = self.matrix[u, :] * self.r + self.matrix[:, w]
-        return np.bincount(codes, minlength=self.r * self.r).reshape(self.r, self.r)
-
     def tensor(self) -> np.ndarray:
         """Full (r, r, r) intersection tensor, indexed [through, left, right].
 
-        Stacked from ``tensor_slice`` on every call, so it costs r^3
-        memory each time; prefer ``tensor_slice`` or
-        ``intersection_number``.  Composition queries never build it:
-        ``composition_colors`` and the lattice's closure rows count on
-        each color's first cell.
+        One ``np.bincount`` of the codes (c, color(u,v), color(v,w)) over
+        every point v, with (u, w) the first cell of each color c, so it
+        costs r^3 memory on every call; prefer ``intersection_number``.
+        Composition queries never build it: ``composition_colors`` and
+        the lattice's closure rows count on each color's first cell.
         """
-        return np.stack([self.tensor_slice(c) for c in range(self.r)])
+        r = self.r
+        us, ws = self.first_cells.T
+        codes = (np.arange(r)[:, None] * r + self.matrix[us, :]) * r + self.matrix[:, ws].T
+        return np.bincount(codes.ravel(), minlength=r ** 3).reshape(r, r, r)
 
     def composition_colors(self, left: int, right: int) -> tuple[int, ...]:
         """Colors carrying at least one left-then-right two-step, ascending.

@@ -83,14 +83,17 @@ class ClosedSet:
         for c in self.colors:
             if s.transpose(c) not in self.colors:
                 raise SchemeError(f"transpose of {c} missing")
-        members = sorted(self.colors)
-        inside = np.ix_(members, members)
+        inside = np.zeros(s.r, dtype=bool)
+        inside[list(self.colors)] = True
         for c in range(s.r):
-            if c in self.colors:
+            if inside[c]:
                 continue
-            hits = np.argwhere(s.tensor_slice(c)[inside])
+            # the least pair (a, b) of members met at c's first cell
+            u, w = s.first_cells[c]
+            left, right = s.matrix[u, :], s.matrix[:, w]
+            hits = (left * s.r + right)[inside[left] & inside[right]]
             if hits.size:
-                a, b = members[hits[0][0]], members[hits[0][1]]
+                a, b = divmod(int(hits.min()), s.r)
                 raise SchemeError(
                     f"composition {a}*{b} leaves the set via {c}")
 

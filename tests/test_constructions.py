@@ -34,7 +34,13 @@ from asck import (
 from asck import constructions, lattice
 from asck.constructions import _class_restriction, _quotient_matrix
 from asck.core import Scheme, _integral, as_color_matrix
-from asck.corpus import CorpusSpec, _random_digraph, generate_corpus
+from asck.corpus import (
+    CorpusMember,
+    CorpusSpec,
+    _random_digraph,
+    generate_corpus,
+    member_reports,
+)
 from asck.errors import (
     InvalidGroupTable,
     NotABlock,
@@ -507,7 +513,27 @@ class TestQuotientMatrixOracle:
                         assert quotient_matrix_outcome(_quotient_matrix, q, e) == want
                         assert quotient_matrix_outcome(labeled_quotient_matrix, q, e) == want
 
+    def test_colors_out_of_canonical_order(self):
+        """In a scheme whose colors are not in canonical order, the least
+        colors of the class pairs do not ascend in row-major order; the
+        ids still number the color sets by first appearance."""
+        rng = np.random.default_rng(12)
+        for base in (thin_scheme(cyclic_table(12)), thin_scheme(dihedral_table(6)),
+                     wreath(thin_scheme(cyclic_table(2)), rank_two_scheme(3))):
+            perm = rng.permutation(base.r)
+            s = validate(perm[base.matrix])
+            for e in all_equivalences(s):
+                want = quotient_matrix_outcome(old_quotient_matrix, s, e)
+                assert quotient_matrix_outcome(_quotient_matrix, s, e) == want
+                colors = {b for b in range(base.r) if perm[b] in e.colors}
+                assert quotient(s, e).same_matrix(
+                    quotient(base, equivalence_from_colors(base, colors)))
+
     def test_color_in_two_class_pair_sets(self):
+        """On a matrix that is no scheme, a color can lie in two distinct
+        class-pair color sets, which the old loops reported.  Labeled by
+        least color, the two pairs merge, and the certificate of the
+        quotient rejects it."""
         # classes {0,1}, {2,3}, {4,5}; color 2 meets 3 in X x Y and 4 in X x Z
         cross = {(0, 1): [[2, 3], [3, 2]], (0, 2): [[2, 4], [4, 2]], (1, 2): [[5, 5], [5, 5]]}
         m = np.zeros((6, 6), dtype=np.int64)
@@ -521,9 +547,35 @@ class TestQuotientMatrixOracle:
         e = Equivalence(s, ((0, 1), (2, 3), (4, 5)), frozenset({0, 1}))
         want = (QuotientValidationFailed,
                 "color 2 occurs in distinct class-pair color sets [2, 3] and [2, 4]")
-        assert quotient_matrix_outcome(_quotient_matrix, s, e) == want
         assert quotient_matrix_outcome(old_quotient_matrix, s, e) == want
         assert quotient_matrix_outcome(labeled_quotient_matrix, s, e) == want
+        with pytest.raises(QuotientValidationFailed,
+                           match=r"^color 1: cells \(0, 1\) and \(1, 0\) see 1 vs 0 "):
+            quotient(s, e)
+
+    def test_class_pair_color_sets_are_double_cosets(self, corpus):
+        """The argument of ``_quotient_matrix``: on every equivalence of
+        every corpus lattice, two class-pair color sets are equal or
+        disjoint, so each set is named by its least color."""
+        lattices = 0
+        for member in corpus:
+            s = member.scheme
+            if not (s.is_homogeneous and s.r <= RANK_CAP):
+                continue
+            lattices += 1
+            for e in all_equivalences(s):
+                k = len(e.classes)
+                class_of = np.empty(s.n, dtype=np.int64)
+                for x, cls in enumerate(e.classes):
+                    class_of[list(cls)] = x
+                pair = class_of[:, None] * k + class_of[None, :]
+                sets = {}
+                for p, c in set(zip(pair.ravel().tolist(), s.matrix.ravel().tolist())):
+                    sets.setdefault(p, set()).add(c)
+                assert len(sets) == k * k
+                distinct = {frozenset(colors) for colors in sets.values()}
+                assert sum(map(len, distinct)) == s.r, member.name
+        assert lattices == 280
 
 
 def induced_on_quotient(qF, F, E):
@@ -569,7 +621,40 @@ class TestQuotientOfQuotient:
         assert isomorphic(double, direct)
 
 
+def old_is_block(scheme, points):
+    """``is_block`` before the row count: in the homogeneous case, whether
+    the set is a class of the equivalence generated by its inner colors."""
+    pts = sorted({int(p) for p in points})
+    if not pts or pts[0] < 0 or pts[-1] >= scheme.n:
+        return False
+    if len(pts) == scheme.n or len(pts) == 1:
+        return True
+    if tuple(pts) in scheme.fibers:
+        return True
+    if not scheme.is_homogeneous:
+        return False
+    inside = {int(c) for c in np.unique(scheme.matrix[np.ix_(pts, pts)])}
+    closed = lattice.generated_closed_set(scheme, inside)
+    return tuple(pts) in lattice.closed_set_equivalence(scheme, closed.colors).classes
+
+
 class TestBlocksAndRestriction:
+    def test_row_count_matches_generated_equivalence(self, corpus):
+        """``is_block`` agrees with the closure-and-equivalence oracle on
+        every point subset of every corpus member with n <= 8."""
+        homogeneous = blocks = 0
+        for member in corpus:
+            if member.scheme.n > 8:
+                continue
+            s = validate(member.scheme.matrix)
+            for mask in range(1, 1 << s.n):
+                pts = [p for p in range(s.n) if mask >> p & 1]
+                want = old_is_block(s, pts)
+                assert is_block(s, pts) == want, (member.name, pts)
+                homogeneous += s.is_homogeneous
+                blocks += want
+        assert homogeneous == 13484 and 0 < blocks < homogeneous
+
     def test_whole_set_and_singletons(self):
         s = thin_scheme(cyclic_table(4))
         assert is_block(s, range(4))
@@ -828,12 +913,12 @@ class TestClosureOracle:
 
 
 def old_hashed_fixpoint(cur, seed, width):
-    """The rounds that ``_hashed_fixpoint`` replaced, which ranked the two
-    hashes as one complex128 ``np.unique``; the oracle for its fixpoints."""
+    """Rounds with two hashes, ranked as one complex128 ``np.unique``:
+    the oracle for the partitions that ``_hashed_fixpoint`` reaches."""
     rng = np.random.default_rng(seed)
     while True:
         r = int(cur.max()) + 1
-        x1, y1, x2, y2 = constructions._hash_weights(rng, r, width)
+        x1, y1, x2, y2 = rng.integers(1, 1 << width, size=(4, r)).astype(np.float64)
         _, pair = np.unique(np.einsum("uv,vw->uw", x1[cur], y1[cur])
                             + 1j * np.einsum("uv,vw->uw", x2[cur], y2[cur]),
                             return_inverse=True)
@@ -844,22 +929,23 @@ def old_hashed_fixpoint(cur, seed, width):
         cur = inverse.reshape(cur.shape)
 
 
-def assert_fixpoints_match_oracle(matrix, key_bound=2 ** 63):
+def assert_fixpoints_match_oracle(matrix):
     """Every ``_hashed_fixpoint`` call of ``wl_closure(matrix)`` returns the
-    oracle's array, byte for byte, with round keys bounded by ``key_bound``."""
+    oracle's partition; the weights differ, so the ids are compared after
+    ``canonical_recolor``."""
     real = constructions._hashed_fixpoint
     seeds = []
 
     def checked(cur, seed, width):
         got = real(cur, seed, width)
         want = old_hashed_fixpoint(cur, seed, width)
-        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert canonical_recolor(got).tobytes() == canonical_recolor(want).tobytes()
         seeds.append(seed)
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constructions, "_hashed_fixpoint", checked)
-        mp.setattr(constructions, "_ROUND_KEY_BOUND", key_bound)
         wl_closure(matrix)
     assert seeds
 
@@ -876,11 +962,24 @@ class TestRoundKeyOracle:
     def test_ladder_shapes(self, make, n):
         assert_fixpoints_match_oracle(ladder_matrix(make, n, seed=n))
 
-    @pytest.mark.parametrize("make", [circulant_shape, chords_shape])
-    def test_keys_ranked_in_two_steps(self, make):
-        """Past n = 1,448 a round's key may not fit int64, and (cur, h1)
-        is ranked first; a zero bound takes that path in every round."""
-        assert_fixpoints_match_oracle(ladder_matrix(make, 32, seed=3), key_bound=0)
+    def test_one_fixpoint_per_closure(self, monkeypatch):
+        """The default corpus's 140 closures and the n = 64 ladder shapes
+        each certify their first fixpoint: one hash per round needs no
+        retry there."""
+        real = constructions._hashed_fixpoint
+        seeds = []
+        monkeypatch.setattr(constructions, "_hashed_fixpoint",
+                            lambda cur, seed, width: seeds.append(seed) or real(cur, seed, width))
+        closures = []
+        monkeypatch.setattr("asck.corpus.wl_closure",
+                            lambda m: closures.append(len(seeds)) or wl_closure(m))
+        generate_corpus(CorpusSpec())
+        assert len(closures) == 140
+        for make in (circulant_shape, chords_shape):
+            closures.append(len(seeds))
+            wl_closure(ladder_matrix(make, 64, seed=64))
+        assert closures == list(range(len(closures)))
+        assert seeds == [constructions._CLOSURE_SEEDS[0]] * len(closures)
 
 
 class TestClosureRetry:
@@ -892,7 +991,7 @@ class TestClosureRetry:
             if not any(rng is seen for seen in attempts):
                 attempts.append(rng)
             if rng is attempts[0]:
-                return np.ones((4, r))
+                return np.ones((2, r))
             return real(rng, r, width)
 
         monkeypatch.setattr(constructions, "_hash_weights", ones_on_first_attempt)
@@ -903,7 +1002,7 @@ class TestClosureRetry:
 
     def test_exhausted_seeds_raise(self, monkeypatch):
         monkeypatch.setattr(constructions, "_hash_weights",
-                            lambda rng, r, width: np.ones((4, r)))
+                            lambda rng, r, width: np.ones((2, r)))
         with pytest.raises(SchemeError, match="not certified"):
             wl_closure(ladder_matrix(chords_shape, 16))
 
@@ -927,3 +1026,53 @@ class TestClosureRetry:
             tracemalloc.stop()
         assert s.r == 65
         assert peak < 8 * 2 ** 20
+
+
+class TestClosureEquivariance:
+    """The coarsest coherent refinement is unique, so relabeling the
+    points before the closure or after it gives one partition, whatever
+    the hash weights."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("make", [circulant_shape, chords_shape])
+    def test_ladder_shapes(self, make, n):
+        matrix = ladder_matrix(make, n, seed=n)
+        closed = wl_closure(matrix).matrix
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            p = rng.permutation(n)
+            relabeled = wl_closure(matrix[p][:, p]).matrix
+            assert np.array_equal(canonical_recolor(relabeled),
+                                  canonical_recolor(closed[p][:, p]))
+
+
+def group_tables(max_order):
+    """Cyclic, direct-product and dihedral tables of order <= max_order."""
+    tables = [cyclic_table(m) for m in range(2, max_order + 1)]
+    tables += [direct_product(cyclic_table(a), cyclic_table(b))
+               for a in range(2, max_order + 1) for b in range(a, max_order // a + 1)]
+    tables += [dihedral_table(k) for k in range(3, max_order // 2 + 1)]
+    return tables
+
+
+@functools.cache
+def cayley_group_tables():
+    return tuple(group_tables(32))
+
+
+class TestCayleyClosures:
+    """Closures of Cayley digraphs of cyclic, abelian and dihedral groups:
+    the group acts regularly by automorphisms of the digraph, hence of its
+    closure, so the closure is homogeneous, and the paper's two sides
+    agree on it."""
+
+    @settings(max_examples=120)
+    @given(st.data())
+    def test_reports_agree(self, data):
+        table = data.draw(st.sampled_from(cayley_group_tables()))
+        connection = data.draw(st.sets(st.integers(0, table.m - 1), min_size=1))
+        arcs = [(g, int(table.table[g, s])) for g in range(table.m) for s in connection]
+        s = wl_closure(digraph_color_matrix(Digraph.from_arcs(table.m, arcs)))
+        assert s.is_homogeneous
+        reports = member_reports(CorpusMember("cayley", "cayley", s), (2, 3, 5))
+        assert reports and all(rep.agree for rep in reports)

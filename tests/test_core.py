@@ -479,6 +479,14 @@ class TestWorkingSet:
         assert peak < 16 * 2 ** 20
 
 
+def tensor_slice(s, through):
+    """The (r, r) intersection numbers of one color, by one ``np.bincount``
+    of the pairs (color(u,v), color(v,w)) at the color's first cell."""
+    u, w = s.first_cells[through]
+    codes = s.matrix[u, :] * s.r + s.matrix[:, w]
+    return np.bincount(codes, minlength=s.r * s.r).reshape(s.r, s.r)
+
+
 class TestSchemeAccessors:
     def test_transpose_involution(self):
         s = thin_scheme(cyclic_table(6))
@@ -530,10 +538,11 @@ class TestSchemeAccessors:
 
     def test_tensor_consistency(self):
         for s in (thin_scheme(cyclic_table(6)), rank_two_scheme(5),
-                  thin_scheme(cyclic_table(70))):
+                  thin_scheme(cyclic_table(70)), two_fiber_scheme()):
             t = s.tensor()
+            assert t.shape == (s.r, s.r, s.r) and t.dtype == np.int64
             for through in range(s.r):
-                assert np.array_equal(t[through], s.tensor_slice(through))
+                assert np.array_equal(t[through], tensor_slice(s, through))
             u, w = s.cells(1)[0]
             for left in range(s.r):
                 for right in range(s.r):

@@ -383,6 +383,29 @@ class TestClosedSetCheck:
         with pytest.raises(SchemeError):
             broken.check()
 
+    def test_least_leaving_pair_named(self):
+        """A transpose-closed set that is not closed is reported by its
+        least outside color reached and that color's least pair of
+        members, as read from the full tensor."""
+        raised = 0
+        for s in (thin_scheme(cyclic_table(12)), thin_scheme(dihedral_table(4)),
+                  wreath(thin_scheme(cyclic_table(3)), rank_two_scheme(3))):
+            t = s.tensor()
+            for c in range(1, s.r):
+                colors = frozenset({0, c, s.transpose(c)})
+                members = sorted(colors)
+                leaving = [(d, a, b) for d in range(s.r) if d not in colors
+                           for a in members for b in members if t[d, a, b]]
+                if not leaving:
+                    ClosedSet(s, colors).check()
+                    continue
+                d, a, b = leaving[0]
+                with pytest.raises(SchemeError,
+                                   match=rf"^composition {a}\*{b} leaves the set via {d}$"):
+                    ClosedSet(s, colors).check()
+                raised += 1
+        assert raised > 10
+
 
 def matrix_group_table(*generators):
     """Cayley table of the finite group generated by complex matrices."""
