@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .constructions import _class_pair_runs, _class_restriction, quotient, restriction
-from .core import Scheme
+from .core import Scheme, _index
 from .digraph import basis_periods
 from .errors import NotPrime, SchemeError
 from .lattice import (
@@ -30,8 +30,14 @@ from .lattice import (
 )
 
 
-@functools.cache
 def is_prime(p: int) -> bool:
+    """Whether p is a prime int or numpy integer; 2.0, "3" and None are not."""
+    q = _index(p)
+    return q is not None and _is_prime(q)
+
+
+@functools.cache
+def _is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -43,9 +49,11 @@ def is_prime(p: int) -> bool:
 
 
 def require_prime(p: int) -> int:
-    if not is_prime(p):
-        raise NotPrime(p)
-    return p
+    """p as a Python int, or NotPrime when ``is_prime`` says no."""
+    q = _index(p)
+    if q is None or not _is_prime(q):
+        raise NotPrime(p if q is None else q)
+    return q
 
 
 def _first(failing: np.ndarray) -> int | None:
@@ -85,7 +93,7 @@ def is_p_scheme(scheme: Scheme, p: int) -> PSchemeVerdict:
     that leave a remainder in that power, tested as one vector; the first
     is taken by ``argmax``.  The verdict is kept in the ``derived`` memo
     per prime."""
-    require_prime(p)
+    p = require_prime(p)
 
     def build() -> PSchemeVerdict:
         color = _first(np.remainder(_largest_int64_power(p), scheme.sizes) != 0)
@@ -206,7 +214,7 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
     so the digraph is cyclically p-partite exactly when p divides d.
     """
     scheme.require_homogeneous()
-    require_prime(p)
+    p = require_prime(p)
     witnesses, report = _begin("partite-criterion", scheme)
 
     verdict = _size_verdict(scheme, p, witnesses)
@@ -249,7 +257,7 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
 
 def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
     """p-scheme iff the restriction to every fiber is a p-scheme."""
-    require_prime(p)
+    p = require_prime(p)
     witnesses, report = _begin("fiber-reduction", scheme)
 
     verdict = _size_verdict(scheme, p, witnesses)
@@ -317,7 +325,7 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
     every class of e gives the same verdict (``_class_restriction`` says
     why).  The size factorization across class pairs is verified too."""
     scheme.require_homogeneous()
-    require_prime(p)
+    p = require_prime(p)
     witnesses, report = _begin("quotient-factorization", scheme)
 
     verdict = _size_verdict(scheme, p, witnesses)
@@ -352,7 +360,7 @@ def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
     points is a single p-cycle exactly when d = p.
     """
     scheme.require_homogeneous()
-    require_prime(p)
+    p = require_prime(p)
     witnesses, report = _begin("primitive-structure", scheme)
 
     lhs = is_primitive(scheme) and bool(is_p_scheme(scheme, p))
@@ -408,7 +416,7 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
     of point 0 sorts first among them, and no block is met twice, as its
     inner colors fix its equivalence."""
     scheme.require_homogeneous()
-    require_prime(p)
+    p = require_prime(p)
     witnesses, report = _begin("block-criterion", scheme)
 
     top, blocks, subs = _block_restrictions(scheme)

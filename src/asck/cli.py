@@ -29,7 +29,7 @@ from .constructions import (
     wreath,
 )
 from .core import Scheme, validate
-from .corpus import CorpusMember, CorpusSpec, generate_corpus, run_corpus_checks
+from .corpus import CorpusSpec, generate_corpus, run_corpus_checks
 from .errors import SchemeError
 from .io import ccm_text, read_ccm, read_dg
 from .lattice import all_equivalences

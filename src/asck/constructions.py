@@ -19,13 +19,12 @@ the quotients and restrictions kept in its memo are shared as well.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import Scheme, _integral, as_color_matrix, canonical_scheme, normalize_colors
+from .core import Scheme, _index, _integral, as_color_matrix, canonical_scheme
 from .digraph import Digraph
 from .errors import (
     InvalidGroupTable,
@@ -118,12 +117,11 @@ def _light_holds(arr: np.ndarray, g: int) -> bool:
 
 
 def _group_order(value: int, what: str) -> int:
-    """A group order as a Python int; ``operator.index`` accepts ints and
-    numpy integers, anything else raises InvalidGroupTable."""
-    try:
-        m = operator.index(value)
-    except TypeError:
-        raise InvalidGroupTable(f"{what} must be an integer, got {value!r}") from None
+    """A group order as a Python int; ints and numpy integers are
+    accepted, anything else raises InvalidGroupTable."""
+    m = _index(value)
+    if m is None:
+        raise InvalidGroupTable(f"{what} must be an integer, got {value!r}")
     if m < 1:
         raise InvalidGroupTable(f"{what} must be positive, got {m}")
     return m
@@ -170,8 +168,10 @@ def thin_scheme(table: CayleyTable) -> Scheme:
 
 def rank_two_scheme(n: int) -> Scheme:
     """Diagonal plus everything-else; the unique rank-2 scheme on n >= 2 points."""
-    if n < 2:
-        raise SchemeError(f"rank-2 scheme needs at least 2 points, got {n}")
+    m = _index(n)
+    if m is None or m < 2:
+        raise SchemeError(f"rank-2 scheme needs an integer n of at least 2, got {n!r}")
+    n = m
     return canonical_scheme(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
 
 
@@ -263,9 +263,10 @@ def is_block(scheme: Scheme, points: Sequence[int]) -> bool:
     the colors of T (see ``_class_restriction``), and N_T(u) is u's
     class.  For non-homogeneous schemes only fibers, singletons and the
     full point set are recognized (their equivalence lattices are not
-    enumerated here).
+    enumerated here).  A point that is not an int or numpy integer gives
+    False.
     """
-    pts = sorted({int(p) for p in points})
+    pts = _point_list(points)
     if not pts or pts[0] < 0 or pts[-1] >= scheme.n:
         return False
     if len(pts) == scheme.n or len(pts) == 1:
@@ -280,9 +281,18 @@ def is_block(scheme: Scheme, points: Sequence[int]) -> bool:
     return np.count_nonzero(inside[scheme.matrix[pts]]) == len(pts) ** 2
 
 
+def _point_list(points: Sequence[int]) -> list[int] | None:
+    """The distinct points, ascending, or None when one is not an int or
+    numpy integer."""
+    pts = [_index(p) for p in points]
+    return None if None in pts else sorted(set(pts))
+
+
 def restriction(scheme: Scheme, points: Sequence[int]) -> Scheme:
     """The induced scheme on a block or fiber, canonically recolored."""
-    pts = sorted({int(p) for p in points})
+    pts = _point_list(points)
+    if pts is None:
+        raise NotABlock("points must be integers")
     if not pts:
         raise NotABlock("empty point set")
     if pts[0] < 0 or pts[-1] >= scheme.n:
@@ -377,8 +387,8 @@ def digraph_color_matrix(g: Digraph) -> np.ndarray:
     arr = np.where(np.eye(g.n, dtype=bool), 0, 3)
     for u, v in g.arcs:
         arr[u, v] = 1 if u == v else 2
-    normalized, _ = normalize_colors(arr)
-    return normalized
+    _, inverse = np.unique(arr, return_inverse=True)
+    return inverse.reshape(arr.shape)
 
 
 # Seeds of the successive hashed-refinement attempts in ``wl_closure``.

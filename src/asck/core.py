@@ -22,6 +22,7 @@ certified once, whose ``derived`` memo every holder shares.
 from __future__ import annotations
 
 import hashlib
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
@@ -39,6 +40,15 @@ from .errors import (
 )
 
 T = TypeVar("T")
+
+
+def _index(value) -> int | None:
+    """``operator.index(value)``: a Python int for an int or a numpy
+    integer, and None for anything else, such as 2.0, "3" or None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def _integral(arr: np.ndarray) -> bool:
@@ -105,18 +115,6 @@ def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         uniq = np.unique(arr)
         raise NonContiguousColors({int(old): new for new, old in enumerate(uniq)})
     return arr
-
-
-def normalize_colors(matrix: Sequence[Sequence[int]] | np.ndarray
-                     ) -> tuple[np.ndarray, dict[int, int]]:
-    """Relabel arbitrary color ids to contiguous 0..r-1, ascending.
-
-    Returns the relabeled matrix and the applied old-to-new map.
-    """
-    arr = _integer_matrix(matrix)
-    uniq, inverse = np.unique(arr, return_inverse=True)
-    remap = {int(old): new for new, old in enumerate(uniq)}
-    return inverse.reshape(arr.shape).astype(np.int64), remap
 
 
 def _canonical(arr: np.ndarray) -> np.ndarray:
@@ -187,13 +185,12 @@ class Scheme:
     # -- basic queries ---------------------------------------------------
 
     def check_color(self, color: int) -> int:
-        if not 0 <= color < self.r:
+        """The color as a Python int; InvalidColor unless it is an int or
+        a numpy integer in 0..r-1."""
+        index = _index(color)
+        if index is None or not 0 <= index < self.r:
             raise InvalidColor(color, self.r)
-        return int(color)
-
-    def cells(self, color: int) -> list[tuple[int, int]]:
-        """All cells of a color in row-major order."""
-        return [(u, v) for u, v in self.cell_array(color).tolist()]
+        return index
 
     def cell_array(self, color: int) -> np.ndarray:
         """The (k, 2) array of a color's cells in row-major order, equal to
@@ -215,13 +212,6 @@ class Scheme:
         """Constant out-degree of the color within its source fiber."""
         return int(self.degrees[self.check_color(color)])
 
-    def relation_size(self, color: int) -> int:
-        """Total number of cells of the color.
-
-        For a homogeneous scheme this equals degree * n.
-        """
-        return int(self.sizes[self.check_color(color)])
-
     @property
     def is_homogeneous(self) -> bool:
         return len(self.fibers) == 1
@@ -229,11 +219,6 @@ class Scheme:
     def require_homogeneous(self) -> None:
         if not self.is_homogeneous:
             raise NotHomogeneous(len(self.fibers))
-
-    def fiber_of(self, u: int) -> int:
-        """Index into ``fibers`` of the fiber containing point u."""
-        d = int(self.matrix[u, u])
-        return self.diagonal_colors.index(d)
 
     # -- intersection numbers --------------------------------------------
 

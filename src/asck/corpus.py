@@ -40,7 +40,7 @@ from .constructions import (
     wreath,
 )
 from .core import Scheme
-from .digraph import Digraph, is_strongly_connected
+from .digraph import Digraph
 from .errors import SchemeError
 from .lattice import RANK_CAP, minimal_equivalences
 
@@ -64,9 +64,11 @@ class CorpusSpec:
             raise SchemeError(f"max_n must be in 1..64, got {self.max_n}")
         if not self.primes:
             raise SchemeError("prime list must be nonempty")
-        for p in self.primes:
+        for i, p in enumerate(self.primes):
             if not is_prime(p):
                 raise SchemeError(f"{p} is not prime")
+            if p in self.primes[:i]:
+                raise SchemeError(f"prime {p} is repeated")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +144,9 @@ def abelian_tables(order: int) -> list[tuple[str, CayleyTable]]:
 def random_circulant_digraph(rng: random.Random, n: int) -> Digraph:
     """A strongly connected circulant digraph on n vertices.
 
-    Half the time the jump set is forced into a single residue class
+    Its jump set J has gcd(J u {n}) = 1 (the fallback J = {1} too), so
+    the jumps generate Z_n: every vertex reaches every other, and the
+    digraph is strongly connected.  Half the time the jump set is forced into a single residue class
     1 mod d for a divisor d of n, which makes the digraph cyclically
     d-partite and gives the corpus basis digraphs of varied period.
     """
@@ -281,6 +285,11 @@ def _quotients(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMemb
 
 
 def _wl_circulant(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusMember]:
+    """Closures of seeded circulants, strongly connected by
+    ``random_circulant_digraph``.  Each closure is homogeneous with no
+    check: Z_n acts regularly on the points by automorphisms of the
+    circulant, the coarsest coherent refinement is invariant under
+    automorphisms, so every diagonal cell has one color."""
     if spec.max_n < 5:
         return []
     rng = random.Random(spec.seed * 1000003 + 1)
@@ -288,13 +297,8 @@ def _wl_circulant(spec: CorpusSpec, earlier: list[CorpusMember]) -> list[CorpusM
     for i in range(spec.circulant_count):
         n = rng.randint(5, min(12, spec.max_n))
         g = random_circulant_digraph(rng, n)
-        if not is_strongly_connected(g):
-            raise SchemeError("circulant generator produced a disconnected digraph")
-        scheme = wl_closure(digraph_color_matrix(g))
-        if not scheme.is_homogeneous:
-            raise SchemeError("circulant closure is unexpectedly non-homogeneous")
         members.append(CorpusMember(
-            f"wl-circulant-{i:03d}", "wl-circulant", scheme))
+            f"wl-circulant-{i:03d}", "wl-circulant", wl_closure(digraph_color_matrix(g))))
     return members
 
 

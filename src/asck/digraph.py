@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Scheme
+from .core import Scheme, _index
 from .errors import (
     DiagonalColor,
     HasLoops,
@@ -82,25 +82,6 @@ class CyclicPartition:
 
     p: int
     classes: tuple[tuple[int, ...], ...]
-
-    def check(self, g: Digraph) -> None:
-        """Raise if this partition is not a valid witness for g."""
-        if self.p < 2 or len(self.classes) != self.p:
-            raise SchemeError(f"expected {self.p} classes, got {len(self.classes)}")
-        seen: dict[int, int] = {}
-        for idx, cls in enumerate(self.classes):
-            if not cls:
-                raise SchemeError(f"class {idx} is empty")
-            for v in cls:
-                if v in seen:
-                    raise SchemeError(f"vertex {v} in classes {seen[v]} and {idx}")
-                seen[v] = idx
-        if len(seen) != g.n:
-            raise SchemeError("classes do not cover the vertex set")
-        for u, v in g.arcs:
-            if seen[v] != (seen[u] + 1) % self.p:
-                raise SchemeError(
-                    f"arc ({u},{v}) goes from class {seen[u]} to {seen[v]}")
 
 
 # -- extraction from schemes ----------------------------------------------
@@ -303,9 +284,16 @@ def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
     around.  Every class can be made nonempty exactly when these capped
     spans sum to at least p: the witness lays the intervals end to end,
     the first component keeping its own labels.
+
+    The witness needs no check: each vertex lies in the one class of its
+    shifted label mod p, and an arc (u, v) has label(v) = label(u) + 1
+    mod p, as p divides its defect and both ends share a component and
+    its shift, so it runs from one class to the next.
     """
-    if p < 2:
+    q = _index(p)
+    if q is None or q < 2:
         raise InvalidP(p)
+    p = q
     components, label, defect = _digraph_potentials(g)
     if (defect % p).any():
         return None
@@ -319,9 +307,7 @@ def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
             classes[(value + shift) % p].append(v)
     if not all(classes):
         return None
-    partition = CyclicPartition(p, tuple(tuple(sorted(c)) for c in classes))
-    partition.check(g)
-    return partition
+    return CyclicPartition(p, tuple(tuple(sorted(c)) for c in classes))
 
 
 # -- bipartiteness -----------------------------------------------------------

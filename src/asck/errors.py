@@ -104,14 +104,6 @@ class RankTooLarge(SchemeError):
         super().__init__(f"rank {r} exceeds enumeration cap {cap}")
 
 
-class NotThinElement(SchemeError):
-    """Color is not a degree-1 element of the thin radical."""
-
-    def __init__(self, color: int):
-        self.color = color
-        super().__init__(f"color {color} is not a thin (degree-1) relation")
-
-
 class NotASchemeEquivalence(SchemeError):
     """Point partition is not a union of the scheme's basis relations."""
 
@@ -145,11 +137,11 @@ class NoArcs(SchemeError):
 
 
 class InvalidP(SchemeError):
-    """Cyclic partiteness requires p >= 2."""
+    """Cyclic partiteness requires an integer p >= 2."""
 
     def __init__(self, p: int):
         self.p = p
-        super().__init__(f"p must be at least 2, got {p}")
+        super().__init__(f"p must be an integer of at least 2, got {p!r}")
 
 
 class NotSymmetric(SchemeError):
@@ -181,4 +173,4 @@ class NotPrime(SchemeError):
 
     def __init__(self, p: int):
         self.p = p
-        super().__init__(f"{p} is not prime")
+        super().__init__(f"{p!r} is not prime")

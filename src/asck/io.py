@@ -8,11 +8,11 @@ an open text stream and report errors with source name and line number.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
-from .core import _decimal_words, as_color_matrix
+from .core import _decimal_words, _integer_matrix, as_color_matrix
 from .digraph import Digraph
 from .errors import SchemeError
 
@@ -111,10 +111,11 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
 
 
 def ccm_text(matrix: np.ndarray) -> str:
-    arr = np.asarray(matrix, dtype=np.int64)
-    if arr.ndim != 2:
-        # a row of decimal strings would be joined character by character
-        raise SchemeError(f"expected a square matrix, got shape {arr.shape}")
+    """The .ccm text of a matrix.  It is coerced as ``validate`` coerces
+    its input, so a matrix that is empty, not square or not integral
+    raises the same SchemeError and is never written truncated or with
+    a header ``read_ccm`` rejects."""
+    arr = _integer_matrix(matrix)
     n = arr.shape[0]
     r = int(arr.max()) + 1
     body = "\n".join(" ".join(row) for row in _decimal_words(arr).tolist())

@@ -9,9 +9,7 @@ import io
 import random
 import subprocess
 import sys
-from math import gcd
 
-import networkx as nx
 import numpy as np
 
 from asck import (
@@ -33,7 +31,7 @@ from asck import (
     wreath,
 )
 from asck.digraph import Digraph
-from test_digraph import random_strongly_connected_digraph
+from oracles import brute_period, random_strongly_connected_digraph
 
 
 def report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -112,16 +110,6 @@ def test_criterion_5_size_factorization(corpus, capsys):
     report(capsys, 5, ok,
            f"size factorization exact on {tuples} (scheme, equivalence) "
            f"pairs from {len(members)} members with n <= 16")
-
-
-def brute_period(g: Digraph) -> int:
-    G = nx.DiGraph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.arcs)
-    value = 0
-    for cycle in nx.simple_cycles(G):
-        value = gcd(value, len(cycle))
-    return value
 
 
 def test_criterion_6_period_vs_brute_force(capsys):

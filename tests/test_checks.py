@@ -6,9 +6,7 @@ import pytest
 
 from asck import (
     CorpusSpec,
-    Digraph,
     all_equivalences,
-    basis_digraph,
     check_bipartite_criterion,
     check_block_criterion,
     check_fiber_reduction,
@@ -16,46 +14,37 @@ from asck import (
     check_primitive_structure,
     check_quotient_factorization,
     cyclic_table,
-    digraph_color_matrix,
     direct_product,
     is_p_scheme,
     is_prime,
-    is_regular,
-    is_strongly_connected,
     quotient,
     rank_two_scheme,
     restriction,
     thin_scheme,
     validate,
-    wl_closure,
     verify_size_factorization,
     wreath,
 )
 from asck import checks, constructions
 from asck import corpus as corpus_module
-from asck.checks import PSchemeVerdict, _non_diagonal, require_prime
+from asck.checks import _non_diagonal, require_prime
 from asck.constructions import _class_restriction
 from asck.core import canonical_scheme
 from asck.corpus import CorpusMember, member_reports, run_corpus_checks
 from asck.errors import NotASchemeEquivalence, NotHomogeneous, NotPrime, SchemeError
 from asck.lattice import RANK_CAP, Equivalence, maximal_below_full, minimal_equivalences
-from test_constructions import ladder_closures_64
-from test_digraph import old_basis_periods
-
-
-def two_fiber_scheme():
-    g = Digraph.from_arcs(6, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 5), (5, 2)])
-    return wl_closure(digraph_color_matrix(g))
-
-
-def is_power_of(x: int, p: int) -> bool:
-    """Whether x = p^k for some k >= 0, by repeated division: the oracle
-    of ``is_p_scheme``'s vector test."""
-    if x < 1:
-        return False
-    while x % p == 0:
-        x //= p
-    return x == 1
+from oracles import (
+    is_power_of,
+    ladder_closures_64,
+    old_bipartite,
+    old_is_p_scheme,
+    old_partite,
+    old_primitive_loop_rhs,
+    old_primitive_rhs,
+    old_size_side,
+    old_verify_size_factorization,
+    two_fiber_scheme,
+)
 
 
 class TestArithmetic:
@@ -86,26 +75,11 @@ class TestArithmetic:
         assert not is_power_of(0, 2)
 
 
-def old_non_diagonal_colors(s):
-    """The non-diagonal colors, ascending, as the per-color loops read them."""
-    off = np.ones(s.r, dtype=bool)
-    off[list(s.diagonal_colors)] = False
-    return np.flatnonzero(off).tolist()
-
-
 def test_non_diagonal_colors_match_membership_test(corpus):
     for member in corpus:
         s = member.scheme
         assert np.flatnonzero(_non_diagonal(s)).tolist() == [
             c for c in range(s.r) if c not in s.diagonal_colors]
-
-
-def old_is_p_scheme(s, p):
-    """The per-color loop that ``is_p_scheme`` replaced."""
-    for color in range(s.r):
-        if not is_power_of(int(s.sizes[color]), p):
-            return PSchemeVerdict(False, color, int(s.sizes[color]))
-    return PSchemeVerdict(True)
 
 
 class TestIsPScheme:
@@ -234,85 +208,6 @@ class TestQuotientFactorization:
         assert rep.lhs and rep.rhs and rep.agree
 
 
-def old_primitive_rhs(s, p):
-    """The rhs and witnesses of ``check_primitive_structure`` as first
-    built: each color's basis digraph, Tarjan and its out-degrees."""
-    witnesses = {}
-    cycles_ok = True
-    for color in old_non_diagonal_colors(s):
-        g = basis_digraph(s, color)
-        if not (g.n == p and is_strongly_connected(g)
-                and all(len(out) == 1 for out in g.out_adj)):
-            cycles_ok = False
-            witnesses["non-cycle-color"] = f"color {color} is not a directed {p}-cycle"
-            break
-    regular = is_regular(s)
-    if not regular:
-        witnesses["not-regular"] = "some color has degree > 1"
-    if s.n != p:
-        witnesses["point-count"] = f"n={s.n} differs from p={p}"
-    return regular and s.n == p and cycles_ok, witnesses
-
-
-def old_size_side(s, p):
-    """The p-scheme verdict and its "size-offender" witness, per color."""
-    verdict = old_is_p_scheme(s, p)
-    if verdict:
-        return True, {}
-    return False, {"size-offender": f"color {verdict.offender_color} "
-                                    f"has size {verdict.offender_size}"}
-
-
-def old_partite(s, p):
-    """lhs, rhs and witnesses of the partite criterion, by per-color loops
-    over the all-cells periods."""
-    lhs, witnesses = old_size_side(s, p)
-    rhs = True
-    periods = old_basis_periods(s)
-    for color in old_non_diagonal_colors(s):
-        if periods[color] % p:
-            rhs = False
-            witnesses["unpartitioned-color"] = f"color {color} admits no cyclic {p}-partition"
-            break
-    return lhs, rhs, witnesses
-
-
-def old_bipartite(s):
-    """lhs, rhs and witnesses of the bipartite criterion, by per-color loops
-    over the all-cells periods."""
-    lhs, witnesses = old_size_side(s, 2)
-    rhs = True
-    periods = old_basis_periods(s)
-    for color in old_non_diagonal_colors(s):
-        if periods[color] % 2:
-            u, v = s.first_cells[color]
-            if s.fiber_of(u) != s.fiber_of(v):
-                raise SchemeError(f"cross-fiber color {color} produced a non-bipartite graph")
-            rhs = False
-            witnesses["odd-color"] = f"color {color} has a non-bipartite basis graph"
-            break
-    return lhs, rhs, witnesses
-
-
-def old_primitive_loop_rhs(s, p):
-    """The rhs and witnesses of ``check_primitive_structure`` by a per-color
-    loop over ``degrees`` and the all-cells periods."""
-    witnesses = {}
-    cycles_ok = True
-    periods = old_basis_periods(s)
-    for color in old_non_diagonal_colors(s):
-        if not (s.n == p and s.degrees[color] == 1 and periods[color] == p):
-            cycles_ok = False
-            witnesses["non-cycle-color"] = f"color {color} is not a directed {p}-cycle"
-            break
-    regular = is_regular(s)
-    if not regular:
-        witnesses["not-regular"] = "some color has degree > 1"
-    if s.n != p:
-        witnesses["point-count"] = f"n={s.n} differs from p={p}"
-    return regular and s.n == p and cycles_ok, witnesses
-
-
 def sides(report):
     return report.lhs, report.rhs, report.witnesses
 
@@ -347,31 +242,6 @@ class TestVectorizedAgainstPerColorLoops:
         assert any(not check_bipartite_criterion(s).rhs for s in schemes)
         assert any(check_primitive_structure(s, 3).rhs for s in schemes
                    if s.n >= 2 and s.r <= RANK_CAP)
-
-
-def old_verify_size_factorization(scheme, e):
-    """The per-color loop that ``verify_size_factorization`` replaced: one
-    n x n mask and one bincount over the class pairs per color."""
-    classes = e.classes
-    k = len(classes)
-    cls = np.zeros(scheme.n, dtype=np.int64)
-    for i, c in enumerate(classes):
-        cls[list(c)] = i
-    pair_index = np.add.outer(cls * k, cls)
-    for color in range(scheme.r):
-        counts = np.bincount(pair_index[scheme.matrix == color],
-                             minlength=k * k)
-        nonzero = counts[counts > 0]
-        if nonzero.size == 0:
-            raise SchemeError(f"color {color} vanished")
-        if nonzero.min() != nonzero.max():
-            raise SchemeError(
-                f"color {color} has unequal block counts "
-                f"{int(nonzero.min())} vs {int(nonzero.max())}")
-        if int(nonzero.size) * int(nonzero[0]) != scheme.relation_size(color):
-            raise SchemeError(
-                f"color {color}: {int(nonzero.size)} blocks x {int(nonzero[0])} "
-                f"!= size {scheme.relation_size(color)}")
 
 
 def labeled_size_factorization(scheme, e):
@@ -425,7 +295,6 @@ def stand_in(matrix, sizes):
     matrix = np.array(matrix, dtype=np.int64)
     sizes = np.array(sizes, dtype=np.int64)
     return SimpleNamespace(matrix=matrix, n=matrix.shape[0], r=sizes.size, sizes=sizes,
-                           relation_size=lambda c: int(sizes[c]),
                            derived=lambda key, build: build())
 
 

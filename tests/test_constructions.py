@@ -3,7 +3,6 @@ import random
 import tracemalloc
 import warnings
 from itertools import permutations
-from math import gcd
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from asck import (
 )
 from asck import constructions, lattice
 from asck.constructions import _class_restriction, _quotient_matrix
-from asck.core import Scheme, _integral, as_color_matrix
+from asck.core import Scheme, as_color_matrix
 from asck.corpus import (
     CorpusMember,
     CorpusSpec,
@@ -50,6 +49,18 @@ from asck.errors import (
     SchemeError,
 )
 from asck.lattice import RANK_CAP, Equivalence
+from oracles import (
+    chords_shape,
+    circulant_shape,
+    ladder_matrix,
+    old_cayley_table,
+    old_dihedral_table,
+    old_hashed_fixpoint,
+    old_is_block,
+    old_quotient_matrix,
+    old_wreath_matrix,
+    two_fiber_scheme,
+)
 
 # smallest loop that is a non-group: latin, has identity, not associative
 NON_ASSOCIATIVE_LOOP = [
@@ -69,65 +80,6 @@ def loop_product(k):
     zk = (g[:, None] + g[None, :]) % k
     ga, ha = np.divmod(np.arange(5 * k), k)
     return loop[np.ix_(ga, ga)] * k + zk[np.ix_(ha, ha)]
-
-
-def old_cayley_table(table):
-    """The row-by-row verifier that Light's test replaced, verbatim."""
-    arr = np.asarray(table)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise InvalidGroupTable(f"expected a nonempty square table, got {arr.shape}")
-    m = arr.shape[0]
-    if not _integral(arr) or arr.min() < 0 or arr.max() >= m:
-        raise InvalidGroupTable("entries must be element ids 0..m-1")
-    arr = arr.astype(np.int64)
-    ids = np.arange(m)
-    for g in range(m):
-        if sorted(arr[g]) != list(ids) or sorted(arr[:, g]) != list(ids):
-            raise InvalidGroupTable(f"row or column {g} is not a permutation")
-    identity = -1
-    for e in range(m):
-        if np.array_equal(arr[e], ids) and np.array_equal(arr[:, e], ids):
-            identity = e
-            break
-    if identity < 0:
-        raise InvalidGroupTable("no identity element")
-    # (ab)c against a(bc) one row a at a time: m^2 entries live, not m^3
-    for a in range(m):
-        if not np.array_equal(arr[arr[a]], arr[a][arr]):
-            raise InvalidGroupTable("multiplication is not associative")
-    arr.setflags(write=False)
-    return constructions.CayleyTable(m, arr, identity)
-
-
-def old_dihedral_table(k):
-    """The loop-built dihedral table that broadcasting replaced."""
-    if k < 1:
-        raise InvalidGroupTable(f"rotation order must be positive, got {k}")
-    m = 2 * k
-    arr = np.zeros((m, m), dtype=np.int64)
-    for x in range(m):
-        a, i = divmod(x, k)
-        for y in range(m):
-            b, j = divmod(y, k)
-            rot = (i + j) % k if a == 0 else (i - j) % k
-            arr[x, y] = ((a + b) % 2) * k + rot
-    return old_cayley_table(arr)
-
-
-def old_wreath_matrix(inner, outer):
-    """The block-by-block raw matrix of ``wreath`` before its
-    canonical recoloring: the loop that broadcasting replaced."""
-    n1, n2 = inner.n, outer.n
-    n = n1 * n2
-    raw = np.zeros((n, n), dtype=np.int64)
-    for u2 in range(n2):
-        for v2 in range(n2):
-            block = np.s_[u2 * n1:(u2 + 1) * n1, v2 * n1:(v2 + 1) * n1]
-            if u2 == v2:
-                raw[block] = inner.matrix
-            else:
-                raw[block] = inner.r + outer.matrix[u2, v2]
-    return raw
 
 
 def table_outcome(verify, table):
@@ -180,11 +132,6 @@ def perturbed_group_tables(draw):
         g = draw(st.integers(0, m - 1).filter(lambda g: g != e))
         table[[e, g]] = table[[g, e]]
     return table
-
-
-def two_fiber_scheme():
-    g = Digraph.from_arcs(6, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 5), (5, 2)])
-    return wl_closure(digraph_color_matrix(g))
 
 
 class TestCayleyTables:
@@ -339,7 +286,7 @@ class TestThinScheme:
 class TestRankTwo:
     def test_shape(self):
         s = rank_two_scheme(4)
-        assert s.r == 2 and s.relation_size(1) == 12
+        assert s.r == 2 and s.sizes[1] == 12
 
     def test_too_small(self):
         with pytest.raises(SchemeError):
@@ -389,34 +336,6 @@ class TestQuotient:
                   wreath(thin_scheme(cyclic_table(2)), thin_scheme(cyclic_table(3)))):
             for e in all_equivalences(s):
                 verify_size_factorization(s, e)
-
-
-def old_quotient_matrix(scheme, e):
-    """The class-pair loop: one gather, one np.unique and one frozenset
-    per pair of classes, the base read by ``equivalence_from_colors``."""
-    base = lattice.equivalence_from_colors(scheme, e.colors)
-    if base.classes != e.classes:
-        raise NotASchemeEquivalence(
-            "classes are not the classes of the color union")
-    classes = e.classes
-    k = len(classes)
-    raw = np.zeros((k, k), dtype=np.int64)
-    ids, seen_in = {}, {}
-    for x in range(k):
-        for y in range(k):
-            block = frozenset(
-                int(c) for c in np.unique(
-                    scheme.matrix[np.ix_(classes[x], classes[y])]))
-            if block not in ids:
-                ids[block] = len(ids)
-            raw[x, y] = ids[block]
-            for c in block:
-                prev = seen_in.setdefault(c, block)
-                if prev != block:
-                    raise QuotientValidationFailed(
-                        f"color {c} occurs in distinct class-pair color sets "
-                        f"{sorted(prev)} and {sorted(block)}")
-    return raw
 
 
 def labeled_quotient_matrix(scheme, e):
@@ -619,23 +538,6 @@ class TestQuotientOfQuotient:
         qF = quotient(scheme, F)
         double = quotient(qF, induced_on_quotient(qF, F, E))
         assert isomorphic(double, direct)
-
-
-def old_is_block(scheme, points):
-    """``is_block`` before the row count: in the homogeneous case, whether
-    the set is a class of the equivalence generated by its inner colors."""
-    pts = sorted({int(p) for p in points})
-    if not pts or pts[0] < 0 or pts[-1] >= scheme.n:
-        return False
-    if len(pts) == scheme.n or len(pts) == 1:
-        return True
-    if tuple(pts) in scheme.fibers:
-        return True
-    if not scheme.is_homogeneous:
-        return False
-    inside = {int(c) for c in np.unique(scheme.matrix[np.ix_(pts, pts)])}
-    closed = lattice.generated_closed_set(scheme, inside)
-    return tuple(pts) in lattice.closed_set_equivalence(scheme, closed.colors).classes
 
 
 class TestBlocksAndRestriction:
@@ -858,36 +760,6 @@ def assert_same_closure(matrix):
     assert got.matrix.tobytes() == sorted_signature_closure(matrix).matrix.tobytes()
 
 
-def circulant_shape(rng, n):
-    """Jumps +a and -a for a seeded unit a mod n: isomorphic to the n-cycle."""
-    a = rng.choice([a for a in range(1, n // 2) if gcd(a, n) == 1])
-    return [(u, (u + j) % n) for u in range(n) for j in (a, n - a)]
-
-
-def chords_shape(rng, n):
-    """A spanning cycle through a seeded vertex order plus n // 2 random chords."""
-    order = list(range(n))
-    rng.shuffle(order)
-    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
-    while len(arcs) < n + n // 2:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            arcs.add((u, v))
-    return sorted(arcs)
-
-
-def ladder_matrix(make, n, seed=0):
-    return digraph_color_matrix(Digraph.from_arcs(n, make(random.Random(seed), n)))
-
-
-@functools.cache
-def ladder_closures_64():
-    """The closures of the n = 64 circulant (rank 33, homogeneous) and
-    cycle-plus-chords (discrete, rank 4,096) ladder shapes, built once."""
-    return tuple(wl_closure(ladder_matrix(make, 64, seed=64))
-                 for make in (circulant_shape, chords_shape))
-
-
 class TestClosureOracle:
     @given(st.integers(min_value=1, max_value=12),
            st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))))
@@ -910,23 +782,6 @@ class TestClosureOracle:
         for n in (2, 5, 9):
             for colors in (2, 3, 6):
                 assert_same_closure(canonical_recolor(rng.integers(0, colors, size=(n, n))))
-
-
-def old_hashed_fixpoint(cur, seed, width):
-    """Rounds with two hashes, ranked as one complex128 ``np.unique``:
-    the oracle for the partitions that ``_hashed_fixpoint`` reaches."""
-    rng = np.random.default_rng(seed)
-    while True:
-        r = int(cur.max()) + 1
-        x1, y1, x2, y2 = rng.integers(1, 1 << width, size=(4, r)).astype(np.float64)
-        _, pair = np.unique(np.einsum("uv,vw->uw", x1[cur], y1[cur])
-                            + 1j * np.einsum("uv,vw->uw", x2[cur], y2[cur]),
-                            return_inverse=True)
-        _, inverse = np.unique(cur * cur.size + pair.reshape(cur.shape),
-                               return_inverse=True)
-        if int(inverse.max()) + 1 == r:
-            return cur
-        cur = inverse.reshape(cur.shape)
 
 
 def assert_fixpoints_match_oracle(matrix):

@@ -6,7 +6,6 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +18,16 @@ from asck import (
     all_equivalences,
     as_color_matrix,
     canonical_recolor,
+    ccm_text,
+    check_partite_criterion,
     cyclic_table,
+    cyclically_p_partite,
     digraph_color_matrix,
     dihedral_table,
+    equivalence_from_colors,
+    generated_closed_set,
+    is_block,
+    is_prime,
     quotient,
     rank_two_scheme,
     restriction,
@@ -39,18 +45,28 @@ from asck.core import (
     _integer_matrix,
     _raise_count_mismatch,
     canonical_scheme,
-    normalize_colors,
 )
+from asck.checks import require_prime
 from asck.errors import (
     InconsistentIntersectionNumbers,
+    InvalidColor,
+    InvalidP,
     NonContiguousColors,
+    NotABlock,
     NotAPartitionOfDiagonal,
     NotHomogeneous,
+    NotPrime,
     NotTransposeClosed,
     SchemeError,
 )
 from asck.lattice import RANK_CAP, _closure_rows
-from test_constructions import ladder_closures_64
+from oracles import (
+    ladder_closures_64,
+    old_canonical_recolor,
+    old_canonical_scheme,
+    old_check_intersection_numbers,
+    two_fiber_scheme,
+)
 
 
 def apply_remap(matrix, remap):
@@ -62,14 +78,6 @@ def apply_remap(matrix, remap):
     return lut[arr]
 
 
-def unique_first_cells(matrix):
-    """Row-major first cell (u, v) of every color, as an (r, 2) array: the
-    ``np.unique`` oracle for the first cells certification reads off its
-    cell sort."""
-    _, first_flat = np.unique(matrix.ravel(), return_index=True)
-    return np.stack(np.divmod(first_flat, matrix.shape[0]), axis=1)
-
-
 def z4_direct():
     return np.array([[(v - u) % 4 for v in range(4)] for u in range(4)])
 
@@ -79,11 +87,6 @@ def product_colors(s, left, right):
     a = (s.matrix == left).astype(np.float64)
     b = (s.matrix == right).astype(np.float64)
     return tuple(int(c) for c in np.unique(s.matrix[(a @ b) > 0]))
-
-
-def two_fiber_scheme():
-    g = Digraph.from_arcs(6, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 5), (5, 2)])
-    return wl_closure(digraph_color_matrix(g))
 
 
 class TestValidate:
@@ -146,7 +149,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("ragged", [[[0, 1], [1]], [[0, 1], [1, [0]]]])
     @pytest.mark.parametrize("entry", [validate, as_color_matrix, canonical_recolor,
-                                       normalize_colors, canonical_scheme])
+                                       ccm_text, canonical_scheme])
     def test_rejects_ragged_rows(self, entry, ragged):
         with pytest.raises(SchemeError, match="^expected a square matrix, got a ragged"):
             entry(ragged)
@@ -261,49 +264,6 @@ class TestIntersectionNumberCheck:
         assert any(start < witness for start, witness in spans)
 
 
-def old_check_intersection_numbers(matrix, r, cells, offsets):
-    """The int64 walk over all n^2 cells that ``_check_intersection_numbers``
-    replaced, reporting through ``counter_mismatch``; the oracle for its
-    outcomes."""
-    n = matrix.shape[0]
-    columns = np.ascontiguousarray(matrix.T)
-    codes = np.empty((n + 1, n), dtype=np.int64)
-    rows, previous = codes[1:], codes[:-1]
-    right = np.empty((n, n), dtype=np.int64)
-    differs = np.empty((n, n), dtype=bool)
-    flagged = np.ones(n * n, dtype=bool)
-    flagged[offsets[:-1]] = False
-    for lo in range(0, n * n, n):
-        us, ws = cells[lo:lo + n].T
-        np.take(matrix, us, axis=0, out=rows, mode="clip")
-        np.take(columns, ws, axis=0, out=right, mode="clip")
-        rows *= r
-        rows += right
-        rows.sort(axis=1)
-        np.not_equal(rows, previous, out=differs)
-        flagged[lo:lo + n] &= differs.any(axis=1)
-        codes[0] = codes[n]
-    if flagged.any():
-        u, w = cells[flagged].T
-        k = int(np.argmin(u * n + w))
-        color = int(matrix[u[k], w[k]])
-        counter_mismatch(matrix, r, color, tuple(map(int, cells[offsets[color]])),
-                         (int(u[k]), int(w[k])))
-
-
-def counter_mismatch(matrix, r, color, cell_a, cell_b):
-    """``_raise_count_mismatch`` by ``Counter``: the least code whose count
-    differs between the two cells."""
-    def counts(cell):
-        u, w = cell
-        return Counter(int(a) * r + int(b) for a, b in zip(matrix[u, :], matrix[:, w]))
-
-    ca, cb = counts(cell_a), counts(cell_b)
-    code = min(c for c in ca.keys() | cb.keys() if ca[c] != cb[c])
-    raise InconsistentIntersectionNumbers(
-        color, (code // r, code % r), cell_a, ca[code], cell_b, cb[code])
-
-
 def raised(call, *args):
     """The type, fields and message of the SchemeError that ``call(*args)``
     raises, or None."""
@@ -356,7 +316,8 @@ class TestNarrowSingletonWalk:
         bases = [thin_scheme(cyclic_table(12)), rank_two_scheme(7),
                  wreath(rank_two_scheme(3), thin_scheme(cyclic_table(4))),
                  *ladder_closures_64(), *partly_discrete_schemes()]
-        matrices = [normalize_colors(m)[0] for s in bases for m in perturbations(s, rng)]
+        matrices = [np.unique(m, return_inverse=True)[1].reshape(m.shape)
+                    for s in bases for m in perturbations(s, rng)]
         matrices += [merge_transposed_pair(discrete_configuration(n), u, v)
                      for n, u, v in ((2, 0, 1), (5, 3, 1), (9, 2, 7))]
         mixed = raising = 0
@@ -487,6 +448,45 @@ def tensor_slice(s, through):
     return np.bincount(codes, minlength=s.r * s.r).reshape(s.r, s.r)
 
 
+Z4 = thin_scheme(cyclic_table(4))
+CYCLE4 = Digraph.from_arcs(4, [(u, (u + 1) % 4) for u in range(4)])
+
+
+@pytest.mark.parametrize("call,good,error", [
+    pytest.param(is_prime, 2, False, id="is_prime"),
+    pytest.param(require_prime, 2, NotPrime, id="require_prime"),
+    pytest.param(lambda p: check_partite_criterion(Z4, p).p, 2, NotPrime, id="check-p"),
+    pytest.param(Z4.degree, 1, InvalidColor, id="degree"),
+    pytest.param(Z4.transpose, 1, InvalidColor, id="transpose"),
+    pytest.param(lambda c: Z4.intersection_number(c, 1, 1), 1, InvalidColor,
+                 id="intersection_number"),
+    pytest.param(lambda c: generated_closed_set(Z4, [c]).colors, 1, InvalidColor,
+                 id="generated_closed_set"),
+    pytest.param(lambda c: equivalence_from_colors(Z4, [0, c]).classes, 2, InvalidColor,
+                 id="equivalence_from_colors"),
+    pytest.param(lambda u: is_block(Z4, [0, u]), 2, False, id="is_block"),
+    pytest.param(lambda u: restriction(Z4, [0, u]).n, 2, NotABlock, id="restriction"),
+    pytest.param(lambda p: cyclically_p_partite(CYCLE4, p), 2, InvalidP,
+                 id="cyclically_p_partite"),
+    pytest.param(lambda n: rank_two_scheme(n).n, 3, SchemeError, id="rank_two_scheme"),
+])
+def test_integer_arguments(call, good, error):
+    """An integer argument is an int or a numpy integer, read through
+    ``operator.index``: numpy integers give the answer of the int, with
+    Python ints inside it, and a float, even an integral one, a string or
+    None is refused, answering False or raising, whatever came before."""
+    want = repr(call(good))
+    for kind in (np.int64, np.int32, np.uint8):
+        assert repr(call(kind(good))) == want
+    for bad in (good + 0.5, float(good), str(good), None):
+        if error is False:
+            assert call(bad) is False
+        else:
+            with pytest.raises(error):
+                call(bad)
+        assert repr(call(good)) == want
+
+
 class TestSchemeAccessors:
     def test_transpose_involution(self):
         s = thin_scheme(cyclic_table(6))
@@ -502,21 +502,21 @@ class TestSchemeAccessors:
             s.require_homogeneous()
         for f_index, fiber in enumerate(s.fibers):
             for u in fiber:
-                assert s.fiber_of(u) == f_index
+                assert s.matrix[u, u] == s.diagonal_colors[f_index]
 
     def test_relation_sizes_sum(self):
         s = two_fiber_scheme()
-        assert sum(s.relation_size(c) for c in range(s.r)) == s.n * s.n
+        assert s.sizes.sum() == s.n * s.n
 
     def test_homogeneous_size_degree_relation(self):
         s = thin_scheme(cyclic_table(5))
         for c in range(s.r):
-            assert s.relation_size(c) == s.degree(c) * s.n
+            assert s.sizes[c] == s.degree(c) * s.n
 
     def test_cells_match_color_of(self):
         s = rank_two_scheme(4)
         for c in range(s.r):
-            for u, v in s.cells(c):
+            for u, v in s.cell_array(c).tolist():
                 assert int(s.matrix[u, v]) == c
 
     def test_cell_index_matches_argwhere(self, corpus):
@@ -525,7 +525,6 @@ class TestSchemeAccessors:
             for c in range(s.r):
                 cells = s.cell_array(c)
                 assert np.array_equal(cells, np.argwhere(s.matrix == c))
-                assert s.cells(c) == [tuple(cell) for cell in cells.tolist()]
                 assert not cells.flags.writeable
                 assert s.first_cells[c].tolist() == cells[0].tolist()
 
@@ -533,7 +532,7 @@ class TestSchemeAccessors:
         for member in corpus:
             s = member.scheme
             for c in range(s.r):
-                u, _ = s.cells(c)[0]
+                u, _ = s.cell_array(c)[0]
                 assert s.degree(c) == np.count_nonzero(s.matrix[u] == c)
 
     def test_tensor_consistency(self):
@@ -543,7 +542,7 @@ class TestSchemeAccessors:
             assert t.shape == (s.r, s.r, s.r) and t.dtype == np.int64
             for through in range(s.r):
                 assert np.array_equal(t[through], tensor_slice(s, through))
-            u, w = s.cells(1)[0]
+            u, w = s.cell_array(1)[0]
             for left in range(s.r):
                 for right in range(s.r):
                     brute = sum(
@@ -615,9 +614,7 @@ class TestCanonicalRecolor:
         assert set(s.diagonal_colors) == set(range(len(s.fibers)))
 
     def test_gapped_ids_normalized(self):
-        m, remap = normalize_colors([[0, 5], [5, 0]])
-        assert sorted(remap) == [0, 5]
-        assert m.max() == 1
+        assert canonical_recolor([[5, -2], [-2, 5]]).tolist() == [[0, 1], [1, 0]]
 
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
     def test_random_color_relabel(self, m, rnd):
@@ -627,24 +624,6 @@ class TestCanonicalRecolor:
         relabeled = np.array(perm)[mat]
         assert np.array_equal(canonical_recolor(relabeled), canonical_recolor(mat))
         validate(relabeled)
-
-
-def old_canonical_recolor(matrix):
-    """The composition ``canonical_scheme`` replaced: relabel to 0..r-1,
-    find first cells, rank colors with a Python sort.  Its oracle."""
-    arr, _ = normalize_colors(matrix)
-    r = int(arr.max()) + 1
-    us, vs = unique_first_cells(arr).T
-    diag_counts = np.bincount(arr.diagonal(), minlength=r)
-    rank = sorted(range(r), key=lambda c: (diag_counts[c] == 0, us[c] * arr.shape[0] + vs[c]))
-    perm = np.empty(r, dtype=np.int64)
-    for new, old in enumerate(rank):
-        perm[old] = new
-    return perm[arr]
-
-
-def old_canonical_scheme(matrix):
-    return validate(old_canonical_recolor(matrix))
 
 
 def uninterned_canonical_scheme(matrix):
@@ -820,7 +799,7 @@ class TestInterning:
 
 class TestFloatInput:
     @pytest.mark.parametrize("convert", [canonical_recolor, canonical_scheme,
-                                         normalize_colors, validate])
+                                         ccm_text, validate])
     @pytest.mark.parametrize("matrix,message", [
         *[pytest.param(np.array([[0, bad], [bad, 0]]), "expected integer entries", id=str(bad))
           for bad in (1.5, np.inf, -np.inf, np.nan, 1e19)],
@@ -836,9 +815,7 @@ class TestFloatInput:
         ints = two_fiber_scheme().matrix * 3 + 1
         floats = ints.astype(np.float64)
         assert np.array_equal(canonical_recolor(floats), canonical_recolor(ints))
-        m_int, remap_int = normalize_colors(ints)
-        m_float, remap_float = normalize_colors(floats)
-        assert np.array_equal(m_float, m_int) and remap_float == remap_int
+        assert ccm_text(floats) == ccm_text(ints)
         canonical = canonical_recolor(ints)
         assert validate(canonical.astype(np.float64)).same_matrix(validate(canonical))
 
@@ -846,7 +823,7 @@ class TestFloatInput:
 class TestSchemeFromColors:
     def test_round_trip(self):
         s = thin_scheme(cyclic_table(3))
-        rebuilt = scheme_from_colors(3, [s.cells(c) for c in range(s.r)])
+        rebuilt = scheme_from_colors(3, [s.cell_array(c).tolist() for c in range(s.r)])
         assert rebuilt.same_matrix(s)
 
     def test_missing_cell(self):

@@ -1,10 +1,21 @@
 import hashlib
 from collections import Counter
 
+import random
+
+import numpy as np
 import pytest
 
-from asck import CorpusSpec, constructions, generate_corpus, run_corpus_checks
-from asck.corpus import _FAMILIES, member_reports
+from asck import (
+    CorpusSpec,
+    constructions,
+    generate_corpus,
+    is_strongly_connected,
+    run_corpus_checks,
+)
+from asck import corpus as corpus_module
+from asck.corpus import _FAMILIES, member_reports, random_circulant_digraph
+from asck.errors import SchemeError
 
 
 def rows(results):
@@ -55,3 +66,37 @@ def test_group_tables_are_verified_where_they_are_built(monkeypatch):
     monkeypatch.setattr("asck.corpus._FAMILIES", tuple(map(tagged, _FAMILIES)))
     generate_corpus(CorpusSpec())
     assert dict(calls) == {"_thin_cyclic": 24, "_thin_abelian": 88, "_thin_dihedral": 10}
+
+
+@pytest.mark.parametrize("primes,message", [
+    ((2, 3, 2), "prime 2 is repeated"),
+    ((3, np.int64(3)), "prime 3 is repeated"),
+    ((2.0,), "2.0 is not prime"),
+])
+def test_spec_rejects_repeated_and_non_integer_primes(primes, message):
+    with pytest.raises(SchemeError, match=message):
+        CorpusSpec(primes=primes)
+
+
+class TestCirculantArguments:
+    """``_wl_circulant`` checks neither the strong connectivity of its
+    draws nor the homogeneity of their closures; both are exact
+    arguments in the docstrings, held here."""
+
+    def test_default_draws_and_closures(self, monkeypatch):
+        drawn = []
+
+        def recorded(rng, n):
+            drawn.append(random_circulant_digraph(rng, n))
+            return drawn[-1]
+
+        monkeypatch.setattr(corpus_module, "random_circulant_digraph", recorded)
+        members = corpus_module._wl_circulant(CorpusSpec(), [])
+        assert len(drawn) == len(members) == 80
+        assert all(is_strongly_connected(g) for g in drawn)
+        assert all(m.scheme.is_homogeneous for m in members)
+
+    def test_seeded_draws_are_strongly_connected(self):
+        rng = random.Random(2007)
+        for n in [2, 3] + [rng.randint(4, 40) for _ in range(300)]:
+            assert is_strongly_connected(random_circulant_digraph(rng, n))

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from math import gcd
 
 import networkx as nx
 import numpy as np
@@ -26,7 +25,7 @@ from asck import (
     wl_closure,
 )
 from asck.core import canonical_scheme
-from asck.digraph import _potentials, basis_periods
+from asck.digraph import basis_periods
 from asck.errors import (
     DiagonalColor,
     HasLoops,
@@ -36,16 +35,24 @@ from asck.errors import (
     NotSymmetric,
     SchemeError,
 )
-from test_constructions import chords_shape, circulant_shape, ladder_closures_64, ladder_matrix
+from oracles import (
+    brute_period,
+    check_cyclic_partition,
+    chords_shape,
+    circulant_shape,
+    ladder_closures_64,
+    ladder_matrix,
+    old_basis_periods,
+    old_cyclically_p_partite,
+    old_is_bipartite,
+    old_period,
+    old_weakly_connected_components,
+    random_strongly_connected_digraph,
+)
 
 
 def cycle(n: int) -> Digraph:
     return Digraph.from_arcs(n, [(u, (u + 1) % n) for u in range(n)])
-
-
-def brute_period(g: Digraph) -> int:
-    lengths = [len(c) for c in nx.simple_cycles(nx.DiGraph(list(g.arcs)))]
-    return gcd(*lengths)
 
 
 def disjoint_union(parts: list[Digraph]) -> Digraph:
@@ -58,34 +65,6 @@ def disjoint_union(parts: list[Digraph]) -> Digraph:
 
 def path(n: int) -> Digraph:
     return Digraph.from_arcs(n, [(u, u + 1) for u in range(n - 1)])
-
-
-def random_strongly_connected_digraph(rng: random.Random, n: int) -> Digraph:
-    """A random strongly connected digraph: a spanning cycle plus chords.
-
-    One third are bare cycles (period n), one third add chords whose
-    stride keeps a residue structure (period a proper divisor), one
-    third add arbitrary chords (period usually 1).
-    """
-    if n == 1:
-        return Digraph(1, frozenset({(0, 0)} if rng.random() < 0.5 else set()))
-    arcs = {(u, (u + 1) % n) for u in range(n)}
-    style = rng.randrange(3)
-    if style == 1:
-        divisors = [d for d in range(2, n) if n % d == 0]
-        if divisors:
-            d = rng.choice(divisors)
-            strides = [j for j in range(2, n) if j % d == 1]
-            for j in rng.sample(strides, min(len(strides), rng.randint(1, 2))):
-                u = rng.randrange(n)
-                arcs.add((u, (u + j) % n))
-    elif style == 2:
-        extra = rng.randint(1, max(1, n // 2))
-        for _ in range(extra):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                arcs.add((u, v))
-    return Digraph(n, frozenset(arcs))
 
 
 def brute_partite(g: Digraph, p: int) -> bool:
@@ -270,7 +249,7 @@ class TestCyclicPartition:
         g = Digraph.from_arcs(4, [(0, 2), (2, 0), (1, 3), (3, 1)])
         part = cyclically_p_partite(g, 2)
         assert part is not None
-        part.check(g)
+        check_cyclic_partition(part, g)
 
     def test_p_below_two_rejected(self):
         with pytest.raises(InvalidP):
@@ -290,7 +269,7 @@ class TestCyclicPartition:
         g = Digraph.from_arcs(3, [(0, 1), (1, 0)])
         part = cyclically_p_partite(g, 2)
         assert part is not None
-        part.check(g)
+        check_cyclic_partition(part, g)
 
     def test_needs_enough_vertices(self):
         assert cyclically_p_partite(cycle(2), 3) is None
@@ -298,7 +277,7 @@ class TestCyclicPartition:
     def test_witness_invariants_enforced(self):
         bad = CyclicPartition(2, ((0,), (1,)))
         with pytest.raises(SchemeError):
-            bad.check(Digraph.from_arcs(2, [(0, 1), (1, 0), (0, 0)]))
+            check_cyclic_partition(bad, Digraph.from_arcs(2, [(0, 1), (1, 0), (0, 0)]))
 
     @given(arcs_strategy(), st.integers(min_value=2, max_value=5))
     def test_any_witness_verifies(self, data, p):
@@ -306,7 +285,7 @@ class TestCyclicPartition:
         g = Digraph(n, frozenset(arcs))
         part = cyclically_p_partite(g, p)
         if part is not None:
-            part.check(g)
+            check_cyclic_partition(part, g)
 
     def test_partite_iff_p_divides_period(self):
         rng = random.Random(99)
@@ -338,7 +317,7 @@ class TestCyclicPartition:
                 part = cyclically_p_partite(g, p)
                 assert (part is not None) == brute_partite(g, p)
                 if part is not None:
-                    part.check(g)
+                    check_cyclic_partition(part, g)
                 seen.add(part is not None)
         assert seen == {True, False}
 
@@ -355,7 +334,7 @@ class TestCyclicPartition:
                 part = cyclically_p_partite(g, p)
                 assert (part is not None) == (sum(lengths) >= p) == present
                 if part is not None:
-                    part.check(g)
+                    check_cyclic_partition(part, g)
 
 
 class TestBipartite:
@@ -400,137 +379,7 @@ class TestBipartite:
         assert lhs == rhs
 
 
-# -- the previous traversals, kept as oracles for _potentials ----------------
-
-
-def old_weakly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
-    """Union-find over the arcs."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.arcs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(groups[root])) for root in sorted(groups)]
-
-
-def old_period(g: Digraph) -> int:
-    """gcd of level(u) + 1 - level(v) over arcs, levels from a BFS tree."""
-    if not is_strongly_connected(g):
-        raise NotStronglyConnected(
-            f"{len(strongly_connected_components(g))} strong components")
-    if g.m == 0:
-        raise NoArcs("period is undefined without arcs")
-    level = [-1] * g.n
-    level[0] = 0
-    queue = [0]
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for v in g.out_adj[u]:
-                if level[v] == -1:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    result = 0
-    for u, v in g.sorted_arcs():
-        result = gcd(result, abs(level[u] + 1 - level[v]))
-    return result
-
-
-def old_component_labels(g: Digraph, p: int,
-                         component: tuple[int, ...]) -> dict[int, int] | None:
-    """Labels over one weak component by a BFS that checks them mod p."""
-    in_adj = [sorted(u for u, w in g.arcs if w == v) for v in range(g.n)]
-    labels = {component[0]: 0}
-    queue = [component[0]]
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for v in g.out_adj[u]:
-                want = labels[u] + 1
-                if v in labels:
-                    if (labels[v] - want) % p:
-                        return None
-                else:
-                    labels[v] = want
-                    nxt.append(v)
-            for w in in_adj[u]:
-                want = labels[u] - 1
-                if w in labels:
-                    if (labels[w] - want) % p:
-                        return None
-                else:
-                    labels[w] = want
-                    nxt.append(w)
-        queue = nxt
-    return labels
-
-
-def old_cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
-    """Per-component mod-p labels laid end to end by the interval rule."""
-    if p < 2:
-        raise InvalidP(p)
-    classes: list[list[int]] = [[] for _ in range(p)]
-    cursor = None
-    for comp in old_weakly_connected_components(g):
-        labels = old_component_labels(g, p, comp)
-        if labels is None:
-            return None
-        shift = 0 if cursor is None else cursor - min(labels.values())
-        cursor = max(labels.values()) + shift + 1
-        for v, value in labels.items():
-            classes[(value + shift) % p].append(v)
-    if not all(classes):
-        return None
-    partition = CyclicPartition(p, tuple(tuple(sorted(c)) for c in classes))
-    partition.check(g)
-    return partition
-
-
-def old_is_bipartite(g: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """2-coloring BFS from the least vertex of each component with arcs."""
-    for u, v in g.sorted_arcs():
-        if u == v:
-            raise HasLoops(u)
-        if (v, u) not in g.arcs:
-            raise NotSymmetric((u, v))
-    side = [-1] * g.n
-    for root in range(g.n):
-        if side[root] != -1 or not g.out_adj[root]:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            nxt: list[int] = []
-            for u in queue:
-                for v in g.out_adj[u]:
-                    if side[v] == -1:
-                        side[v] = 1 - side[u]
-                        nxt.append(v)
-                    elif side[v] == side[u]:
-                        return None
-            queue = nxt
-    counts = [side.count(0), side.count(1)]
-    for v in range(g.n):
-        if side[v] == -1:
-            cls = 0 if counts[0] <= counts[1] else 1
-            side[v] = cls
-            counts[cls] += 1
-    if counts[0] == 0 or counts[1] == 0:
-        return None
-    zero = tuple(v for v in range(g.n) if side[v] == 0)
-    one = tuple(v for v in range(g.n) if side[v] == 1)
-    return zero, one
+# -- _potentials against the previous traversals in tests/oracles.py ----------
 
 
 def outcome(f, *args):
@@ -569,26 +418,15 @@ class TestAgainstPreviousTraversals:
             assert outcome(period, g) == outcome(old_period, g)
             assert outcome(is_bipartite, g) == outcome(old_is_bipartite, g)
             for p in (1, 2, 3, 4, 5, 7):
-                assert (outcome(cyclically_p_partite, g, p)
-                        == outcome(old_cyclically_p_partite, g, p))
+                part = outcome(cyclically_p_partite, g, p)
+                assert part == outcome(old_cyclically_p_partite, g, p)
+                if isinstance(part, CyclicPartition):
+                    check_cyclic_partition(part, g)
 
 
 def ladder_closures() -> list:
     return [wl_closure(ladder_matrix(make, n, seed=n))
             for make in (circulant_shape, chords_shape) for n in (16, 24)]
-
-
-def old_basis_periods(s):
-    """The all-cells build that ``basis_periods`` replaced: every cell an
-    arc of one ``_potentials`` run, single-cell colors included."""
-    n = s.n
-    colors = s.matrix.ravel()
-    tails, heads = np.divmod(np.arange(n * n), n)
-    pairs, vertex = np.unique(np.concatenate((colors * n + tails, colors * n + heads)),
-                              return_inverse=True)
-    periods = np.zeros(s.r, dtype=np.int64)
-    np.gcd.at(periods, colors, _potentials(pairs.size, *vertex.reshape(2, -1))[2])
-    return periods
 
 
 def discrete_scheme(n):
@@ -614,8 +452,10 @@ class TestBasisPeriods:
                 assert (periods[c] % 2 == 0) == bipartite
                 if s.is_homogeneous:
                     for p in (2, 3, 5, 7, 11):
-                        partite = cyclically_p_partite(g, p) is not None
-                        assert (periods[c] % p == 0) == partite
+                        part = cyclically_p_partite(g, p)
+                        assert (periods[c] % p == 0) == (part is not None)
+                        if part is not None:
+                            check_cyclic_partition(part, g)
             if is_strongly_connected(g):
                 assert periods[c] == period(g)
 

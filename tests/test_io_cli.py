@@ -25,11 +25,10 @@ from asck import (
 )
 from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
 from asck.constructions import MAX_CLOSURE_POINTS
-from asck.core import as_color_matrix
 from asck.corpus import abelian_tables
 from asck.errors import NonContiguousColors, SchemeError
-from asck.io import _content_lines, _ints
-from test_constructions import chords_shape, ladder_closures_64
+from asck.io import _content_lines
+from oracles import chords_shape, ladder_closures_64, old_read_ccm
 
 
 def z4_text() -> str:
@@ -69,6 +68,25 @@ class TestCcmFormat:
         with pytest.raises(SchemeError, match="expected a square matrix"):
             ccm_text(matrix)
 
+    @pytest.mark.parametrize("matrix,message", [
+        pytest.param(np.zeros((0, 0), dtype=np.int64), "expected at least one point", id="0x0"),
+        pytest.param(np.zeros((2, 3), dtype=np.int64),
+                     r"expected a square matrix, got shape \(2, 3\)", id="2x3"),
+        pytest.param([[0.5, 1], [1, 0.2]], "expected integer entries", id="fractions"),
+    ])
+    def test_writers_refuse_what_read_ccm_cannot_read(self, matrix, message, tmp_path):
+        """Before, these raised numpy's ValueError, wrote a 2 x 3 body
+        under the header "ccm 2 3", or truncated 0.5 to 0; now each gives
+        ``validate``'s SchemeError and writes no file."""
+        with pytest.raises(SchemeError, match=message) as expected:
+            validate(matrix)
+        path = tmp_path / "out.ccm"
+        for write in (ccm_text, lambda m: write_ccm(m, path)):
+            with pytest.raises(SchemeError) as raised:
+                write(matrix)
+            assert str(raised.value) == str(expected.value)
+        assert not path.exists()
+
     def test_comments_and_blank_lines_skipped(self):
         text = "# generated\n\nccm 2 2\n# rows follow\n0 1\n1 0\n"
         assert read_ccm(io.StringIO(text)).tolist() == [[0, 1], [1, 0]]
@@ -99,36 +117,6 @@ class TestCcmFormat:
         with pytest.raises(NonContiguousColors) as info:
             read_ccm(io.StringIO(text))
         assert info.value.remap == {0: 0, 2: 1}
-
-
-def old_read_ccm(source):
-    """The per-line ``read_ccm`` that the one-call parse replaced; the
-    oracle for its matrices and errors."""
-    name, lines = _content_lines(source)
-    if not lines:
-        raise ParseError(name, 1, "empty input")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "ccm":
-        raise ParseError(name, lineno, f"expected header 'ccm <n> <r>', got {header!r}")
-    try:
-        n, r = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(name, lineno, "non-integer header fields") from None
-    if n < 1 or r < 1:
-        raise ParseError(name, lineno, f"n and r must be positive, got n={n} r={r}")
-    if len(lines) - 1 != n:
-        raise ParseError(name, lineno,
-                         f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for lineno, line in lines[1:]:
-        rows.append(_ints(name, lineno, line, n))
-    matrix = as_color_matrix(np.array(rows, dtype=np.int64))
-    actual_r = int(matrix.max()) + 1
-    if actual_r != r:
-        raise ParseError(name, lines[0][0],
-                         f"header says r={r} but the matrix has {actual_r} colors")
-    return matrix
 
 
 def parse_outcome(read, text):
@@ -498,6 +486,11 @@ class TestCliCorpus:
         monkeypatch.setenv("ASCK_THREADS", "2")
         assert main(["corpus", "--max-n", "6", "--primes", "2"]) == EXIT_OK
         assert "all checks agree: true" in capsys.readouterr().out
+
+    def test_repeated_prime_exits_2(self, capsys):
+        assert main(["corpus", "--max-n", "3", "--primes", "2,2"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "prime 2 is repeated" in captured.err and captured.out == ""
 
     def test_bad_primes_argument(self, capsys):
         assert main(["corpus", "--max-n", "6", "--primes", "2;3"]) == EXIT_INPUT

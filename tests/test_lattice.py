@@ -17,7 +17,6 @@ from asck import (
     digraph_color_matrix,
     dihedral_table,
     direct_product,
-    element_order,
     equivalence_from_colors,
     generated_closed_set,
     is_primitive,
@@ -35,7 +34,6 @@ from asck import (
 from asck.errors import (
     NotASchemeEquivalence,
     NotHomogeneous,
-    NotThinElement,
     RankTooLarge,
     SchemeError,
     TooFewPoints,
@@ -43,10 +41,27 @@ from asck.errors import (
 import asck
 from asck import lattice
 from asck.lattice import RANK_CAP, ClosedSet, closed_set_equivalence
+from oracles import (
+    check_closed_set,
+    old_all_equivalences,
+    old_equivalence_from_colors,
+    old_outcome,
+    old_thin_radical,
+)
 
 
 def z4():
     return thin_scheme(cyclic_table(4))
+
+
+def element_order(radical, color):
+    """Order of a thin color in the radical group, read from its table:
+    the least k with color^k the identity."""
+    i = radical.elements.index(color)
+    power, order = i, 1
+    while power != radical.identity:
+        power, order = int(radical.table[power, i]), order + 1
+    return order
 
 
 def divisor_count(m: int) -> int:
@@ -70,7 +85,7 @@ class TestGeneratedClosedSet:
     def test_closure_invariants(self):
         s = thin_scheme(dihedral_table(4))
         for c in range(s.r):
-            generated_closed_set(s, {c}).check()
+            check_closed_set(generated_closed_set(s, {c}))
 
     def test_rejects_non_homogeneous(self):
         g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
@@ -310,7 +325,7 @@ class TestSubgroupCriterion:
 
     @staticmethod
     def is_subgroup(radical, subset) -> bool:
-        idx = {radical.index_of(c) for c in subset}
+        idx = {radical.elements.index(c) for c in subset}
         if radical.identity not in idx:
             return False
         return all(int(radical.table[a, b]) in idx for a in idx for b in idx)
@@ -346,8 +361,6 @@ class TestThinRadical:
         radical = thin_radical(s)
         assert radical.elements == (0,)
         assert not is_regular(s)
-        with pytest.raises(NotThinElement):
-            element_order(radical, 1)
 
     def test_wreath_radical(self):
         w = wreath(thin_scheme(cyclic_table(2)), thin_scheme(cyclic_table(3)))
@@ -365,15 +378,37 @@ class TestThinRadical:
             radical = thin_radical(s)
             for k in range(m):
                 shift_order = m // gcd(m, k) if k else 1
-                assert element_order(radical, int(s.matrix[0, k])) == shift_order
+                color = int(s.matrix[0, k])
+                assert element_order(radical, color) == shift_order
+                # the total degree of the closed set the color generates
+                closed = generated_closed_set(s, {color}).colors
+                assert sum(s.degree(c) for c in closed) == shift_order
 
     def test_inverse_via_transpose(self):
         s = thin_scheme(cyclic_table(5))
         radical = thin_radical(s)
         for c in radical.elements:
-            inv = radical.inverse(c)
-            i, j = radical.index_of(c), radical.index_of(inv)
+            i, j = radical.elements.index(c), radical.elements.index(s.transpose(c))
             assert int(radical.table[i, j]) == radical.identity
+
+    def test_scatter_matches_loop(self, corpus):
+        """The scatter, and the argument that lets it skip the loop's two
+        raises, on every homogeneous corpus member, once as built and once
+        with its points and colors relabeled by a seeded permutation."""
+        rng = np.random.default_rng(20)
+        checked = 0
+        for member in corpus:
+            s = member.scheme
+            if not s.is_homogeneous:
+                continue
+            perm, colors = rng.permutation(s.n), rng.permutation(s.r)
+            for t in (s, validate(colors[s.matrix[np.ix_(perm, perm)]])):
+                got, want = thin_radical(t), old_thin_radical(t)
+                assert (got.elements, got.identity) == (want.elements, want.identity)
+                assert got.table.dtype == want.table.dtype
+                assert np.array_equal(got.table, want.table), member.name
+                checked += 1
+        assert checked == 2 * 284
 
 
 class TestClosedSetCheck:
@@ -381,7 +416,7 @@ class TestClosedSetCheck:
         s = z4()
         broken = ClosedSet(s, frozenset({0, int(s.matrix[0, 1])}))
         with pytest.raises(SchemeError):
-            broken.check()
+            check_closed_set(broken)
 
     def test_least_leaving_pair_named(self):
         """A transpose-closed set that is not closed is reported by its
@@ -397,12 +432,12 @@ class TestClosedSetCheck:
                 leaving = [(d, a, b) for d in range(s.r) if d not in colors
                            for a in members for b in members if t[d, a, b]]
                 if not leaving:
-                    ClosedSet(s, colors).check()
+                    check_closed_set(ClosedSet(s, colors))
                     continue
                 d, a, b = leaving[0]
                 with pytest.raises(SchemeError,
                                    match=rf"^composition {a}\*{b} leaves the set via {d}$"):
-                    ClosedSet(s, colors).check()
+                    check_closed_set(ClosedSet(s, colors))
                 raised += 1
         assert raised > 10
 
@@ -473,7 +508,7 @@ def assert_matches_oracle(s):
     eqs = all_equivalences(s)
     assert [e.colors for e in eqs] == expected
     for e in eqs:
-        ClosedSet(e.scheme, e.colors).check()
+        check_closed_set(ClosedSet(e.scheme, e.colors))
     for c in range(s.r):
         smallest = frozenset.intersection(*(cs for cs in closed_sets if c in cs))
         assert generated_closed_set(s, {c}).colors == smallest
@@ -566,82 +601,6 @@ class TestLatticeSizes:
         assert generated_closed_set(s, {0}).colors == {0}
 
 
-def tensor_composition(scheme):
-    """The composition table read from ``tensor()``: ``comp[a, b]`` is the
-    mask of the colors c with p^c_ab > 0."""
-    comp = {}
-    for c, a, b in zip(*(x.tolist() for x in np.nonzero(scheme.tensor()))):
-        comp[a, b] = comp.get((a, b), 0) | (1 << c)
-    return comp
-
-
-def mask_colors(mask):
-    """The colors whose bits are set in a color bitmask, ascending."""
-    colors = []
-    while mask:
-        low = mask & -mask
-        colors.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(colors)
-
-
-def old_close(comp, sigma, closed, extra):
-    """The worklist closure read straight from a composition table
-    ``comp``: two dict lookups per member and a numpy transpose map
-    ``sigma``, no closure rows."""
-    members = list(mask_colors(closed))
-    pending = extra & ~closed
-    while pending:
-        bit = pending & -pending
-        pending ^= bit
-        closed |= bit
-        c = bit.bit_length() - 1
-        members.append(c)
-        found = 1 << int(sigma[c])
-        for m in members:
-            found |= comp[c, m] | comp[m, c]
-        pending |= found & ~closed
-    return closed
-
-
-def old_equivalence_from_colors(scheme, colors):
-    """Membership by ``np.isin``, one ``flatnonzero`` per ``np.unique`` label."""
-    colorset = frozenset(scheme.check_color(c) for c in colors)
-    member = np.isin(scheme.matrix, sorted(colorset))
-    if not member.diagonal().all():
-        raise NotASchemeEquivalence("union of relations is not reflexive")
-    if not np.array_equal(member, member.T):
-        raise NotASchemeEquivalence("union of relations is not symmetric")
-    labels = np.argmax(member, axis=1)
-    if not np.array_equal(member, labels[:, None] == labels[None, :]):
-        raise NotASchemeEquivalence("union of relations is not transitive")
-    classes = tuple(tuple(np.flatnonzero(labels == least).tolist())
-                    for least in np.unique(labels))
-    return lattice.Equivalence(scheme, classes, colorset)
-
-
-def old_all_equivalences(scheme):
-    """Every found set joined with every generator, each join closed
-    afresh by ``old_close``, with no union skipped."""
-    comp, sigma = tensor_composition(scheme), scheme.transpose_map
-    bottom = 0
-    for c in scheme.diagonal_colors:
-        bottom |= 1 << c
-    generators = {old_close(comp, sigma, bottom, 1 << c) for c in range(scheme.r)}
-    family = {bottom}
-    frontier = [bottom]
-    while frontier:
-        closed = frontier.pop()
-        for g in generators:
-            join = old_close(comp, sigma, closed, g)
-            if join not in family:
-                family.add(join)
-                frontier.append(join)
-    eqs = [old_equivalence_from_colors(scheme, mask_colors(m)) for m in family]
-    eqs.sort(key=lambda e: (len(e.colors), sorted(e.colors)))
-    return eqs
-
-
 def groups_thirteen_to_twenty_four():
     """Thin-scheme groups of order 13..24: every cyclic and dihedral one,
     and a spread of abelian, dicyclic and product groups."""
@@ -656,13 +615,6 @@ def groups_thirteen_to_twenty_four():
 
 def lattice_listing(eqs):
     return [(sorted(e.colors), e.classes) for e in eqs]
-
-
-def old_outcome(build, scheme, colors):
-    try:
-        return build(scheme, colors).classes
-    except SchemeError as exc:
-        return type(exc), str(exc)
 
 
 class TestPreviousEngineOracle:
@@ -783,7 +735,7 @@ class TestLayering:
 
     def test_removed_names_not_exported(self):
         for name in ("generated_equivalence", "equivalence_from_partition",
-                     "maximal_equivalences"):
+                     "maximal_equivalences", "element_order"):
             assert name not in asck.__all__
             assert not hasattr(lattice, name)
         assert not hasattr(lattice.Equivalence, "class_of")
