@@ -49,9 +49,6 @@ class CayleyTable:
     table: np.ndarray
     identity: int
 
-    def inverse(self, g: int) -> int:
-        return int(np.argmax(self.table[g] == self.identity))
-
 
 def cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> CayleyTable:
     """Check that a multiplication table is a group and wrap it.

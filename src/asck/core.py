@@ -155,8 +155,8 @@ class Scheme:
 
     Construct via ``validate`` or ``canonical_scheme``; fields are derived
     data and must not be mutated.  ``matrix`` is the color matrix with its
-    writeable flag off.  Identity-based equality; compare contents with
-    ``same_matrix``.  ``validate`` returns a new Scheme on every call,
+    writeable flag off.  Identity-based equality; compare contents by
+    their matrices.  ``validate`` returns a new Scheme on every call,
     while ``canonical_scheme`` returns one shared Scheme for equal inputs,
     so its ``derived`` memo is shared by every holder of the object.
     """
@@ -270,9 +270,6 @@ class Scheme:
             return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
         return self.derived("hash", build)
-
-    def same_matrix(self, other: "Scheme") -> bool:
-        return self.n == other.n and bool(np.array_equal(self.matrix, other.matrix))
 
 
 def _check_diagonal(matrix: np.ndarray, sizes: np.ndarray) -> tuple[int, ...]:

@@ -2,16 +2,22 @@
 
 Vertices are contiguous ids 0..n-1; digraphs extracted from a scheme
 carry a label tuple mapping those ids back to the scheme's points.
-One potential labeling, ``_potentials``, gives the weak components,
-integer labels that change by 1 along each arc, and d, the gcd of the
-semicycle net lengths; the period, cyclic p-partitions (p | d),
-bipartiteness (d even) and ``basis_periods`` all read it, and Tarjan's
-algorithm answers strong connectivity.  ``basis_periods`` runs it only
-on the off-diagonal colors with at least two cells; every other color's
-d is read off its first cell.  All functions are pure and
-deterministic: components come out sorted by least vertex, and cyclic
-partitions lay the components' label intervals end to end in that
-order.
+A potential labeling along a spanning forest gives integer labels that
+grow by 1 along each tree arc, and every arc's defect; the gcd d of a
+weak component's defects is the gcd of its semicycle net lengths,
+whichever forest was used.  Two builds share that contract:
+- ``_forest_defects``, numpy hook-and-jump rounds, serves the callers
+  that read only the components and d: ``basis_periods`` (the checks'
+  digraph side, run on the off-diagonal colors with at least two cells;
+  every other color's d is read off its first cell), ``period`` (d) and
+  ``weakly_connected_components``;
+- ``_potentials``, a FIFO BFS, serves the witnesses, whose bytes come
+  from its labels: cyclic p-partitions (p | d) and bipartitions
+  (d even).
+Tarjan's algorithm answers strong connectivity.  All functions are pure
+and deterministic: components come out sorted by least vertex, and
+cyclic partitions lay the components' label intervals end to end in
+that order.
 """
 
 from __future__ import annotations
@@ -178,18 +184,91 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 def weakly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
     """Components of the symmetrized digraph, sorted by least vertex."""
-    return _digraph_potentials(g)[0]
+    return _components(_forest_defects(g.n, *_arc_arrays(g))[0].tolist())
 
 
-def _digraph_potentials(g: Digraph) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
-    """``_potentials`` of g, with its weak components as ascending vertex
-    tuples in order of least vertex."""
+def _arc_arrays(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """The tails and heads of g's arcs as two int64 vectors."""
     arcs = np.array(list(g.arcs), dtype=np.int64).reshape(-1, 2)
-    comp, label, defect = _potentials(g.n, arcs[:, 0], arcs[:, 1])
+    return arcs[:, 0], arcs[:, 1]
+
+
+def _components(comp: list[int]) -> list[tuple[int, ...]]:
+    """The vertex classes of ``comp``, which maps each vertex to the least
+    vertex of its class, as ascending tuples in order of least vertex."""
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(comp):
         groups.setdefault(c, []).append(v)
-    return [tuple(members) for members in groups.values()], label, defect
+    return [tuple(members) for members in groups.values()]
+
+
+def _digraph_potentials(g: Digraph) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
+    """``_potentials`` of g, with its weak components as ``_components``."""
+    comp, label, defect = _potentials(g.n, *_arc_arrays(g))
+    return _components(comp), label, defect
+
+
+def _forest_defects(n: int, tails: np.ndarray,
+                    heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots and arc defects against a spanning forest of the digraph on
+    0..n-1 with arcs (tails[i], heads[i]), in numpy rounds.
+
+    Hook and jump (Shiloach & Vishkin, "An O(log n) parallel
+    connectivity algorithm", J. Algorithms 3, 1982): every vertex keeps
+    its tree's root and its label relative to that root.  In each round,
+    every root with an arc to a tree of smaller root hooks onto the least
+    such root, through the first arc that reaches it, with the offset
+    that gives that arc defect 0; pointer jumping then sends every
+    vertex to its new root, adding up the offsets on the way.  The
+    rounds stop when no arc joins two trees.
+
+    A root hooks only onto a smaller root, so the hook arcs never close a
+    cycle: they form a spanning forest, and each component's root is its
+    least vertex, as ``_potentials``' comp.  Tree arcs have defect 0, so
+    any other arc's defect label(u) + 1 - label(v) is the net length of
+    its fundamental semicycle, and the gcd of a component's defects is
+    the gcd of all its semicycle net lengths whatever forest was used.
+    Each round with a cross arc hooks the largest root that has one, so
+    the number of trees falls strictly and the rounds end.  Hooking onto
+    the least root, not just any smaller one, bounds them by 2 log2 n: a
+    root with a cross arc that neither hooks nor is hooked onto in one
+    round has only larger neighbours, and each of them hooked onto a
+    root smaller still, so it hooks in the next round.  Every tree with
+    a cross arc thus merges within two rounds, which at least halves
+    their number.  (Hooking through the first arc instead takes n - 1
+    rounds on a star whose arcs list the leaves in descending order.)
+    """
+    root = np.arange(n)
+    label = np.zeros(n, dtype=np.int64)
+    # a hooked root's parent and its label relative to the parent's; a
+    # root is its own parent, at offset 0
+    parent = np.arange(n)
+    shift = np.zeros(n, dtype=np.int64)
+    u, v = tails, heads
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            return root, label[tails] + 1 - label[heads]
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        hi, lo = np.maximum(ru, rv), np.minimum(ru, rv)
+        m = hi.size
+        # per hooking root, the least lo * m + arc index: least root, first arc
+        best = np.full(n, n * m)
+        np.minimum.at(best, hi, lo * m + np.arange(m))
+        hooked = np.flatnonzero(best < n * m)
+        arc = best[hooked] % m
+        step = label[u[arc]] + 1 - label[v[arc]]
+        parent[hooked] = lo[arc]
+        shift[hooked] = np.where(ru[arc] == hooked, -step, step)  # minus: the tail's root hooks
+        while hooked.size:  # jump the hooked roots whose parent has hooked
+            above = parent[hooked]
+            moved = parent[above] != above
+            hooked, above = hooked[moved], above[moved]
+            shift[hooked] += shift[above]
+            parent[hooked] = parent[above]
+        label += shift[root]
+        root = parent[root]
 
 
 def _potentials(n: int, tails: np.ndarray,
@@ -206,6 +285,14 @@ def _potentials(n: int, tails: np.ndarray,
     semicycle: the gcd d of a component's defects is the gcd of its
     semicycle net lengths, 0 without semicycles and the period when the
     component is strongly connected.
+
+    ``_forest_defects`` gives the same comp and the same gcds faster, but
+    other labels: any two labelings of a component differ by multiples
+    of d.  ``cyclically_p_partite`` places each component by its least
+    and greatest label, so when d > 0 another forest can move its
+    witness classes; it keeps these labels.  ``is_bipartite`` reads only
+    parities, which no forest changes when d is even, and keeps them so
+    that both witnesses read one labeling.
     """
     def adjacency(src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int]]:
         ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
@@ -238,7 +325,12 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
     basis digraphs of the other colors, off the diagonal with at least
     two cells, are laid side by side in one digraph on the (color, point)
     pairs in use, whose arcs are those colors' cells from ``cell_index``,
-    so one ``_potentials`` run gives every such cell's defect.
+    so one ``_forest_defects`` run gives every such cell's defect.
+
+    The pairs are numbered without a sort.  A color's cells run from one
+    fiber X to one fiber Y, leaving every point of X and entering every
+    point of Y, so its block of vertices is X, then Y when Y != X, each
+    in point order; the blocks follow each other in color order.
     """
     def build() -> np.ndarray:
         n, sizes = scheme.n, scheme.sizes
@@ -247,9 +339,18 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
         labeled = (sizes > 1) & (u != v)
         colors = np.repeat(np.flatnonzero(labeled), sizes[labeled])
         tails, heads = scheme.cell_index[np.repeat(labeled, sizes)].T
-        pairs, vertex = np.unique(np.concatenate((colors * n + tails, colors * n + heads)),
-                                  return_inverse=True)
-        np.gcd.at(periods, colors, _potentials(pairs.size, *vertex.reshape(2, -1))[2])
+        fiber = scheme.matrix.diagonal()
+        count = np.bincount(fiber)
+        order = np.argsort(fiber, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n) - (np.cumsum(count) - count)[fiber[order]]
+        source, target = fiber[u[labeled]], fiber[v[labeled]]
+        skip = np.where(source != target, count[source], 0)
+        support = skip + count[target]
+        base = np.cumsum(support) - support
+        tails = np.repeat(base, sizes[labeled]) + rank[tails]
+        heads = np.repeat(base + skip, sizes[labeled]) + rank[heads]
+        np.gcd.at(periods, colors, _forest_defects(int(support.sum()), tails, heads)[1])
         periods.setflags(write=False)
         return periods
 
@@ -264,14 +365,14 @@ def period(g: Digraph) -> int:
 
     In a strongly connected digraph every semicycle's net length is an
     integer combination of cycle lengths and vice versa, so this is the
-    gcd d of the arc defects of ``_potentials``.
+    gcd d of the arc defects of ``_forest_defects``.
     """
     strong = strongly_connected_components(g)
     if len(strong) != 1:
         raise NotStronglyConnected(f"{len(strong)} strong components")
     if g.m == 0:
         raise NoArcs("period is undefined without arcs")
-    return int(np.gcd.reduce(_digraph_potentials(g)[2]))
+    return int(np.gcd.reduce(_forest_defects(g.n, *_arc_arrays(g))[1]))
 
 
 def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:

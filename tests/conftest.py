@@ -1,10 +1,11 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from asck import CorpusSpec, generate_corpus, run_corpus_checks
+from asck import CorpusSpec, generate_corpus, run_corpus_checks, validate
 from asck.io import write_ccm
 
 settings.register_profile("suite", deadline=None, max_examples=40)
@@ -27,6 +28,18 @@ def in_tree_env():
 @pytest.fixture(scope="session")
 def corpus():
     return generate_corpus(CorpusSpec())
+
+
+@pytest.fixture(scope="session")
+def relabeled_corpus(corpus):
+    """Each corpus member's scheme with its points permuted by a seeded
+    permutation, validated afresh: the same colors under other labels."""
+    rng = np.random.default_rng(2026)
+    relabeled = []
+    for member in corpus:
+        perm = rng.permutation(member.scheme.n)
+        relabeled.append(validate(member.scheme.matrix[np.ix_(perm, perm)]))
+    return relabeled
 
 
 @pytest.fixture(scope="session")

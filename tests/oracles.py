@@ -58,6 +58,12 @@ def unique_first_cells(matrix):
     return np.stack(np.divmod(first_flat, matrix.shape[0]), axis=1)
 
 
+def same_matrix(a, b):
+    """Whether two Schemes have equal color matrices: the content
+    comparison that identity-equal ``Scheme`` objects do not make."""
+    return bool(np.array_equal(a.matrix, b.matrix))
+
+
 def two_fiber_scheme():
     g = Digraph.from_arcs(6, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 5), (5, 2)])
     return wl_closure(digraph_color_matrix(g))
@@ -455,8 +461,8 @@ def old_is_bipartite(g: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | No
 
 
 def old_basis_periods(s):
-    """The all-cells build that ``basis_periods`` replaced: every cell an
-    arc of one ``_potentials`` run, single-cell colors included."""
+    """The all-cells FIFO build that ``basis_periods`` replaced: every
+    cell an arc of one ``_potentials`` run, single-cell colors included."""
     n = s.n
     colors = s.matrix.ravel()
     tails, heads = np.divmod(np.arange(n * n), n)
@@ -468,6 +474,11 @@ def old_basis_periods(s):
 
 
 # -- constructions -----------------------------------------------------------
+
+
+def cayley_inverse(t, g):
+    """The inverse of g in a ``CayleyTable``: where row g meets the identity."""
+    return int(np.argmax(t.table[g] == t.identity))
 
 
 def old_cayley_table(table):

@@ -11,10 +11,18 @@ from asck import (
     constructions,
     generate_corpus,
     is_strongly_connected,
+    minimal_equivalences,
     run_corpus_checks,
 )
 from asck import corpus as corpus_module
-from asck.corpus import _FAMILIES, member_reports, random_circulant_digraph
+from asck.checks import check_quotient_factorization
+from asck.corpus import (
+    RANK_CAP,
+    _FAMILIES,
+    CorpusMember,
+    member_reports,
+    random_circulant_digraph,
+)
 from asck.errors import SchemeError
 
 
@@ -43,6 +51,34 @@ def test_default_corpus_output_is_byte_identical(corpus_results):
     blocks = sorted(f"member={m.name}\n{rep.machine()}" for m, rep in corpus_results)
     digest = hashlib.sha256("\n\n".join(blocks).encode()).hexdigest()
     assert (len(corpus_results), digest) == (6898, DEFAULT_CORPUS_DIGEST)
+
+
+def test_reports_do_not_depend_on_point_labels(corpus, relabeled_corpus):
+    """Every report of a member with its points permuted has the same
+    (check, p, mode, lhs, rhs).  The quotient reports use the first two
+    minimal equivalences, whose order follows the labels, so theirs are
+    compared as a multiset over all minimal equivalences."""
+    primes = CorpusSpec().primes
+
+    def facts(s):
+        reports = member_reports(CorpusMember("", "", s), primes)
+        plain = [(r.check, r.p, r.mode, r.lhs, r.rhs) for r in reports
+                 if r.check != "quotient-factorization"]
+        quotients = Counter()
+        if s.is_homogeneous and s.n >= 2 and s.r <= RANK_CAP:
+            for e in minimal_equivalences(s):
+                for p in primes[:2]:
+                    r = check_quotient_factorization(s, e, p)
+                    quotients[p, r.lhs, r.rhs] += 1
+        return plain, quotients
+
+    reports = quotient_reports = 0
+    for member, s in zip(corpus, relabeled_corpus):
+        expected = facts(member.scheme)
+        assert facts(s) == expected, member.name
+        reports += len(expected[0])
+        quotient_reports += sum(expected[1].values())
+    assert (len(corpus), reports, quotient_reports) == (344, 6274, 972)
 
 
 def test_group_tables_are_verified_where_they_are_built(monkeypatch):

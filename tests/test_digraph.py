@@ -21,11 +21,13 @@ from asck import (
     rank_two_scheme,
     strongly_connected_components,
     thin_scheme,
+    validate,
     weakly_connected_components,
     wl_closure,
 )
+from asck import digraph
 from asck.core import canonical_scheme
-from asck.digraph import basis_periods
+from asck.digraph import _forest_defects, _potentials, basis_periods
 from asck.errors import (
     DiagonalColor,
     HasLoops,
@@ -424,6 +426,117 @@ class TestAgainstPreviousTraversals:
                     check_cyclic_partition(part, g)
 
 
+# -- _forest_defects against the FIFO _potentials ------------------------------
+
+
+class RoundCounter:
+    """numpy for ``asck.digraph``, counting the ``minimum.at`` calls:
+    ``_forest_defects`` makes one per hook round."""
+
+    def __init__(self):
+        self.rounds = 0
+        counter = self
+
+        class Minimum:
+            def __call__(self, *args, **kwargs):
+                return np.minimum(*args, **kwargs)
+
+            def at(self, *args):
+                counter.rounds += 1
+                return np.minimum.at(*args)
+
+        self.minimum = Minimum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    counter = RoundCounter()
+    monkeypatch.setattr(digraph, "np", counter)
+    return counter
+
+
+def component_gcds(comp, tails, defect) -> list[int]:
+    """The gcd of each component's arc defects, indexed by its root."""
+    out = np.zeros(len(comp), dtype=np.int64)
+    np.gcd.at(out, np.asarray(comp, dtype=np.int64)[tails], defect)
+    return out.tolist()
+
+
+def assert_forest_matches_fifo(n, arcs, rounds) -> int:
+    """Compare the forest with ``_potentials`` on the arcs, in the order
+    given: equal roots, equal per-component gcds, and arcs of defect 0
+    that span every component (the forest's own arcs).  Also bound the
+    hook rounds by 2 log2 n, and return their number."""
+    tails, heads = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+    comp, _, fifo = _potentials(n, tails, heads)
+    before = rounds.rounds
+    root, defect = _forest_defects(n, tails, heads)
+    used = rounds.rounds - before
+    assert root.tolist() == comp
+    assert component_gcds(comp, tails, defect) == component_gcds(comp, tails, fifo)
+    tree = Digraph.from_arcs(n, [a for a, d in zip(arcs, defect.tolist()) if d == 0])
+    assert old_weakly_connected_components(tree) == old_weakly_connected_components(
+        Digraph.from_arcs(n, arcs))
+    assert used <= 2 * max(n.bit_length() - 1, 0)
+    return used
+
+
+class TestForestDefects:
+    def test_seeded_random_digraphs(self, rounds):
+        rng = random.Random(31337)
+        for _ in range(3000):
+            g = random_digraph(rng)
+            arcs = list(g.arcs)
+            rng.shuffle(arcs)
+            assert_forest_matches_fifo(g.n, arcs, rounds)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 1000])
+    def test_paths_and_cycles_in_any_id_order(self, n, rounds):
+        rng = random.Random(n)
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        for ids in (list(range(n)), list(range(n))[::-1], shuffled):
+            for closed in (False, True):
+                steps = [(ids[i], ids[(i + 1) % n]) for i in range(n if closed else n - 1)]
+                for arcs in (steps, [(v, u) for u, v in steps], steps[::-1],
+                             rng.sample(steps, len(steps)),
+                             [(v, u) if rng.random() < 0.5 else (u, v) for u, v in steps]):
+                    assert_forest_matches_fifo(n, arcs, rounds)
+
+    @pytest.mark.parametrize("n", [2, 5, 64, 2000])
+    def test_stars(self, n, rounds):
+        """Many arcs reach one root in one round.  Leaves listed in
+        descending order are the worst case for hooking through the first
+        arc; the least root takes two rounds whatever the order."""
+        for center in {0, n // 2, n - 1}:
+            leaves = [v for v in range(n) if v != center]
+            for order in (leaves, leaves[::-1]):
+                for arcs in ([(center, v) for v in order], [(v, center) for v in order],
+                             [a for v in order for a in ((center, v), (v, center))]):
+                    assert assert_forest_matches_fifo(n, arcs, rounds) <= 2
+
+    def test_isolated_vertices_loops_and_both_directions(self, rounds):
+        cases = [
+            (1, []), (1, [(0, 0)]), (4, []), (4, [(2, 2)]),
+            (4, [(v, v) for v in range(4)]),
+            (5, [(0, 0), (1, 2), (2, 1), (4, 3), (3, 4), (3, 3)]),
+            (6, [(5, 0), (0, 5), (4, 1), (1, 4), (1, 1), (3, 2)]),
+            (3, [(2, 1), (1, 2), (1, 0), (0, 1), (2, 0), (0, 2)]),
+        ]
+        for n, arcs in cases:
+            assert_forest_matches_fifo(n, arcs, rounds)
+
+    def test_no_vertices(self, rounds):
+        root, defect = _forest_defects(0, np.zeros(0, np.int64), np.zeros(0, np.int64))
+        assert root.size == defect.size == 0 and rounds.rounds == 0
+        chords = ladder_closures_64()[1]
+        assert (chords.sizes == 1).all()  # no color with two off-diagonal cells
+        assert basis_periods(chords).tolist() == old_basis_periods(chords).tolist()
+
+
 def ladder_closures() -> list:
     return [wl_closure(ladder_matrix(make, n, seed=n))
             for make in (circulant_shape, chords_shape) for n in (16, 24)]
@@ -441,6 +554,13 @@ class TestBasisPeriods:
                                  [(0, 1), (0, 2), (0, 3), (3, 3), (4, 5), (5, 6)])]
         for s in schemes:
             assert basis_periods(s).tolist() == old_basis_periods(s).tolist()
+
+    def test_relabeled_corpus(self, corpus, relabeled_corpus):
+        """Other labels give the forest other hook orders, not other periods."""
+        for member, s in zip(corpus, relabeled_corpus):
+            periods = basis_periods(s).tolist()
+            assert periods == old_basis_periods(s).tolist()
+            assert periods == basis_periods(member.scheme).tolist()
 
     def assert_matches_per_color(self, s):
         periods = basis_periods(s)
@@ -483,4 +603,17 @@ class TestBasisPeriods:
         finally:
             tracemalloc.stop()
         assert periods.tolist() == [1] * n + [0] * (n * n - n)
+        assert peak < 10 * 2 ** 20
+
+    def test_circulant_closure_peak_memory(self):
+        """Rank 129 on 256 points: 65,280 arcs in one forest, no Python
+        object per vertex (the FIFO build peaked at 11.95 MiB)."""
+        s = validate(wl_closure(ladder_matrix(circulant_shape, 256, seed=5)).matrix)  # cold memo
+        tracemalloc.start()
+        try:
+            periods = basis_periods(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert periods.tolist() == old_basis_periods(s).tolist()
         assert peak < 10 * 2 ** 20
