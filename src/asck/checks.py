@@ -30,27 +30,49 @@ from .lattice import (
 )
 
 
+# Miller-Rabin on the prime bases 2..37 decides every p below this bound
+# exactly (Sorenson & Webster, Math. Comp. 86, 2017): the least strong
+# pseudoprime to all twelve bases is 318665857834031151167461.
+_MILLER_RABIN_EXACT = 318665857834031151167461
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Sizes and powers of p are int64, so the checks take p below 2**63.
+_P_BOUND = 2 ** 63
+
+
 def is_prime(p: int) -> bool:
-    """Whether p is a prime int or numpy integer; 2.0, "3" and None are not."""
+    """Whether p is a prime int or numpy integer; 2.0, "3" and None are
+    not.  Raises SchemeError from 318665857834031151167461 on, where
+    Miller-Rabin on the bases 2..37 is no longer known to be exact."""
     q = _index(p)
     return q is not None and _is_prime(q)
 
 
 @functools.cache
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MILLER_RABIN_EXACT:
+        raise SchemeError(f"primality of {p} is decided only below {_MILLER_RABIN_EXACT}")
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    for a in _BASES:  # a strong probable prime to base a, or composite
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 
 def require_prime(p: int) -> int:
-    """p as a Python int, or NotPrime when ``is_prime`` says no."""
+    """p as a Python int, or NotPrime when ``is_prime`` says no; p of
+    2**63 or more raises SchemeError, as sizes and powers are int64."""
     q = _index(p)
+    if q is not None and q >= _P_BOUND:
+        raise SchemeError(f"p = {q} is not below 2**63 = {_P_BOUND}: sizes and powers are int64")
     if q is None or not _is_prime(q):
         raise NotPrime(p if q is None else q)
     return q

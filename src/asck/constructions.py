@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Scheme, _index, _integral, as_color_matrix, canonical_scheme
+from .core import (MAX_POINTS, Scheme, _index, _integral, as_color_matrix,
+                   canonical_scheme, require_points)
 from .digraph import Digraph
 from .errors import (
     InvalidGroupTable,
@@ -127,6 +128,7 @@ def _group_order(value: int, what: str) -> int:
 def cyclic_table(m: int) -> CayleyTable:
     """The cyclic group of order m."""
     m = _group_order(m, "order")
+    require_points(m, "cyclic group table")
     g = np.arange(m)
     return cayley_table((g[:, None] + g[None, :]) % m)
 
@@ -347,6 +349,7 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
     inner.require_homogeneous()
     outer.require_homogeneous()
     n1, n2 = inner.n, outer.n
+    require_points(n1 * n2, "wreath product")
     raw = np.repeat(np.repeat(inner.r + outer.matrix, n1, axis=0), n1, axis=1)
     # the (u2, u2) blocks: axes (u2, u1, v2, v1) of the row-major view
     diagonal = np.arange(n2)
@@ -360,13 +363,8 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
 # -- coherent closure ---------------------------------------------------------
 
 
-# Largest digraph ``digraph_color_matrix`` encodes, since a .dg header can
-# name any n.  Certification works in O(n^2) memory at every rank: a
-# closure that ends discrete (n^2 colors) peaks in ``wl_closure`` at
-# 9.7 MiB (tracemalloc, worst of the seeded cycle-plus-chords inputs 0-9)
-# at n = 256.  Raising the bound changes what the CLI accepts, so it waits
-# for a matching size bound on .ccm input.
-MAX_CLOSURE_POINTS = 256
+# The closure's input bound is the one point bound of ``core``.
+MAX_CLOSURE_POINTS = MAX_POINTS
 
 
 def digraph_color_matrix(g: Digraph) -> np.ndarray:
@@ -374,13 +372,11 @@ def digraph_color_matrix(g: Digraph) -> np.ndarray:
 
     Distinguishes diagonal cells, loops, arcs, and off-diagonal
     non-arcs; unused classes are squeezed out to keep ids contiguous.
-    More than MAX_CLOSURE_POINTS vertices raise SchemeError before any array.
+    More than MAX_POINTS vertices raise SchemeError before any array.
     """
     if g.n == 0:
         raise SchemeError("cannot encode an empty digraph")
-    if g.n > MAX_CLOSURE_POINTS:
-        raise SchemeError(
-            f"digraph has n={g.n} vertices; the closure allows n <= {MAX_CLOSURE_POINTS}")
+    require_points(g.n, "digraph")
     arr = np.where(np.eye(g.n, dtype=bool), 0, 3)
     for u, v in g.arcs:
         arr[u, v] = 1 if u == v else 2

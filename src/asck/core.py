@@ -41,6 +41,20 @@ from .errors import (
 
 T = TypeVar("T")
 
+# The most points of any n x n input: a .ccm header, a cyclic group's
+# order, a wreath product and a digraph for the closure.  Each entry
+# checks it before making any n x n array, so oversized input fails with
+# SchemeError (exit 2 on the CLI) and never with an allocation failure.
+# At n = 1,024 a closure takes seconds and a few hundred MB; n x n int64
+# arrays at n = 10**5 would take 75 GiB each.
+MAX_POINTS = 1024
+
+
+def require_points(n: int, what: str) -> None:
+    """SchemeError naming n and the bound when n exceeds MAX_POINTS."""
+    if n > MAX_POINTS:
+        raise SchemeError(f"{what} has n={n} points; the bound is n <= {MAX_POINTS}")
+
 
 def _index(value) -> int | None:
     """``operator.index(value)``: a Python int for an int or a numpy

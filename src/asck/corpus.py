@@ -25,7 +25,7 @@ from .checks import (
     check_partite_criterion,
     check_primitive_structure,
     check_quotient_factorization,
-    is_prime,
+    require_prime,
 )
 from .constructions import (
     CayleyTable,
@@ -65,8 +65,7 @@ class CorpusSpec:
         if not self.primes:
             raise SchemeError("prime list must be nonempty")
         for i, p in enumerate(self.primes):
-            if not is_prime(p):
-                raise SchemeError(f"{p} is not prime")
+            require_prime(p)
             if p in self.primes[:i]:
                 raise SchemeError(f"prime {p} is repeated")
 
@@ -146,9 +145,10 @@ def random_circulant_digraph(rng: random.Random, n: int) -> Digraph:
 
     Its jump set J has gcd(J u {n}) = 1 (the fallback J = {1} too), so
     the jumps generate Z_n: every vertex reaches every other, and the
-    digraph is strongly connected.  Half the time the jump set is forced into a single residue class
-    1 mod d for a divisor d of n, which makes the digraph cyclically
-    d-partite and gives the corpus basis digraphs of varied period.
+    digraph is strongly connected.  Half the time the jump set is
+    forced into a single residue class 1 mod d for a divisor d of n,
+    which makes the digraph cyclically d-partite and gives the corpus
+    basis digraphs of varied period.
     """
     divisors = [d for d in range(2, n) if n % d == 0]
     for _ in range(50):

@@ -2,21 +2,18 @@
 
 Vertices are contiguous ids 0..n-1; digraphs extracted from a scheme
 carry a label tuple mapping those ids back to the scheme's points.
-A potential labeling along a spanning forest gives integer labels that
-grow by 1 along each tree arc, and every arc's defect; the gcd d of a
-weak component's defects is the gcd of its semicycle net lengths,
-whichever forest was used.  Two builds share that contract:
-- ``_forest_defects``, numpy hook-and-jump rounds, serves the callers
-  that read only the components and d: ``basis_periods`` (the checks'
-  digraph side, run on the off-diagonal colors with at least two cells;
-  every other color's d is read off its first cell), ``period`` (d) and
-  ``weakly_connected_components``;
-- ``_potentials``, a FIFO BFS, serves the witnesses, whose bytes come
-  from its labels: cyclic p-partitions (p | d) and bipartitions
-  (d even).
+One potential labeling, ``_forest_defects`` (numpy hook-and-jump rounds
+that build a spanning forest), gives every weak component's least
+vertex as its root, integer labels that grow by 1 along each tree arc,
+and every arc's defect.  The gcd d of a component's defects is the gcd
+of its semicycle net lengths, whichever forest was used, and any two
+labelings of a component differ by multiples of d.  Every reader uses
+only what no forest changes: the weak components, the period d,
+``basis_periods`` (the checks' digraph side), bipartitions (label
+parities, d even) and cyclic p-partitions (labels mod p, p | d).
 Tarjan's algorithm answers strong connectivity.  All functions are pure
 and deterministic: components come out sorted by least vertex, and
-cyclic partitions lay the components' label intervals end to end in
+cyclic partitions lay the components' residue intervals end to end in
 that order.
 """
 
@@ -202,16 +199,10 @@ def _components(comp: list[int]) -> list[tuple[int, ...]]:
     return [tuple(members) for members in groups.values()]
 
 
-def _digraph_potentials(g: Digraph) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
-    """``_potentials`` of g, with its weak components as ``_components``."""
-    comp, label, defect = _potentials(g.n, *_arc_arrays(g))
-    return _components(comp), label, defect
-
-
 def _forest_defects(n: int, tails: np.ndarray,
-                    heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots and arc defects against a spanning forest of the digraph on
-    0..n-1 with arcs (tails[i], heads[i]), in numpy rounds.
+                    heads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots, labels and arc defects against a spanning forest of the
+    digraph on 0..n-1 with arcs (tails[i], heads[i]), in numpy rounds.
 
     Hook and jump (Shiloach & Vishkin, "An O(log n) parallel
     connectivity algorithm", J. Algorithms 3, 1982): every vertex keeps
@@ -223,11 +214,15 @@ def _forest_defects(n: int, tails: np.ndarray,
     rounds stop when no arc joins two trees.
 
     A root hooks only onto a smaller root, so the hook arcs never close a
-    cycle: they form a spanning forest, and each component's root is its
-    least vertex, as ``_potentials``' comp.  Tree arcs have defect 0, so
-    any other arc's defect label(u) + 1 - label(v) is the net length of
-    its fundamental semicycle, and the gcd of a component's defects is
-    the gcd of all its semicycle net lengths whatever forest was used.
+    cycle: they form a spanning forest, each component's root is its
+    least vertex, and a root keeps label 0.  Labels grow by 1 along each
+    tree arc, so a component's labels form a contiguous range.  Tree
+    arcs have defect 0, so any other arc's defect label(u) + 1 - label(v)
+    is the net length of its fundamental semicycle, and the gcd of a
+    component's defects is the gcd of all its semicycle net lengths
+    whatever forest was used.  Two forests' labels of a vertex differ by
+    the net length of a closed semicycle through the root: a multiple of
+    that gcd.
     Each round with a cross arc hooks the largest root that has one, so
     the number of trees falls strictly and the rounds end.  Hooking onto
     the least root, not just any smaller one, bounds them by 2 log2 n: a
@@ -249,7 +244,7 @@ def _forest_defects(n: int, tails: np.ndarray,
         ru, rv = root[u], root[v]
         cross = ru != rv
         if not cross.any():
-            return root, label[tails] + 1 - label[heads]
+            return root, label, label[tails] + 1 - label[heads]
         u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
         hi, lo = np.maximum(ru, rv), np.minimum(ru, rv)
         m = hi.size
@@ -269,51 +264,6 @@ def _forest_defects(n: int, tails: np.ndarray,
             parent[hooked] = parent[above]
         label += shift[root]
         root = parent[root]
-
-
-def _potentials(n: int, tails: np.ndarray,
-                heads: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
-    """Weak components, integer labels and arc defects of the digraph on
-    0..n-1 with arcs (tails[i], heads[i]).
-
-    Each weak component is labeled by BFS from its least vertex, which
-    gets 0; a label grows by 1 along an arc and shrinks by 1 against it,
-    out-neighbours first, each side in ascending order.  comp[v] is the
-    least vertex of v's component, whose labels form a contiguous range.
-    An arc's defect is label(u) + 1 - label(v).  Tree arcs have
-    defect 0, so any other arc's is the net length of its fundamental
-    semicycle: the gcd d of a component's defects is the gcd of its
-    semicycle net lengths, 0 without semicycles and the period when the
-    component is strongly connected.
-
-    ``_forest_defects`` gives the same comp and the same gcds faster, but
-    other labels: any two labelings of a component differ by multiples
-    of d.  ``cyclically_p_partite`` places each component by its least
-    and greatest label, so when d > 0 another forest can move its
-    witness classes; it keeps these labels.  ``is_bipartite`` reads only
-    parities, which no forest changes when d is even, and keeps them so
-    that both witnesses read one labeling.
-    """
-    def adjacency(src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int]]:
-        ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        return ptr.tolist(), dst[np.lexsort((dst, src))].tolist()
-
-    sides = ((*adjacency(tails, heads), 1), (*adjacency(heads, tails), -1))
-    comp = [-1] * n
-    label = [0] * n
-    for root in range(n):
-        if comp[root] < 0:
-            comp[root] = root
-            queue = [root]
-            for u in queue:  # grows while it is read: a FIFO queue
-                for ptr, nbr, step in sides:
-                    for v in nbr[ptr[u]:ptr[u + 1]]:
-                        if comp[v] < 0:
-                            comp[v] = root
-                            label[v] = label[u] + step
-                            queue.append(v)
-    labels = np.array(label, dtype=np.int64)
-    return comp, label, labels[tails] + 1 - labels[heads]
 
 
 def basis_periods(scheme: Scheme) -> np.ndarray:
@@ -350,7 +300,7 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
         base = np.cumsum(support) - support
         tails = np.repeat(base, sizes[labeled]) + rank[tails]
         heads = np.repeat(base + skip, sizes[labeled]) + rank[heads]
-        np.gcd.at(periods, colors, _forest_defects(int(support.sum()), tails, heads)[1])
+        np.gcd.at(periods, colors, _forest_defects(int(support.sum()), tails, heads)[2])
         periods.setflags(write=False)
         return periods
 
@@ -372,43 +322,52 @@ def period(g: Digraph) -> int:
         raise NotStronglyConnected(f"{len(strong)} strong components")
     if g.m == 0:
         raise NoArcs("period is undefined without arcs")
-    return int(np.gcd.reduce(_forest_defects(g.n, *_arc_arrays(g))[1]))
+    return int(np.gcd.reduce(_forest_defects(g.n, *_arc_arrays(g))[2]))
 
 
 def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
     """A witness partition into p cyclic classes, or None if none exists.
 
-    A partition needs the labels of ``_potentials`` to be consistent mod
-    p, that is p | d: every arc defect is a multiple of p.  A component's labels form
-    a contiguous range, so mod p they cover a cyclic interval of
-    min(span, p) residues, and shifting a component moves its interval
-    around.  Every class can be made nonempty exactly when these capped
-    spans sum to at least p: the witness lays the intervals end to end,
-    the first component keeping its own labels.
+    p nonempty classes need p vertices.  A partition needs the labels of
+    ``_forest_defects`` to be consistent mod p, that is p | d: every arc
+    defect is a multiple of p.  Then any forest gives each vertex the
+    same residue, and a component's residues form a cyclic interval of
+    width w = min(span, p), starting at s = (least label) mod p when
+    w < p and at 0, the residue of the component's least vertex, when
+    w = p; neither depends on the forest.  Rotating a component moves
+    its interval around, so every class can be made nonempty exactly
+    when the widths sum to at least p.  The witness lays the intervals
+    end to end in order of least vertex: a cursor starts at the first
+    component's s, each component is rotated by cursor - s, and the
+    cursor advances by w.  The first component keeps its own labels.
 
     The witness needs no check: each vertex lies in the one class of its
-    shifted label mod p, and an arc (u, v) has label(v) = label(u) + 1
+    rotated label mod p, and an arc (u, v) has label(v) = label(u) + 1
     mod p, as p divides its defect and both ends share a component and
-    its shift, so it runs from one class to the next.
+    its rotation, so it runs from one class to the next.
     """
     q = _index(p)
     if q is None or q < 2:
         raise InvalidP(p)
     p = q
-    components, label, defect = _digraph_potentials(g)
+    if p > g.n:
+        return None
+    root, label, defect = _forest_defects(g.n, *_arc_arrays(g))
     if (defect % p).any():
         return None
-    classes: list[list[int]] = [[] for _ in range(p)]
-    cursor = None  # one past the last residue laid so far
-    for members in components:
-        values = [label[v] for v in members]
-        shift = 0 if cursor is None else cursor - min(values)
-        cursor = max(values) + shift + 1
-        for v, value in zip(members, values):
-            classes[(value + shift) % p].append(v)
-    if not all(classes):
-        return None
-    return CyclicPartition(p, tuple(tuple(sorted(c)) for c in classes))
+    lo, hi = np.zeros(g.n, dtype=np.int64), np.zeros(g.n, dtype=np.int64)
+    np.minimum.at(lo, root, label)  # a root's label is 0
+    np.maximum.at(hi, root, label)
+    roots = np.flatnonzero(root == np.arange(g.n))
+    width = np.minimum(hi[roots] - lo[roots] + 1, p)
+    start = np.where(width < p, lo[roots] % p, 0)
+    turn = np.zeros(g.n, dtype=np.int64)
+    turn[roots] = start[0] + np.cumsum(width) - width - start
+    residue = (label + turn[root]) % p
+    ends = np.cumsum(np.bincount(residue, minlength=p)).tolist()
+    members = np.argsort(residue, kind="stable").tolist()
+    classes = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+    return CyclicPartition(p, classes) if all(classes) else None
 
 
 # -- bipartiteness -----------------------------------------------------------
@@ -417,21 +376,21 @@ def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
 def is_bipartite(g: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """2-coloring of a symmetric loopless digraph, or None.
 
-    It exists when every arc defect of ``_potentials`` is even; a
-    vertex's class is then the parity of its label.  Both classes must
-    be nonempty for a positive answer.  Isolated vertices are appended
-    (in ascending order) to whichever class is currently smaller, class
-    0 on ties.
+    It exists when every arc defect of ``_forest_defects`` is even; a
+    vertex's class is then the parity of its label, which no forest
+    changes.  Both classes must be nonempty for a positive answer.
+    Isolated vertices are appended (in ascending order) to whichever
+    class is currently smaller, class 0 on ties.
     """
     for u, v in g.sorted_arcs():
         if u == v:
             raise HasLoops(u)
         if (v, u) not in g.arcs:
             raise NotSymmetric((u, v))
-    _, label, defect = _digraph_potentials(g)
+    _, label, defect = _forest_defects(g.n, *_arc_arrays(g))
     if (defect % 2).any():
         return None
-    side = [value % 2 if g.out_adj[v] else -1 for v, value in enumerate(label)]
+    side = [value % 2 if g.out_adj[v] else -1 for v, value in enumerate(label.tolist())]
     counts = [side.count(0), side.count(1)]
     for v in range(g.n):
         if side[v] == -1:

@@ -12,7 +12,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import _decimal_words, _integer_matrix, as_color_matrix
+from .core import _decimal_words, _integer_matrix, as_color_matrix, require_points
 from .digraph import Digraph
 from .errors import SchemeError
 
@@ -90,6 +90,7 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
         raise ParseError(name, lineno, "non-integer header fields") from None
     if n < 1 or r < 1:
         raise ParseError(name, lineno, f"n and r must be positive, got n={n} r={r}")
+    require_points(n, f"{name}:{lineno}: header")
     if len(lines) - 1 != n:
         raise ParseError(name, lineno,
                          f"expected {n} matrix rows, found {len(lines) - 1}")

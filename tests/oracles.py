@@ -31,7 +31,6 @@ from asck import (
 from asck import constructions, lattice
 from asck.checks import PSchemeVerdict
 from asck.core import _integer_matrix, _integral, as_color_matrix
-from asck.digraph import _potentials
 from asck.errors import (
     HasLoops,
     InconsistentIntersectionNumbers,
@@ -404,7 +403,12 @@ def old_component_labels(g: Digraph, p: int,
 
 
 def old_cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
-    """Per-component mod-p labels laid end to end by the interval rule."""
+    """Per-component mod-p labels placed by the interval rule of
+    ``cyclically_p_partite``: a component's residues cover a cyclic
+    interval of width w = min(span, p) that starts at (least label) mod p
+    when w < p and at the least vertex's residue 0 when w = p; the
+    intervals are laid end to end from the first one's start.  The
+    labels come from a level BFS, not from any forest."""
     if p < 2:
         raise InvalidP(p)
     classes: list[list[int]] = [[] for _ in range(p)]
@@ -413,10 +417,13 @@ def old_cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
         labels = old_component_labels(g, p, comp)
         if labels is None:
             return None
-        shift = 0 if cursor is None else cursor - min(labels.values())
-        cursor = max(labels.values()) + shift + 1
+        lo, hi = min(labels.values()), max(labels.values())
+        width = min(hi - lo + 1, p)
+        start = lo % p if width < p else 0
+        cursor = start if cursor is None else cursor
         for v, value in labels.items():
-            classes[(value + shift) % p].append(v)
+            classes[(value + cursor - start) % p].append(v)
+        cursor += width
     if not all(classes):
         return None
     partition = CyclicPartition(p, tuple(tuple(sorted(c)) for c in classes))
@@ -460,16 +467,48 @@ def old_is_bipartite(g: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]] | No
     return zero, one
 
 
+def old_potentials(n, tails, heads):
+    """Weak components, integer labels and arc defects of the digraph on
+    0..n-1 with arcs (tails[i], heads[i]): the FIFO BFS that
+    ``_forest_defects`` replaced.
+
+    Each weak component is labeled by BFS from its least vertex, which
+    gets 0; a label grows by 1 along an arc and shrinks by 1 against it,
+    out-neighbours first, each side in ascending order.  comp[v] is the
+    least vertex of v's component.  An arc's defect is
+    label(u) + 1 - label(v)."""
+    def adjacency(src, dst):
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        return ptr.tolist(), dst[np.lexsort((dst, src))].tolist()
+
+    sides = ((*adjacency(tails, heads), 1), (*adjacency(heads, tails), -1))
+    comp = [-1] * n
+    label = [0] * n
+    for root in range(n):
+        if comp[root] < 0:
+            comp[root] = root
+            queue = [root]
+            for u in queue:  # grows while it is read: a FIFO queue
+                for ptr, nbr, step in sides:
+                    for v in nbr[ptr[u]:ptr[u + 1]]:
+                        if comp[v] < 0:
+                            comp[v] = root
+                            label[v] = label[u] + step
+                            queue.append(v)
+    labels = np.array(label, dtype=np.int64)
+    return comp, label, labels[tails] + 1 - labels[heads]
+
+
 def old_basis_periods(s):
     """The all-cells FIFO build that ``basis_periods`` replaced: every
-    cell an arc of one ``_potentials`` run, single-cell colors included."""
+    cell an arc of one ``old_potentials`` run, single-cell colors included."""
     n = s.n
     colors = s.matrix.ravel()
     tails, heads = np.divmod(np.arange(n * n), n)
     pairs, vertex = np.unique(np.concatenate((colors * n + tails, colors * n + heads)),
                               return_inverse=True)
     periods = np.zeros(s.r, dtype=np.int64)
-    np.gcd.at(periods, colors, _potentials(pairs.size, *vertex.reshape(2, -1))[2])
+    np.gcd.at(periods, colors, old_potentials(pairs.size, *vertex.reshape(2, -1))[2])
     return periods
 
 

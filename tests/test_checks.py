@@ -67,6 +67,26 @@ class TestArithmetic:
                 p for p in range(-3, 200) if trial(p)]
         assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 + 1)
 
+    def test_is_prime_past_trial_division(self):
+        """Strong pseudoprimes to the first four and the first nine prime
+        bases, and Carmichael numbers, are composite; the largest primes
+        below 2**63 and 2**64 are prime.  Each answer takes microseconds."""
+        assert 151 * 751 * 28351 == 3215031751
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        for composite in (3215031751, 3825123056546413051, 561, 41041, 825265):
+            assert not is_prime(composite)
+        assert is_prime(2 ** 63 - 25) and is_prime(2 ** 64 - 59)
+        assert not is_prime((2 ** 61 - 1) * 65537)
+        with pytest.raises(SchemeError, match="318665857834031151167461"):
+            is_prime(318665857834031151167461 + 2)
+
+    def test_require_prime_below_two_to_the_63(self):
+        assert require_prime(2 ** 63 - 25) == 2 ** 63 - 25
+        for big in (2 ** 63, 2 ** 63 + 29, 10 ** 30):
+            with pytest.raises(SchemeError, match=f"{2 ** 63}") as info:
+                require_prime(big)
+            assert not isinstance(info.value, NotPrime)
+
     def test_is_power_of(self):
         assert is_power_of(1, 3)
         assert is_power_of(8, 2)

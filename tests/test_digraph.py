@@ -27,7 +27,7 @@ from asck import (
 )
 from asck import digraph
 from asck.core import canonical_scheme
-from asck.digraph import _forest_defects, _potentials, basis_periods
+from asck.digraph import _forest_defects, basis_periods
 from asck.errors import (
     DiagonalColor,
     HasLoops,
@@ -48,6 +48,7 @@ from oracles import (
     old_cyclically_p_partite,
     old_is_bipartite,
     old_period,
+    old_potentials,
     old_weakly_connected_components,
     random_strongly_connected_digraph,
 )
@@ -276,6 +277,19 @@ class TestCyclicPartition:
     def test_needs_enough_vertices(self):
         assert cyclically_p_partite(cycle(2), 3) is None
 
+    @pytest.mark.parametrize("p", [4, 10 ** 7, 10 ** 18])
+    def test_more_classes_than_vertices_allocate_nothing(self, p):
+        """p > n is answered before any labeling: no per-class array."""
+        g = path(3)
+        tracemalloc.start()
+        try:
+            part = cyclically_p_partite(g, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part is None and peak < 2 ** 16
+        assert cyclically_p_partite(cycle(3), 3).classes == ((0,), (1,), (2,))
+
     def test_witness_invariants_enforced(self):
         bad = CyclicPartition(2, ((0,), (1,)))
         with pytest.raises(SchemeError):
@@ -381,7 +395,7 @@ class TestBipartite:
         assert lhs == rhs
 
 
-# -- _potentials against the previous traversals in tests/oracles.py ----------
+# -- the forest's readers against the previous traversals in tests/oracles.py -
 
 
 def outcome(f, *args):
@@ -413,6 +427,8 @@ def random_digraph(rng: random.Random) -> Digraph:
 
 class TestAgainstPreviousTraversals:
     def test_seeded_random_digraphs(self):
+        """The witnesses equal the oracles', whose labels come from a
+        level BFS and not from the forest: two labelings, one witness."""
         rng = random.Random(31337)
         for _ in range(3000):
             g = random_digraph(rng)
@@ -425,8 +441,30 @@ class TestAgainstPreviousTraversals:
                 if isinstance(part, CyclicPartition):
                     check_cyclic_partition(part, g)
 
+    def test_witnesses_ignore_arc_order(self, monkeypatch):
+        """Shuffled arc lists hook other arcs into the forest, so the
+        labels move by multiples of d; the witnesses do not."""
+        rng = random.Random(4242)
+        arc_arrays = digraph._arc_arrays
 
-# -- _forest_defects against the FIFO _potentials ------------------------------
+        def shuffled(g):
+            tails, heads = arc_arrays(g)
+            order = np.array(rng.sample(range(g.m), g.m), dtype=np.int64)
+            return tails[order], heads[order]
+
+        graphs = [random_digraph(rng) for _ in range(3000)]
+        symmetric = [Digraph(g.n, g.arcs | {(v, u) for u, v in g.arcs if u != v}
+                             - {(u, u) for u in range(g.n)}) for g in graphs]
+        witnesses = [[outcome(cyclically_p_partite, g, p) for p in (2, 3, 4, 5)]
+                     + [outcome(is_bipartite, h)] for g, h in zip(graphs, symmetric)]
+        monkeypatch.setattr(digraph, "_arc_arrays", shuffled)
+        for _ in range(2):
+            assert witnesses == [
+                [outcome(cyclically_p_partite, g, p) for p in (2, 3, 4, 5)]
+                + [outcome(is_bipartite, h)] for g, h in zip(graphs, symmetric)]
+
+
+# -- _forest_defects against the FIFO build in tests/oracles.py ----------------
 
 
 class RoundCounter:
@@ -466,17 +504,24 @@ def component_gcds(comp, tails, defect) -> list[int]:
 
 
 def assert_forest_matches_fifo(n, arcs, rounds) -> int:
-    """Compare the forest with ``_potentials`` on the arcs, in the order
-    given: equal roots, equal per-component gcds, and arcs of defect 0
-    that span every component (the forest's own arcs).  Also bound the
-    hook rounds by 2 log2 n, and return their number."""
+    """Compare the forest with ``old_potentials`` on the arcs, in the
+    order given: equal roots, each root labeled 0, equal per-component
+    gcds, labels that differ from the FIFO ones by multiples of that gcd,
+    and arcs of defect 0 that span every component (the forest's own
+    arcs).  Also bound the hook rounds by 2 log2 n, and return their
+    number."""
     tails, heads = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
-    comp, _, fifo = _potentials(n, tails, heads)
+    comp, fifo_label, fifo = old_potentials(n, tails, heads)
     before = rounds.rounds
-    root, defect = _forest_defects(n, tails, heads)
+    root, label, defect = _forest_defects(n, tails, heads)
     used = rounds.rounds - before
     assert root.tolist() == comp
-    assert component_gcds(comp, tails, defect) == component_gcds(comp, tails, fifo)
+    assert not label[root == np.arange(n)].any()
+    assert (defect == label[tails] + 1 - label[heads]).all()
+    gcds = component_gcds(comp, tails, defect)
+    assert gcds == component_gcds(comp, tails, fifo)
+    for v, (ours, theirs) in enumerate(zip(label.tolist(), fifo_label)):
+        assert ours == theirs if gcds[comp[v]] == 0 else (ours - theirs) % gcds[comp[v]] == 0
     tree = Digraph.from_arcs(n, [a for a, d in zip(arcs, defect.tolist()) if d == 0])
     assert old_weakly_connected_components(tree) == old_weakly_connected_components(
         Digraph.from_arcs(n, arcs))
@@ -530,8 +575,8 @@ class TestForestDefects:
             assert_forest_matches_fifo(n, arcs, rounds)
 
     def test_no_vertices(self, rounds):
-        root, defect = _forest_defects(0, np.zeros(0, np.int64), np.zeros(0, np.int64))
-        assert root.size == defect.size == 0 and rounds.rounds == 0
+        root, label, defect = _forest_defects(0, np.zeros(0, np.int64), np.zeros(0, np.int64))
+        assert root.size == label.size == defect.size == 0 and rounds.rounds == 0
         chords = ladder_closures_64()[1]
         assert (chords.sizes == 1).all()  # no color with two off-diagonal cells
         assert basis_periods(chords).tolist() == old_basis_periods(chords).tolist()

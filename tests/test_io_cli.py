@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from asck import (
     write_dg,
 )
 from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
-from asck.constructions import MAX_CLOSURE_POINTS
+from asck import core
+from asck.constructions import MAX_CLOSURE_POINTS, digraph_color_matrix
+from asck.core import MAX_POINTS
 from asck.corpus import abelian_tables
 from asck.errors import NonContiguousColors, SchemeError
 from asck.io import _content_lines
@@ -308,6 +311,16 @@ class TestCliChecks:
         assert main(["check-p", str(path), "-p", "4"]) == EXIT_INPUT
         assert "not prime" in capsys.readouterr().err
 
+    def test_check_p_nineteen_digit_primes(self, tmp_path, capsys):
+        """Miller-Rabin answers at once; p of 2**63 or more exits 2."""
+        path = tmp_path / "z4.ccm"
+        path.write_text(z4_text())
+        assert main(["check-p", str(path), "-p", str(2 ** 63 - 25)]) == EXIT_FALSE
+        assert main(["check-p", str(path), "-p", str(2 ** 63 + 29)]) == EXIT_INPUT
+        assert f"2**63 = {2 ** 63}" in capsys.readouterr().err
+        assert main(["corpus", "--max-n", "4", "--primes", f"2,{2 ** 63 + 29}"]) == EXIT_INPUT
+        assert f"2**63 = {2 ** 63}" in capsys.readouterr().err
+
     def test_theorem1_agrees(self, tmp_path, capsys):
         path = tmp_path / "z4.ccm"
         path.write_text(z4_text())
@@ -374,6 +387,63 @@ class TestCliGenerators:
         assert main(["gen", "wl-close", str(g)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"n={n}" in err and f"n <= {MAX_CLOSURE_POINTS}" in err
+
+
+class TestPointBound:
+    """Every n x n input stops at MAX_POINTS before any n x n array."""
+
+    BOUND = MAX_CLOSURE_POINTS
+
+    @pytest.mark.parametrize("entry", ["read_ccm", "cyclic_table", "wreath",
+                                       "digraph_color_matrix"])
+    def test_bound_plus_one(self, entry):
+        n = self.BOUND + 1
+        inner, outer = rank_two_scheme(25), rank_two_scheme(41)  # 25 * 41 = 1025
+        call = {
+            "read_ccm": lambda: read_ccm(io.StringIO(f"ccm {n} 2\n")),
+            "cyclic_table": lambda: cyclic_table(n),
+            "wreath": lambda: wreath(inner, outer),
+            "digraph_color_matrix": lambda: digraph_color_matrix(Digraph(n, frozenset())),
+        }[entry]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemeError) as info:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"n={n}" in str(info.value) and f"n <= {self.BOUND}" in str(info.value)
+        assert peak < 2 ** 16
+
+    def test_at_the_bound(self):
+        assert self.BOUND == MAX_POINTS == 1024
+        n = self.BOUND
+        matrix = 1 - np.eye(n, dtype=np.int64)
+        assert np.array_equal(read_ccm(io.StringIO(ccm_text(matrix))), matrix)
+        assert cyclic_table(n).m == n
+        assert digraph_color_matrix(Digraph(n, frozenset())).shape == (n, n)
+
+    def test_wreath_at_the_bound(self, monkeypatch):
+        """The product of the factors' sizes is what is bounded (a real
+        1,024-point wreath takes seconds to certify)."""
+        monkeypatch.setattr(core, "MAX_POINTS", 12)
+        assert wreath(rank_two_scheme(3), rank_two_scheme(4)).n == 12
+        with pytest.raises(SchemeError, match="n=15"):
+            wreath(rank_two_scheme(3), rank_two_scheme(5))
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.ccm"
+        big.write_text("ccm 100000 2\n")
+        small = tmp_path / "k33.ccm"
+        small.write_text(ccm_text(rank_two_scheme(33).matrix))
+        for argv, n in ((["gen", "thin-cyclic", "100000"], 100000),
+                        (["gen", "thin-cyclic", str(self.BOUND + 1)], self.BOUND + 1),
+                        (["validate", str(big)], 100000),
+                        (["gen", "wreath", str(small), str(small)], 33 * 33)):
+            assert main(argv) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert f"n={n}" in err and f"n <= {self.BOUND}" in err
+            assert "Traceback" not in err
 
 
 def ladder_digraphs_64():
