@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (MAX_POINTS, Scheme, _index, _integral, as_color_matrix,
-                   canonical_scheme, require_points)
+from .core import (Scheme, _index, _integral, as_color_matrix, canonical_scheme,
+                   require_points)
 from .digraph import Digraph
 from .errors import (
     InvalidGroupTable,
@@ -361,10 +361,6 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
 
 
 # -- coherent closure ---------------------------------------------------------
-
-
-# The closure's input bound is the one point bound of ``core``.
-MAX_CLOSURE_POINTS = MAX_POINTS
 
 
 def digraph_color_matrix(g: Digraph) -> np.ndarray:

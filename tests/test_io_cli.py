@@ -26,7 +26,7 @@ from asck import (
 )
 from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
 from asck import core
-from asck.constructions import MAX_CLOSURE_POINTS, digraph_color_matrix
+from asck.constructions import digraph_color_matrix
 from asck.core import MAX_POINTS
 from asck.corpus import abelian_tables
 from asck.errors import NonContiguousColors, SchemeError
@@ -380,24 +380,22 @@ class TestCliGenerators:
 
     # 10**18 bytes exceed any process's address space, so not even a
     # missing check could allocate the n x n encoding at n = 10**9
-    @pytest.mark.parametrize("n", [MAX_CLOSURE_POINTS + 1, 10 ** 9])
+    @pytest.mark.parametrize("n", [MAX_POINTS + 1, 10 ** 9])
     def test_gen_wl_close_rejects_oversized_header(self, n, tmp_path, capsys):
         g = tmp_path / "big.dg"
         g.write_text(f"dg {n} 0\n")
         assert main(["gen", "wl-close", str(g)]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert f"n={n}" in err and f"n <= {MAX_CLOSURE_POINTS}" in err
+        assert f"n={n}" in err and f"n <= {MAX_POINTS}" in err
 
 
 class TestPointBound:
     """Every n x n input stops at MAX_POINTS before any n x n array."""
 
-    BOUND = MAX_CLOSURE_POINTS
-
     @pytest.mark.parametrize("entry", ["read_ccm", "cyclic_table", "wreath",
                                        "digraph_color_matrix"])
     def test_bound_plus_one(self, entry):
-        n = self.BOUND + 1
+        n = MAX_POINTS + 1
         inner, outer = rank_two_scheme(25), rank_two_scheme(41)  # 25 * 41 = 1025
         call = {
             "read_ccm": lambda: read_ccm(io.StringIO(f"ccm {n} 2\n")),
@@ -412,12 +410,12 @@ class TestPointBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f"n={n}" in str(info.value) and f"n <= {self.BOUND}" in str(info.value)
+        assert f"n={n}" in str(info.value) and f"n <= {MAX_POINTS}" in str(info.value)
         assert peak < 2 ** 16
 
     def test_at_the_bound(self):
-        assert self.BOUND == MAX_POINTS == 1024
-        n = self.BOUND
+        assert MAX_POINTS == 1024
+        n = MAX_POINTS
         matrix = 1 - np.eye(n, dtype=np.int64)
         assert np.array_equal(read_ccm(io.StringIO(ccm_text(matrix))), matrix)
         assert cyclic_table(n).m == n
@@ -437,12 +435,12 @@ class TestPointBound:
         small = tmp_path / "k33.ccm"
         small.write_text(ccm_text(rank_two_scheme(33).matrix))
         for argv, n in ((["gen", "thin-cyclic", "100000"], 100000),
-                        (["gen", "thin-cyclic", str(self.BOUND + 1)], self.BOUND + 1),
+                        (["gen", "thin-cyclic", str(MAX_POINTS + 1)], MAX_POINTS + 1),
                         (["validate", str(big)], 100000),
                         (["gen", "wreath", str(small), str(small)], 33 * 33)):
             assert main(argv) == EXIT_INPUT
             err = capsys.readouterr().err
-            assert f"n={n}" in err and f"n <= {self.BOUND}" in err
+            assert f"n={n}" in err and f"n <= {MAX_POINTS}" in err
             assert "Traceback" not in err
 
 

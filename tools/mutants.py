@@ -1,8 +1,7 @@
 """Mutation checks of asck: one exact text edit of ``src/asck`` per mutant,
 and the tests that must catch it.
 
-    python tools/mutants.py                 # every mutant, JSON on stdout
-    python tools/mutants.py --only hook-larger-root --out mutants.json
+    python tools/mutants.py     # every mutant; JSON on stdout
 
 For each mutant the runner copies ``src``, ``tests``, ``perfbench`` and
 ``pyproject.toml`` into a temporary directory, replaces the mutant's old
@@ -19,7 +18,6 @@ table still applies to ``src/asck``; it runs no mutant.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -153,19 +151,10 @@ def run(mutant: Mutant) -> dict:
     return {"id": mutant.id, "status": status, "seconds": seconds}
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--only", nargs="+", metavar="ID", help="run only these mutants")
-    ap.add_argument("--out", help="write the JSON here instead of stdout")
-    args = ap.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m.id in args.only]
+def main() -> int:
     results = [{"id": m.id, "status": "equivalent", "argument": m.equivalent}
-               if m.equivalent else run(m) for m in chosen]
-    text = json.dumps(results, indent=1) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+               if m.equivalent else run(m) for m in MUTANTS]
+    sys.stdout.write(json.dumps(results, indent=1) + "\n")
     run_ones = [r for r in results if r["status"] != "equivalent"]
     return 0 if all(r["status"] == "killed" for r in run_ones) else 1
 
