@@ -197,11 +197,11 @@ def _quotient(scheme: Scheme, e: Equivalence) -> Scheme:
 
 
 def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
-    """The (k, k) matrix of class-pair color-set ids, numbered in
-    row-major order of first appearance.
+    """The (k, k) matrix of class-pair color sets, each named by its
+    least color; ``canonical_scheme`` renames them, whatever their ids.
 
-    Each class pair is labeled by the least color of its ascending run
-    in ``_class_pair_runs``.  Exact: let T be the closed set of e.  For
+    The least color of a class pair is the first of its ascending run in
+    ``_class_pair_runs``.  Exact: let T be the closed set of e.  For
     a class pair X x Y holding a cell (x, y) of color s, every cell
     (x', y') inside it has a color in TsT, through x and y; and every
     color c of TsT has s in TcT, so a path x -> v -> v' -> y of colors
@@ -219,9 +219,7 @@ def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
     k = len(e.classes)
     pairs, colors, _ = _class_pair_runs(scheme, e.classes)
     # every class pair holds a cell, so each of the k^2 pairs starts a run
-    least = colors[np.flatnonzero(np.diff(pairs, prepend=-1))]
-    _, first, inverse = np.unique(least, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse].reshape(k, k)
+    return colors[np.flatnonzero(np.diff(pairs, prepend=-1))].reshape(k, k)
 
 
 def _class_pair_runs(scheme: Scheme, classes: tuple[tuple[int, ...], ...]

@@ -6,14 +6,12 @@ an equivalence relation on the point set.  Closure runs on color
 bitmasks over closure rows kept in the scheme's ``derived`` memo: row c
 holds, for each color m, the mask of the colors composed from c and m
 in either order.  A worklist adds one color at a time and composes it
-only with the current members, one row entry per member.  Every closed
-set is the join of the single-color closed sets of its colors, so the
-full lattice is enumerated by joining each found set with each
-single-color generator, starting from the diagonal, without scanning
-all 2^r subsets.  Each found set keeps the list of its colors next to
-its mask, and a join starts from that list.  A join depends only on
-the union of the two masks, so a union that is already a found set, or
-was closed before, is skipped.
+only with the current members, one row entry per member.  The lattice
+is enumerated by Close-by-One (Kuznetsov, 1993): depth first from the
+diagonal, each set is joined with single colors taken in ascending
+order, and a join is kept only when it adds no color below the one
+that made it, so every closed set is made exactly once and none is
+looked up.  A join starts from the list of its parent's colors.
 
 Each closed set gives one equivalence.  Its classes come from one
 labeling, ``_labeled_classes``: one gather of an r-entry table over the
@@ -222,14 +220,9 @@ def closed_set_equivalence(scheme: Scheme, colors: frozenset[int]) -> Equivalenc
 def all_equivalences(scheme: Scheme) -> list[Equivalence]:
     """Every scheme equivalence, discrete and full included.
 
-    Starting from the diagonal and the single-color closed sets, each
-    closed set found is joined with each single-color closed set until
-    no new set appears; this reaches every closed set, since each one is
-    the join of the single-color closed sets of its colors.  The join
-    depends only on the union of the two masks, so it is skipped when
-    that union is a closed set already found or a union already closed:
-    every union is closed at most once, on the closure rows.  The result
-    is sorted by color-set size, then by the sorted color ids.
+    Every closed set is made once, by the Close-by-One search of
+    ``_enumerate_equivalences``, with no scan of all 2^r subsets.  The
+    result is sorted by color-set size, then by the sorted color ids.
 
     Distinct closed sets give distinct partitions: the colors partition
     the n x n cells and none is empty, so the union of a closed set's
@@ -244,10 +237,16 @@ def all_equivalences(scheme: Scheme) -> list[Equivalence]:
 def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
     """The closed sets of a homogeneous scheme and their equivalences.
 
-    The family maps each closed mask found to the list of its colors, so
-    a join starts from that list; the closure rows are read once.  A
-    color and its transpose generate the same closed set, so only the
-    first of the two is closed.
+    Close-by-One (Kuznetsov, 1993) over the non-diagonal colors c with
+    sigma[c] >= c, in ascending order, depth first from the diagonal: a
+    set S made by adding color c is joined with each later such color d
+    that S lacks, and the join is kept when it adds no color below d.
+    Every closed set is then kept exactly once, from its one canonical
+    parent, so no found set is looked up.  Skipping a color whose
+    transpose is smaller loses nothing: its join always adds that
+    smaller transpose, so the test would reject it anyway.  Each set is
+    kept with the list of its colors, and a join starts from that list;
+    the closure rows are read once.
 
     The classes are built by ``_labeled_classes`` with no axiom check,
     and filed under the ``("equivalence", colors)`` memo that
@@ -260,32 +259,21 @@ def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
     """
     rows, sigma = _closure_rows(scheme)
     # the lone diagonal color of a homogeneous scheme is closed
-    bottom_members = list(scheme.diagonal_colors)
-    bottom = _mask(bottom_members)
-    family = {bottom: bottom_members}
-    for c in range(scheme.r):
-        if not (bottom >> c) & 1 and sigma[c] >= c:
-            mask, members = _close(rows, sigma, bottom, bottom_members, 1 << c)
-            family.setdefault(mask, members)
-    generators = [g for g in family if g != bottom]
-    # every mask found or closed: the join depends only on the union,
-    # so each union is closed once
-    seen = set(family)
-    frontier = list(family)
-    while frontier:
-        closed = frontier.pop()
-        members = family[closed]
-        for g in generators:
-            union = closed | g
-            if union in seen:
+    bottom = list(scheme.diagonal_colors)
+    colors = [c for c in range(scheme.r) if c not in bottom and sigma[c] >= c]
+    found = []
+    stack = [(_mask(bottom), bottom, 0)]
+    while stack:
+        closed, members, start = stack.pop()
+        found.append(members)
+        for i in range(start, len(colors)):
+            c = colors[i]
+            if (closed >> c) & 1:
                 continue
-            seen.add(union)
-            join, join_members = _close(rows, sigma, closed, members, g)
-            if join not in family:
-                family[join] = join_members
-                seen.add(join)
-                frontier.append(join)
-    ordered = sorted(family.values(), key=lambda ms: (len(ms), sorted(ms)))
+            join, join_members = _close(rows, sigma, closed, members, 1 << c)
+            if not join & ~closed & ((1 << c) - 1):
+                stack.append((join, join_members, i + 1))
+    ordered = sorted(found, key=lambda ms: (len(ms), sorted(ms)))
     return [_unchecked_equivalence(scheme, members) for members in ordered]
 
 
@@ -303,10 +291,10 @@ def minimal_equivalences(scheme: Scheme) -> list[Equivalence]:
 
     Each one is generated by any one of its non-diagonal colors, with no
     check needed: let T be minimal and c a non-diagonal color of T.  The
-    closed set generated by c is in the enumerated family (every
-    single-color closed set is), lies inside T, and is not discrete
-    (it holds c); it is not full either, since T is not.  So it is a
-    proper equivalence at most T, and minimality makes it T.
+    closed set generated by c is enumerated (every closed set is), lies
+    inside T, and is not discrete (it holds c); it is not full either,
+    since T is not.  So it is a proper equivalence at most T, and
+    minimality makes it T.
     """
     proper = [e for e in all_equivalences(scheme) if not e.is_discrete and not e.is_full]
     return [e for e in proper if not any(f.colors < e.colors for f in proper)]

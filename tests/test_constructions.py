@@ -369,11 +369,13 @@ def labeled_quotient_matrix(scheme, e):
 
 
 def quotient_matrix_outcome(build, scheme, e):
+    """The raw quotient matrix up to its color ids, which
+    ``canonical_scheme`` renames, or the exception it raised."""
     try:
         raw = build(scheme, e)
     except SchemeError as exc:
         return type(exc), str(exc)
-    return raw.dtype.str, raw.shape, raw.tobytes()
+    return raw.dtype.str, raw.shape, canonical_recolor(raw).tobytes()
 
 
 def uncertified(matrix):
@@ -389,8 +391,8 @@ def uncertified(matrix):
 
 class TestQuotientMatrixOracle:
     """One np.unique over labeled cells gives the class-pair loop's raw
-    matrix and its exceptions, as did the labeling it ran inline before
-    ``_class_pair_runs``."""
+    matrix, up to color ids, and its exceptions, as did the labeling it
+    ran inline before ``_class_pair_runs``."""
 
     def test_every_corpus_equivalence(self, corpus):
         rng = random.Random(3)
@@ -437,7 +439,8 @@ class TestQuotientMatrixOracle:
     def test_colors_out_of_canonical_order(self):
         """In a scheme whose colors are not in canonical order, the least
         colors of the class pairs do not ascend in row-major order; the
-        ids still number the color sets by first appearance."""
+        raw matrix still recolors to the class-pair loop's, and the
+        quotient is that of the scheme in canonical colors."""
         rng = np.random.default_rng(12)
         for base in (thin_scheme(cyclic_table(12)), thin_scheme(dihedral_table(6)),
                      wreath(thin_scheme(cyclic_table(2)), rank_two_scheme(3))):

@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import io
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,11 +22,12 @@ from asck import (
     read_dg,
     thin_scheme,
     validate,
+    wl_closure,
     wreath,
     write_ccm,
     write_dg,
 )
-from asck.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
+from asck.cli import EXIT_DISAGREE, EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
 from asck import core
 from asck.constructions import digraph_color_matrix
 from asck.core import MAX_POINTS
@@ -146,29 +149,36 @@ ODD_TOKENS = ["1_0", "+3", "\u0663", "x", "1.0", "-0", "00", "+1", "\uff11", "1_
               "99999999999999999999999"]
 
 
+def mutated(data, text: str, first: int = 1) -> str:
+    """``text`` after up to four drawn edits of its lines from line
+    ``first`` on: a token replaced by an odd one, a token dropped or
+    added, or a comment or blank line inserted."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["token", "token", "drop", "add", "comment", "blank"]))
+        at = data.draw(st.integers(first, len(lines) - 1))
+        fields = lines[at].split()
+        if kind == "token" and fields:
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                st.sampled_from(ODD_TOKENS))
+            lines[at] = " ".join(fields)
+        elif kind == "drop" and fields:
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+            lines[at] = " ".join(fields)
+        elif kind == "add":
+            lines[at] = lines[at] + " " + data.draw(st.sampled_from(["0", "1", "x"]))
+        elif kind == "comment":
+            lines.insert(at, "  # a comment")
+        else:
+            lines.insert(at, data.draw(st.sampled_from(["", "   "])))
+    return "\n".join(lines) + "\n"
+
+
 class TestOneCallParse:
     @settings(max_examples=300)
     @given(st.data())
     def test_matches_per_line_parse(self, data):
-        lines = data.draw(st.sampled_from(CCM_TEXTS)).splitlines()
-        for _ in range(data.draw(st.integers(0, 4))):
-            kind = data.draw(st.sampled_from(["token", "token", "drop", "add", "comment", "blank"]))
-            at = data.draw(st.integers(1, len(lines) - 1))
-            fields = lines[at].split()
-            if kind == "token" and fields:
-                fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
-                    st.sampled_from(ODD_TOKENS))
-                lines[at] = " ".join(fields)
-            elif kind == "drop" and fields:
-                del fields[data.draw(st.integers(0, len(fields) - 1))]
-                lines[at] = " ".join(fields)
-            elif kind == "add":
-                lines[at] = lines[at] + " " + data.draw(st.sampled_from(["0", "1", "x"]))
-            elif kind == "comment":
-                lines.insert(at, "  # a comment")
-            else:
-                lines.insert(at, data.draw(st.sampled_from(["", "   "])))
-        text = "\n".join(lines) + "\n"
+        text = mutated(data, data.draw(st.sampled_from(CCM_TEXTS)))
         assert parse_outcome(read_ccm, text) == parse_outcome(old_read_ccm, text)
 
     @pytest.mark.parametrize("text", CCM_TEXTS)
@@ -450,6 +460,39 @@ def ladder_digraphs_64():
     circulant = [(u, (u + j) % n) for u in range(n) for j in (7, n - 7)]
     return {"circulant": Digraph.from_arcs(n, circulant),
             "chords": Digraph.from_arcs(n, chords_shape(random.Random(64), n))}
+
+
+# a non-homogeneous scheme, a 4-cycle and a digraph that is no scheme's
+CLI_TEXTS = CCM_TEXTS + [
+    ccm_text(wl_closure(digraph_color_matrix(Digraph.from_arcs(3, [(0, 1)]))).matrix),
+    dg_text(Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])),
+    dg_text(Digraph.from_arcs(3, [(0, 1), (1, 1)]))]
+CLI_COMMANDS = [["validate"], ["info"], ["info", "--machine"], ["closed-sets"],
+                ["check-p", "-p", "2"], ["theorem1", "-p", "2"], ["corollary2"],
+                ["gen", "wl-close"]]
+
+
+class TestCliProperty:
+    """Every command on mutated ``.ccm`` and ``.dg`` text, read from stdin
+    by an in-process ``main``: an exit code from 0 to 3, nothing raised
+    out of ``main``, no traceback, and a message on every exit 2."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_mutated_input_exits_cleanly(self, data):
+        text = mutated(data, data.draw(st.sampled_from(CLI_TEXTS)), first=0)
+        for command in CLI_COMMANDS:
+            out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+            sys.stdin = io.StringIO(text)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = main([*command, "-"])
+            finally:
+                sys.stdin = stdin
+            assert rc in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_DISAGREE), command
+            assert "Traceback" not in err.getvalue(), command
+            if rc == EXIT_INPUT:
+                assert err.getvalue().startswith("error: "), command
 
 
 class TestCliLadder:

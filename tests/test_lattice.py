@@ -618,7 +618,7 @@ def lattice_listing(eqs):
 
 
 class TestPreviousEngineOracle:
-    """The closure rows, the union skip and the lookup-table equivalences
+    """The closure rows, Close-by-One and the lookup-table equivalences
     reproduce the engine they replaced: same sets, classes and order."""
 
     def test_homogeneous_corpus_members(self, corpus):
@@ -654,20 +654,40 @@ class TestPreviousEngineOracle:
                             "union of relations is not symmetric",
                             "union of relations is not transitive"}
 
-    def test_each_union_is_closed_once(self, monkeypatch):
-        z2 = cyclic_table(2)
-        s = validate(thin_scheme(direct_product(direct_product(z2, z2),
-                                                direct_product(z2, z2))).matrix)
+
+class TestCloseByOne:
+    """The enumeration's own invariants, and its exact count of closures:
+    a loop that also tried the larger color of each transpose pair would
+    find the same sets with more closures."""
+
+    @pytest.mark.parametrize("table,sets,closures", [
+        (direct_product(direct_product(cyclic_table(2), cyclic_table(2)),
+                        direct_product(cyclic_table(2), cyclic_table(2))), 67, 352),
+        (direct_product(direct_product(cyclic_table(2), cyclic_table(2)),
+                        cyclic_table(6)), 32, 184),
+    ], ids=["Z2^4", "Z2xZ2xZ6"])
+    def test_each_set_and_color_closed_once(self, table, sets, closures, monkeypatch):
+        s = validate(thin_scheme(table).matrix)
         real = lattice._close
         calls = []
-        monkeypatch.setattr(lattice, "_close", lambda rows, sigma, closed, members, extra: (
-            calls.append((closed, closed | extra))
-            or real(rows, sigma, closed, members, extra)))
-        assert len(all_equivalences(s)) == 67
-        unions = [union for _, union in calls]
-        assert len(set(unions)) == len(unions)
-        assert all(union != closed for closed, union in calls)
-        assert 0 < len(calls) < 67 * 16
+
+        def close(rows, sigma, closed, members, extra):
+            join, join_members = real(rows, sigma, closed, members, extra)
+            calls.append((closed, extra, join))
+            return join, join_members
+
+        monkeypatch.setattr(lattice, "_close", close)
+        assert len(all_equivalences(s)) == sets
+        pairs = [(closed, extra) for closed, extra, _ in calls]
+        assert len(set(pairs)) == len(pairs)
+        # one color at a time, and only a color the set lacks
+        assert all(extra & (extra - 1) == 0 and not closed & extra for closed, extra in pairs)
+        # a join is kept when it adds no color below the one that made it;
+        # each kept join is new, and every set but the diagonal is one
+        kept = [join for closed, extra, join in calls if not join & ~closed & (extra - 1)]
+        assert len(set(kept)) == len(kept) == sets - 1
+        assert 1 << s.diagonal_colors[0] not in kept
+        assert len(calls) == closures
 
 
 def lattice_schemes(corpus):

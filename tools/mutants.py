@@ -48,6 +48,9 @@ FOREST = f"{DIGRAPH}::TestForestDefects::test_seeded_random_digraphs"
 SHIFT_CYCLE = f"{DIGRAPH}::TestBasisDigraph::test_shift_color_is_cycle"
 ALL_CELLS = f"{DIGRAPH}::TestBasisPeriods::test_matches_all_cells_build"
 POINT_BOUND = "tests/test_io_cli.py::TestPointBound::test_bound_plus_one"
+CLOSE_BY_ONE = "tests/test_lattice.py::TestCloseByOne::test_each_set_and_color_closed_once"
+WALK_ORACLE = ("tests/test_core.py::TestNarrowSingletonWalk::"
+               "test_outcomes_match_int64_all_cells_oracle")
 
 MUTANTS = (
     # _forest_defects: hook and jump
@@ -114,6 +117,39 @@ MUTANTS = (
            'require_points(n1 * n2, "wreath product")',
            'require_points(max(n1, n2), "wreath product")',
            (f"{POINT_BOUND}[wreath]",)),
+    # the certificate's walk: multi-cell colors only, first cells unflagged
+    Mutant("walk-skips-two-cell-colors", "core.py",
+           "shared = sizes > 1", "shared = sizes > 2", (WALK_ORACLE,)),
+    # refuses every scheme with two multi-cell colors, so the test modules
+    # that build one at import do not even collect; this test builds Z_4
+    Mutant("walk-first-cells-shifted", "core.py",
+           "flagged[np.cumsum(sizes[shared]) - sizes[shared]] = False",
+           "flagged[np.cumsum(sizes[shared]) - sizes[shared] + 1] = False",
+           ("tests/test_lattice.py::TestGeneratedClosedSet::test_order_two_color",)),
+    Mutant("is-prime-without-index", "checks.py",
+           "    q = _index(p)\n    return q is not None and _is_prime(q)\n",
+           "    return _is_prime(p)\n",
+           ("tests/test_core.py::test_integer_arguments[is_prime]",)),
+    # the lattice: least-point labels and the Close-by-One search
+    Mutant("labels-by-argmin", "lattice.py",
+           "labels = member.argmax(axis=1)", "labels = member.argmin(axis=1)",
+           ("tests/test_lattice.py::TestUncheckedClassBuild::test_small_thin_groups",)),
+    Mutant("cbo-no-canonicity-test", "lattice.py",
+           "if not join & ~closed & ((1 << c) - 1):", "if True:",
+           (f"{CLOSE_BY_ONE}[Z2^4]",)),
+    Mutant("cbo-canonicity-mask-one-color", "lattice.py",
+           "((1 << c) - 1)", "(1 << c)", (f"{CLOSE_BY_ONE}[Z2^4]",)),
+    Mutant("cbo-skips-symmetric-colors", "lattice.py",
+           "c not in bottom and sigma[c] >= c]", "c not in bottom and sigma[c] > c]",
+           (f"{CLOSE_BY_ONE}[Z2^4]",)),
+    Mutant("cbo-both-colors-of-a-transpose-pair", "lattice.py",
+           "c not in bottom and sigma[c] >= c]", "c not in bottom]",
+           (f"{CLOSE_BY_ONE}[Z2xZ2xZ6]",)),
+    Mutant("cbo-child-starts-at-own-color", "lattice.py",
+           "stack.append((join, join_members, i + 1))",
+           "stack.append((join, join_members, i))",
+           equivalent="the child's first color is the color c that made it, and c is in "
+                      "the join, so the child skips it with no closure"),
 )
 
 
