@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Scheme, _index, _integral, as_color_matrix, canonical_scheme,
-                   require_points)
+from .core import (Scheme, _index, _integral, _shift_invariant, as_color_matrix,
+                   canonical_scheme, require_points)
 from .digraph import Digraph
 from .errors import (
     InvalidGroupTable,
@@ -402,20 +402,39 @@ def _hashed_fixpoint(cur: np.ndarray, seed: int, width: int) -> np.ndarray:
     split is delayed; or the rounds stop early on an incoherent
     partition, which ``canonical_scheme`` rejects and the next seed of
     ``_CLOSURE_SEEDS`` refines further.
+
+    A round walks the rows ``top``: every row, or only row 0 when the
+    label shift u -> u + 1 (mod n) is an automorphism of ``cur``
+    (``core._shift_invariant``).  Then cur[u, w] = row[(w - u) % n] for
+    row 0 ``row``, and the product is invariant too: its entry (u, w)
+    sums over v the terms of entry (u + 1, w + 1) at v + 1.  So is each
+    round's partition, and row 0 holds every hash value and every key
+    of the full round.  The ranks and the ``np.unique`` ids are
+    therefore those of the full round, one vector-matrix product
+    x[row] @ y[row[shift]] with shift[u, v] = (v - u) % n gives them,
+    and the matrix returned, row[shift], equals the full rounds' to the
+    ids.
     """
     rng = np.random.default_rng(seed)
+    n = cur.shape[0]
+    if _shift_invariant(cur):
+        shift = (np.arange(n) - np.arange(n)[:, None]) % n
+        top = cur[:1]
+    else:
+        shift, top = None, cur
     while True:
-        r = int(cur.max()) + 1
+        full = top if shift is None else top[0][shift]
+        r = int(top.max()) + 1
         x, y = _hash_weights(rng, r, width)
         # einsum runs numpy's own loop: a threaded BLAS product was seen to
         # wait ~20 ms per call for its worker threads on a 2-vCPU machine.
         # The hash is an exact integer, so its ranks compare exactly.
-        _, rank = np.unique(np.einsum("uv,vw->uw", x[cur], y[cur]), return_inverse=True)
+        _, rank = np.unique(np.einsum("uv,vw->uw", x[top], y[full]), return_inverse=True)
         k = int(rank.max()) + 1
-        _, inverse = np.unique(cur * k + rank.reshape(cur.shape), return_inverse=True)
+        _, inverse = np.unique(top * k + rank.reshape(top.shape), return_inverse=True)
         if int(inverse.max()) + 1 == r:
-            return cur
-        cur = inverse.reshape(cur.shape)
+            return full
+        top = inverse.reshape(top.shape)
 
 
 def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
@@ -429,7 +448,10 @@ def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     the product x[cur] @ y[cur].  Weights lie in [1, 2**width) with
     width = (53 - n.bit_length()) // 2, so n * 2**(2 * width) < 2**53
     and every float64 sum is an exact integer (width is 20 at n = 4096).
-    The rounds stop when one splits no color.
+    The rounds stop when one splits no color.  When the label shift
+    u -> u + 1 (mod n) is an automorphism of the input, as for a
+    circulant digraph, every round is too, and one vector-matrix product
+    over row 0 gives it (see ``_hashed_fixpoint``).
 
     Cells with equal multisets of two-step pairs get equal hashes, so a
     hashed round is never finer than the exact (multiset) round, and

@@ -12,7 +12,11 @@ per-color cell data: the sizes, the first cells, the cell index behind
 walks the cells, about 2^16 codes at a time in O(n^2) memory.  That
 check walks only the colors with at least two cells, so a discrete
 configuration costs no walk, and its codes are int16 up to rank 181 and
-int32 up to rank 46,340.  ``canonical_scheme``
+int32 up to rank 46,340.  When the label shift u -> u + 1 (mod n) is an
+automorphism of the coloring, as for a thin scheme of Z_n or the closure
+of a circulant digraph, the walk covers the cells of row 0 only, at most
+n: every cell is the image of a row-0 cell of its color, so the verdict
+and the witness are those of the full walk.  ``canonical_scheme``
 does the same after renaming the colors into canonical order, and
 interns its result by content: equal inputs return one shared Scheme,
 certified once, whose ``derived`` memo every holder shares.
@@ -312,6 +316,27 @@ def _check_transpose(matrix: np.ndarray, first: np.ndarray) -> np.ndarray:
     return sigma.astype(np.int64)
 
 
+def _shift_invariant(matrix: np.ndarray) -> bool:
+    """Whether the label shift u -> u + 1 (mod n) is an automorphism of
+    the coloring: ``matrix[(u+1) % n, (v+1) % n] == matrix[u, v]`` for
+    every cell.
+
+    Row 1 is compared with row 0 shifted by one first, in O(n), and
+    rejects nearly every input that is not invariant; only then are the
+    cells of rows 0..n-2 compared, in O(n^2) with no copy of the matrix:
+    the block ``m[1:, 1:]`` against ``m[:-1, :-1]`` and the wrap column.
+    Those comparisons make every row equal to row 0 shifted, so
+    color(u, v) = row0[(v - u) % n], and the cells of row n - 1 then
+    hold as well.  Such a coloring is circulant; a thin scheme of Z_n
+    and every coherent closure of a circulant digraph are such.
+    """
+    second = matrix[1 % matrix.shape[0]]  # row 0 itself when n = 1
+    if not (np.array_equal(second[1:], matrix[0, :-1]) and second[0] == matrix[0, -1]):
+        return False
+    return bool(np.array_equal(matrix[1:, 1:], matrix[:-1, :-1])
+                and np.array_equal(matrix[1:, 0], matrix[:-1, -1]))
+
+
 # The intersection-number walk fills about this many codes per chunk.
 _WALK_CODES = 2 ** 16
 
@@ -335,11 +360,30 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int,
     the color's first cell, so each color's first flagged cell is its
     first mismatch, and the least flagged cell in row-major order is the
     witness.
+
+    When the label shift is an automorphism (``_shift_invariant``), only
+    the cells of row 0 are walked, and only for the colors with at least
+    two cells there, n cells at most instead of n^2.  This is exact.
+    The shift maps (0, w - u) to (u, w) and keeps two-step multisets, so
+    every cell has the multiset of a row-0 cell of its color, and every
+    color has a cell in row 0.  A color's cells in row 0 therefore come
+    first in row-major order: its first cell is among them, and if they
+    all agree, every cell of the color agrees; if not, its first
+    mismatch in the full walk lies in row 0, where each cell's previous
+    cell of its color is the same as in the full walk.  So the least
+    flagged cell and its witness are those of the full walk.
     """
     n = matrix.shape[0]
-    sizes = np.diff(offsets)
+    if _shift_invariant(matrix):
+        sizes = np.bincount(matrix[0], minlength=r)
+        # row 0's cells stably sorted by color, as cell-index order has them
+        walk = np.stack((np.zeros(n, dtype=np.int64), np.argsort(matrix[0], kind="stable")),
+                        axis=1)
+    else:
+        sizes = np.diff(offsets)
+        walk = cells
     shared = sizes > 1
-    walk = cells[np.repeat(shared, sizes)]
+    walk = walk[np.repeat(shared, sizes)]
     flagged = np.ones(len(walk), dtype=bool)
     flagged[np.cumsum(sizes[shared]) - sizes[shared]] = False  # first cells
     dtype = np.int16 if r * r <= 2 ** 15 else np.int32 if r * r <= 2 ** 31 else np.int64

@@ -671,6 +671,21 @@ def old_hashed_fixpoint(cur, seed, width):
         cur = inverse.reshape(cur.shape)
 
 
+def old_full_rows_fixpoint(cur, seed, width):
+    """``_hashed_fixpoint`` with every round over all n rows: the oracle,
+    ids included, for its rounds on row 0 of a shift-invariant partition."""
+    rng = np.random.default_rng(seed)
+    while True:
+        r = int(cur.max()) + 1
+        x, y = constructions._hash_weights(rng, r, width)
+        _, rank = np.unique(np.einsum("uv,vw->uw", x[cur], y[cur]), return_inverse=True)
+        k = int(rank.max()) + 1
+        _, inverse = np.unique(cur * k + rank.reshape(cur.shape), return_inverse=True)
+        if int(inverse.max()) + 1 == r:
+            return cur
+        cur = inverse.reshape(cur.shape)
+
+
 # -- checks ------------------------------------------------------------------
 
 

@@ -32,13 +32,14 @@ from asck import (
 )
 from asck import constructions, lattice
 from asck.constructions import _class_restriction, _quotient_matrix
-from asck.core import Scheme, as_color_matrix
+from asck.core import Scheme, _shift_invariant, as_color_matrix
 from asck.corpus import (
     CorpusMember,
     CorpusSpec,
     _random_digraph,
     generate_corpus,
     member_reports,
+    random_circulant_digraph,
 )
 from asck.errors import (
     InvalidGroupTable,
@@ -56,6 +57,7 @@ from oracles import (
     ladder_matrix,
     old_cayley_table,
     old_dihedral_table,
+    old_full_rows_fixpoint,
     old_hashed_fixpoint,
     old_is_block,
     old_quotient_matrix,
@@ -817,8 +819,9 @@ class TestRoundKeyOracle:
         arcs = {(u, v) for u, v in raw_arcs if u < n and v < n}
         assert_fixpoints_match_oracle(digraph_color_matrix(Digraph(n, frozenset(arcs))))
 
-    @pytest.mark.parametrize("n", [16, 24, 32, 64])
-    @pytest.mark.parametrize("make", [circulant_shape, chords_shape])
+    @pytest.mark.parametrize("make,n", [(make, n) for make in (chords_shape, circulant_shape)
+                                        for n in (16, 24, 32, 64)]
+                             + [(circulant_shape, 128), (circulant_shape, 256)])
     def test_ladder_shapes(self, make, n):
         assert_fixpoints_match_oracle(ladder_matrix(make, n, seed=n))
 
@@ -840,6 +843,58 @@ class TestRoundKeyOracle:
             wl_closure(ladder_matrix(make, 64, seed=64))
         assert closures == list(range(len(closures)))
         assert seeds == [constructions._CLOSURE_SEEDS[0]] * len(closures)
+
+
+def full_rows_closure(matrix):
+    """``wl_closure(matrix)`` with every ``_hashed_fixpoint`` call checked
+    against the all-rows rounds, ids and dtype included; the number of
+    calls whose partition was shift-invariant."""
+    real = constructions._hashed_fixpoint
+    invariant = []
+
+    def checked(cur, seed, width):
+        got = real(cur, seed, width)
+        want = old_full_rows_fixpoint(cur, seed, width)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        invariant.append(_shift_invariant(cur))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_hashed_fixpoint", checked)
+        closure = wl_closure(matrix)
+    assert invariant
+    return closure, sum(invariant)
+
+
+class TestRowZeroRounds:
+    """On a shift-invariant partition ``_hashed_fixpoint`` runs its rounds
+    on row 0; the rounds over all rows, with the same weights, are the
+    oracle for every array it returns."""
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 64, 128, 256])
+    def test_ladder_shapes(self, n):
+        for seed in (1, 2, 3, 5):
+            for make in (circulant_shape, chords_shape):
+                _, invariant = full_rows_closure(ladder_matrix(make, n, seed))
+                assert invariant == (make is circulant_shape)
+
+    def test_directed_circulants(self):
+        """Closures of circulant digraphs with seeded jump sets; most are
+        not symmetric, so rounds read with the transposed shift differ."""
+        rng = random.Random(24)
+        asymmetric = 0
+        for n in (5, 12, 16, 30, 64, 100, 128) * 3:
+            matrix = digraph_color_matrix(random_circulant_digraph(rng, n))
+            closure, invariant = full_rows_closure(matrix)
+            assert invariant == 1
+            asymmetric += not np.array_equal(closure.matrix, closure.matrix.T)
+        assert asymmetric > 10
+
+    def test_thin_cyclic(self):
+        for m in range(1, 101):
+            thin = thin_scheme(cyclic_table(m))
+            closure, invariant = full_rows_closure(thin.matrix)
+            assert invariant == 1 and closure is thin
 
 
 class TestClosureRetry:

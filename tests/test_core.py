@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from asck.core import (
     _check_intersection_numbers,
     _integer_matrix,
     _raise_count_mismatch,
+    _shift_invariant,
     canonical_scheme,
 )
 from asck.checks import require_prime
@@ -61,7 +63,9 @@ from asck.errors import (
 )
 from asck.lattice import RANK_CAP, _closure_rows
 from oracles import (
+    circulant_shape,
     ladder_closures_64,
+    ladder_matrix,
     old_canonical_recolor,
     old_canonical_scheme,
     old_check_intersection_numbers,
@@ -423,6 +427,115 @@ class TestChunkedWalk:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 10
+
+
+def circulant_closures():
+    """The closures of the circulant ladder shape at n = 16 to 256."""
+    return [wl_closure(ladder_matrix(circulant_shape, n, seed=n)).matrix
+            for n in (16, 24, 32, 64, 128, 256)]
+
+
+def cyclic_matrix(m):
+    """The thin scheme of Z_m as color(u, v) = (v - u) % m, shift-invariant."""
+    g = np.arange(m)
+    return (g[None, :] - g[:, None]) % m
+
+
+def recolored_orbits(matrix):
+    """The coloring with the shift orbit {(u, u + d)} recolored, for each
+    d in 1..n-1: to a new color, or to the color of orbit d + 1, with
+    orbit -d recolored alike so that the colors stay transpose-closed.
+    Every result is shift-invariant, with contiguous ids."""
+    n = matrix.shape[0]
+    g = np.arange(n)
+    diff = (g[None, :] - g[:, None]) % n
+    r = int(matrix.max()) + 1
+    row = matrix[0]
+    for d in range(1, n):
+        for new, new_back in ((r, r + 1), (row[(d + 1) % n], row[(-d - 1) % n])):
+            m = np.array(matrix)
+            m[diff == d] = new
+            m[diff == n - d] = new if 2 * d == n else new_back
+            yield np.unique(m, return_inverse=True)[1].reshape(n, n)
+
+
+def general_path(call, *args):
+    """``raised(call, *args)`` with the shift test off: the full walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_shift_invariant", lambda matrix: False)
+        return raised(call, *args)
+
+
+class TestRowZeroWalk:
+    """When the label shift is an automorphism, ``_check_intersection_numbers``
+    walks the cells of row 0 only; the full walk over every cell is the
+    oracle for its outcome and message."""
+
+    def test_invariant_schemes_pass_both_walks(self):
+        matrices = circulant_closures() + [cyclic_matrix(m) for m in range(1, 41)]
+        for m in matrices:
+            assert _shift_invariant(m)
+            r = int(m.max()) + 1
+            runs = stable_runs(m)
+            assert raised(_check_intersection_numbers, m, r, *runs) is None
+            assert raised(old_check_intersection_numbers, m, r, *runs) is None
+
+    def test_recolored_orbits_match_full_walk(self):
+        """Incoherent shift-invariant matrices, through the walk alone and
+        through ``validate`` against its general path."""
+        bases = circulant_closures()[:4] + [cyclic_matrix(m) for m in (6, 9, 12)]
+        outcomes = Counter()
+        for m in (x for b in bases for x in recolored_orbits(b)):
+            assert _shift_invariant(m)
+            r = int(m.max()) + 1
+            runs = stable_runs(m)
+            got = raised(_check_intersection_numbers, m, r, *runs)
+            assert got == raised(old_check_intersection_numbers, m, r, *runs)
+            full = raised(validate, m)
+            assert full == general_path(validate, m)
+            outcomes[got is not None, full and full[0].__name__] += 1
+        # the walk passes and rejects, and most rejections reach it through validate
+        assert outcomes[False, None] > 10
+        assert outcomes[True, "InconsistentIntersectionNumbers"] > 100
+
+    def test_non_invariant_coloring_consistent_on_row_zero(self):
+        """Swapping two colors in row 3 of Z_m (and their transposes in
+        column 3) breaks the counts below row 0 only: a walk of row 0
+        alone, forced by a shift test that always passes, accepts the
+        matrix; the real test fails, and the full walk rejects it."""
+        for m in (6, 9, 16, 40):
+            matrix = cyclic_matrix(m)
+            matrix[3, [4, 5]] = matrix[3, [5, 4]]
+            matrix[[4, 5], 3] = matrix[[5, 4], 3]
+            r, runs = m, stable_runs(matrix)
+            assert not _shift_invariant(matrix)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_shift_invariant", lambda matrix: True)
+                assert raised(_check_intersection_numbers, matrix, r, *runs) is None
+            want = raised(old_check_intersection_numbers, matrix, r, *runs)
+            assert want is not None and want[0] is InconsistentIntersectionNumbers
+            assert raised(_check_intersection_numbers, matrix, r, *runs) == want
+            assert raised(validate, matrix) == want
+
+    def test_shift_test_against_roll(self):
+        """``_shift_invariant`` agrees with the two-axis ``np.roll`` on
+        invariant matrices, on each one with one cell changed (in row 0,
+        row 1, the last row or the wrap column) and on random ones."""
+        rng = np.random.default_rng(24)
+        matrices = [cyclic_matrix(m) for m in (1, 2, 3, 7)] + circulant_closures()[:2]
+        for base in list(matrices):
+            n = base.shape[0]
+            for u, v in {(0, n - 1), (min(1, n - 1), 0), (n - 1, n - 2), (n // 2, n - 1)}:
+                m = np.array(base)
+                m[u, v] += 1
+                matrices.append(m)
+        matrices += [rng.integers(0, 2, size=(n, n)) for n in (1, 2, 3, 4) for _ in range(8)]
+        seen = Counter()
+        for m in matrices:
+            want = bool(np.array_equal(np.roll(m, (1, 1), (0, 1)), m))
+            assert _shift_invariant(m) == want
+            seen[want] += 1
+        assert seen[True] > 10 and seen[False] > 10
 
 
 class TestWorkingSet:

@@ -16,6 +16,7 @@ from asck import (
 )
 from asck import corpus as corpus_module
 from asck.checks import check_quotient_factorization
+from asck.core import _shift_invariant
 from asck.corpus import (
     RANK_CAP,
     _FAMILIES,
@@ -72,13 +73,16 @@ def test_reports_do_not_depend_on_point_labels(corpus, relabeled_corpus):
                     quotients[p, r.lhs, r.rhs] += 1
         return plain, quotients
 
-    reports = quotient_reports = 0
+    reports = quotient_reports = crossed = 0
     for member, s in zip(corpus, relabeled_corpus):
         expected = facts(member.scheme)
         assert facts(s) == expected, member.name
         reports += len(expected[0])
         quotient_reports += sum(expected[1].values())
+        # the original was certified on row 0, its relabeling on all rows
+        crossed += _shift_invariant(member.scheme.matrix) and not _shift_invariant(s.matrix)
     assert (len(corpus), reports, quotient_reports) == (344, 6274, 972)
+    assert crossed
 
 
 def test_group_tables_are_verified_where_they_are_built(monkeypatch):

@@ -6,10 +6,15 @@ and the tests that must catch it.
 For each mutant the runner copies ``src``, ``tests``, ``perfbench`` and
 ``pyproject.toml`` into a temporary directory, replaces the mutant's old
 text (which must occur exactly once in its file) with the new text, and
-runs the mutant's tests there with pytest.  A failing run means
-"killed", a passing one "survived".  Equivalent mutants are not run;
-each carries the argument why no test can tell it apart.  The exit code
-is 0 when every mutant that was run was killed.
+runs the mutant's tests there with pytest.  A failing run (pytest exit 1)
+means "killed", a passing one "survived".  A mutant that breaks scheme
+certification can make a test module fail at import, so pytest exits 2
+(collection error) or 4 (node not found) instead; that run counts as
+"killed" only when the same tests, run again on the copy with the old
+text put back, pass (a baseline run), and as "error" otherwise.
+Equivalent mutants are not run; each carries the argument why no test
+can tell it apart.  The exit code is 0 when every mutant that was run
+was killed.
 
 Uses the standard library only; the tests themselves need what the
 suite needs.  The suite's ``tests/test_mutants.py`` checks only that the
@@ -51,6 +56,10 @@ POINT_BOUND = "tests/test_io_cli.py::TestPointBound::test_bound_plus_one"
 CLOSE_BY_ONE = "tests/test_lattice.py::TestCloseByOne::test_each_set_and_color_closed_once"
 WALK_ORACLE = ("tests/test_core.py::TestNarrowSingletonWalk::"
                "test_outcomes_match_int64_all_cells_oracle")
+ROW_ZERO_PREMISE = ("tests/test_core.py::TestRowZeroWalk::"
+                    "test_non_invariant_coloring_consistent_on_row_zero")
+ROW_ZERO_ORBITS = "tests/test_core.py::TestRowZeroWalk::test_recolored_orbits_match_full_walk"
+ROW_ZERO_ROUNDS = "tests/test_constructions.py::TestRowZeroRounds::test_directed_circulants"
 
 MUTANTS = (
     # _forest_defects: hook and jump
@@ -120,12 +129,30 @@ MUTANTS = (
     # the certificate's walk: multi-cell colors only, first cells unflagged
     Mutant("walk-skips-two-cell-colors", "core.py",
            "shared = sizes > 1", "shared = sizes > 2", (WALK_ORACLE,)),
-    # refuses every scheme with two multi-cell colors, so the test modules
-    # that build one at import do not even collect; this test builds Z_4
+    # refuses every scheme with two multi-cell colors, so test modules that
+    # build one at import do not collect; the baseline run makes that a kill
     Mutant("walk-first-cells-shifted", "core.py",
            "flagged[np.cumsum(sizes[shared]) - sizes[shared]] = False",
-           "flagged[np.cumsum(sizes[shared]) - sizes[shared] + 1] = False",
-           ("tests/test_lattice.py::TestGeneratedClosedSet::test_order_two_color",)),
+           "flagged[np.cumsum(sizes[shared]) - sizes[shared] + 1] = False", (WALK_ORACLE,)),
+    # the shift test, and the walk and rounds on row 0 that it admits
+    Mutant("shift-test-always-true", "core.py",
+           "    second = matrix[1 % matrix.shape[0]]  # row 0 itself when n = 1\n",
+           "    return True\n", (ROW_ZERO_PREMISE,)),
+    Mutant("shift-test-no-row-one-reject", "core.py",
+           "    if not (np.array_equal(second[1:], matrix[0, :-1]) and second[0] == matrix[0, -1]):\n"
+           "        return False\n", "",
+           equivalent="the full comparison that follows covers the cells of row 0 "
+                      "again, so the test's value is unchanged; only its cost on "
+                      "inputs that are not invariant grows from O(n) to O(n^2)"),
+    Mutant("row-zero-walk-on-row-one", "core.py",
+           "np.stack((np.zeros(n, dtype=np.int64), np.argsort(matrix[0], kind=\"stable\"))",
+           "np.stack((np.ones(n, dtype=np.int64), np.argsort(matrix[1], kind=\"stable\"))",
+           (ROW_ZERO_ORBITS,)),
+    Mutant("row-zero-rounds-unexpanded", "constructions.py",
+           "            return full\n", "            return top\n", (ROW_ZERO_ROUNDS,)),
+    Mutant("row-zero-rounds-transposed-shift", "constructions.py",
+           "shift = (np.arange(n) - np.arange(n)[:, None]) % n",
+           "shift = (np.arange(n)[:, None] - np.arange(n)) % n", (ROW_ZERO_ROUNDS,)),
     Mutant("is-prime-without-index", "checks.py",
            "    q = _index(p)\n    return q is not None and _is_prime(q)\n",
            "    return _is_prime(p)\n",
@@ -172,18 +199,27 @@ def run(mutant: Mutant) -> dict:
         if occurrences(mutant, tree / "src") != 1:
             return {"id": mutant.id, "status": "stale", "seconds": 0.0}
         path = tree / "src" / "asck" / mutant.file
-        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        original = path.read_text()
+        path.write_text(original.replace(mutant.old, mutant.new))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         env["PYTHONPATH"] = str(tree / "src")
+
+        def pytest() -> int:
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 *mutant.killers],
+                cwd=tree, env=env, capture_output=True, text=True).returncode
+
         start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *mutant.killers],
-            cwd=tree, env=env, capture_output=True, text=True)
+        code = pytest()
+        status = {0: "survived", 1: "killed"}.get(code, f"error {code}")
+        if code in (2, 4):
+            # a collection error or a missing node is evidence only when the
+            # unmutated copy collects and passes the same tests
+            path.write_text(original)
+            if pytest() == 0:
+                status = "killed"
         seconds = round(time.perf_counter() - start, 2)
-    # pytest exits 1 when a test failed; anything else (no tests collected,
-    # a usage error) is no evidence either way
-    status = {0: "survived", 1: "killed"}.get(done.returncode, f"error {done.returncode}")
     return {"id": mutant.id, "status": status, "seconds": seconds}
 
 
