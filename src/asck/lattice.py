@@ -11,7 +11,9 @@ is enumerated by Close-by-One (Kuznetsov, 1993): depth first from the
 diagonal, each set is joined with single colors taken in ascending
 order, and a join is kept only when it adds no color below the one
 that made it, so every closed set is made exactly once and none is
-looked up.  A join starts from the list of its parent's colors.
+looked up.  As in In-Close (Andrews, 2009), a join stops at the first
+such color its worklist meets.  A join starts from the list of its
+parent's colors.
 
 Each closed set gives one equivalence.  Its classes come from one
 labeling, ``_labeled_classes``: one gather of an r-entry table over the
@@ -119,21 +121,26 @@ def _closure_rows(scheme: Scheme) -> tuple[list[list[int]], list[int]]:
 
 
 def _close(rows: list[list[int]], sigma: list[int], closed: int,
-           members: list[int], extra: int) -> tuple[int, list[int]]:
+           members: list[int], extra: int, stop: int) -> tuple[int, list[int]] | None:
     """Smallest closed color mask containing the closed mask ``closed``,
     whose colors are listed in ``members``, and the colors of the mask
-    ``extra``; returned with a new list of its colors.
+    ``extra``; returned with a new list of its colors, or None as soon
+    as the worklist holds a color of the mask ``stop``.
 
     Worklist closure on the closure rows ``rows`` and the transpose map
     ``sigma``: each color taken from the worklist joins the members and
     queues its transpose and its compositions, both ways, with every
     current member, read from the color's closure row.  A pair of
     members is composed once, when the later of the two is added; pairs
-    inside ``closed`` never.
+    inside ``closed`` never.  Every color the closure adds passes
+    through the worklist, so None means exactly that the closure adds a
+    color of ``stop``.
     """
     members = members.copy()
     pending = extra & ~closed
     while pending:
+        if pending & stop:
+            return None
         bit = pending & -pending
         pending ^= bit
         closed |= bit
@@ -160,7 +167,7 @@ def generated_closed_set(scheme: Scheme, seed: Iterable[int]) -> ClosedSet:
     extra = _mask(scheme.check_color(c) for c in seed)
     rows, sigma = _closure_rows(scheme)
     bottom = list(scheme.diagonal_colors)
-    _, members = _close(rows, sigma, _mask(bottom), bottom, extra)
+    _, members = _close(rows, sigma, _mask(bottom), bottom, extra, 0)
     return ClosedSet(scheme, frozenset(members))
 
 
@@ -241,6 +248,10 @@ def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
     sigma[c] >= c, in ascending order, depth first from the diagonal: a
     set S made by adding color c is joined with each later such color d
     that S lacks, and the join is kept when it adds no color below d.
+    ``_close`` runs that test during the closure, with the colors below
+    d as its stop mask, and is exact: a color in the worklist is in the
+    full closure, which then fails the test too, and a closure that runs
+    to the end never queued such a color, so it passes.
     Every closed set is then kept exactly once, from its one canonical
     parent, so no found set is looked up.  Skipping a color whose
     transpose is smaller loses nothing: its join always adds that
@@ -270,9 +281,10 @@ def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
             c = colors[i]
             if (closed >> c) & 1:
                 continue
-            join, join_members = _close(rows, sigma, closed, members, 1 << c)
-            if not join & ~closed & ((1 << c) - 1):
-                stack.append((join, join_members, i + 1))
+            # stop at the first color below c that the join would add
+            join = _close(rows, sigma, closed, members, 1 << c, (1 << c) - 1)
+            if join is not None:
+                stack.append((*join, i + 1))
     ordered = sorted(found, key=lambda ms: (len(ms), sorted(ms)))
     return [_unchecked_equivalence(scheme, members) for members in ordered]
 

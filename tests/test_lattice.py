@@ -656,38 +656,84 @@ class TestPreviousEngineOracle:
 
 
 class TestCloseByOne:
-    """The enumeration's own invariants, and its exact count of closures:
-    a loop that also tried the larger color of each transpose pair would
-    find the same sets with more closures."""
+    """The enumeration's own invariants, and its exact count of closures
+    and of the colors they take from the worklist: a loop that also tried
+    the larger color of each transpose pair would find the same sets with
+    more closures, and closures that never stopped early would take more
+    colors."""
 
-    @pytest.mark.parametrize("table,sets,closures", [
+    @pytest.mark.parametrize("table,sets,closures,taken", [
         (direct_product(direct_product(cyclic_table(2), cyclic_table(2)),
-                        direct_product(cyclic_table(2), cyclic_table(2))), 67, 352),
+                        direct_product(cyclic_table(2), cyclic_table(2))), 67, 352, 439),
         (direct_product(direct_product(cyclic_table(2), cyclic_table(2)),
-                        cyclic_table(6)), 32, 184),
+                        cyclic_table(6)), 32, 184, 257),
     ], ids=["Z2^4", "Z2xZ2xZ6"])
-    def test_each_set_and_color_closed_once(self, table, sets, closures, monkeypatch):
+    def test_each_set_and_color_closed_once(self, table, sets, closures, taken, monkeypatch):
         s = validate(thin_scheme(table).matrix)
         real = lattice._close
-        calls = []
+        calls, worklist = [], []
 
-        def close(rows, sigma, closed, members, extra):
-            join, join_members = real(rows, sigma, closed, members, extra)
-            calls.append((closed, extra, join))
-            return join, join_members
+        class Rows(list):
+            """Closure rows that log each color whose row is read, one
+            read per color taken from the worklist."""
+
+            def __getitem__(self, c):
+                worklist.append(c)
+                return super().__getitem__(c)
+
+        def close(rows, sigma, closed, members, extra, stop):
+            join = real(Rows(rows), sigma, closed, members, extra, stop)
+            calls.append((closed, extra, stop, join and join[0]))
+            return join
 
         monkeypatch.setattr(lattice, "_close", close)
         assert len(all_equivalences(s)) == sets
-        pairs = [(closed, extra) for closed, extra, _ in calls]
+        pairs = [(closed, extra) for closed, extra, _, _ in calls]
         assert len(set(pairs)) == len(pairs)
-        # one color at a time, and only a color the set lacks
-        assert all(extra & (extra - 1) == 0 and not closed & extra for closed, extra in pairs)
-        # a join is kept when it adds no color below the one that made it;
+        # one color at a time, only a color the set lacks, and the join
+        # stops at any color below it
+        assert all(extra & (extra - 1) == 0 and not closed & extra and stop == extra - 1
+                   for closed, extra, stop, _ in calls)
         # each kept join is new, and every set but the diagonal is one
-        kept = [join for closed, extra, join in calls if not join & ~closed & (extra - 1)]
+        kept = [join for _, _, _, join in calls if join is not None]
         assert len(set(kept)) == len(kept) == sets - 1
         assert 1 << s.diagonal_colors[0] not in kept
         assert len(calls) == closures
+        assert len(worklist) == taken
+
+
+class TestStoppedClosure:
+    """``_close`` stops a join at the first stop color in its worklist;
+    the same call with an empty stop mask, which runs to the end, is the
+    oracle."""
+
+    def test_matches_full_closures(self, corpus, monkeypatch):
+        real = lattice._close
+        outcomes = {"stopped": 0, "kept": 0}
+
+        def close(rows, sigma, closed, members, extra, stop):
+            join = real(rows, sigma, closed, members, extra, stop)
+            full = real(rows, sigma, closed, members, extra, 0)
+            assert full is not None
+            if join is None:
+                assert full[0] & ~closed & stop
+                outcomes["stopped"] += 1
+            else:
+                assert join == full
+                outcomes["kept"] += 1
+            return join
+
+        monkeypatch.setattr(lattice, "_close", close)
+        brute = 0
+        for s in lattice_schemes(corpus):
+            eqs = all_equivalences(s)
+            assert lattice_listing(eqs) == lattice_listing(old_all_equivalences(s))
+            if s.r <= 12:
+                expected = sorted(brute_force_closed_sets(s), key=lambda cs: (len(cs), sorted(cs)))
+                assert [e.colors for e in eqs] == expected
+                brute += 1
+        assert outcomes["stopped"] > outcomes["kept"] > 0
+        assert brute > 0
 
 
 def lattice_schemes(corpus):

@@ -54,12 +54,27 @@ SHIFT_CYCLE = f"{DIGRAPH}::TestBasisDigraph::test_shift_color_is_cycle"
 ALL_CELLS = f"{DIGRAPH}::TestBasisPeriods::test_matches_all_cells_build"
 POINT_BOUND = "tests/test_io_cli.py::TestPointBound::test_bound_plus_one"
 CLOSE_BY_ONE = "tests/test_lattice.py::TestCloseByOne::test_each_set_and_color_closed_once"
+WORK_PIN = f"{CLOSE_BY_ONE}[Z2^4]"
+STOPPED = "tests/test_lattice.py::TestStoppedClosure::test_matches_full_closures"
+CHUNK_BOUNDARY = ("tests/test_core.py::TestChunkedWalk::"
+                  "test_witness_just_before_at_and_after_a_chunk_boundary")
 WALK_ORACLE = ("tests/test_core.py::TestNarrowSingletonWalk::"
                "test_outcomes_match_int64_all_cells_oracle")
 ROW_ZERO_PREMISE = ("tests/test_core.py::TestRowZeroWalk::"
                     "test_non_invariant_coloring_consistent_on_row_zero")
 ROW_ZERO_ORBITS = "tests/test_core.py::TestRowZeroWalk::test_recolored_orbits_match_full_walk"
 ROW_ZERO_ROUNDS = "tests/test_constructions.py::TestRowZeroRounds::test_directed_circulants"
+# one worklist step of lattice._close, and the stop check before it
+STOP_CHECK = "        if pending & stop:\n            return None\n"
+CLOSE_STEP = ("        bit = pending & -pending\n"
+              "        pending ^= bit\n"
+              "        closed |= bit\n"
+              "        c = bit.bit_length() - 1\n"
+              "        members.append(c)\n"
+              "        row = rows[c]\n"
+              "        found = 1 << sigma[c]\n"
+              "        for m in members:\n"
+              "            found |= row[m]\n")
 
 MUTANTS = (
     # _forest_defects: hook and jump
@@ -134,6 +149,29 @@ MUTANTS = (
     Mutant("walk-first-cells-shifted", "core.py",
            "flagged[np.cumsum(sizes[shared]) - sizes[shared]] = False",
            "flagged[np.cumsum(sizes[shared]) - sizes[shared] + 1] = False", (WALK_ORACLE,)),
+    # the walk's chunks, the copy, the range test and the n^2 guard
+    Mutant("walk-chunks-overlap", "core.py",
+           "for lo in range(0, len(walk), chunk):",
+           "for lo in range(0, len(walk), max(1, chunk - 1)):",
+           (CHUNK_BOUNDARY,)),
+    Mutant("walk-skips-last-cell-of-chunk", "core.py",
+           "us, ws = walk[lo:lo + chunk].T", "us, ws = walk[lo:lo + chunk - 1].T",
+           (CHUNK_BOUNDARY,)),
+    Mutant("color-matrix-without-copy", "core.py",
+           "arr = _integer_matrix(matrix, copy=True)", "arr = _integer_matrix(matrix)",
+           ("tests/test_core.py::TestValidate::"
+            "test_callers_array_is_neither_frozen_nor_aliased",)),
+    Mutant("bincount-without-cell-count-guard", "core.py",
+           "if int(arr.max()) >= arr.size or not np.bincount",
+           "if not np.bincount",
+           ("tests/test_core.py::TestValidate::"
+            "test_ids_above_cell_count_raise_with_remap[9223372036854775807]",)),
+    Mutant("int64-rows-without-range-test", "io.py",
+           "    for (lineno, line), row in zip(lines, rows):\n"
+           "        if not all(-2 ** 63 <= x < 2 ** 63 for x in row):\n"
+           "            raise ParseError(name, lineno, f\"field out of range in: {line!r}\")\n",
+           "", ("tests/test_io_cli.py::TestOneCallParse::test_matches_per_line_parse",
+                "tests/test_io_cli.py::TestCliBasics::test_out_of_range_entry_is_an_input_error")),
     # the shift test, and the walk and rounds on row 0 that it admits
     Mutant("shift-test-always-true", "core.py",
            "    second = matrix[1 % matrix.shape[0]]  # row 0 itself when n = 1\n",
@@ -157,15 +195,15 @@ MUTANTS = (
            "    q = _index(p)\n    return q is not None and _is_prime(q)\n",
            "    return _is_prime(p)\n",
            ("tests/test_core.py::test_integer_arguments[is_prime]",)),
-    # the lattice: least-point labels and the Close-by-One search
+    # the lattice: least-point labels, the Close-by-One search and its stop
     Mutant("labels-by-argmin", "lattice.py",
            "labels = member.argmax(axis=1)", "labels = member.argmin(axis=1)",
            ("tests/test_lattice.py::TestUncheckedClassBuild::test_small_thin_groups",)),
-    Mutant("cbo-no-canonicity-test", "lattice.py",
-           "if not join & ~closed & ((1 << c) - 1):", "if True:",
-           (f"{CLOSE_BY_ONE}[Z2^4]",)),
-    Mutant("cbo-canonicity-mask-one-color", "lattice.py",
-           "((1 << c) - 1)", "(1 << c)", (f"{CLOSE_BY_ONE}[Z2^4]",)),
+    Mutant("stop-check-dropped", "lattice.py", STOP_CHECK, "", (WORK_PIN,)),
+    Mutant("stop-mask-holds-own-color", "lattice.py",
+           "1 << c, (1 << c) - 1)", "1 << c, (1 << c + 1) - 1)", (WORK_PIN,)),
+    Mutant("stop-check-after-member-loop", "lattice.py",
+           STOP_CHECK + CLOSE_STEP, CLOSE_STEP + STOP_CHECK, (WORK_PIN, STOPPED)),
     Mutant("cbo-skips-symmetric-colors", "lattice.py",
            "c not in bottom and sigma[c] >= c]", "c not in bottom and sigma[c] > c]",
            (f"{CLOSE_BY_ONE}[Z2^4]",)),
@@ -173,8 +211,7 @@ MUTANTS = (
            "c not in bottom and sigma[c] >= c]", "c not in bottom]",
            (f"{CLOSE_BY_ONE}[Z2xZ2xZ6]",)),
     Mutant("cbo-child-starts-at-own-color", "lattice.py",
-           "stack.append((join, join_members, i + 1))",
-           "stack.append((join, join_members, i))",
+           "stack.append((*join, i + 1))", "stack.append((*join, i))",
            equivalent="the child's first color is the color c that made it, and c is in "
                       "the join, so the child skips it with no closure"),
 )
