@@ -28,7 +28,7 @@ from .constructions import (
     wl_closure,
     wreath,
 )
-from .core import Scheme, validate
+from .core import Scheme, _decimal_text, validate
 from .corpus import CorpusSpec, generate_corpus, run_corpus_checks
 from .errors import SchemeError
 from .io import ccm_text, read_ccm, read_dg
@@ -51,6 +51,12 @@ def _write_text(text: str, dest: str) -> None:
     else:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _joined(values, sep: str) -> str:
+    """The decimal entries of a 1-D int64 array joined by ``sep``, from
+    ``core._decimal_text`` with no ``str`` per entry."""
+    return _decimal_text(values[None], sep, "\n")[:-1].decode("ascii")
 
 
 def _check_threads_env() -> None:
@@ -81,14 +87,14 @@ def _cmd_info(args: argparse.Namespace) -> int:
     s = _read_scheme(args.file)
     if args.machine:
         pairs = {
-            "degrees": ",".join(map(str, s.degrees.tolist())),
+            "degrees": _joined(s.degrees, ","),
             "fiber-sizes": ",".join(str(len(f)) for f in s.fibers),
             "fibers": str(len(s.fibers)),
             "homogeneous": "true" if s.is_homogeneous else "false",
             "n": str(s.n),
             "r": str(s.r),
             "scheme": s.hash,
-            "sizes": ",".join(map(str, s.sizes.tolist())),
+            "sizes": _joined(s.sizes, ","),
         }
         print("\n".join(f"{k}={v}" for k, v in pairs.items()))
     else:
@@ -96,8 +102,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"rank: {s.r}")
         print(f"fibers: {len(s.fibers)} (sizes {' '.join(str(len(f)) for f in s.fibers)})")
         print(f"homogeneous: {'true' if s.is_homogeneous else 'false'}")
-        print(f"degrees: {' '.join(map(str, s.degrees.tolist()))}")
-        print(f"sizes: {' '.join(map(str, s.sizes.tolist()))}")
+        print(f"degrees: {_joined(s.degrees, ' ')}")
+        print(f"sizes: {_joined(s.sizes, ' ')}")
         print(f"hash: {s.hash}")
     return EXIT_OK
 

@@ -21,6 +21,10 @@ does the same after renaming the colors into canonical order, and
 interns its result by content: equal inputs return one shared Scheme,
 certified once, whose ``derived`` memo every holder shares.
 ``validate`` never interns; each call certifies and returns a new Scheme.
+The decimal text of int64 arrays, for ``.ccm`` bodies, ``Scheme.hash``
+and the CLI's lists, comes from one byte encoder, ``_decimal_text``: a
+digit table per distinct value, gathered and written as ASCII bytes
+with no Python string per entry.
 """
 
 from __future__ import annotations
@@ -99,19 +103,57 @@ def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray,
     return arr.astype(np.int64, copy=copy)
 
 
-def _decimal_words(arr: np.ndarray) -> np.ndarray:
-    """The decimal text of every entry of an int64 array, as an object
-    array of its shape.
+def _digit_table(top: int) -> np.ndarray:
+    """Row v, for v = 0..top: the ASCII digits of v right-aligned in
+    len(str(top)) columns, its leading zeros NUL, then one NUL column.
 
-    ``str`` runs once per value, not once per entry.  Entries in
-    0..size-1, which every color matrix has, index a table of the
-    decimal strings of 0..max; any other array indexes the strings of
-    its ``np.unique`` values, so no table outgrows the array.
+    Column j holds digit (v // run) % 10, with run = 10^k for the k
+    places to its right: the digits 0..9 in turn, each for run rows.
+    The table is made with its rows rounded up to a whole number of
+    runs of the first column, so each column is one broadcast write of
+    its digits through a (runs, run, width + 1) view of the table; its
+    leading zeros are its first run rows, when run > 1.
     """
-    if arr.min() >= 0 and arr.max() < arr.size:
-        return np.array([str(v) for v in range(int(arr.max()) + 1)], dtype=object)[arr]
-    values, inverse = np.unique(arr, return_inverse=True)
-    return np.array([str(v) for v in values.tolist()], dtype=object)[inverse.reshape(arr.shape)]
+    width = len(str(top))
+    lead = 10 ** (width - 1)
+    rows = -(-(top + 1) // lead) * lead
+    table = np.zeros((rows, width + 1), dtype=np.uint8)
+    digits = np.arange(48, 58, dtype=np.uint8)
+    for j in range(width):
+        run = 10 ** (width - 1 - j)
+        runs = rows // run
+        cycle = np.tile(digits, -(-runs // 10))[:runs]
+        table.reshape(runs, run, width + 1)[:, :, j] = cycle[:, None]
+        if run > 1:
+            table[:run, j] = 0
+    return table[:top + 1]
+
+
+def _decimal_text(arr: np.ndarray, sep: str, end: str) -> bytes:
+    """The ASCII decimal text of a 2-D int64 array: each entry followed
+    by ``sep``, except the last of each row, which ``end`` follows.
+
+    A table holds the digits of each distinct value, NUL-padded to one
+    width, with a spare column.  Entries in 0..size-1, which every color
+    matrix has, index the digits of 0..max, made by ``_digit_table``
+    without one ``str`` per value; any other array indexes the ``str``
+    of its ``np.unique`` values, so no table outgrows the array.  One
+    ``np.take`` of table rows gives every entry its digits, the spare
+    column takes the separators, and the NULs are dropped.
+    """
+    top = int(arr.max())
+    if arr.min() >= 0 and top < arr.size:
+        table, index = _digit_table(top), arr
+    else:
+        values, inverse = np.unique(arr, return_inverse=True)
+        words = np.array([str(v) for v in values.tolist()], dtype=bytes)
+        table = np.zeros((values.size, words.itemsize + 1), dtype=np.uint8)
+        table[:, :-1] = words.view(np.uint8).reshape(values.size, -1)
+        index = inverse.reshape(arr.shape)
+    text = np.take(table, index, axis=0)
+    text[:, :, -1] = ord(sep)
+    text[:, -1, -1] = ord(end)
+    return text.tobytes().translate(None, b"\0")
 
 
 def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -279,13 +321,17 @@ class Scheme:
 
     @property
     def hash(self) -> str:
-        """sha256 over the dimensions and the row-major color sequence.
+        """sha256 over the dimensions and the row-major color sequence:
+        the ASCII text "n r c0 c1 ...", single spaces, no trailing one.
 
+        The colors' bytes come from ``_decimal_text`` with every
+        separator a space, less the last; no ``str`` is made per color.
         Computed once and kept in the ``derived`` memo.
         """
         def build() -> str:
-            payload = f"{self.n} {self.r} " + " ".join(_decimal_words(self.matrix).ravel().tolist())
-            return hashlib.sha256(payload.encode("ascii")).hexdigest()
+            digest = hashlib.sha256(f"{self.n} {self.r} ".encode("ascii"))
+            digest.update(memoryview(_decimal_text(self.matrix, " ", " "))[:-1])
+            return digest.hexdigest()
 
         return self.derived("hash", build)
 
@@ -475,6 +521,16 @@ def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     return scheme
 
 
+def _fibers(diag: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The points of each color on the diagonal, ascending, for the
+    colors in ascending order: one stable argsort of the diagonal, cut
+    at the counts of its colors, in O(n log n) for any number of fibers."""
+    counts = np.bincount(diag)
+    points = np.argsort(diag, kind="stable").tolist()
+    bounds = np.cumsum(counts[counts > 0]).tolist()
+    return tuple(tuple(points[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
+
+
 def _certify(arr: np.ndarray) -> Scheme:
     """Check the axioms on a matrix with colors 0..r-1 and wrap it; ``arr``
     must be a fresh array, which the Scheme takes over read-only.  One
@@ -492,8 +548,7 @@ def _certify(arr: np.ndarray) -> Scheme:
     _check_intersection_numbers(arr, r, cells, offsets)
 
     diag = arr.diagonal()
-    fibers = tuple(
-        tuple(int(u) for u in np.nonzero(diag == d)[0]) for d in diagonal_colors)
+    fibers = _fibers(diag)
 
     # with the axioms checked, each color's cells leave every point of its
     # source fiber equally often, so the degree is size / |source fiber|

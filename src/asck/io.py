@@ -12,7 +12,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import _decimal_words, _integer_matrix, as_color_matrix, require_points
+from .core import _decimal_text, _integer_matrix, as_color_matrix, require_points
 from .digraph import Digraph
 from .errors import SchemeError
 
@@ -28,12 +28,20 @@ class ParseError(SchemeError):
 
 
 def _content_lines(source: str | Path | IO[str]) -> tuple[str, list[tuple[int, str]]]:
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        text = source.read()
-    else:
-        name = str(source)
-        text = Path(source).read_text()
+    """The source's name and its numbered lines that are neither blank
+    nor comments, stripped.  A path is read as UTF-8; a byte its
+    encoding cannot decode, in a file or a stream, raises ParseError
+    naming the line it is on."""
+    stream = hasattr(source, "read")
+    name = getattr(source, "name", "<stream>") if stream else str(source)
+    try:
+        text = source.read() if stream else Path(source).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the byte's line is the last of the decodable text before it, plus
+        # a stand-in for the byte, as ``splitlines`` numbers the lines below
+        before = exc.object[:exc.start].decode(exc.encoding, "replace")
+        raise ParseError(name, len((before + "x").splitlines()),
+                         f"byte {exc.object[exc.start]:#04x} is not valid {exc.encoding}") from None
     lines = []
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -64,6 +72,58 @@ def _int64_rows(name: str, lines: list[tuple[int, str]], n: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+# The class of each byte value in matrix rows: 1 for an ASCII digit, 2
+# for a space or tab, 3 for the newline that joins the rows, 0 otherwise.
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[48:58] = 1
+_BYTE_CLASS[[9, 32]] = 2
+_BYTE_CLASS[10] = 3
+# Up to 18 digits a field is below 10**18 < 2**63, so it parses within int64.
+_MAX_DIGITS = 18
+
+
+def _digit_rows(lines: list[tuple[int, str]], n: int) -> np.ndarray | None:
+    """The n x n int64 matrix of n stripped rows of ASCII digit fields,
+    or None unless every byte is an ASCII digit, space or tab, every row
+    has n fields and no field has more than 18 digits.
+
+    The rows are read as one byte array, each with a newline before it
+    and the last with one after.  As the rows are stripped, the flips
+    between digit and non-digit bytes alternate: a field's start, then
+    its end.  With n^2 fields, every row has n when field k * n starts
+    just after a newline for each row k.  Values come by Horner's rule
+    over at most 18 digit places, read right to left from each field's
+    end, so they stay within int64.  Such a field is just what ``int``
+    reads, so the values are those of the per-line parse.
+    """
+    text = "".join(f"\n{line}" for _, line in lines) + "\n"
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kind = np.take(_BYTE_CLASS, data)
+    if not kind.all():
+        return None
+    digit = kind == 1
+    flips = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = flips[::2], flips[1::2]
+    if starts.size != n * n or not (kind[starts[::n] - 1] == 3).all():
+        return None
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > _MAX_DIGITS:
+        return None
+    values = np.zeros(n * n, dtype=np.int64)
+    digits = data - np.uint8(48)
+    for k in range(width - 1, -1, -1):
+        # place k of every field: the digit k bytes before its end, or 0
+        # when the field is shorter (clip keeps those indices in range)
+        place = np.take(digits, ends - 1 - k, mode="clip")
+        place *= lengths > k
+        values *= 10
+        values += place
+    return values.reshape(n, n)
+
+
 def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
     """Parse a .ccm file into a color matrix.
 
@@ -71,10 +131,11 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
     raises NonContiguousColors with the repair map) but not for the
     configuration axioms; run validate for those.
 
-    Once every row has n fields, one ``np.array`` call parses all the
-    tokens; it accepts exactly what ``int`` accepts, and raises
-    ValueError or OverflowError otherwise.  On any failure the rows are
-    parsed again one line at a time, which raises ParseError naming the
+    Rows of plain ASCII digit fields, n per row and none longer than 18
+    digits, are parsed at the byte level in one pass (``_digit_rows``).
+    Any other rows, with signs, underscores, other Unicode digits or
+    blanks, longer fields or a wrong field count, are parsed one line at
+    a time as ``int`` reads them, which raises ParseError naming the
     first bad line.
     """
     name, lines = _content_lines(source)
@@ -94,13 +155,7 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
     if len(lines) - 1 != n:
         raise ParseError(name, lineno,
                          f"expected {n} matrix rows, found {len(lines) - 1}")
-    tokens = [line.split() for _, line in lines[1:]]
-    values = None
-    if all(len(row) == n for row in tokens):
-        try:
-            values = np.array(tokens, dtype=np.int64)
-        except (ValueError, OverflowError):
-            pass
+    values = _digit_rows(lines[1:], n)
     if values is None:
         values = _int64_rows(name, lines[1:], n)
     matrix = as_color_matrix(values)
@@ -112,15 +167,17 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
 
 
 def ccm_text(matrix: np.ndarray) -> str:
-    """The .ccm text of a matrix.  It is coerced as ``validate`` coerces
-    its input, so a matrix that is empty, not square or not integral
-    raises the same SchemeError and is never written truncated or with
-    a header ``read_ccm`` rejects."""
+    """The .ccm text of a matrix: the header, then each row's decimal
+    entries joined by single spaces, every row ending in a newline.  The
+    body comes from ``core._decimal_text`` in one pass, with no ``str``
+    per entry.  The matrix is coerced as ``validate`` coerces its input,
+    so a matrix that is empty, not square or not integral raises the same
+    SchemeError and is never written truncated or with a header
+    ``read_ccm`` rejects."""
     arr = _integer_matrix(matrix)
     n = arr.shape[0]
     r = int(arr.max()) + 1
-    body = "\n".join(" ".join(row) for row in _decimal_words(arr).tolist())
-    return f"ccm {n} {r}\n{body}\n"
+    return f"ccm {n} {r}\n" + _decimal_text(arr, " ", "\n").decode("ascii")
 
 
 def write_ccm(matrix: np.ndarray, dest: str | Path | IO[str]) -> None:

@@ -63,6 +63,22 @@ def same_matrix(a, b):
     return bool(np.array_equal(a.matrix, b.matrix))
 
 
+def old_decimal_words(arr):
+    """The decimal text of every entry of an int64 array, as an object
+    array of its shape: the ``str`` table that ``_decimal_text`` replaced,
+    whose joins are the oracle for its bytes."""
+    if arr.min() >= 0 and arr.max() < arr.size:
+        return np.array([str(v) for v in range(int(arr.max()) + 1)], dtype=object)[arr]
+    values, inverse = np.unique(arr, return_inverse=True)
+    return np.array([str(v) for v in values.tolist()], dtype=object)[inverse.reshape(arr.shape)]
+
+
+def old_fibers(diag):
+    """One ``np.nonzero`` scan of the diagonal per diagonal color: the
+    loop that ``_fibers`` replaced, O(n) per fiber."""
+    return tuple(tuple(int(u) for u in np.nonzero(diag == d)[0]) for d in np.unique(diag))
+
+
 def two_fiber_scheme():
     g = Digraph.from_arcs(6, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 5), (5, 2)])
     return wl_closure(digraph_color_matrix(g))

@@ -43,6 +43,7 @@ from asck.core import (
     _canonical,
     _certify,
     _check_intersection_numbers,
+    _fibers,
     _integer_matrix,
     _raise_count_mismatch,
     _shift_invariant,
@@ -63,12 +64,14 @@ from asck.errors import (
 )
 from asck.lattice import RANK_CAP, _closure_rows
 from oracles import (
+    chords_shape,
     circulant_shape,
     ladder_closures_64,
     ladder_matrix,
     old_canonical_recolor,
     old_canonical_scheme,
     old_check_intersection_numbers,
+    old_fibers,
     same_matrix,
     two_fiber_scheme,
 )
@@ -599,6 +602,24 @@ def test_integer_arguments(call, good, error):
             with pytest.raises(error):
                 call(bad)
         assert repr(call(good)) == want
+
+
+class TestFibers:
+    """The fibers from one stable argsort of the diagonal equal the old
+    per-color ``np.nonzero`` scans."""
+
+    def test_corpus_and_ladder_closures(self, corpus, relabeled_corpus):
+        schemes = ([m.scheme for m in corpus] + relabeled_corpus + list(ladder_closures_64())
+                   + [validate(m) for m in circulant_closures()]
+                   + [wl_closure(ladder_matrix(chords_shape, n, seed=n)) for n in (96, 128)])
+        for s in schemes:
+            assert s.fibers == old_fibers(s.matrix.diagonal())
+        assert max(len(s.fibers) for s in schemes) == 128
+
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    def test_random_diagonal_labelings(self, labels):
+        diag = np.array(labels, dtype=np.int64)
+        assert _fibers(diag) == old_fibers(diag)
 
 
 class TestSchemeAccessors:

@@ -27,14 +27,21 @@ from asck import (
     write_ccm,
     write_dg,
 )
-from asck.cli import EXIT_DISAGREE, EXIT_FALSE, EXIT_INPUT, EXIT_OK, build_parser, main
+from asck.cli import EXIT_DISAGREE, EXIT_FALSE, EXIT_INPUT, EXIT_OK, _joined, build_parser, main
 from asck import core
 from asck.constructions import digraph_color_matrix
-from asck.core import MAX_POINTS
+from asck.core import MAX_POINTS, _decimal_text, _digit_table
 from asck.corpus import abelian_tables
 from asck.errors import NonContiguousColors, SchemeError
+from asck import io as asck_io
 from asck.io import _content_lines
-from oracles import chords_shape, ladder_closures_64, old_read_ccm, same_matrix
+from oracles import (
+    chords_shape,
+    ladder_closures_64,
+    old_decimal_words,
+    old_read_ccm,
+    same_matrix,
+)
 
 
 def z4_text() -> str:
@@ -125,6 +132,44 @@ class TestCcmFormat:
         assert info.value.remap == {0: 0, 2: 1}
 
 
+INT64 = st.one_of(st.integers(0, 30), st.integers(-2 ** 63, 2 ** 63 - 1),
+                  st.sampled_from([-2 ** 63, 2 ** 63 - 1, 0, -1, 10 ** 18, 99, 100]))
+
+
+class TestDecimalText:
+    """The byte encoder against the ``str`` joins it replaced: the .ccm
+    body, the hash payload and both forms of the info lists."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_str_joins(self, data):
+        rows, cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        if data.draw(st.booleans()):  # a color matrix: entries in 0..size-1
+            values = st.integers(0, rows * cols - 1)
+        else:
+            values = INT64
+        arr = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)),
+                       dtype=np.int64).reshape(rows, cols)
+        words = old_decimal_words(arr).tolist()
+        body = "".join(" ".join(row) + "\n" for row in words)
+        assert _decimal_text(arr, " ", "\n") == body.encode("ascii")
+        if rows == cols:
+            assert ccm_text(arr) == f"ccm {rows} {int(arr.max()) + 1}\n{body}"
+        payload = f"{rows} {cols} " + " ".join(w for row in words for w in row)
+        fake = core.Scheme(arr, rows, cols, *[None] * 8)
+        assert fake.hash == hashlib.sha256(payload.encode("ascii")).hexdigest()
+        for vector in [*arr, arr.ravel()]:
+            for sep in ",", " ":
+                assert _joined(vector, sep) == sep.join(map(str, vector.tolist()))
+
+    def test_digit_table_across_widths(self):
+        for top in [*range(12), *range(98, 102), *range(998, 1002), 9999, 10000, 16383, 100000]:
+            table = _digit_table(top)
+            assert table.shape == (top + 1, len(str(top)) + 1)
+            assert [bytes(row).replace(b"\0", b"") for row in table] == [
+                str(v).encode() for v in range(top + 1)]
+
+
 def parse_outcome(read, text):
     """The matrix ``read`` makes of the text, or the type and message of
     what it raises.  Where the per-line oracle overflowed in numpy, the
@@ -146,22 +191,29 @@ CCM_TEXTS = [ccm_text(s.matrix) for s in (
     wreath(thin_scheme(cyclic_table(2)), thin_scheme(cyclic_table(3))))]
 ODD_TOKENS = ["1_0", "+3", "\u0663", "x", "1.0", "-0", "00", "+1", "\uff11", "1__0",
               str(2 ** 63 - 1), str(2 ** 63), str(-2 ** 63), str(-2 ** 63 - 1),
-              "99999999999999999999999"]
+              "99999999999999999999999", "9" * 18, "0" * 18 + "1"]
+SEPARATORS = ["\t", "  ", "\x1f", "\xa0", " "]
 
 
 def mutated(data, text: str, first: int = 1) -> str:
     """``text`` after up to four drawn edits of its lines from line
     ``first`` on: a token replaced by an odd one, a token dropped or
-    added, or a comment or blank line inserted."""
+    added, one space between tokens replaced by another separator, or a
+    comment or blank line inserted."""
     lines = text.splitlines()
     for _ in range(data.draw(st.integers(0, 4))):
-        kind = data.draw(st.sampled_from(["token", "token", "drop", "add", "comment", "blank"]))
+        kind = data.draw(st.sampled_from(
+            ["token", "token", "drop", "add", "separator", "comment", "blank"]))
         at = data.draw(st.integers(first, len(lines) - 1))
         fields = lines[at].split()
         if kind == "token" and fields:
             fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
                 st.sampled_from(ODD_TOKENS))
             lines[at] = " ".join(fields)
+        elif kind == "separator" and len(fields) > 1:
+            k = data.draw(st.integers(1, len(fields) - 1))
+            lines[at] = (" ".join(fields[:k]) + data.draw(st.sampled_from(SEPARATORS))
+                         + " ".join(fields[k:]))
         elif kind == "drop" and fields:
             del fields[data.draw(st.integers(0, len(fields) - 1))]
             lines[at] = " ".join(fields)
@@ -184,6 +236,32 @@ class TestOneCallParse:
     @pytest.mark.parametrize("text", CCM_TEXTS)
     def test_valid_texts_parse_alike(self, text):
         assert parse_outcome(read_ccm, text) == parse_outcome(old_read_ccm, text)
+
+    @pytest.mark.parametrize("text", CCM_TEXTS)
+    def test_row_field_counts_total_n_squared(self, text):
+        """Rows of n - 1 and n + 1 fields, n^2 fields in all, raise the
+        per-line parse's ParseError for the short row."""
+        lines = text.splitlines()
+        first, second = lines[1].split(), lines[2].split()
+        lines[1], lines[2] = " ".join(first[:-1]), " ".join([first[-1]] + second)
+        moved = "\n".join(lines) + "\n"
+        n = len(first)
+        outcome = parse_outcome(read_ccm, moved)
+        assert outcome == parse_outcome(old_read_ccm, moved)
+        assert outcome == (ParseError, f"<stream>:2: expected {n} fields, got {n - 1}")
+
+    @pytest.mark.parametrize("field,deferred", [
+        ("9" * 18, False), ("0" * 17 + "1", False), ("9" * 19, True), ("0" * 18 + "1", True),
+        (str(2 ** 63 - 1), True), (str(2 ** 63), True), ("3", False), ("\u0663", True)])
+    def test_digit_bound(self, field, deferred, monkeypatch):
+        """Fields of up to 18 ASCII digits are parsed at the byte level,
+        longer ones line by line; both give the per-line outcome."""
+        calls = []
+        fallback = asck_io._int64_rows
+        monkeypatch.setattr(asck_io, "_int64_rows", lambda *a: calls.append(a) or fallback(*a))
+        text = "ccm 4 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 " + field + "\n"
+        assert parse_outcome(read_ccm, text) == parse_outcome(old_read_ccm, text)
+        assert bool(calls) == deferred
 
 
 class TestDgFormat:
@@ -269,6 +347,34 @@ class TestCliBasics:
         out = capsys.readouterr().out
         assert out.startswith("closed sets: 3\n")
         assert "classes: 0 2 / 1 3" in out
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is an input error (exit 2) naming the file
+    and the line, in every command that reads a file."""
+
+    def test_every_file_reading_command(self, tmp_path, capsys):
+        ccm, dg, good = tmp_path / "bad.ccm", tmp_path / "bad.dg", tmp_path / "z4.ccm"
+        ccm.write_bytes(b"# comment\nccm 2 2\n0 \xff\n1 0\n")
+        dg.write_bytes(b"dg 2 1\r\n0 1\xc3\n")
+        good.write_text(z4_text())
+        bad_ccm = f"error: {ccm}:3: byte 0xff is not valid utf-8\n"
+        bad_dg = f"error: {dg}:2: byte 0xc3 is not valid utf-8\n"
+        runs = [(["validate", ccm], bad_ccm), (["info", ccm], bad_ccm),
+                (["info", ccm, "--machine"], bad_ccm), (["closed-sets", ccm], bad_ccm),
+                (["check-p", ccm, "-p", "2"], bad_ccm), (["theorem1", ccm, "-p", "2"], bad_ccm),
+                (["corollary2", ccm], bad_ccm), (["gen", "wreath", ccm, good], bad_ccm),
+                (["gen", "wreath", good, ccm], bad_ccm), (["gen", "wl-close", dg], bad_dg)]
+        for argv, err in runs:
+            assert main([str(a) for a in argv]) == EXIT_INPUT, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", err), argv
+
+    def test_text_stream(self):
+        raw = io.TextIOWrapper(io.BytesIO(b"ccm 2 2\n0 1\n\n1 \xe9\n"), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_ccm(raw)
+        assert (info.value.line, info.value.message) == (4, "byte 0xe9 is not valid utf-8")
 
 
 class TestParserReuse:

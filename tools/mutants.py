@@ -64,6 +64,8 @@ ROW_ZERO_PREMISE = ("tests/test_core.py::TestRowZeroWalk::"
                     "test_non_invariant_coloring_consistent_on_row_zero")
 ROW_ZERO_ORBITS = "tests/test_core.py::TestRowZeroWalk::test_recolored_orbits_match_full_walk"
 ROW_ZERO_ROUNDS = "tests/test_constructions.py::TestRowZeroRounds::test_directed_circulants"
+ONE_CALL_PARSE = "tests/test_io_cli.py::TestOneCallParse"
+PER_ROW_JOIN = "tests/test_io_cli.py::TestCcmFormat::test_text_matches_per_row_join"
 # one worklist step of lattice._close, and the stop check before it
 STOP_CHECK = "        if pending & stop:\n            return None\n"
 CLOSE_STEP = ("        bit = pending & -pending\n"
@@ -170,8 +172,21 @@ MUTANTS = (
            "    for (lineno, line), row in zip(lines, rows):\n"
            "        if not all(-2 ** 63 <= x < 2 ** 63 for x in row):\n"
            "            raise ParseError(name, lineno, f\"field out of range in: {line!r}\")\n",
-           "", ("tests/test_io_cli.py::TestOneCallParse::test_matches_per_line_parse",
+           "", (f"{ONE_CALL_PARSE}::test_matches_per_line_parse",
                 "tests/test_io_cli.py::TestCliBasics::test_out_of_range_entry_is_an_input_error")),
+    # the byte-level .ccm parse: its row check and its digit bound
+    Mutant("digit-rows-without-row-check", "io.py",
+           "if starts.size != n * n or not (kind[starts[::n] - 1] == 3).all():",
+           "if starts.size != n * n:",
+           (f"{ONE_CALL_PARSE}::test_row_field_counts_total_n_squared",)),
+    Mutant("digit-bound-nineteen", "io.py",
+           "_MAX_DIGITS = 18", "_MAX_DIGITS = 19",
+           (f"{ONE_CALL_PARSE}::test_digit_bound",)),
+    # the byte encoder behind .ccm text, Scheme.hash and the info lists
+    Mutant("digit-table-keeps-leading-zeros", "core.py",
+           "        if run > 1:\n            table[:run, j] = 0\n", "", (PER_ROW_JOIN,)),
+    Mutant("decimal-text-without-row-end", "core.py",
+           "    text[:, -1, -1] = ord(end)\n", "", (PER_ROW_JOIN,)),
     # the shift test, and the walk and rounds on row 0 that it admits
     Mutant("shift-test-always-true", "core.py",
            "    second = matrix[1 % matrix.shape[0]]  # row 0 itself when n = 1\n",
