@@ -28,10 +28,10 @@ from .constructions import (
     wl_closure,
     wreath,
 )
-from .core import Scheme, _decimal_text, validate
+from .core import Scheme, _certify, _decimal_text
 from .corpus import CorpusSpec, generate_corpus, run_corpus_checks
 from .errors import SchemeError
-from .io import ccm_text, read_ccm, read_dg
+from .io import read_ccm, read_dg, write_ccm
 from .lattice import all_equivalences
 
 EXIT_OK = 0
@@ -41,16 +41,10 @@ EXIT_DISAGREE = 3
 
 
 def _read_scheme(path: str) -> Scheme:
+    """The scheme of a .ccm file, certified with no second coercion:
+    ``read_ccm`` returns a new matrix with colors 0..r-1."""
     source: str | IO[str] = sys.stdin if path == "-" else path
-    return validate(read_ccm(source))
-
-
-def _write_text(text: str, dest: str) -> None:
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    return _certify(read_ccm(source))
 
 
 def _joined(values, sep: str) -> str:
@@ -156,21 +150,22 @@ def _cmd_corollary2(args: argparse.Namespace) -> int:
 def _cmd_gen_thin_cyclic(args: argparse.Namespace) -> int:
     if args.m < 1:
         raise SchemeError(f"order must be >= 1, got {args.m}")
-    _write_text(ccm_text(thin_scheme(cyclic_table(args.m)).matrix), args.output)
+    scheme = thin_scheme(cyclic_table(args.m))
+    write_ccm(scheme.matrix, sys.stdout if args.output == "-" else args.output)
     return EXIT_OK
 
 
 def _cmd_gen_wreath(args: argparse.Namespace) -> int:
     inner = _read_scheme(args.inner)
     outer = _read_scheme(args.outer)
-    _write_text(ccm_text(wreath(inner, outer).matrix), args.output)
+    write_ccm(wreath(inner, outer).matrix, sys.stdout if args.output == "-" else args.output)
     return EXIT_OK
 
 
 def _cmd_gen_wl_close(args: argparse.Namespace) -> int:
     source: str | IO[str] = sys.stdin if args.file == "-" else args.file
-    g = read_dg(source)
-    _write_text(ccm_text(wl_closure(digraph_color_matrix(g)).matrix), args.output)
+    closure = wl_closure(digraph_color_matrix(read_dg(source)))
+    write_ccm(closure.matrix, sys.stdout if args.output == "-" else args.output)
     return EXIT_OK
 
 

@@ -10,11 +10,14 @@ not the table is associative (see ``cayley_table``).
 
 Every construction ends in ``core.canonical_scheme``: the colors are
 renamed into canonical order (diagonal colors first, then by first cell)
-and the axioms are checked.  A validation failure here means a bug in
-the construction, so it is re-raised under a construction-specific
-error type.  ``canonical_scheme`` interns by content, so constructions
-whose matrices are equal return one shared Scheme, certified once, and
-the quotients and restrictions kept in its memo are shared as well.
+and the axioms are checked.  The quotient by a scheme equivalence, the
+restriction to a block and the wreath product of homogeneous schemes
+are again coherent (Zieschang, *Theory of Association Schemes*, 2005),
+so on certified input the check cannot fail; its errors, if any, are
+raised unchanged.  ``canonical_scheme`` interns by content, so
+constructions whose matrices are equal return one shared Scheme,
+certified once, and the quotients and restrictions kept in its memo are
+shared as well.
 """
 
 from __future__ import annotations
@@ -31,10 +34,7 @@ from .errors import (
     InvalidGroupTable,
     NotABlock,
     NotASchemeEquivalence,
-    QuotientValidationFailed,
-    RestrictionValidationFailed,
     SchemeError,
-    WreathValidationFailed,
 )
 from .lattice import Equivalence, closed_set_equivalence
 
@@ -135,6 +135,7 @@ def cyclic_table(m: int) -> CayleyTable:
 
 def direct_product(a: CayleyTable, b: CayleyTable) -> CayleyTable:
     """Direct product; element (g, h) gets id g * b.m + h."""
+    require_points(a.m * b.m, "direct product table")
     ga, ha = np.divmod(np.arange(a.m * b.m), b.m)
     prod = a.table[np.ix_(ga, ga)] * b.m + b.table[np.ix_(ha, ha)]
     return cayley_table(prod)
@@ -147,6 +148,7 @@ def dihedral_table(k: int) -> CayleyTable:
     (a + b mod 2, i - j mod k) when a = 1.
     """
     k = _group_order(k, "rotation order")
+    require_points(2 * k, "dihedral group table")
     a, i = np.divmod(np.arange(2 * k), k)
     rot = (i[:, None] + np.where(a == 0, 1, -1)[:, None] * i[None, :]) % k
     return cayley_table((a[:, None] + a[None, :]) % 2 * k + rot)
@@ -170,6 +172,7 @@ def rank_two_scheme(n: int) -> Scheme:
     m = _index(n)
     if m is None or m < 2:
         raise SchemeError(f"rank-2 scheme needs an integer n of at least 2, got {n!r}")
+    require_points(m, "rank-2 scheme")
     n = m
     return canonical_scheme(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
 
@@ -182,18 +185,11 @@ def quotient(scheme: Scheme, e: Equivalence) -> Scheme:
     the set of original colors occurring inside X x Y.
 
     Those sets are double cosets, so distinct colors induce identical or
-    disjoint class-pair relations (see ``_quotient_matrix``); a
-    validation failure of the result raises QuotientValidationFailed.
+    disjoint class-pair relations (see ``_quotient_matrix``), and the
+    quotient of a scheme by a scheme equivalence is a scheme.
     """
-    return scheme.derived(("quotient", e.classes), lambda: _quotient(scheme, e))
-
-
-def _quotient(scheme: Scheme, e: Equivalence) -> Scheme:
-    raw = _quotient_matrix(scheme, e)
-    try:
-        return canonical_scheme(raw)
-    except SchemeError as exc:
-        raise QuotientValidationFailed(str(exc)) from exc
+    return scheme.derived(("quotient", e.classes),
+                          lambda: canonical_scheme(_quotient_matrix(scheme, e)))
 
 
 def _quotient_matrix(scheme: Scheme, e: Equivalence) -> np.ndarray:
@@ -300,7 +296,7 @@ def restriction(scheme: Scheme, points: Sequence[int]) -> Scheme:
 def _restriction(scheme: Scheme, pts: list[int]) -> Scheme:
     if not is_block(scheme, pts):
         raise NotABlock(f"{pts} is not a class of any scheme equivalence")
-    return _induced(scheme.matrix[np.ix_(pts, pts)])
+    return canonical_scheme(scheme.matrix[np.ix_(pts, pts)])
 
 
 def _class_restriction(scheme: Scheme, cls: tuple[int, ...]) -> Scheme:
@@ -324,15 +320,7 @@ def _class_restriction(scheme: Scheme, cls: tuple[int, ...]) -> Scheme:
     entry that ``restriction`` fills, so both return one object.
     """
     return scheme.derived(("restriction", cls),
-                          lambda: _induced(scheme.matrix[np.ix_(cls, cls)]))
-
-
-def _induced(sub: np.ndarray) -> Scheme:
-    """The canonical scheme of a restricted sub-matrix."""
-    try:
-        return canonical_scheme(sub)
-    except SchemeError as exc:
-        raise RestrictionValidationFailed(str(exc)) from exc
+                          lambda: canonical_scheme(scheme.matrix[np.ix_(cls, cls)]))
 
 
 # -- wreath product -----------------------------------------------------------
@@ -352,10 +340,7 @@ def wreath(inner: Scheme, outer: Scheme) -> Scheme:
     # the (u2, u2) blocks: axes (u2, u1, v2, v1) of the row-major view
     diagonal = np.arange(n2)
     raw.reshape(n2, n1, n2, n1)[diagonal, :, diagonal, :] = inner.matrix
-    try:
-        return canonical_scheme(raw)
-    except SchemeError as exc:
-        raise WreathValidationFailed(str(exc)) from exc
+    return canonical_scheme(raw)
 
 
 # -- coherent closure ---------------------------------------------------------

@@ -21,6 +21,8 @@ does the same after renaming the colors into canonical order, and
 interns its result by content: equal inputs return one shared Scheme,
 certified once, whose ``derived`` memo every holder shares.
 ``validate`` never interns; each call certifies and returns a new Scheme.
+Fibers, lattice classes, weak components and cyclic partitions are all
+made by ``_groups``, which groups the points by a label vector.
 The decimal text of int64 arrays, for ``.ccm`` bodies, ``Scheme.hash``
 and the CLI's lists, comes from one byte encoder, ``_decimal_text``: a
 digit table per distinct value, gathered and written as ASCII bytes
@@ -49,8 +51,9 @@ from .errors import (
 
 T = TypeVar("T")
 
-# The most points of any n x n input: a .ccm header, a cyclic group's
-# order, a wreath product and a digraph for the closure.  Each entry
+# The most points of any n x n input: a .ccm header, a group table
+# (cyclic, dihedral or a direct product), a rank-2 scheme, a scheme from
+# cell lists, a wreath product and a digraph for the closure.  Each entry
 # checks it before making any n x n array, so oversized input fails with
 # SchemeError (exit 2 on the CLI) and never with an allocation failure.
 # At n = 1,024 a closure takes seconds and a few hundred MB; n x n int64
@@ -521,14 +524,14 @@ def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     return scheme
 
 
-def _fibers(diag: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The points of each color on the diagonal, ascending, for the
-    colors in ascending order: one stable argsort of the diagonal, cut
-    at the counts of its colors, in O(n log n) for any number of fibers."""
-    counts = np.bincount(diag)
-    points = np.argsort(diag, kind="stable").tolist()
-    bounds = np.cumsum(counts[counts > 0]).tolist()
-    return tuple(tuple(points[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
+def _groups(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The points 0..n-1 grouped by their labels, each group ascending
+    and the groups in ascending label order: one dict pass, then a sort
+    of the distinct labels."""
+    groups: dict[int, list[int]] = {}
+    for point, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(point)
+    return tuple(tuple(groups[label]) for label in sorted(groups))
 
 
 def _certify(arr: np.ndarray) -> Scheme:
@@ -548,7 +551,7 @@ def _certify(arr: np.ndarray) -> Scheme:
     _check_intersection_numbers(arr, r, cells, offsets)
 
     diag = arr.diagonal()
-    fibers = _fibers(diag)
+    fibers = _groups(diag)
 
     # with the axioms checked, each color's cells leave every point of its
     # source fiber equally often, so the degree is size / |source fiber|
@@ -565,6 +568,7 @@ def _certify(arr: np.ndarray) -> Scheme:
 
 def scheme_from_colors(n: int, cells_by_color: Iterable[Iterable[tuple[int, int]]]) -> Scheme:
     """Build and validate a scheme from explicit cell lists, one per color."""
+    require_points(n, "scheme from colors")
     arr = np.full((n, n), -1, dtype=np.int64)
     for color, cells in enumerate(cells_by_color):
         for u, v in cells:

@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Scheme, _index
+from .core import Scheme, _groups, _index
 from .errors import (
     DiagonalColor,
     HasLoops,
@@ -91,11 +91,10 @@ class CyclicPartition:
 
 
 def _relabeled(cells: np.ndarray) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """Cells with their points renumbered 0..k-1 over the sorted support."""
-    pairs = cells.tolist()
-    support = sorted({p for pair in pairs for p in pair})
-    index = {p: i for i, p in enumerate(support)}
-    return [(index[u], index[v]) for u, v in pairs], tuple(support)
+    """Cells with their points renumbered 0..k-1 over the sorted support,
+    by one ``np.unique`` of the cells' points."""
+    support, index = np.unique(cells, return_inverse=True)
+    return list(map(tuple, index.reshape(-1, 2).tolist())), tuple(support.tolist())
 
 
 def basis_digraph(scheme: Scheme, color: int) -> Digraph:
@@ -180,23 +179,15 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 
 def weakly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
-    """Components of the symmetrized digraph, sorted by least vertex."""
-    return _components(_forest_defects(g.n, *_arc_arrays(g))[0].tolist())
+    """Components of the symmetrized digraph, sorted by least vertex:
+    the vertices grouped by their forest root, the least vertex."""
+    return list(_groups(_forest_defects(g.n, *_arc_arrays(g))[0]))
 
 
 def _arc_arrays(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
     """The tails and heads of g's arcs as two int64 vectors."""
     arcs = np.array(list(g.arcs), dtype=np.int64).reshape(-1, 2)
     return arcs[:, 0], arcs[:, 1]
-
-
-def _components(comp: list[int]) -> list[tuple[int, ...]]:
-    """The vertex classes of ``comp``, which maps each vertex to the least
-    vertex of its class, as ascending tuples in order of least vertex."""
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(comp):
-        groups.setdefault(c, []).append(v)
-    return [tuple(members) for members in groups.values()]
 
 
 def _forest_defects(n: int, tails: np.ndarray,
@@ -363,11 +354,8 @@ def cyclically_p_partite(g: Digraph, p: int) -> CyclicPartition | None:
     start = np.where(width < p, lo[roots] % p, 0)
     turn = np.zeros(g.n, dtype=np.int64)
     turn[roots] = start[0] + np.cumsum(width) - width - start
-    residue = (label + turn[root]) % p
-    ends = np.cumsum(np.bincount(residue, minlength=p)).tolist()
-    members = np.argsort(residue, kind="stable").tolist()
-    classes = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
-    return CyclicPartition(p, classes) if all(classes) else None
+    classes = _groups((label + turn[root]) % p)
+    return CyclicPartition(p, classes) if len(classes) == p else None
 
 
 # -- bipartiteness -----------------------------------------------------------

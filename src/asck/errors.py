@@ -108,20 +108,8 @@ class NotASchemeEquivalence(SchemeError):
     """Point partition is not a union of the scheme's basis relations."""
 
 
-class QuotientValidationFailed(SchemeError):
-    """Quotient construction produced an invalid configuration (a bug)."""
-
-
 class NotABlock(SchemeError):
     """Point set is not a class of any scheme equivalence, nor a fiber."""
-
-
-class RestrictionValidationFailed(SchemeError):
-    """Restriction construction produced an invalid configuration (a bug)."""
-
-
-class WreathValidationFailed(SchemeError):
-    """Wreath construction produced an invalid configuration (a bug)."""
 
 
 class InvalidGroupTable(SchemeError):

@@ -51,6 +51,34 @@ def _content_lines(source: str | Path | IO[str]) -> tuple[str, list[tuple[int, s
     return name, lines
 
 
+def _header(source: str | Path | IO[str], tag: str, fields: str
+            ) -> tuple[str, int, int, int, list[tuple[int, str]]]:
+    """The header of a .ccm or .dg source: its name, the header's line
+    number, the header's two integers, then the content lines after it.
+    The header is ``tag`` and two integer fields, which ``fields`` names
+    in the message of a header of another shape."""
+    name, lines = _content_lines(source)
+    if not lines:
+        raise ParseError(name, 1, "empty input")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != tag:
+        raise ParseError(name, lineno, f"expected header '{tag} {fields}', got {header!r}")
+    try:
+        a, b = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError(name, lineno, "non-integer header fields") from None
+    return name, lineno, a, b, lines[1:]
+
+
+def _write(text: str, dest: str | Path | IO[str]) -> None:
+    """Write text to a stream, or to the file at a path as UTF-8."""
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        Path(dest).write_text(text, encoding="utf-8")
+
+
 def _ints(name: str, lineno: int, line: str, expect: int) -> list[int]:
     parts = line.split()
     if len(parts) != expect:
@@ -138,30 +166,19 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
     a time as ``int`` reads them, which raises ParseError naming the
     first bad line.
     """
-    name, lines = _content_lines(source)
-    if not lines:
-        raise ParseError(name, 1, "empty input")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "ccm":
-        raise ParseError(name, lineno, f"expected header 'ccm <n> <r>', got {header!r}")
-    try:
-        n, r = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(name, lineno, "non-integer header fields") from None
+    name, lineno, n, r, rows = _header(source, "ccm", "<n> <r>")
     if n < 1 or r < 1:
         raise ParseError(name, lineno, f"n and r must be positive, got n={n} r={r}")
     require_points(n, f"{name}:{lineno}: header")
-    if len(lines) - 1 != n:
-        raise ParseError(name, lineno,
-                         f"expected {n} matrix rows, found {len(lines) - 1}")
-    values = _digit_rows(lines[1:], n)
+    if len(rows) != n:
+        raise ParseError(name, lineno, f"expected {n} matrix rows, found {len(rows)}")
+    values = _digit_rows(rows, n)
     if values is None:
-        values = _int64_rows(name, lines[1:], n)
+        values = _int64_rows(name, rows, n)
     matrix = as_color_matrix(values)
     actual_r = int(matrix.max()) + 1
     if actual_r != r:
-        raise ParseError(name, lines[0][0],
+        raise ParseError(name, lineno,
                          f"header says r={r} but the matrix has {actual_r} colors")
     return matrix
 
@@ -181,32 +198,18 @@ def ccm_text(matrix: np.ndarray) -> str:
 
 
 def write_ccm(matrix: np.ndarray, dest: str | Path | IO[str]) -> None:
-    text = ccm_text(matrix)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    _write(ccm_text(matrix), dest)
 
 
 def read_dg(source: str | Path | IO[str]) -> Digraph:
     """Parse a .dg file; duplicate arcs are rejected, loops are fine."""
-    name, lines = _content_lines(source)
-    if not lines:
-        raise ParseError(name, 1, "empty input")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "dg":
-        raise ParseError(name, lineno, f"expected header 'dg <n> <m>', got {header!r}")
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(name, lineno, "non-integer header fields") from None
+    name, lineno, n, m, lines = _header(source, "dg", "<n> <m>")
     if n < 0 or m < 0:
         raise ParseError(name, lineno, "n and m must be non-negative")
-    if len(lines) - 1 != m:
-        raise ParseError(name, lineno, f"expected {m} arcs, found {len(lines) - 1}")
+    if len(lines) != m:
+        raise ParseError(name, lineno, f"expected {m} arcs, found {len(lines)}")
     arcs: set[tuple[int, int]] = set()
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         u, v = _ints(name, lineno, line, 2)
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(name, lineno, f"arc ({u},{v}) out of range for n={n}")
@@ -223,8 +226,4 @@ def dg_text(g: Digraph) -> str:
 
 
 def write_dg(g: Digraph, dest: str | Path | IO[str]) -> None:
-    text = dg_text(g)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    _write(dg_text(g), dest)

@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Scheme
+from .core import Scheme, _groups
 from .errors import NotASchemeEquivalence, RankTooLarge, TooFewPoints
 
 # Full lattice enumeration is refused above this rank.
@@ -177,19 +177,16 @@ def _labeled_classes(scheme: Scheme, colors: list[int]
     points grouped by label.
 
     Membership is one gather from an r-entry table, and each point is
-    labeled by the least point of its row, by one ``argmax``.  Points
-    are grouped in ascending order, so when the union is an equivalence
-    every class is ascending and the classes come in the order of their
-    least points, which are their labels.
+    labeled by the least point of its row, by one ``argmax``, and
+    ``core._groups`` groups the points by label, so when the union is an
+    equivalence every class is ascending and the classes come in the
+    order of their least points, which are their labels.
     """
     lut = np.zeros(scheme.r, dtype=bool)
     lut[colors] = True
     member = lut[scheme.matrix]
     labels = member.argmax(axis=1)
-    groups: dict[int, list[int]] = {}
-    for p, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(p)
-    return member, labels, tuple(map(tuple, groups.values()))
+    return member, labels, _groups(labels)
 
 
 def equivalence_from_colors(scheme: Scheme, colors: Iterable[int]) -> Equivalence:

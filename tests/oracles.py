@@ -40,7 +40,6 @@ from asck.errors import (
     NotASchemeEquivalence,
     NotStronglyConnected,
     NotSymmetric,
-    QuotientValidationFailed,
     SchemeError,
 )
 from asck.io import ParseError, _content_lines, _ints
@@ -77,6 +76,25 @@ def old_fibers(diag):
     """One ``np.nonzero`` scan of the diagonal per diagonal color: the
     loop that ``_fibers`` replaced, O(n) per fiber."""
     return tuple(tuple(int(u) for u in np.nonzero(diag == d)[0]) for d in np.unique(diag))
+
+
+def old_labeled_groups(labels):
+    """The dict loop that ``lattice._labeled_classes`` ran before
+    ``core._groups``: points grouped by label in first-seen order."""
+    groups = {}
+    for p, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(p)
+    return tuple(map(tuple, groups.values()))
+
+
+def old_components(comp):
+    """The dict loop that was ``digraph._components`` before
+    ``core._groups``: vertices grouped by the least vertex of their class,
+    in first-seen order."""
+    groups = {}
+    for v, c in enumerate(comp):
+        groups.setdefault(c, []).append(v)
+    return [tuple(members) for members in groups.values()]
 
 
 def two_fiber_scheme():
@@ -288,6 +306,15 @@ def old_thin_radical(scheme):
 
 
 # -- digraph -----------------------------------------------------------------
+
+
+def old_relabeled(cells):
+    """The set and dict renumbering that ``digraph._relabeled`` ran before
+    its one ``np.unique``: cells over the sorted support, and the support."""
+    pairs = cells.tolist()
+    support = sorted({p for pair in pairs for p in pair})
+    index = {p: i for i, p in enumerate(support)}
+    return [(index[u], index[v]) for u, v in pairs], tuple(support)
 
 
 def check_cyclic_partition(partition, g):
@@ -617,7 +644,7 @@ def old_quotient_matrix(scheme, e):
             for c in block:
                 prev = seen_in.setdefault(c, block)
                 if prev != block:
-                    raise QuotientValidationFailed(
+                    raise SchemeError(
                         f"color {c} occurs in distinct class-pair color sets "
                         f"{sorted(prev)} and {sorted(block)}")
     return raw

@@ -457,12 +457,12 @@ class TestPrimeIndependentWork:
             return run
 
         block_builds = Counter()
-        real_induced = constructions._induced
+        real_canonical_scheme = constructions.canonical_scheme
 
-        def counting_induced(sub):
+        def counting_canonical_scheme(sub):
             if inside and inside[-1][0] == "check_block_criterion":
                 block_builds[id(inside[-1][1])] += 1
-            return real_induced(sub)
+            return real_canonical_scheme(sub)
 
         builds = Counter()
         real_build = checks._size_factorization
@@ -473,7 +473,7 @@ class TestPrimeIndependentWork:
 
         monkeypatch.setattr(constructions, "is_block", counting_is_block)
         monkeypatch.setattr(checks, "_size_factorization", counting_build)
-        monkeypatch.setattr(constructions, "_induced", counting_induced)
+        monkeypatch.setattr(constructions, "canonical_scheme", counting_canonical_scheme)
         for name in ("check_block_criterion", "check_quotient_factorization"):
             monkeypatch.setattr(corpus_module, name,
                                 marking(name, getattr(corpus_module, name)))

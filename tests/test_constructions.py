@@ -42,11 +42,11 @@ from asck.corpus import (
     random_circulant_digraph,
 )
 from asck.errors import (
+    InconsistentIntersectionNumbers,
     InvalidGroupTable,
     NotABlock,
     NotASchemeEquivalence,
     NotHomogeneous,
-    QuotientValidationFailed,
     SchemeError,
 )
 from asck.lattice import RANK_CAP, Equivalence
@@ -364,7 +364,7 @@ def labeled_quotient_matrix(scheme, e):
         for c in block:
             prev = seen_in.setdefault(c, block)
             if prev != block:
-                raise QuotientValidationFailed(
+                raise SchemeError(
                     f"color {c} occurs in distinct class-pair color sets "
                     f"{sorted(prev)} and {sorted(block)}")
     return np.array(raw, dtype=np.int64).reshape(k, k)
@@ -471,11 +471,11 @@ class TestQuotientMatrixOracle:
                 m[2 * y:2 * y + 2, 2 * x:2 * x + 2] = block.T
         s = uncertified(m)
         e = Equivalence(s, ((0, 1), (2, 3), (4, 5)), frozenset({0, 1}))
-        want = (QuotientValidationFailed,
+        want = (SchemeError,
                 "color 2 occurs in distinct class-pair color sets [2, 3] and [2, 4]")
         assert quotient_matrix_outcome(old_quotient_matrix, s, e) == want
         assert quotient_matrix_outcome(labeled_quotient_matrix, s, e) == want
-        with pytest.raises(QuotientValidationFailed,
+        with pytest.raises(InconsistentIntersectionNumbers,
                            match=r"^color 1: cells \(0, 1\) and \(1, 0\) see 1 vs 0 "):
             quotient(s, e)
 

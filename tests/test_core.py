@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from asck import (
@@ -43,7 +43,7 @@ from asck.core import (
     _canonical,
     _certify,
     _check_intersection_numbers,
-    _fibers,
+    _groups,
     _integer_matrix,
     _raise_count_mismatch,
     _shift_invariant,
@@ -71,7 +71,9 @@ from oracles import (
     old_canonical_recolor,
     old_canonical_scheme,
     old_check_intersection_numbers,
+    old_components,
     old_fibers,
+    old_labeled_groups,
     same_matrix,
     two_fiber_scheme,
 )
@@ -604,9 +606,10 @@ def test_integer_arguments(call, good, error):
         assert repr(call(good)) == want
 
 
-class TestFibers:
-    """The fibers from one stable argsort of the diagonal equal the old
-    per-color ``np.nonzero`` scans."""
+class TestGroups:
+    """``_groups`` gives the fibers of the old per-color ``np.nonzero``
+    scans, and the classes of the two dict loops it replaced in the
+    lattice and the weak components, on least-point labelings."""
 
     def test_corpus_and_ladder_closures(self, corpus, relabeled_corpus):
         schemes = ([m.scheme for m in corpus] + relabeled_corpus + list(ladder_closures_64())
@@ -617,9 +620,19 @@ class TestFibers:
         assert max(len(s.fibers) for s in schemes) == 128
 
     @given(st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    @example([2, 0, 2, 1])
     def test_random_diagonal_labelings(self, labels):
         diag = np.array(labels, dtype=np.int64)
-        assert _fibers(diag) == old_fibers(diag)
+        assert _groups(diag) == old_fibers(diag)
+
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    def test_least_point_labelings(self, blocks):
+        """Point p lies in block blocks[p] and is labeled by the least
+        point of its block, as lattice classes and forest roots are."""
+        least = {}
+        labels = np.array([least.setdefault(b, p) for p, b in enumerate(blocks)])
+        assert _groups(labels) == old_labeled_groups(labels)
+        assert list(_groups(labels)) == old_components(labels.tolist())
 
 
 class TestSchemeAccessors:

@@ -49,6 +49,7 @@ from oracles import (
     old_is_bipartite,
     old_period,
     old_potentials,
+    old_relabeled,
     old_weakly_connected_components,
     random_strongly_connected_digraph,
 )
@@ -187,6 +188,19 @@ class TestBasisGraphsMatchScan:
                 if not s.is_diagonal_color(c):
                     assert basis_graph(s, c) == scanned_basis_graph(s, c, True)
 
+    def test_every_corpus_color_against_set_renumbering(self, corpus):
+        """One ``np.unique`` renumbers the support as the set and dict
+        version did: the same arc list, in order, and the same labels."""
+        for member in corpus:
+            s = member.scheme
+            for c in range(s.r):
+                arcs, support = old_relabeled(s.cell_array(c))
+                assert digraph._relabeled(s.cell_array(c)) == (arcs, support)
+                assert basis_digraph(s, c) == Digraph(len(support), frozenset(arcs), support)
+                if not s.is_diagonal_color(c):
+                    both = frozenset(arcs + [(b, a) for a, b in arcs])
+                    assert basis_graph(s, c) == Digraph(len(support), both, support)
+
 
 class TestComponents:
     def test_cycle_is_one_component(self):
@@ -277,9 +291,17 @@ class TestCyclicPartition:
     def test_needs_enough_vertices(self):
         assert cyclically_p_partite(cycle(2), 3) is None
 
-    @pytest.mark.parametrize("p", [4, 10 ** 7, 10 ** 18])
+    def test_residues_short_of_p_classes(self):
+        """p <= n and every defect is 0 mod p, but the star's labels span
+        only 2 residues, so no third class can be filled."""
+        star = Digraph.from_arcs(4, [(0, 1), (0, 2), (0, 3)])
+        assert cyclically_p_partite(star, 3) is None
+        assert cyclically_p_partite(star, 2).classes == ((0,), (1, 2, 3))
+
+    @pytest.mark.parametrize("p", [4, 10 ** 7, 10 ** 18, 2 ** 64])
     def test_more_classes_than_vertices_allocate_nothing(self, p):
-        """p > n is answered before any labeling: no per-class array."""
+        """p > n is answered before any labeling: no per-class array, and
+        no p beyond int64 meets the int64 arc defects."""
         g = path(3)
         tracemalloc.start()
         try:

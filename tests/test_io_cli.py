@@ -17,9 +17,11 @@ from asck import (
     cyclic_table,
     dg_text,
     dihedral_table,
+    direct_product,
     rank_two_scheme,
     read_ccm,
     read_dg,
+    scheme_from_colors,
     thin_scheme,
     validate,
     wl_closure,
@@ -118,6 +120,17 @@ class TestCcmFormat:
     def test_rejects_malformed_input(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             read_ccm(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "\n\ndg 2 2\n0 1\n1 0\n", "ccm 2\n", "ccm 2 2 2\n",
+        "ccm two 2\n0 1\n1 0\n", "ccm 2 2.0\n", "ccm 0 1\n"])
+    def test_header_messages_match_per_line_parse(self, text):
+        """The shared header reader keeps every message of the old parse."""
+        with pytest.raises(ParseError) as got:
+            read_ccm(io.StringIO(text))
+        with pytest.raises(ParseError) as want:
+            old_read_ccm(io.StringIO(text))
+        assert str(got.value) == str(want.value)
 
     def test_error_carries_source_and_line(self):
         path_text = "ccm 2 2\n0 1\n1 oops\n"
@@ -292,6 +305,17 @@ class TestDgFormat:
         with pytest.raises(ParseError, match=fragment):
             read_dg(io.StringIO(text))
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "<stream>:1: empty input"),
+        ("\n# arcs\nccm 2 1\n", "<stream>:3: expected header 'dg <n> <m>', got 'ccm 2 1'"),
+        ("dg 2\n", "<stream>:1: expected header 'dg <n> <m>', got 'dg 2'"),
+        ("dg 2 one\n0 1\n", "<stream>:1: non-integer header fields"),
+    ])
+    def test_header_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            read_dg(io.StringIO(text))
+        assert str(info.value) == message
+
 
 class TestCliBasics:
     def test_validate_good_file(self, tmp_path, capsys):
@@ -313,6 +337,24 @@ class TestCliBasics:
         assert main(["validate", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"error: {path}:3: field out of range in: '1 {entry}'\n")
+
+    def test_info_coerces_the_matrix_once(self, tmp_path, capsys, monkeypatch):
+        """``read_ccm`` already returns colors 0..r-1, so reading a scheme
+        runs ``as_color_matrix`` once, with no second pass in ``validate``."""
+        path = tmp_path / "z4.ccm"
+        path.write_text(z4_text())
+        calls = []
+        real = core.as_color_matrix
+
+        def counting(matrix):
+            calls.append(1)
+            return real(matrix)
+
+        monkeypatch.setattr(core, "as_color_matrix", counting)
+        monkeypatch.setattr(asck_io, "as_color_matrix", counting)
+        assert main(["info", str(path), "--machine"]) == EXIT_OK
+        assert "n=4" in capsys.readouterr().out.splitlines()
+        assert len(calls) == 1
 
     def test_missing_file(self, capsys):
         assert main(["validate", "no-such-file.ccm"]) == EXIT_INPUT
@@ -509,15 +551,23 @@ class TestPointBound:
     """Every n x n input stops at MAX_POINTS before any n x n array."""
 
     @pytest.mark.parametrize("entry", ["read_ccm", "cyclic_table", "wreath",
-                                       "digraph_color_matrix"])
+                                       "digraph_color_matrix", "rank_two_scheme",
+                                       "scheme_from_colors", "dihedral_table",
+                                       "direct_product"])
     def test_bound_plus_one(self, entry):
-        n = MAX_POINTS + 1
+        m = MAX_POINTS + 1
         inner, outer = rank_two_scheme(25), rank_two_scheme(41)  # 25 * 41 = 1025
-        call = {
-            "read_ccm": lambda: read_ccm(io.StringIO(f"ccm {n} 2\n")),
-            "cyclic_table": lambda: cyclic_table(n),
-            "wreath": lambda: wreath(inner, outer),
-            "digraph_color_matrix": lambda: digraph_color_matrix(Digraph(n, frozenset())),
+        left, right = cyclic_table(25), cyclic_table(41)
+        n, call = {
+            "read_ccm": (m, lambda: read_ccm(io.StringIO(f"ccm {m} 2\n"))),
+            "cyclic_table": (m, lambda: cyclic_table(m)),
+            "wreath": (m, lambda: wreath(inner, outer)),
+            "digraph_color_matrix": (m, lambda: digraph_color_matrix(Digraph(m, frozenset()))),
+            "rank_two_scheme": (m, lambda: rank_two_scheme(m)),
+            "scheme_from_colors": (m, lambda: scheme_from_colors(m, [])),
+            "direct_product": (m, lambda: direct_product(left, right)),
+            # a dihedral group has an even order: 2 * 513 points
+            "dihedral_table": (m + 1, lambda: dihedral_table((m + 1) // 2)),
         }[entry]
         tracemalloc.start()
         try:

@@ -123,9 +123,12 @@ MUTANTS = (
     Mutant("partite-no-size-guard", "digraph.py",
            "    if p > g.n:\n        return None\n", "",
            (f"{DIGRAPH}::TestCyclicPartition::"
-            "test_more_classes_than_vertices_allocate_nothing[10000000]",)),
+            "test_more_classes_than_vertices_allocate_nothing[18446744073709551616]",)),
     Mutant("partite-no-defect-test", "digraph.py",
            "    if (defect % p).any():\n        return None\n", "", (TRAVERSALS,)),
+    Mutant("partite-accepts-fewer-classes", "digraph.py",
+           "if len(classes) == p else None", "if len(classes) <= p else None",
+           (f"{DIGRAPH}::TestCyclicPartition::test_residues_short_of_p_classes",)),
     Mutant("bipartite-mod-four", "digraph.py",
            "(defect % 2).any()", "(defect % 4).any()", (TRAVERSALS,)),
     # primality and the bounds on p and on n
@@ -210,6 +213,16 @@ MUTANTS = (
            "    q = _index(p)\n    return q is not None and _is_prime(q)\n",
            "    return _is_prime(p)\n",
            ("tests/test_core.py::test_integer_arguments[is_prime]",)),
+    # the one point grouping behind fibers, classes, components and partitions
+    Mutant("groups-first-seen-order", "core.py",
+           "    return tuple(tuple(groups[label]) for label in sorted(groups))\n",
+           "    return tuple(map(tuple, groups.values()))\n",
+           ("tests/test_core.py::TestGroups::test_random_diagonal_labelings",)),
+    # the one .ccm/.dg header reader
+    Mutant("header-without-tag-check", "io.py",
+           "if len(parts) != 3 or parts[0] != tag:", "if len(parts) != 3:",
+           ("tests/test_io_cli.py::TestDgFormat::test_header_messages",
+            "tests/test_io_cli.py::TestCcmFormat::test_header_messages_match_per_line_parse")),
     # the lattice: least-point labels, the Close-by-One search and its stop
     Mutant("labels-by-argmin", "lattice.py",
            "labels = member.argmax(axis=1)", "labels = member.argmin(axis=1)",
