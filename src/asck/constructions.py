@@ -399,6 +399,15 @@ def _hashed_fixpoint(cur: np.ndarray, seed: int, width: int) -> np.ndarray:
     x[row] @ y[row[shift]] with shift[u, v] = (v - u) % n gives them,
     and the matrix returned, row[shift], equals the full rounds' to the
     ids.
+
+    No round starts once the ids on the rows walked are discrete, r ==
+    top.size: r = n^2 over all rows, r = n over row 0.  Such a round
+    could split no color: over all rows each color is one cell, and on
+    row 0 each color of the invariant partition has exactly one cell
+    there, while every color of the next partition, invariant too, has a
+    cell in row 0.  The round it skips would also return the same array:
+    with ``top`` a permutation of 0..r-1, the keys top * k + rank sort
+    in the order of ``top``, so the new ids are ``top`` itself.
     """
     rng = np.random.default_rng(seed)
     n = cur.shape[0]
@@ -410,6 +419,8 @@ def _hashed_fixpoint(cur: np.ndarray, seed: int, width: int) -> np.ndarray:
     while True:
         full = top if shift is None else top[0][shift]
         r = int(top.max()) + 1
+        if r == top.size:  # discrete: no round can split a color
+            break
         x, y = _hash_weights(rng, r, width)
         # einsum runs numpy's own loop: a threaded BLAS product was seen to
         # wait ~20 ms per call for its worker threads on a 2-vCPU machine.
@@ -418,8 +429,9 @@ def _hashed_fixpoint(cur: np.ndarray, seed: int, width: int) -> np.ndarray:
         k = int(rank.max()) + 1
         _, inverse = np.unique(top * k + rank.reshape(top.shape), return_inverse=True)
         if int(inverse.max()) + 1 == r:
-            return full
+            break
         top = inverse.reshape(top.shape)
+    return full
 
 
 def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
@@ -433,7 +445,9 @@ def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     the product x[cur] @ y[cur].  Weights lie in [1, 2**width) with
     width = (53 - n.bit_length()) // 2, so n * 2**(2 * width) < 2**53
     and every float64 sum is an exact integer (width is 20 at n = 4096).
-    The rounds stop when one splits no color.  When the label shift
+    The rounds stop when one splits no color, or before a round when
+    every cell has its own color: a discrete partition is a fixpoint,
+    and the round it skips would return the same ids.  When the label shift
     u -> u + 1 (mod n) is an automorphism of the input, as for a
     circulant digraph, every round is too, and one vector-matrix product
     over row 0 gives it (see ``_hashed_fixpoint``).

@@ -16,10 +16,13 @@ int32 up to rank 46,340.  When the label shift u -> u + 1 (mod n) is an
 automorphism of the coloring, as for a thin scheme of Z_n or the closure
 of a circulant digraph, the walk covers the cells of row 0 only, at most
 n: every cell is the image of a row-0 cell of its color, so the verdict
-and the witness are those of the full walk.  ``canonical_scheme``
-does the same after renaming the colors into canonical order, and
-interns its result by content: equal inputs return one shared Scheme,
-certified once, whose ``derived`` memo every holder shares.
+and the witness are those of the full walk.  The closure rounds
+(``constructions._hashed_fixpoint``) and the checks' digraph side
+(``digraph.basis_periods``) read row 0 of such a coloring as well.
+``canonical_scheme`` does the same walk after renaming the colors into
+canonical order, and interns its result by content: equal inputs return
+one shared Scheme, certified once, whose ``derived`` memo every holder
+shares.
 ``validate`` never interns; each call certifies and returns a new Scheme.
 Fibers, lattice classes, weak components and cyclic partitions are all
 made by ``_groups``, which groups the points by a label vector.
@@ -567,11 +570,27 @@ def _certify(arr: np.ndarray) -> Scheme:
 
 
 def scheme_from_colors(n: int, cells_by_color: Iterable[Iterable[tuple[int, int]]]) -> Scheme:
-    """Build and validate a scheme from explicit cell lists, one per color."""
-    require_points(n, "scheme from colors")
+    """Build and validate a scheme from explicit cell lists, one per color.
+
+    SchemeError names n when it is not a positive integer or exceeds
+    MAX_POINTS, and names the cell when a coordinate is not an integer in
+    0..n-1, when a cell is listed twice or when no color lists it.
+    """
+    m = _index(n)
+    if m is None or m < 1:
+        raise SchemeError(f"scheme from colors needs a positive integer n, got {n!r}")
+    require_points(m, "scheme from colors")
+    n = m
     arr = np.full((n, n), -1, dtype=np.int64)
     for color, cells in enumerate(cells_by_color):
-        for u, v in cells:
+        for cell in cells:
+            u, v = (_index(x) for x in cell)
+            if u is None or v is None or not (0 <= u < n and 0 <= v < n):
+                raise SchemeError(
+                    f"cell {tuple(cell)} of color {color} is not a pair of integers in 0..{n - 1}")
+            if arr[u, v] >= 0:
+                raise SchemeError(
+                    f"cell ({u},{v}) is listed twice, under colors {arr[u, v]} and {color}")
             arr[u, v] = color
     if (arr < 0).any():
         u, v = map(int, np.argwhere(arr < 0)[0])

@@ -11,6 +11,11 @@ labelings of a component differ by multiples of d.  Every reader uses
 only what no forest changes: the weak components, the period d,
 ``basis_periods`` (the checks' digraph side), bipartitions (label
 parities, d even) and cyclic p-partitions (labels mod p, p | d).
+When the label shift u -> u + 1 (mod n) is an automorphism of a scheme,
+``basis_periods`` builds no forest: each basis digraph is a Cayley
+digraph Cay(Z_n, S) of the color's row-0 points S, whose closed
+semicycles of net length t exist exactly when g | t s, for s = min S
+and g = gcd(n, {w - s : w in S}), so d = g / gcd(g, s).
 Tarjan's algorithm answers strong connectivity.  All functions are pure
 and deterministic: components come out sorted by least vertex, and
 cyclic partitions lay the components' residue intervals end to end in
@@ -25,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Scheme, _groups, _index
+from .core import Scheme, _groups, _index, _shift_invariant
 from .errors import (
     DiagonalColor,
     HasLoops,
@@ -272,8 +277,19 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
     fiber X to one fiber Y, leaving every point of X and entering every
     point of Y, so its block of vertices is X, then Y when Y != X, each
     in point order; the blocks follow each other in color order.
+
+    When the label shift u -> u + 1 (mod n) is an automorphism
+    (``core._shift_invariant``), no forest is built: color c's basis
+    digraph is the Cayley digraph Cay(Z_n, S_c), with S_c the points w
+    of row 0 with color c, and its period is g / gcd(g, s) for the least
+    element s of S_c and g = gcd(n, {w - s : w in S_c}), one
+    ``np.gcd.at`` over row 0 for all colors (see ``_cayley_periods``).
     """
     def build() -> np.ndarray:
+        if _shift_invariant(scheme.matrix):
+            periods = _cayley_periods(scheme)
+            periods.setflags(write=False)
+            return periods
         n, sizes = scheme.n, scheme.sizes
         u, v = scheme.first_cells.T
         periods = (u == v).astype(np.int64)
@@ -296,6 +312,28 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
         return periods
 
     return scheme.derived("basis-periods", build)
+
+
+def _cayley_periods(scheme: Scheme) -> np.ndarray:
+    """``basis_periods`` of a shift-invariant scheme, from row 0 alone.
+
+    Color c's arcs are the pairs (u, u + w) for w in S_c = {w : color(0,
+    w) = c}.  Let s be the least element of S_c, ``first_cells[c, 1]``
+    (every color has a cell in row 0, so its first cell is there), and
+    g = gcd(n, {w - s : w in S_c}).  A closed semicycle steps e_i = +-1
+    along w_i and has net length t = sum e_i; it closes when sum e_i w_i
+    = t s + sum e_i (w_i - s) is 0 mod n, which needs g | t s.  Every
+    such t occurs: a step forward along w and one backward along s move
+    by w - s at net length 0, so t steps along s, then such pairs, reach
+    t s plus any multiple of g, and so 0 mod n.  The net lengths are
+    therefore the multiples of d = g / gcd(g, s), the period.  The diagonal color has s = 0 and
+    g = n, so d = 1; an off-diagonal color has s > 0 and d >= 1, as
+    following s alone closes a cycle.
+    """
+    row, s = scheme.matrix[0], scheme.first_cells[:, 1]
+    g = np.full(scheme.r, scheme.n, dtype=np.int64)
+    np.gcd.at(g, row, np.arange(scheme.n) - s[row])
+    return g // np.gcd(g, s)
 
 
 # -- period and cyclic partitions -------------------------------------------

@@ -897,6 +897,77 @@ class TestRowZeroRounds:
             assert invariant == 1 and closure is thin
 
 
+def discrete_stop_rounds(matrix):
+    """``wl_closure(matrix)`` with every ``_hashed_fixpoint`` call checked
+    against the all-rows rounds that run until one splits nothing, ids
+    and dtype included.  Per call: the cells of the rows walked (n on
+    row 0, n^2 over all rows), the color count r of each round started,
+    the oracle's round count and whether the result is discrete there."""
+    real_fixpoint, real_weights = constructions._hashed_fixpoint, constructions._hash_weights
+    sink = [[]]
+    calls = []
+
+    def weights(rng, r, width):
+        sink[0].append(r)
+        return real_weights(rng, r, width)
+
+    def checked(cur, seed, width):
+        walked = cur.shape[0] if _shift_invariant(cur) else cur.size
+        rounds = sink[0] = []
+        got = real_fixpoint(cur, seed, width)
+        oracle = sink[0] = []
+        want = old_full_rows_fixpoint(cur, seed, width)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        discrete = np.unique(got[:1] if walked == cur.shape[0] else got).size == walked
+        calls.append((walked, rounds, len(oracle), discrete))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_hash_weights", weights)
+        mp.setattr(constructions, "_hashed_fixpoint", checked)
+        wl_closure(matrix)
+    return calls
+
+
+class TestDiscreteStop:
+    """No round starts once the ids on the rows walked are discrete; the
+    round that would confirm them returns the same array."""
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 64])
+    def test_chords_ladder_closures(self, n):
+        for seed in (n, 1, 2):
+            [(walked, rounds, oracle_rounds, discrete)] = discrete_stop_rounds(
+                ladder_matrix(chords_shape, n, seed))
+            assert walked == n * n and discrete
+            assert rounds and max(rounds) < walked
+            assert oracle_rounds == len(rounds) + 1
+
+    def test_thin_cyclic_returns_at_once(self):
+        for m in (2, 3, 8, 17, 64):
+            thin = thin_scheme(cyclic_table(m))
+            assert discrete_stop_rounds(thin.matrix) == [(m, [], 1, True)]
+
+    def test_one_color_short_of_discrete_still_rounds(self):
+        """Jumps 1, 2, 3 on Z_5: row 0 starts with colors d, (1), (2, 3),
+        (4), one short of discrete, and {2, 3} is no Schur ring class, as
+        1 + 1 = 2 alone; the round splits it into the thin scheme."""
+        g = Digraph.from_arcs(5, [(u, (u + j) % 5) for u in range(5) for j in (1, 2, 3)])
+        [(walked, rounds, oracle_rounds, discrete)] = discrete_stop_rounds(
+            digraph_color_matrix(g))
+        assert walked == 5 and rounds == [4] and oracle_rounds == 2 and discrete
+
+    def test_discrete_input_returns_at_once(self):
+        matrix = np.arange(36).reshape(6, 6)
+        assert discrete_stop_rounds(matrix) == [(36, [], 1, True)]
+
+    def test_circulant_ladder_closures_unchanged(self):
+        """Their fixpoints are not discrete, so every round still runs."""
+        for n in (16, 64):
+            [(walked, rounds, oracle_rounds, discrete)] = discrete_stop_rounds(
+                ladder_matrix(circulant_shape, n, seed=n))
+            assert walked == n and not discrete and oracle_rounds == len(rounds)
+
+
 class TestClosureRetry:
     def test_degenerate_first_attempt_retries_to_exact_closure(self, monkeypatch):
         real = constructions._hash_weights

@@ -978,6 +978,23 @@ class TestSchemeFromColors:
         with pytest.raises(SchemeError):
             scheme_from_colors(2, [[(0, 0), (1, 1)], [(0, 1)]])
 
+    def test_negative_coordinate_does_not_wrap(self):
+        with pytest.raises(SchemeError, match=r"cell \(-1, 0\) of color 1 .* 0\.\.1"):
+            scheme_from_colors(2, [[(0, 0), (1, 1)], [(0, 1), (-1, 0)]])
+
+    def test_coordinate_of_n(self):
+        with pytest.raises(SchemeError, match=r"cell \(1, 2\) of color 1 .* 0\.\.1"):
+            scheme_from_colors(2, [[(0, 0), (1, 1)], [(0, 1), (1, 2)]])
+
+    @pytest.mark.parametrize("n", [-1, 0, 2.0])
+    def test_n_not_a_positive_integer(self, n):
+        with pytest.raises(SchemeError, match=f"got {n!r}$"):
+            scheme_from_colors(n, [])
+
+    def test_cell_under_two_colors(self):
+        with pytest.raises(SchemeError, match=r"cell \(0,1\) .* colors 0 and 1$"):
+            scheme_from_colors(2, [[(0, 0), (1, 1), (0, 1)], [(0, 1), (1, 0)]])
+
 
 def private_writes(source: str) -> list[int]:
     """Lines that assign, augment, delete or setattr an underscore

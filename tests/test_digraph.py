@@ -26,7 +26,7 @@ from asck import (
     wl_closure,
 )
 from asck import digraph
-from asck.core import canonical_scheme
+from asck.core import _shift_invariant, canonical_scheme
 from asck.digraph import _forest_defects, basis_periods
 from asck.errors import (
     DiagonalColor,
@@ -684,3 +684,60 @@ class TestBasisPeriods:
             tracemalloc.stop()
         assert periods.tolist() == old_basis_periods(s).tolist()
         assert peak < 10 * 2 ** 20
+
+
+def random_circulant_closure(rng: np.random.Generator, n: int):
+    """The closure of a seeded random row 0, with its own color on the
+    diagonal, spread over all rows by the label shift."""
+    row = rng.integers(1, int(rng.integers(2, 6)), size=n)
+    row[0] = 0
+    circulant = row[(np.arange(n) - np.arange(n)[:, None]) % n]
+    return wl_closure(np.unique(circulant, return_inverse=True)[1].reshape(n, n))
+
+
+def relabeled(s, rng: np.random.Generator):
+    """The scheme with its points permuted by a seeded permutation,
+    validated afresh."""
+    perm = rng.permutation(s.n)
+    return validate(s.matrix[np.ix_(perm, perm)])
+
+
+def cayley_schemes() -> list:
+    rng = np.random.default_rng(28)
+    schemes = [random_circulant_closure(rng, int(n)) for n in rng.integers(1, 49, size=60)]
+    schemes += [thin_scheme(cyclic_table(m)) for m in range(1, 65)]
+    return schemes + [ladder_closures_64()[0]]
+
+
+class TestCayleyPeriods:
+    """On a shift-invariant scheme every period comes from row 0; the
+    forest builds are the oracles."""
+
+    def test_match_forest_and_relabeled_copies(self):
+        rng = np.random.default_rng(2028)
+        schemes = cayley_schemes()
+        for s in schemes:
+            assert _shift_invariant(s.matrix)
+            periods = basis_periods(s)
+            assert periods.dtype == np.int64 and not periods.flags.writeable
+            assert periods.tolist() == old_basis_periods(s).tolist()
+            assert periods.tolist() == basis_periods(relabeled(s, rng)).tolist()
+        assert max(s.n for s in schemes[:60]) > 40 and min(s.r for s in schemes[:60]) <= 2
+
+    def test_path(self, monkeypatch):
+        """No output tells which build ran, so the forest runs are counted:
+        none on shift-invariant input, one on a relabeled copy."""
+        calls = []
+        real = digraph._forest_defects
+        monkeypatch.setattr(digraph, "_forest_defects",
+                            lambda *args: calls.append(args[0]) or real(*args))
+        rng = np.random.default_rng(5)
+        s = validate(ladder_closures_64()[0].matrix)  # cold memo
+        copy = relabeled(s, rng)
+        assert not _shift_invariant(copy.matrix)
+        assert basis_periods(s).tolist() == basis_periods(copy).tolist()
+        assert len(calls) == 1
+        calls.clear()
+        for m in (2, 7, 12):
+            basis_periods(validate(thin_scheme(cyclic_table(m)).matrix))
+        assert calls == []

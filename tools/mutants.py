@@ -64,6 +64,8 @@ ROW_ZERO_PREMISE = ("tests/test_core.py::TestRowZeroWalk::"
                     "test_non_invariant_coloring_consistent_on_row_zero")
 ROW_ZERO_ORBITS = "tests/test_core.py::TestRowZeroWalk::test_recolored_orbits_match_full_walk"
 ROW_ZERO_ROUNDS = "tests/test_constructions.py::TestRowZeroRounds::test_directed_circulants"
+DISCRETE_STOP = "tests/test_constructions.py::TestDiscreteStop"
+CAYLEY_PERIODS = f"{DIGRAPH}::TestCayleyPeriods::test_match_forest_and_relabeled_copies"
 ONE_CALL_PARSE = "tests/test_io_cli.py::TestOneCallParse"
 PER_ROW_JOIN = "tests/test_io_cli.py::TestCcmFormat::test_text_matches_per_row_join"
 # one worklist step of lattice._close, and the stop check before it
@@ -205,10 +207,24 @@ MUTANTS = (
            "np.stack((np.ones(n, dtype=np.int64), np.argsort(matrix[1], kind=\"stable\"))",
            (ROW_ZERO_ORBITS,)),
     Mutant("row-zero-rounds-unexpanded", "constructions.py",
-           "            return full\n", "            return top\n", (ROW_ZERO_ROUNDS,)),
+           "    return full\n", "    return top\n", (ROW_ZERO_ROUNDS,)),
     Mutant("row-zero-rounds-transposed-shift", "constructions.py",
            "shift = (np.arange(n) - np.arange(n)[:, None]) % n",
            "shift = (np.arange(n)[:, None] - np.arange(n)) % n", (ROW_ZERO_ROUNDS,)),
+    # the discrete stop: a round too early stops on a partition it would split
+    Mutant("discrete-stop-one-color-early", "constructions.py",
+           "if r == top.size:", "if r >= top.size - 1:",
+           (f"{DISCRETE_STOP}::test_one_color_short_of_discrete_still_rounds",)),
+    Mutant("discrete-stop-one-past", "constructions.py",
+           "if r == top.size:", "if r == top.size + 1:",
+           (f"{DISCRETE_STOP}::test_thin_cyclic_returns_at_once",
+            f"{DISCRETE_STOP}::test_chords_ladder_closures")),
+    # periods of a shift-invariant scheme from row 0
+    Mutant("cayley-period-without-gcd", "digraph.py",
+           "return g // np.gcd(g, s)", "return g", (CAYLEY_PERIODS,)),
+    Mutant("cayley-switch-off", "digraph.py",
+           "if _shift_invariant(scheme.matrix):", "if False:",
+           (f"{DIGRAPH}::TestCayleyPeriods::test_path",)),
     Mutant("is-prime-without-index", "checks.py",
            "    q = _index(p)\n    return q is not None and _is_prime(q)\n",
            "    return _is_prime(p)\n",
