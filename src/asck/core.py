@@ -5,20 +5,19 @@ entry (u, v) is the color of the pair (u, v).  Colors must be exactly
 0..r-1.  ``validate`` checks the three axioms (diagonal is a union of
 colors, the color classes are transpose-closed, and intermediate-point
 counts depend only on colors) and returns a ``Scheme`` handle that
-caches the derived data every other module needs.  One stable sort of
-the n^2 cells by color, made at certification, is the only source of
-per-color cell data: the sizes, the first cells, the cell index behind
-``cell_array`` and the order in which the intersection-number check
-walks the cells, about 2^16 codes at a time in O(n^2) memory.  That
-check walks only the colors with at least two cells, so a discrete
-configuration costs no walk, and its codes are int16 up to rank 181 and
-int32 up to rank 46,340.  When the label shift u -> u + 1 (mod n) is an
-automorphism of the coloring, as for a thin scheme of Z_n or the closure
-of a circulant digraph, the walk covers the cells of row 0 only, at most
-n: every cell is the image of a row-0 cell of its color, so the verdict
-and the witness are those of the full walk.  The closure rounds
-(``constructions._hashed_fixpoint``) and the checks' digraph side
-(``digraph.basis_periods``) read row 0 of such a coloring as well.
+caches the derived data every other module needs.  Certification
+stably sorts by color the cells that the intersection-number check
+walks, and reads the first cells off that sort.  The check walks only
+colors with at least two cells, about 2^16 codes at a time in O(n^2)
+memory, so a discrete configuration costs no walk; its codes are int16
+up to rank 181 and int32 up to rank 46,340.  The cells are all n^2, or
+the n cells of row 0 when the label shift u -> u + 1 (mod n) is an
+automorphism of the coloring, as for a thin scheme of Z_n or the
+closure of a circulant digraph: every cell is then the image of a
+row-0 cell of its color, so the verdict and witness are those of the
+full walk.  The closure rounds (``constructions._hashed_fixpoint``) and
+the checks' digraph side (``digraph.basis_periods``) read row 0 of such
+a coloring too.  A Scheme keeps no per-cell index.
 ``canonical_scheme`` does the same walk after renaming the colors into
 canonical order, and interns its result by content: equal inputs return
 one shared Scheme, certified once, whose ``derived`` memo every holder
@@ -236,8 +235,6 @@ class Scheme:
     degrees: np.ndarray                # out-degree of each color's basis digraph
     sizes: np.ndarray                  # total cell count of each color
     first_cells: np.ndarray            # (r, 2): row-major first cell (u, v) of each color
-    cell_index: np.ndarray             # (n^2, 2): every cell (u, v), stably sorted by color
-    cell_offsets: np.ndarray           # (r + 1,): where each color's run starts, then n^2
     _derived: dict = field(default_factory=dict, repr=False)
 
     def derived(self, key: Hashable, build: Callable[[], T]) -> T:
@@ -259,14 +256,12 @@ class Scheme:
         return index
 
     def cell_array(self, color: int) -> np.ndarray:
-        """The (k, 2) array of a color's cells in row-major order, equal to
-        ``np.argwhere(matrix == color)``; a read-only view.
-
-        Sliced in O(1) from ``cell_index``, the stable sort of all n^2
-        cells by color made at certification, at ``cell_offsets``.
-        """
-        color = self.check_color(color)
-        return self.cell_index[self.cell_offsets[color]:self.cell_offsets[color + 1]]
+        """The (k, 2) array of a color's cells in row-major order,
+        ``np.argwhere(matrix == color)``, read-only; a scan of the
+        matrix, O(n^2) per call."""
+        cells = np.argwhere(self.matrix == self.check_color(color))
+        cells.setflags(write=False)
+        return cells
 
     def transpose(self, color: int) -> int:
         return int(self.transpose_map[self.check_color(color)])
@@ -395,47 +390,30 @@ _WALK_CODES = 2 ** 16
 
 def _check_intersection_numbers(matrix: np.ndarray, r: int,
                                 cells: np.ndarray, offsets: np.ndarray) -> None:
-    """Verify that intermediate-point counts depend only on the cell's color.
+    """Verify that intermediate-point counts depend only on the cell's
+    color, over the cells given in color runs: row-major within a run,
+    color c's run at ``offsets[c]``.  ``_certify`` gives every cell, or
+    row 0's when that is exact.
 
-    For each cell (u, w) the sorted multiset of codes
-    color(u,v) * r + color(v,w) over all v must agree across cells of one
-    color; agreement of these multisets is equivalent to constancy of
-    every pairwise count.  The codes are below r^2, so they are int16
-    whenever r^2 <= 2^15 (r <= 181), int32 whenever r^2 <= 2^31 and
-    int64 otherwise.  Only the cells of colors with at least two cells
-    are walked, in cell-index order, in chunks of max(1, 2^16 // n)
-    cells (about 2^16 codes) through refilled buffers of that many rows,
-    or fewer when the walk is shorter (the last chunk may be short), and
-    each cell is compared with the previous cell of its color.  A
-    color's first cell, and so every cell of a single-cell color, has no
-    previous cell and is never flagged.  Equal neighbours chain back to
-    the color's first cell, so each color's first flagged cell is its
+    For each cell (u, w) the sorted multiset of codes color(u,v) * r +
+    color(v,w) over all v must agree across cells of one color; agreement
+    of these multisets is equivalent to constancy of every pairwise
+    count.  The codes are below r^2, so they are int16 whenever r^2 <=
+    2^15 (r <= 181), int32 whenever r^2 <= 2^31 and int64 otherwise.
+    Only the runs of at least two cells are walked, in chunks of
+    max(1, 2^16 // n) cells (about 2^16 codes) through refilled buffers
+    of that many rows, or fewer when the walk is shorter (the last chunk
+    may be short), and each cell is compared with the previous cell of
+    its run.  A run's first cell, and so every cell of a single-cell run,
+    has no previous cell and is never flagged.  Equal neighbours chain
+    back to the run's first cell, so each run's first flagged cell is its
     first mismatch, and the least flagged cell in row-major order is the
-    witness.
-
-    When the label shift is an automorphism (``_shift_invariant``), only
-    the cells of row 0 are walked, and only for the colors with at least
-    two cells there, n cells at most instead of n^2.  This is exact.
-    The shift maps (0, w - u) to (u, w) and keeps two-step multisets, so
-    every cell has the multiset of a row-0 cell of its color, and every
-    color has a cell in row 0.  A color's cells in row 0 therefore come
-    first in row-major order: its first cell is among them, and if they
-    all agree, every cell of the color agrees; if not, its first
-    mismatch in the full walk lies in row 0, where each cell's previous
-    cell of its color is the same as in the full walk.  So the least
-    flagged cell and its witness are those of the full walk.
+    witness, reported against its run's first cell.
     """
     n = matrix.shape[0]
-    if _shift_invariant(matrix):
-        sizes = np.bincount(matrix[0], minlength=r)
-        # row 0's cells stably sorted by color, as cell-index order has them
-        walk = np.stack((np.zeros(n, dtype=np.int64), np.argsort(matrix[0], kind="stable")),
-                        axis=1)
-    else:
-        sizes = np.diff(offsets)
-        walk = cells
+    sizes = np.diff(offsets)
     shared = sizes > 1
-    walk = walk[np.repeat(shared, sizes)]
+    walk = cells[np.repeat(shared, sizes)]
     flagged = np.ones(len(walk), dtype=bool)
     flagged[np.cumsum(sizes[shared]) - sizes[shared]] = False  # first cells
     dtype = np.int16 if r * r <= 2 ** 15 else np.int32 if r * r <= 2 ** 31 else np.int64
@@ -539,14 +517,28 @@ def _groups(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 def _certify(arr: np.ndarray) -> Scheme:
     """Check the axioms on a matrix with colors 0..r-1 and wrap it; ``arr``
-    must be a fresh array, which the Scheme takes over read-only.  One
-    stable argsort of the cells by color feeds every per-color field."""
+    must be a fresh array, which the Scheme takes over read-only.
+
+    One stable argsort by color gives the first cells and the walk's
+    color runs, over all n^2 cells or, when the label shift is an
+    automorphism (``_shift_invariant``), the n cells of row 0.  That is
+    exact: the shift maps (0, w - u) to (u, w) and keeps two-step
+    multisets, so every cell has the multiset of a row-0 cell of its
+    color, and every color has a cell in row 0.  A color's row-0 cells
+    come first in row-major order, its first cell among them; if they all
+    agree, every cell of the color agrees, and if not, its first mismatch
+    in the full walk lies in row 0, after the same previous cells.  So
+    the first cells, verdict and witness are those of the full walk.
+    """
     n = arr.shape[0]
-    order = np.argsort(arr.ravel(), kind="stable")
     sizes = np.bincount(arr.ravel()).astype(np.int64)
     r = sizes.size
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    cells = np.stack(np.divmod(order, n), axis=1)
+    if _shift_invariant(arr):
+        keys, counts = arr[0], np.bincount(arr[0], minlength=r)
+    else:
+        keys, counts = arr.ravel(), sizes
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    cells = np.stack(np.divmod(np.argsort(keys, kind="stable"), n), axis=1)
     first = cells[offsets[:-1]]
 
     diagonal_colors = _check_diagonal(arr, sizes)
@@ -561,12 +553,11 @@ def _certify(arr: np.ndarray) -> Scheme:
     fiber_sizes = np.bincount(diag, minlength=r)
     degrees = sizes // fiber_sizes[diag[first[:, 0]]]
 
-    for a in (arr, first, cells, offsets):
+    for a in (arr, first):
         a.setflags(write=False)
     return Scheme(matrix=arr, n=n, r=r, transpose_map=sigma,
                   diagonal_colors=diagonal_colors, fibers=fibers,
-                  degrees=degrees, sizes=sizes, first_cells=first,
-                  cell_index=cells, cell_offsets=offsets)
+                  degrees=degrees, sizes=sizes, first_cells=first)
 
 
 def scheme_from_colors(n: int, cells_by_color: Iterable[Iterable[tuple[int, int]]]) -> Scheme:

@@ -47,7 +47,8 @@ class Digraph:
     """A finite digraph on vertices 0..n-1 with an arc set.
 
     ``labels`` optionally names each vertex (e.g. the scheme point it
-    came from); it does not affect any algorithm.
+    came from); it does not affect any algorithm.  n and the endpoints
+    are stored as Python ints, read through ``operator.index``.
     """
 
     n: int
@@ -55,19 +56,26 @@ class Digraph:
     labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 0:
-            raise SchemeError(f"vertex count must be non-negative, got {self.n}")
+        n = _index(self.n)
+        if n is None or n < 0:
+            raise SchemeError(f"vertex count must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
+        if not all(type(u) is int and type(v) is int for u, v in self.arcs):
+            bad = [x for arc in self.arcs for x in arc if _index(x) is None]
+            if bad:
+                raise SchemeError(f"arc endpoint {bad[0]!r} is not an integer")
+            object.__setattr__(self, "arcs", frozenset(
+                (_index(u), _index(v)) for u, v in self.arcs))
         for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise SchemeError(f"arc ({u},{v}) out of range for {self.n} vertices")
-        if self.labels is not None and len(self.labels) != self.n:
+            if not (0 <= u < n and 0 <= v < n):
+                raise SchemeError(f"arc ({u},{v}) out of range for {n} vertices")
+        if self.labels is not None and len(self.labels) != n:
             raise SchemeError("labels length differs from vertex count")
 
     @staticmethod
     def from_arcs(n: int, arcs: Iterable[tuple[int, int]],
                   labels: Iterable[int] | None = None) -> "Digraph":
-        return Digraph(n, frozenset((int(u), int(v)) for u, v in arcs),
-                       None if labels is None else tuple(labels))
+        return Digraph(n, frozenset(map(tuple, arcs)), None if labels is None else tuple(labels))
 
     @property
     def m(self) -> int:
@@ -106,7 +114,7 @@ def basis_digraph(scheme: Scheme, color: int) -> Digraph:
     """The digraph of one basis relation, on the relation's support.
 
     Vertices are reindexed 0..k-1; labels give the original points.
-    The cells are read from the scheme's cell index in O(|R| log |R|).
+    The cells are read off the matrix in O(n^2 + |R| log |R|).
     """
     arcs, support = _relabeled(scheme.cell_array(color))
     return Digraph(len(support), frozenset(arcs), support)
@@ -117,7 +125,7 @@ def basis_graph(scheme: Scheme, color: int) -> Digraph:
 
     Diagonal colors are rejected: their graph would be empty.  The
     transpose's cells are the color's cells reversed, so only the
-    color's own cells are read from the cell index.
+    color's own cells are read off the matrix.
     """
     scheme.check_color(color)
     if scheme.is_diagonal_color(color):
@@ -270,8 +278,9 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
     d = 1, and a single off-diagonal cell is a tree arc, so d = 0.  The
     basis digraphs of the other colors, off the diagonal with at least
     two cells, are laid side by side in one digraph on the (color, point)
-    pairs in use, whose arcs are those colors' cells from ``cell_index``,
-    so one ``_forest_defects`` run gives every such cell's defect.
+    pairs in use, whose arcs are those colors' cells, one ``np.nonzero``
+    over the matrix, so one ``_forest_defects`` run gives every such
+    cell's defect.
 
     The pairs are numbered without a sort.  A color's cells run from one
     fiber X to one fiber Y, leaving every point of X and entering every
@@ -294,19 +303,19 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
         u, v = scheme.first_cells.T
         periods = (u == v).astype(np.int64)
         labeled = (sizes > 1) & (u != v)
-        colors = np.repeat(np.flatnonzero(labeled), sizes[labeled])
-        tails, heads = scheme.cell_index[np.repeat(labeled, sizes)].T
+        tails, heads = np.nonzero(labeled[scheme.matrix])
+        colors = scheme.matrix[tails, heads]
         fiber = scheme.matrix.diagonal()
         count = np.bincount(fiber)
         order = np.argsort(fiber, kind="stable")
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n) - (np.cumsum(count) - count)[fiber[order]]
-        source, target = fiber[u[labeled]], fiber[v[labeled]]
+        source, target = fiber[u], fiber[v]
         skip = np.where(source != target, count[source], 0)
-        support = skip + count[target]
+        support = np.where(labeled, skip + count[target], 0)
         base = np.cumsum(support) - support
-        tails = np.repeat(base, sizes[labeled]) + rank[tails]
-        heads = np.repeat(base + skip, sizes[labeled]) + rank[heads]
+        tails = base[colors] + rank[tails]
+        heads = (base + skip)[colors] + rank[heads]
         np.gcd.at(periods, colors, _forest_defects(int(support.sum()), tails, heads)[2])
         periods.setflags(write=False)
         return periods

@@ -12,7 +12,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import _decimal_text, _integer_matrix, as_color_matrix, require_points
+from .core import _decimal_text, as_color_matrix, require_points
 from .digraph import Digraph
 from .errors import SchemeError
 
@@ -184,14 +184,13 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
 
 
 def ccm_text(matrix: np.ndarray) -> str:
-    """The .ccm text of a matrix: the header, then each row's decimal
-    entries joined by single spaces, every row ending in a newline.  The
-    body comes from ``core._decimal_text`` in one pass, with no ``str``
-    per entry.  The matrix is coerced as ``validate`` coerces its input,
-    so a matrix that is empty, not square or not integral raises the same
-    SchemeError and is never written truncated or with a header
-    ``read_ccm`` rejects."""
-    arr = _integer_matrix(matrix)
+    """The .ccm text of a color matrix: the header, then each row's
+    decimal entries joined by single spaces, every row ending in a
+    newline, from ``core._decimal_text`` with no ``str`` per entry.  The
+    matrix is coerced by ``as_color_matrix``, as ``read_ccm`` and
+    ``validate`` coerce theirs, so what they reject raises the same
+    SchemeError here and is never written."""
+    arr = as_color_matrix(matrix)
     n = arr.shape[0]
     r = int(arr.max()) + 1
     return f"ccm {n} {r}\n" + _decimal_text(arr, " ", "\n").decode("ascii")

@@ -21,6 +21,7 @@ from asck import (
     CyclicPartition,
     Digraph,
     basis_digraph,
+    canonical_recolor,
     digraph_color_matrix,
     is_regular,
     is_strongly_connected,
@@ -130,6 +131,16 @@ def old_check_intersection_numbers(matrix, r, cells, offsets):
         color = int(matrix[u[k], w[k]])
         counter_mismatch(matrix, r, color, tuple(map(int, cells[offsets[color]])),
                          (int(u[k]), int(w[k])))
+
+
+def row_zero_runs(matrix):
+    """The cells (0, w) of row 0 stably sorted by color, and the offsets
+    of their color runs over every color of the matrix: the walk that
+    certification makes of a shift-invariant coloring."""
+    order = np.argsort(matrix[0], kind="stable")
+    sizes = np.bincount(matrix[0], minlength=int(matrix.max()) + 1)
+    return (np.stack((np.zeros_like(order), order), axis=1),
+            np.concatenate(([0], np.cumsum(sizes))))
 
 
 def counter_mismatch(matrix, r, color, cell_a, cell_b):
@@ -740,6 +751,69 @@ def is_power_of(x: int, p: int) -> bool:
     while x % p == 0:
         x //= p
     return x == 1
+
+
+def wreath_p_element(rng: random.Random, p: int, k: int) -> tuple[int, ...]:
+    """A random element of the iterated wreath product Z_p wr ... wr Z_p
+    on the p^k points, as the tuple of images.  Point x has base-p
+    digits x_0 (lowest) to x_{k-1}; digit i gains a shift f_i(x mod p^i)
+    mod p that depends on the digits below it, f_i a random table."""
+    tables = [[rng.randrange(p) for _ in range(p ** i)] for i in range(k)]
+    return tuple(sum((x // p ** i + tables[i][x % p ** i]) % p * p ** i for i in range(k))
+                 for x in range(p ** k))
+
+
+def is_transitive(n: int, generators) -> bool:
+    """Whether the permutations' images reach every point from 0: one BFS."""
+    seen, queue = {0}, [0]
+    for u in queue:
+        for g in generators:
+            if g[u] not in seen:
+                seen.add(g[u])
+                queue.append(g[u])
+    return len(seen) == n
+
+
+def orbital_matrix(n: int, generators) -> np.ndarray:
+    """The canonically recolored orbital coloring of the group the
+    permutations generate: its orbits on the n^2 pairs, the components of
+    a union-find that joins each pair (u, v) with (g(u), g(v))."""
+    parent = list(range(n * n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for g in generators:
+        images = [gu * n + gv for gu in g for gv in g]  # pair (u, v) goes to images[u * n + v]
+        for a, b in enumerate(images):
+            a, b = find(a), find(b)
+            if a != b:
+                parent[a] = b
+    return canonical_recolor(np.array([find(a) for a in range(n * n)]).reshape(n, n))
+
+
+# (p, k): transitive p-groups of degree p^k, inside Z_p wr ... wr Z_p
+ORBITAL_DEGREES = ((2, 3), (2, 4), (3, 2), (2, 5), (3, 3))
+
+
+def orbital_p_schemes(seed: int = 1, draws: int = 40) -> list[tuple[int, np.ndarray]]:
+    """(p, orbital matrix) for every transitive group among ``draws``
+    seeded sets of one to three random elements of Z_p wr ... wr Z_p,
+    per (p, k) of ``ORBITAL_DEGREES``.  Every transitive p-group of
+    degree p^k is conjugate into that product, so the draws reach them
+    all up to point labels; each orbital scheme is a p-scheme, with
+    valencies |G_x : G_x & G_y|, and its group need not act regularly."""
+    rng = random.Random(seed)
+    schemes = []
+    for p, k in ORBITAL_DEGREES:
+        for _ in range(draws):
+            generators = [wreath_p_element(rng, p, k) for _ in range(rng.randint(1, 3))]
+            if is_transitive(p ** k, generators):
+                schemes.append((p, orbital_matrix(p ** k, generators)))
+    return schemes
 
 
 def old_non_diagonal_colors(s):

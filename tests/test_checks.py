@@ -34,6 +34,7 @@ from asck.corpus import CorpusMember, member_reports, run_corpus_checks
 from asck.errors import NotASchemeEquivalence, NotHomogeneous, NotPrime, SchemeError
 from asck.lattice import RANK_CAP, Equivalence, maximal_below_full, minimal_equivalences
 from oracles import (
+    ORBITAL_DEGREES,
     is_power_of,
     ladder_closures_64,
     old_bipartite,
@@ -43,6 +44,7 @@ from oracles import (
     old_primitive_rhs,
     old_size_side,
     old_verify_size_factorization,
+    orbital_p_schemes,
     two_fiber_scheme,
 )
 
@@ -654,3 +656,34 @@ class TestTheoremReport:
         assert iff_true == (rep.lhs == rep.rhs)
         imp = check_primitive_structure(thin_scheme(cyclic_table(4)), 2)
         assert imp.agree == ((not imp.lhs) or imp.rhs)
+
+
+class TestOrbitalPSchemes:
+    """Orbital schemes of transitive p-groups drawn from Z_p wr ... wr Z_p:
+    p-schemes whose group need not act regularly, which no corpus family
+    makes.  Each is a p-scheme for its own p only, the paper's two sides
+    agree on it, and the own-p partite criterion holds on both sides, so
+    a fault on either side shows as a false negative."""
+
+    @staticmethod
+    def verdicts(p, s):
+        assert s.is_homogeneous
+        assert is_p_scheme(s, p)
+        assert not any(is_p_scheme(s, q) for q in (2, 3, 5, 7) if q != p)
+        reports = member_reports(CorpusMember("orbital", "orbital", s), (2, 3, 5, 7))
+        assert all(rep.agree for rep in reports)
+        (own,) = [rep for rep in reports if rep.check == "partite-criterion" and rep.p == p]
+        assert own.lhs and own.rhs
+        return [(rep.check, rep.p, rep.lhs, rep.rhs) for rep in reports]
+
+    def test_reports_agree_under_relabeling(self):
+        drawn = orbital_p_schemes(seed=1, draws=40)
+        distinct = {m.tobytes(): (p, m) for p, m in drawn}
+        assert len(drawn) > 100 and len(distinct) > 30
+        assert {(p, m.shape[0]) for p, m in distinct.values()} == {
+            (p, p ** k) for p, k in ORBITAL_DEGREES}
+        rng = np.random.default_rng(29)
+        for p, m in distinct.values():
+            perm = rng.permutation(m.shape[0])
+            want = self.verdicts(p, validate(m))
+            assert self.verdicts(p, validate(m[np.ix_(perm, perm)])) == want

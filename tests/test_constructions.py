@@ -388,7 +388,7 @@ def uncertified(matrix):
     n = m.shape[0]
     return Scheme(matrix=m, n=n, r=int(m.max()) + 1, transpose_map=None,
                   diagonal_colors=(0,), fibers=(tuple(range(n)),), degrees=None,
-                  sizes=None, first_cells=None, cell_index=None, cell_offsets=None)
+                  sizes=None, first_cells=None)
 
 
 class TestQuotientMatrixOracle:

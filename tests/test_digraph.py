@@ -14,6 +14,7 @@ from asck import (
     basis_graph,
     cyclic_table,
     cyclically_p_partite,
+    dg_text,
     digraph_color_matrix,
     is_bipartite,
     is_strongly_connected,
@@ -113,6 +114,40 @@ class TestDigraphType:
         with pytest.raises(SchemeError):
             Digraph.from_arcs(2, [(0, 2)])
 
+    def test_rejects_float_endpoint(self):
+        """Before, the arc (0, 1.5) was kept: the cyclic partition read
+        it as (0, 1) and ``dg_text`` wrote "0 1.5"."""
+        with pytest.raises(SchemeError, match=r"^arc endpoint 1\.5 is not an integer$"):
+            Digraph(3, {(0, 1.5), (1, 0), (1, 2), (2, 1)})
+
+    def test_rejects_float_vertex_count(self):
+        """Before, n = 2.0 was kept, every function raised TypeError and
+        ``dg_text`` wrote the header "dg 2.0 2"."""
+        with pytest.raises(SchemeError, match=r"^vertex count must be a non-negative "
+                                              r"integer, got 2\.0$"):
+            Digraph(2.0, frozenset({(0, 1), (1, 0)}))
+
+    def test_bool_endpoint_is_its_int(self):
+        """Before, True was kept as an endpoint, and the color matrix
+        indexed by it read [[1, 1], [2, 0]]."""
+        g = Digraph(2, frozenset({(0, True), (1, 0)}))
+        assert all(type(x) is int for arc in g.arcs for x in arc)
+        assert digraph_color_matrix(g).tolist() == [[0, 1], [1, 0]]
+        assert dg_text(g) == "dg 2 2\n0 1\n1 0\n"
+
+    def test_from_arcs_does_not_truncate(self):
+        """Before, ``from_arcs`` made (0, 1.5) the arc (0, 1)."""
+        with pytest.raises(SchemeError, match=r"^arc endpoint 1\.5 is not an integer$"):
+            Digraph.from_arcs(3, [(0, 1.5), (1, 0)])
+
+    def test_numpy_integers_stored_as_ints(self):
+        g = Digraph.from_arcs(np.int64(3), [(np.int64(0), np.int32(2)), (np.uint8(1), 0)])
+        assert type(g.n) is int and g.n == 3
+        assert g.arcs == {(0, 2), (1, 0)}
+        assert all(type(x) is int for arc in g.arcs for x in arc)
+        arcs = frozenset({(0, 1), (1, 2)})
+        assert Digraph(3, arcs).arcs is arcs  # int endpoints: the set is kept
+
     def test_adjacency_sorted(self):
         g = Digraph.from_arcs(3, [(0, 2), (0, 1), (2, 0)])
         assert g.out_adj[0] == (1, 2)
@@ -166,7 +201,7 @@ class TestBasisGraph:
 
 def scanned_basis_graph(scheme, color, with_transpose):
     """A basis (di)graph built by scanning all n^2 cells; the oracle for
-    the cell-index reads."""
+    the ``cell_array`` reads."""
     mask = scheme.matrix == color
     if with_transpose:
         mask |= scheme.matrix == scheme.transpose(color)

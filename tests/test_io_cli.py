@@ -32,7 +32,7 @@ from asck import (
 from asck.cli import EXIT_DISAGREE, EXIT_FALSE, EXIT_INPUT, EXIT_OK, _joined, build_parser, main
 from asck import core
 from asck.constructions import digraph_color_matrix
-from asck.core import MAX_POINTS, _decimal_text, _digit_table
+from asck.core import MAX_POINTS, _decimal_text, _digit_table, as_color_matrix
 from asck.corpus import abelian_tables
 from asck.errors import NonContiguousColors, SchemeError
 from asck import io as asck_io
@@ -71,12 +71,19 @@ class TestCcmFormat:
             body = "\n".join(" ".join(map(str, row)) for row in arr.tolist())
             return f"ccm {arr.shape[0]} {int(arr.max()) + 1}\n{body}\n"
 
-        odd = [[[0, -1], [1, 2]], [[0, -3], [5, 2]], [[0, 10 ** 15], [7, 1]],
-               [[2 ** 63 - 1, -2 ** 63], [0, 0]]]
-        matrices = ([m.scheme.matrix for m in corpus]
-                    + [s.matrix for s in ladder_closures_64()] + odd)
+        matrices = [m.scheme.matrix for m in corpus] + [s.matrix for s in ladder_closures_64()]
         for matrix in matrices:
             assert ccm_text(matrix) == per_row_text(matrix)
+        # arrays that are not color matrices: the same body from the byte
+        # encoder, and ccm_text refuses them as as_color_matrix does
+        odd = [[[0, -1], [1, 2]], [[0, -3], [5, 2]], [[0, 10 ** 15], [7, 1]],
+               [[2 ** 63 - 1, -2 ** 63], [0, 0]]]
+        for matrix in odd:
+            arr = np.array(matrix, dtype=np.int64)
+            body = per_row_text(arr).split("\n", 1)[1]
+            assert _decimal_text(arr, " ", "\n").decode("ascii") == body
+            want = error_of(as_color_matrix, arr)
+            assert want is not None and error_of(ccm_text, arr) == want
 
     @pytest.mark.parametrize("matrix", [[10, 2], 7])
     def test_text_rejects_non_matrices(self, matrix):
@@ -100,6 +107,26 @@ class TestCcmFormat:
             with pytest.raises(SchemeError) as raised:
                 write(matrix)
             assert str(raised.value) == str(expected.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("matrix", [
+        pytest.param([[-1, -1], [-1, -1]], id="all-negative"),
+        pytest.param([[0, -1], [-1, 0]], id="negative"),
+        pytest.param([[0, 5], [5, 0]], id="gap"),
+    ])
+    def test_writers_refuse_what_read_ccm_rejects(self, matrix, tmp_path):
+        """Integer matrices without colors 0..r-1: before, these were
+        written with the header "ccm 2 0", a negative id or a gap, text
+        that ``read_ccm`` rejects; now both writers raise the SchemeError
+        of ``as_color_matrix`` and write no file."""
+        written = f"ccm 2 {max(map(max, matrix)) + 1}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in matrix)
+        with pytest.raises(SchemeError):
+            read_ccm(io.StringIO(written))
+        want = error_of(as_color_matrix, matrix)
+        path = tmp_path / "out.ccm"
+        assert want is not None and error_of(ccm_text, matrix) == want
+        assert error_of(lambda m: write_ccm(m, path), matrix) == want
         assert not path.exists()
 
     def test_comments_and_blank_lines_skipped(self):
@@ -145,6 +172,16 @@ class TestCcmFormat:
         assert info.value.remap == {0: 0, 2: 1}
 
 
+def error_of(call, matrix):
+    """The type and message of the SchemeError that ``call(matrix)``
+    raises, or None."""
+    try:
+        call(matrix)
+    except SchemeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 INT64 = st.one_of(st.integers(0, 30), st.integers(-2 ** 63, 2 ** 63 - 1),
                   st.sampled_from([-2 ** 63, 2 ** 63 - 1, 0, -1, 10 ** 18, 99, 100]))
 
@@ -166,10 +203,16 @@ class TestDecimalText:
         words = old_decimal_words(arr).tolist()
         body = "".join(" ".join(row) + "\n" for row in words)
         assert _decimal_text(arr, " ", "\n") == body.encode("ascii")
-        if rows == cols:
-            assert ccm_text(arr) == f"ccm {rows} {int(arr.max()) + 1}\n{body}"
+        if rows == cols:  # a color matrix is written, anything else refused alike
+            want = error_of(as_color_matrix, arr)
+            if want is None:
+                assert ccm_text(arr) == f"ccm {rows} {int(arr.max()) + 1}\n{body}"
+            else:
+                assert error_of(ccm_text, arr) == want
         payload = f"{rows} {cols} " + " ".join(w for row in words for w in row)
-        fake = core.Scheme(arr, rows, cols, *[None] * 8)
+        fake = core.Scheme(matrix=arr, n=rows, r=cols, transpose_map=None,
+                           diagonal_colors=None, fibers=None, degrees=None, sizes=None,
+                           first_cells=None)
         assert fake.hash == hashlib.sha256(payload.encode("ascii")).hexdigest()
         for vector in [*arr, arr.ravel()]:
             for sep in ",", " ":

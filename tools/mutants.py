@@ -63,6 +63,7 @@ WALK_ORACLE = ("tests/test_core.py::TestNarrowSingletonWalk::"
 ROW_ZERO_PREMISE = ("tests/test_core.py::TestRowZeroWalk::"
                     "test_non_invariant_coloring_consistent_on_row_zero")
 ROW_ZERO_ORBITS = "tests/test_core.py::TestRowZeroWalk::test_recolored_orbits_match_full_walk"
+CIRCULANT_PEAK = "tests/test_core.py::TestCertifiedMemory::test_circulant_peak"
 ROW_ZERO_ROUNDS = "tests/test_constructions.py::TestRowZeroRounds::test_directed_circulants"
 DISCRETE_STOP = "tests/test_constructions.py::TestDiscreteStop"
 CAYLEY_PERIODS = f"{DIGRAPH}::TestCayleyPeriods::test_match_forest_and_relabeled_copies"
@@ -203,9 +204,12 @@ MUTANTS = (
                       "again, so the test's value is unchanged; only its cost on "
                       "inputs that are not invariant grows from O(n) to O(n^2)"),
     Mutant("row-zero-walk-on-row-one", "core.py",
-           "np.stack((np.zeros(n, dtype=np.int64), np.argsort(matrix[0], kind=\"stable\"))",
-           "np.stack((np.ones(n, dtype=np.int64), np.argsort(matrix[1], kind=\"stable\"))",
+           "keys, counts = arr[0], np.bincount(arr[0], minlength=r)",
+           "keys, counts = arr[1 % n], np.bincount(arr[1 % n], minlength=r)",
            (ROW_ZERO_ORBITS,)),
+    # equal output: only the peak of the full sort tells it apart
+    Mutant("certify-circulant-keys-off", "core.py",
+           "    if _shift_invariant(arr):\n", "    if False:\n", (CIRCULANT_PEAK,)),
     Mutant("row-zero-rounds-unexpanded", "constructions.py",
            "    return full\n", "    return top\n", (ROW_ZERO_ROUNDS,)),
     Mutant("row-zero-rounds-transposed-shift", "constructions.py",
@@ -234,6 +238,15 @@ MUTANTS = (
            "    return tuple(tuple(groups[label]) for label in sorted(groups))\n",
            "    return tuple(map(tuple, groups.values()))\n",
            ("tests/test_core.py::TestGroups::test_random_diagonal_labelings",)),
+    # Digraph and .ccm writer input: what the readers reject is not made
+    Mutant("digraph-endpoints-unchecked", "digraph.py",
+           "        if not all(type(u) is int and type(v) is int for u, v in self.arcs):\n",
+           "        if False:\n",
+           (f"{DIGRAPH}::TestDigraphType::test_rejects_float_endpoint",
+            f"{DIGRAPH}::TestDigraphType::test_bool_endpoint_is_its_int")),
+    Mutant("ccm-text-without-color-check", "io.py",
+           "arr = as_color_matrix(matrix)", "arr = np.asarray(matrix, dtype=np.int64)",
+           ("tests/test_io_cli.py::TestCcmFormat::test_writers_refuse_what_read_ccm_rejects",)),
     # the one .ccm/.dg header reader
     Mutant("header-without-tag-check", "io.py",
            "if len(parts) != 3 or parts[0] != tag:", "if len(parts) != 3:",
