@@ -6,11 +6,15 @@ entry (u, v) is the color of the pair (u, v).  Colors must be exactly
 colors, the color classes are transpose-closed, and intermediate-point
 counts depend only on colors) and returns a ``Scheme`` handle that
 caches the derived data every other module needs.  Certification
-stably sorts by color the cells that the intersection-number check
-walks, and reads the first cells off that sort.  The check walks only
-colors with at least two cells, about 2^16 codes at a time in O(n^2)
-memory, so a discrete configuration costs no walk; its codes are int16
-up to rank 181 and int32 up to rank 46,340.  The cells are all n^2, or
+stably sorts by color the flat row-major positions u * n + v of the
+cells that the intersection-number check walks, one color order of 8
+bytes per cell, and reads the first cells off that sort.  The check
+walks only colors with at least two cells, about 2^16 codes at a time
+in O(n^2) memory, so a discrete configuration costs no walk; its codes
+are int16 up to rank 181 and int32 up to rank 46,340.  A failing walk's
+witness is read off the two cells' sorted code rows.  ``validate`` of a
+general n = 512 input peaks at about 30-36 bytes per cell under
+tracemalloc, its input copy included.  The cells are all n^2, or
 the n cells of row 0 when the label shift u -> u + 1 (mod n) is an
 automorphism of the coloring, as for a thin scheme of Z_n or the
 closure of a circulant digraph: every cell is then the image of a
@@ -368,18 +372,13 @@ def _shift_invariant(matrix: np.ndarray) -> bool:
     the coloring: ``matrix[(u+1) % n, (v+1) % n] == matrix[u, v]`` for
     every cell.
 
-    Row 1 is compared with row 0 shifted by one first, in O(n), and
-    rejects nearly every input that is not invariant; only then are the
-    cells of rows 0..n-2 compared, in O(n^2) with no copy of the matrix:
-    the block ``m[1:, 1:]`` against ``m[:-1, :-1]`` and the wrap column.
-    Those comparisons make every row equal to row 0 shifted, so
-    color(u, v) = row0[(v - u) % n], and the cells of row n - 1 then
-    hold as well.  Such a coloring is circulant; a thin scheme of Z_n
-    and every coherent closure of a circulant digraph are such.
+    Two comparisons, in O(n^2) with no copy of the matrix: the block
+    ``m[1:, 1:]`` against ``m[:-1, :-1]`` and the wrap column.  They
+    make every row equal to row 0 shifted, so color(u, v) =
+    row0[(v - u) % n], and the cells of row n - 1 then hold as well.
+    Such a coloring is circulant; a thin scheme of Z_n and every
+    coherent closure of a circulant digraph are such.
     """
-    second = matrix[1 % matrix.shape[0]]  # row 0 itself when n = 1
-    if not (np.array_equal(second[1:], matrix[0, :-1]) and second[0] == matrix[0, -1]):
-        return False
     return bool(np.array_equal(matrix[1:, 1:], matrix[:-1, :-1])
                 and np.array_equal(matrix[1:, 0], matrix[:-1, -1]))
 
@@ -389,31 +388,33 @@ _WALK_CODES = 2 ** 16
 
 
 def _check_intersection_numbers(matrix: np.ndarray, r: int,
-                                cells: np.ndarray, offsets: np.ndarray) -> None:
+                                order: np.ndarray, offsets: np.ndarray) -> None:
     """Verify that intermediate-point counts depend only on the cell's
-    color, over the cells given in color runs: row-major within a run,
-    color c's run at ``offsets[c]``.  ``_certify`` gives every cell, or
-    row 0's when that is exact.
+    color, over the cells given in color runs by their flat row-major
+    positions u * n + w: ascending within a run, color c's run at
+    ``offsets[c]``.  ``_certify`` gives every cell, or row 0's when that
+    is exact.
 
     For each cell (u, w) the sorted multiset of codes color(u,v) * r +
     color(v,w) over all v must agree across cells of one color; agreement
     of these multisets is equivalent to constancy of every pairwise
     count.  The codes are below r^2, so they are int16 whenever r^2 <=
     2^15 (r <= 181), int32 whenever r^2 <= 2^31 and int64 otherwise.
-    Only the runs of at least two cells are walked, in chunks of
-    max(1, 2^16 // n) cells (about 2^16 codes) through refilled buffers
-    of that many rows, or fewer when the walk is shorter (the last chunk
-    may be short), and each cell is compared with the previous cell of
-    its run.  A run's first cell, and so every cell of a single-cell run,
-    has no previous cell and is never flagged.  Equal neighbours chain
-    back to the run's first cell, so each run's first flagged cell is its
-    first mismatch, and the least flagged cell in row-major order is the
-    witness, reported against its run's first cell.
+    Only the runs of at least two cells are walked, their positions
+    gathered into one index of 8 bytes per walked cell and split into
+    (u, w) a chunk at a time: max(1, 2^16 // n) cells (about 2^16 codes)
+    through refilled buffers of that many rows, or fewer when the walk is
+    shorter (the last chunk may be short).  Each cell is compared with
+    the previous cell of its run.  A run's first cell, and so every cell
+    of a single-cell run, has no previous cell and is never flagged.
+    Equal neighbours chain back to the run's first cell, so each run's
+    first flagged cell is its first mismatch, and the least flagged
+    position is the witness, reported against its run's first cell.
     """
     n = matrix.shape[0]
     sizes = np.diff(offsets)
     shared = sizes > 1
-    walk = cells[np.repeat(shared, sizes)]
+    walk = order[np.repeat(shared, sizes)]
     flagged = np.ones(len(walk), dtype=bool)
     flagged[np.cumsum(sizes[shared]) - sizes[shared]] = False  # first cells
     dtype = np.int16 if r * r <= 2 ** 15 else np.int32 if r * r <= 2 ** 31 else np.int64
@@ -424,7 +425,7 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int,
     right = np.empty((chunk, n), dtype=dtype)
     differs = np.empty((chunk, n), dtype=bool)
     for lo in range(0, len(walk), chunk):
-        us, ws = walk[lo:lo + chunk].T
+        us, ws = np.divmod(walk[lo:lo + chunk], n)
         k = us.size
         rows = codes[1:k + 1]
         # mode="clip" lets take write straight into out; the indices are valid
@@ -437,29 +438,26 @@ def _check_intersection_numbers(matrix: np.ndarray, r: int,
         flagged[lo:lo + k] &= differs[:k].any(axis=1)
         codes[0] = codes[k]
     if flagged.any():
-        u, w = walk[flagged].T
-        k = int(np.argmin(u * n + w))
-        color = int(matrix[u[k], w[k]])
-        _raise_count_mismatch(matrix, r, color, tuple(map(int, cells[offsets[color]])),
-                              (int(u[k]), int(w[k])))
+        cell = divmod(int(walk[flagged].min()), n)
+        color = int(matrix[cell])
+        _raise_count_mismatch(matrix, r, color, divmod(int(order[offsets[color]]), n), cell)
 
 
 def _raise_count_mismatch(matrix: np.ndarray, r: int, color: int,
                           cell_a: tuple[int, int], cell_b: tuple[int, int]) -> None:
-    """Raise for the least code whose count differs between two cells,
-    counting over the codes that occur, in O(n log n) at any rank."""
-    def codes(cell: tuple[int, int]) -> np.ndarray:
-        u, w = cell
-        return matrix[u, :] * r + matrix[:, w]
+    """Raise for the least code whose count differs between two cells
+    whose code multisets differ, in O(n log n) at any rank.
 
-    a, b = codes(cell_a), codes(cell_b)
-    keys = np.union1d(a, b)
-    ca, cb = (np.bincount(np.searchsorted(keys, x), minlength=keys.size) for x in (a, b))
-    k = int(np.argmax(ca != cb))
-    code = int(keys[k])
+    With both code rows sorted and i their first differing index, that
+    code is min(a[i], b[i]): every smaller code lies wholly in the equal
+    prefix of both rows, and if a[i] < b[i], b holds no further a[i].
+    """
+    a, b = (np.sort(matrix[u, :] * r + matrix[:, w]) for u, w in (cell_a, cell_b))
+    i = int(np.argmax(a != b))
+    code = int(min(a[i], b[i]))
     raise InconsistentIntersectionNumbers(
-        color, (code // r, code % r),
-        cell_a, int(ca[k]), cell_b, int(cb[k]))
+        color, divmod(code, r),
+        cell_a, int(np.count_nonzero(a == code)), cell_b, int(np.count_nonzero(b == code)))
 
 
 def validate(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
@@ -519,9 +517,11 @@ def _certify(arr: np.ndarray) -> Scheme:
     """Check the axioms on a matrix with colors 0..r-1 and wrap it; ``arr``
     must be a fresh array, which the Scheme takes over read-only.
 
-    One stable argsort by color gives the first cells and the walk's
-    color runs, over all n^2 cells or, when the label shift is an
-    automorphism (``_shift_invariant``), the n cells of row 0.  That is
+    One stable argsort by color gives the flat row-major positions
+    (``order``, 8 bytes per cell) from which the first cells are split
+    and over which the walk runs its color runs, over all n^2 cells or,
+    when the label shift is an automorphism (``_shift_invariant``), the
+    n cells of row 0, whose positions are their columns.  That is
     exact: the shift maps (0, w - u) to (u, w) and keeps two-step
     multisets, so every cell has the multiset of a row-0 cell of its
     color, and every color has a cell in row 0.  A color's row-0 cells
@@ -538,12 +538,12 @@ def _certify(arr: np.ndarray) -> Scheme:
     else:
         keys, counts = arr.ravel(), sizes
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    cells = np.stack(np.divmod(np.argsort(keys, kind="stable"), n), axis=1)
-    first = cells[offsets[:-1]]
+    order = np.argsort(keys, kind="stable")
+    first = np.stack(np.divmod(order[offsets[:-1]], n), axis=1)
 
     diagonal_colors = _check_diagonal(arr, sizes)
     sigma = _check_transpose(arr, first)
-    _check_intersection_numbers(arr, r, cells, offsets)
+    _check_intersection_numbers(arr, r, order, offsets)
 
     diag = arr.diagonal()
     fibers = _groups(diag)

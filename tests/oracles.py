@@ -103,11 +103,13 @@ def two_fiber_scheme():
     return wl_closure(digraph_color_matrix(g))
 
 
-def old_check_intersection_numbers(matrix, r, cells, offsets):
+def old_check_intersection_numbers(matrix, r, order, offsets):
     """The int64 walk over all n^2 cells that ``_check_intersection_numbers``
     replaced, reporting through ``counter_mismatch``; the oracle for its
-    outcomes."""
+    outcomes.  It takes the cells as flat row-major positions, like the
+    walk, and splits them into (u, w) pairs itself."""
     n = matrix.shape[0]
+    cells = np.stack(np.divmod(order, n), axis=1)
     columns = np.ascontiguousarray(matrix.T)
     codes = np.empty((n + 1, n), dtype=np.int64)
     rows, previous = codes[1:], codes[:-1]
@@ -134,13 +136,12 @@ def old_check_intersection_numbers(matrix, r, cells, offsets):
 
 
 def row_zero_runs(matrix):
-    """The cells (0, w) of row 0 stably sorted by color, and the offsets
-    of their color runs over every color of the matrix: the walk that
-    certification makes of a shift-invariant coloring."""
-    order = np.argsort(matrix[0], kind="stable")
+    """The flat positions w of the cells (0, w) of row 0 stably sorted by
+    color, and the offsets of their color runs over every color of the
+    matrix: the walk that certification makes of a shift-invariant
+    coloring."""
     sizes = np.bincount(matrix[0], minlength=int(matrix.max()) + 1)
-    return (np.stack((np.zeros_like(order), order), axis=1),
-            np.concatenate(([0], np.cumsum(sizes))))
+    return np.argsort(matrix[0], kind="stable"), np.concatenate(([0], np.cumsum(sizes)))
 
 
 def counter_mismatch(matrix, r, color, cell_a, cell_b):
@@ -814,6 +815,22 @@ def orbital_p_schemes(seed: int = 1, draws: int = 40) -> list[tuple[int, np.ndar
             if is_transitive(p ** k, generators):
                 schemes.append((p, orbital_matrix(p ** k, generators)))
     return schemes
+
+
+def symmetric_orbital_matrices(seed: int = 1, draws: int = 40) -> list[np.ndarray]:
+    """The orbital matrix of every transitive group among ``draws``
+    seeded sets of one to three random permutations of S_n, for n = 3 to
+    8.  Such groups are mostly 2-transitive or not of prime-power order,
+    so their orbital schemes are mostly rank 2 or no p-scheme: negative
+    instances beside the p-schemes that small groups still give."""
+    rng = random.Random(seed)
+    matrices = []
+    for n in range(3, 9):
+        for _ in range(draws):
+            generators = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+            if is_transitive(n, generators):
+                matrices.append(orbital_matrix(n, generators))
+    return matrices
 
 
 def old_non_diagonal_colors(s):

@@ -45,6 +45,7 @@ from oracles import (
     old_size_side,
     old_verify_size_factorization,
     orbital_p_schemes,
+    symmetric_orbital_matrices,
     two_fiber_scheme,
 )
 
@@ -439,8 +440,9 @@ class TestPrimeIndependentWork:
     def test_call_counts(self, corpus, monkeypatch):
         """One default run on fresh schemes: the block and quotient checks
         never call ``is_block``, the block criterion builds one restriction
-        per equivalence other than the full one, and each (scheme, classes)
-        pair's size factorization is built once."""
+        per equivalence other than the full one, the quotient check builds
+        only its quotients, and each (scheme, classes) pair's size
+        factorization is built once."""
         inside = []
         is_block_calls = Counter()
         real_is_block = constructions.is_block
@@ -458,12 +460,14 @@ class TestPrimeIndependentWork:
                     inside.pop()
             return run
 
-        block_builds = Counter()
+        block_builds, quotient_builds = Counter(), Counter()
         real_canonical_scheme = constructions.canonical_scheme
 
         def counting_canonical_scheme(sub):
             if inside and inside[-1][0] == "check_block_criterion":
                 block_builds[id(inside[-1][1])] += 1
+            if inside and inside[-1][0] == "check_quotient_factorization":
+                quotient_builds[id(inside[-1][1])] += 1
             return real_canonical_scheme(sub)
 
         builds = Counter()
@@ -495,6 +499,9 @@ class TestPrimeIndependentWork:
             id(m.scheme): sum(not e.is_full for e in all_equivalences(m.scheme))
             for m in lattice_members(fresh)}
         assert sum(block_builds.values()) == 1150
+        # the quotient check builds its quotients and reads the block
+        # criterion's restriction of the class of point 0
+        assert quotient_builds == Counter(scheme_id for scheme_id, _ in pairs)
 
         # in corpus order the block criterion restricts first; alone, the
         # quotient check must not call is_block either
@@ -663,7 +670,8 @@ class TestOrbitalPSchemes:
     p-schemes whose group need not act regularly, which no corpus family
     makes.  Each is a p-scheme for its own p only, the paper's two sides
     agree on it, and the own-p partite criterion holds on both sides, so
-    a fault on either side shows as a false negative."""
+    a fault on either side shows as a false negative.  Groups drawn from
+    the full symmetric group add negative instances of the same checks."""
 
     @staticmethod
     def verdicts(p, s):
@@ -687,3 +695,20 @@ class TestOrbitalPSchemes:
             perm = rng.permutation(m.shape[0])
             want = self.verdicts(p, validate(m))
             assert self.verdicts(p, validate(m[np.ix_(perm, perm)])) == want
+
+    def test_symmetric_group_draws(self):
+        """Transitive groups drawn from S_n on 3 to 8 points: rank-2
+        schemes, p-schemes and schemes that are neither all occur, and
+        the two sides agree on every report of each."""
+        drawn = symmetric_orbital_matrices(seed=1, draws=40)
+        distinct = {m.tobytes(): m for m in drawn}.values()
+        kinds = Counter()
+        for m in distinct:
+            s = validate(m)
+            assert s.is_homogeneous
+            reports = member_reports(CorpusMember("orbital", "orbital", s), (2, 3, 5, 7))
+            assert all(rep.agree for rep in reports)
+            p_scheme = any(is_p_scheme(s, q) for q in (2, 3, 5, 7))
+            kinds["rank-2" if s.r == 2 else "p-scheme" if p_scheme else "neither"] += 1
+        assert len(drawn) > 100 and len(distinct) > 20
+        assert kinds["rank-2"] and kinds["p-scheme"] and kinds["neither"]

@@ -178,6 +178,15 @@ class TestCayleyTables:
         with pytest.raises(InvalidGroupTable, match="not associative"):
             cayley_table(NON_ASSOCIATIVE_LOOP)
 
+    def test_rejects_non_associative_loop_whose_identity_is_not_zero(self):
+        """Generation starts from the identity, 1 here: started from 0,
+        the products of 0 with the tested elements reach every element
+        while 0 itself, which fails Light's test, is never tested."""
+        loop = [[3, 0, 4, 2, 5, 1], [0, 1, 2, 3, 4, 5], [4, 2, 5, 1, 3, 0],
+                [5, 3, 1, 0, 2, 4], [1, 4, 3, 5, 0, 2], [2, 5, 0, 4, 1, 3]]
+        with pytest.raises(InvalidGroupTable, match="not associative"):
+            cayley_table(loop)
+
     def test_associativity_check_peak_memory(self):
         """Two m^3 int64 arrays would be 32 MiB at m = 128."""
         g = np.arange(128)

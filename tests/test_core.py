@@ -66,6 +66,7 @@ from asck.lattice import RANK_CAP, _closure_rows
 from oracles import (
     chords_shape,
     circulant_shape,
+    counter_mismatch,
     ladder_closures_64,
     ladder_matrix,
     old_canonical_recolor,
@@ -243,10 +244,11 @@ def perturbed_matrices():
 
 
 def cell_runs(matrix, r):
-    """Every cell grouped by color, row-major within a color, and the
-    offsets of the color runs, built from ``np.argwhere``."""
-    cells = np.concatenate([np.argwhere(matrix == c) for c in range(r)])
-    return cells, np.concatenate(([0], np.cumsum(np.bincount(matrix.ravel(), minlength=r))))
+    """The flat row-major position of every cell grouped by color,
+    ascending within a color, and the offsets of the color runs, built
+    from ``np.flatnonzero``."""
+    order = np.concatenate([np.flatnonzero(matrix == c) for c in range(r)])
+    return order, np.concatenate(([0], np.cumsum(np.bincount(matrix.ravel(), minlength=r))))
 
 
 class TestIntersectionNumberCheck:
@@ -267,12 +269,36 @@ class TestIntersectionNumberCheck:
         # some witnesses lie in a later n-cell chunk of the walk than
         # their color's first cell
         def chunks(m, mismatch):
-            cells, offsets = cell_runs(m, int(m.max()) + 1)
-            n, color = m.shape[0], mismatch[0]
-            return offsets[color] // n, cells.tolist().index(list(mismatch[4])) // n
+            order, offsets = cell_runs(m, int(m.max()) + 1)
+            (n, color), (u, w) = (m.shape[0], mismatch[0]), mismatch[4]
+            return offsets[color] // n, order.tolist().index(u * n + w) // n
 
         spans = [chunks(m, got) for m, got, _ in outcomes if got is not None]
         assert any(start < witness for start, witness in spans)
+
+
+class TestCountMismatchWitness:
+    """``_raise_count_mismatch`` reads the least differing code off the
+    two sorted code rows; ``counter_mismatch`` counts every code."""
+
+    def test_matches_counter_oracle(self):
+        rng = np.random.default_rng(30)
+        kinds = Counter()
+        for _ in range(3000):
+            n, r = int(rng.integers(1, 9)), int(rng.choice([1, 2, 3, 5, 2 ** 31 + 11]))
+            m = rng.integers(0, r, size=(n, n))
+            cell_a, cell_b = (tuple(map(int, rng.integers(0, n, size=2))) for _ in range(2))
+            a, b = (np.sort(m[u, :] * r + m[:, w]) for u, w in (cell_a, cell_b))
+            if np.array_equal(a, b):
+                continue
+            color = int(m[cell_a])
+            got = raised(_raise_count_mismatch, m, r, color, cell_a, cell_b)
+            assert got == raised(counter_mismatch, m, r, color, cell_a, cell_b)
+            kinds["last index"] += bool(np.flatnonzero(a != b)[0] == n - 1)
+            kinds["same codes"] += bool(np.array_equal(np.unique(a), np.unique(b)))
+            kinds["wide codes"] += r > 2 ** 31
+        assert kinds["last index"] > 20 and kinds["same codes"] > 20
+        assert kinds["wide codes"] > 20
 
 
 def raised(call, *args):
@@ -286,11 +312,11 @@ def raised(call, *args):
 
 
 def stable_runs(matrix):
-    """Every cell stably sorted by color, and the offsets of the color runs."""
+    """The flat row-major position of every cell stably sorted by color,
+    and the offsets of the color runs."""
     order = np.argsort(matrix.ravel(), kind="stable")
     sizes = np.bincount(matrix.ravel())
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return np.stack(np.divmod(order, matrix.shape[0]), axis=1), offsets
+    return order, np.concatenate(([0], np.cumsum(sizes)))
 
 
 def discrete_configuration(n):
@@ -370,12 +396,12 @@ def swapped_cyclic(m):
 
 
 def walk_position(matrix, cell):
-    """Where ``cell`` sits in the walk: the cells of the multi-cell colors,
-    stably sorted by color."""
-    cells, offsets = stable_runs(matrix)
+    """Where ``cell`` sits in the walk: the flat positions of the cells of
+    the multi-cell colors, stably sorted by color."""
+    order, offsets = stable_runs(matrix)
     sizes = np.diff(offsets)
-    walk = cells[np.repeat(sizes > 1, sizes)].tolist()
-    return walk.index(list(cell)), walk
+    u, w = cell
+    return order[np.repeat(sizes > 1, sizes)].tolist().index(u * matrix.shape[0] + w)
 
 
 class TestChunkedWalk:
@@ -411,8 +437,8 @@ class TestChunkedWalk:
             want = raised(old_check_intersection_numbers, m, r, *runs)
             sizes = [1, 2, 3] if n <= 16 else []
             if want is not None:
-                p, walk = walk_position(m, want[1]["cell_b"])
-                color_start = walk.index(list(want[1]["cell_a"]))
+                p = walk_position(m, want[1]["cell_b"])
+                color_start = walk_position(m, want[1]["cell_a"])
                 sizes += [k for k in (p - 1, p, p + 1) if k >= 1]
             for rows in sizes:
                 monkeypatch.setattr(core, "_WALK_CODES", rows * n)
@@ -575,6 +601,12 @@ def traced_validate(matrix):
     return held, peak
 
 
+def relabeled(matrix, seed):
+    """The matrix with its points relabeled by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(matrix.shape[0])
+    return matrix[np.ix_(perm, perm)]
+
+
 class TestCertifiedMemory:
     """A certified Scheme keeps the matrix and per-color vectors, no
     per-cell index (which took 16 more bytes per cell), and a
@@ -590,6 +622,21 @@ class TestCertifiedMemory:
         assert matrix.shape[0] == 512
         held, _ = traced_validate(matrix)
         assert held <= 10 * matrix.size
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: np.array(wreath(rank_two_scheme(16), rank_two_scheme(32)).matrix),
+                     id="wreath-16-32"),
+        pytest.param(lambda: relabeled(thin_scheme(dihedral_table(256)).matrix, seed=30),
+                     id="relabeled-D256"),
+    ])
+    def test_general_path_peak(self, build):
+        """Sorting and walking all n^2 cells through flat positions, 8
+        bytes per cell each: about 30 and 35 bytes per cell at the peak,
+        where an (n^2, 2) cell array and its walk copy read 49 and 51."""
+        matrix = build()
+        assert matrix.shape[0] == 512 and not _shift_invariant(matrix)
+        _, peak = traced_validate(matrix)
+        assert peak <= 40 * matrix.size
 
     def test_circulant_peak(self):
         """Sorting all n^2 cells peaked at 45.8 MiB on thin Z_1000;

@@ -64,6 +64,10 @@ ROW_ZERO_PREMISE = ("tests/test_core.py::TestRowZeroWalk::"
                     "test_non_invariant_coloring_consistent_on_row_zero")
 ROW_ZERO_ORBITS = "tests/test_core.py::TestRowZeroWalk::test_recolored_orbits_match_full_walk"
 CIRCULANT_PEAK = "tests/test_core.py::TestCertifiedMemory::test_circulant_peak"
+COUNT_WITNESS = "tests/test_core.py::TestCountMismatchWitness"
+SIZE_ORACLE = "tests/test_checks.py::TestSizeFactorizationOracle"
+CAYLEY = "tests/test_constructions.py::TestCayleyTables"
+CLOSURE_ORACLE = "tests/test_constructions.py::TestClosureOracle"
 ROW_ZERO_ROUNDS = "tests/test_constructions.py::TestRowZeroRounds::test_directed_circulants"
 DISCRETE_STOP = "tests/test_constructions.py::TestDiscreteStop"
 CAYLEY_PERIODS = f"{DIGRAPH}::TestCayleyPeriods::test_match_forest_and_relabeled_copies"
@@ -163,8 +167,40 @@ MUTANTS = (
            "for lo in range(0, len(walk), max(1, chunk - 1)):",
            (CHUNK_BOUNDARY,)),
     Mutant("walk-skips-last-cell-of-chunk", "core.py",
-           "us, ws = walk[lo:lo + chunk].T", "us, ws = walk[lo:lo + chunk - 1].T",
+           "np.divmod(walk[lo:lo + chunk], n)", "np.divmod(walk[lo:lo + chunk - 1], n)",
            (CHUNK_BOUNDARY,)),
+    Mutant("walk-chaining-row-from-last-but-one", "core.py",
+           "codes[0] = codes[k]", "codes[0] = codes[k - 1]", (CHUNK_BOUNDARY,)),
+    Mutant("walk-without-chaining-row", "core.py",
+           "        codes[0] = codes[k]\n", "", (CHUNK_BOUNDARY,)),
+    Mutant("walk-row-against-itself", "core.py",
+           "np.not_equal(rows, codes[:k], out=differs[:k])",
+           "np.not_equal(rows, codes[1:k + 1], out=differs[:k])", (WALK_ORACLE,)),
+    Mutant("walk-buffers-full-chunk", "core.py",
+           "chunk = max(1, min(len(walk), _WALK_CODES // n))",
+           "chunk = max(1, _WALK_CODES // n)",
+           ("tests/test_core.py::TestChunkedWalk::test_buffers_fit_a_short_walk",)),
+    # the witness: least flagged position, least differing code, first cells
+    Mutant("witness-latest-cell", "core.py",
+           "cell = divmod(int(walk[flagged].min()), n)",
+           "cell = divmod(int(walk[flagged].max()), n)", (WALK_ORACLE,)),
+    Mutant("witness-code-max", "core.py",
+           "code = int(min(a[i], b[i]))", "code = int(max(a[i], b[i]))",
+           (f"{COUNT_WITNESS}::test_matches_counter_oracle",)),
+    Mutant("first-cells-run-ends", "core.py",
+           "order[offsets[:-1]]", "order[offsets[1:] - 1]",
+           ("tests/test_core.py::TestSchemeAccessors::test_cell_index_matches_argwhere",)),
+    Mutant("tensor-first-cell-swapped", "core.py",
+           "self.matrix[us, :]) * r + self.matrix[:, ws].T",
+           "self.matrix[ws, :]) * r + self.matrix[:, us].T",
+           ("tests/test_core.py::TestSchemeAccessors::test_tensor_consistency",)),
+    Mutant("check-color-by-int", "core.py",
+           "        index = _index(color)\n", "        index = int(color)\n",
+           ("tests/test_core.py::test_integer_arguments[degree]",)),
+    Mutant("unreferenced-private-def", "core.py",
+           "def _groups(labels: np.ndarray)",
+           "def _unused() -> None:\n    pass\n\n\ndef _groups(labels: np.ndarray)",
+           ("tests/test_callers.py::test_every_definition_in_src_has_a_caller",)),
     Mutant("color-matrix-without-copy", "core.py",
            "arr = _integer_matrix(matrix, copy=True)", "arr = _integer_matrix(matrix)",
            ("tests/test_core.py::TestValidate::"
@@ -195,14 +231,9 @@ MUTANTS = (
            "    text[:, -1, -1] = ord(end)\n", "", (PER_ROW_JOIN,)),
     # the shift test, and the walk and rounds on row 0 that it admits
     Mutant("shift-test-always-true", "core.py",
-           "    second = matrix[1 % matrix.shape[0]]  # row 0 itself when n = 1\n",
-           "    return True\n", (ROW_ZERO_PREMISE,)),
-    Mutant("shift-test-no-row-one-reject", "core.py",
-           "    if not (np.array_equal(second[1:], matrix[0, :-1]) and second[0] == matrix[0, -1]):\n"
-           "        return False\n", "",
-           equivalent="the full comparison that follows covers the cells of row 0 "
-                      "again, so the test's value is unchanged; only its cost on "
-                      "inputs that are not invariant grows from O(n) to O(n^2)"),
+           "    return bool(np.array_equal(matrix[1:, 1:], matrix[:-1, :-1])\n",
+           "    return True or bool(np.array_equal(matrix[1:, 1:], matrix[:-1, :-1])\n",
+           (ROW_ZERO_PREMISE,)),
     Mutant("row-zero-walk-on-row-one", "core.py",
            "keys, counts = arr[0], np.bincount(arr[0], minlength=r)",
            "keys, counts = arr[1 % n], np.bincount(arr[1 % n], minlength=r)",
@@ -252,6 +283,112 @@ MUTANTS = (
            "if len(parts) != 3 or parts[0] != tag:", "if len(parts) != 3:",
            ("tests/test_io_cli.py::TestDgFormat::test_header_messages",
             "tests/test_io_cli.py::TestCcmFormat::test_header_messages_match_per_line_parse")),
+    # the closure rows and the closure itself
+    Mutant("closure-rows-one-way", "lattice.py",
+           "            rows[b][a] |= 1 << c\n", "",
+           ("tests/test_core.py::TestSchemeAccessors::test_closure_rows_match_tensor",)),
+    Mutant("close-without-transpose-bit", "lattice.py",
+           "found = 1 << sigma[c]", "found = 0",
+           equivalent="a set closed under composition already holds each transpose: "
+                      "in a homogeneous scheme every vertex of a basis digraph has "
+                      "equal in- and out-degree, so each arc (u, v) of color s lies on "
+                      "a directed cycle of s-arcs, and the color of (v, u) is met in "
+                      "s composed with itself k times for some k; the closed mask is "
+                      "the same, the stop test sees a color of the closure either "
+                      "way, and the member list is read only as a set"),
+    Mutant("close-shares-member-list", "lattice.py",
+           "    members = members.copy()\n", "",
+           ("tests/test_lattice.py::TestStoppedClosure::test_matches_full_closures",
+            "tests/test_lattice.py::TestPreviousEngineOracle")),
+    Mutant("is-discrete-not-full", "lattice.py",
+           "return len(self.classes) == self.scheme.n", "return len(self.classes) != 1",
+           ("tests/test_lattice.py::TestMinimalMaximal::test_cyclic_four",)),
+    Mutant("equivalence-without-transitivity-check", "lattice.py",
+           "    if not np.array_equal(member, labels[:, None] == labels[None, :]):\n"
+           "        raise NotASchemeEquivalence(\"union of relations is not transitive\")\n",
+           "", ("tests/test_lattice.py::TestEquivalenceConstructors::"
+                "test_from_colors_matches_brute_force",)),
+    Mutant("memo-miss-builds-unchecked", "lattice.py",
+           "lambda: equivalence_from_colors(scheme, colors))",
+           "lambda: _unchecked_equivalence(scheme, list(colors)))",
+           ("tests/test_constructions.py::TestQuotient::test_rejects_foreign_equivalence",)),
+    Mutant("thin-radical-scatter-transposed", "lattice.py",
+           "table[index[row0[reached[i]]], index[rows[i, w]]] = index[row0[w]]",
+           "table[index[rows[i, w]], index[row0[reached[i]]]] = index[row0[w]]",
+           ("tests/test_lattice.py::TestThinRadical",)),
+    # the checks: primitive structure, size factorization, restrictions
+    Mutant("primitive-cycle-without-point-count", "checks.py",
+           "cycle = point_count_ok & (scheme.degrees == 1) & (basis_periods(scheme) == p)",
+           "cycle = (scheme.degrees == 1) & (basis_periods(scheme) % p == 0)",
+           ("tests/test_checks.py::TestPrimitiveStructure",)),
+    Mutant("primitive-cycle-p-divides-period", "checks.py",
+           "(basis_periods(scheme) == p)", "(basis_periods(scheme) % p == 0)",
+           equivalent="the mask also requires n = p and degree 1, and a permutation "
+                      "of p points whose cycle lengths all have a multiple of p as "
+                      "their gcd is one p-cycle, whose period is p"),
+    Mutant("size-factorization-vanished-not-first", "checks.py",
+           "    if vanished[color]:\n        raise SchemeError(f\"color {color} vanished\")\n"
+           "    lo, hi, m = int(low[color]), int(high[color]), int(blocks[color])\n"
+           "    if lo != hi:\n"
+           "        raise SchemeError(f\"color {color} has unequal block counts {lo} vs {hi}\")\n",
+           "    lo, hi, m = int(low[color]), int(high[color]), int(blocks[color])\n"
+           "    if lo != hi:\n"
+           "        raise SchemeError(f\"color {color} has unequal block counts {lo} vs {hi}\")\n"
+           "    if vanished[color]:\n        raise SchemeError(f\"color {color} vanished\")\n",
+           (f"{SIZE_ORACLE}::test_each_message",)),
+    Mutant("size-factorization-without-size-test", "checks.py",
+           " | (blocks * high != scheme.sizes))", ")",
+           (f"{SIZE_ORACLE}::test_each_message",)),
+    Mutant("size-factorization-least-by-maximum", "checks.py",
+           "np.minimum.at(low, colors, counts)", "np.maximum.at(low, colors, counts)",
+           (f"{SIZE_ORACLE}::test_arbitrary_partitions",)),
+    Mutant("quotient-check-last-class", "checks.py",
+           "_class_restriction(scheme, e.classes[0])", "_class_restriction(scheme, e.classes[-1])",
+           ("tests/test_checks.py::TestPrimeIndependentWork::test_call_counts",)),
+    Mutant("block-criterion-last-classes", "checks.py",
+           "blocks = sorted((e.classes[0] for e", "blocks = sorted((e.classes[-1] for e",
+           ("tests/test_checks.py::TestBlockCriterion::test_matches_all_classes_oracle_on_corpus",)),
+    Mutant("corpus-spec-allows-repeated-prime", "corpus.py",
+           "            if p in self.primes[:i]:\n", "            if False:\n",
+           ("tests/test_io_cli.py::TestCliCorpus::test_repeated_prime_exits_2",)),
+    # group tables: the Latin and identity tests and the greedy generation
+    Mutant("latin-test-rows-only", "constructions.py",
+           "(np.sort(arr, axis=1) != ids).any(axis=1)\n"
+           "                 | (np.sort(arr, axis=0) != ids[:, None]).any(axis=0))",
+           "(np.sort(arr, axis=1) != ids).any(axis=1))",
+           (f"{CAYLEY}::test_matches_row_by_row_oracle", f"{CAYLEY}::test_rejects_non_latin")),
+    Mutant("identity-test-rows-only", "constructions.py",
+           "is_identity = (arr == ids).all(axis=1) & (arr == ids[:, None]).all(axis=0)",
+           "is_identity = (arr == ids).all(axis=1)", (f"{CAYLEY}::test_matches_row_by_row_oracle",)),
+    Mutant("generation-from-element-zero", "constructions.py",
+           "generated[identity] = True", "generated[0] = True",
+           (f"{CAYLEY}::test_rejects_non_associative_loop_whose_identity_is_not_zero",)),
+    Mutant("generation-one-closure-step", "constructions.py",
+           "while closed < len(h) < m:", "if closed < len(h) < m:",
+           (f"{CAYLEY}::test_light_tests_one_greedy_generating_set",)),
+    # blocks, closure rounds and quotient labels
+    Mutant("is-block-count-at-least", "constructions.py",
+           "== len(pts) ** 2", ">= len(pts) ** 2",
+           ("tests/test_constructions.py::TestBlocksAndRestriction::"
+            "test_row_count_matches_generated_equivalence",)),
+    Mutant("round-hash-symmetric-weights", "constructions.py",
+           "        x, y = _hash_weights(rng, r, width)\n",
+           "        x, y = _hash_weights(rng, r, width)\n        x = y\n",
+           (f"{CLOSURE_ORACLE}::test_seeded_random_digraphs",
+            "tests/test_constructions.py::TestRoundKeyOracle::test_one_fixpoint_per_closure")),
+    Mutant("round-key-k-minus-one", "constructions.py",
+           "np.unique(top * k + rank.reshape(top.shape)",
+           "np.unique(top * (k - 1) + rank.reshape(top.shape)",
+           (f"{CLOSURE_ORACLE}::test_seeded_random_digraphs",
+            "tests/test_constructions.py::TestRoundKeyOracle::test_one_fixpoint_per_closure")),
+    Mutant("quotient-label-greatest-color", "constructions.py",
+           "colors[np.flatnonzero(np.diff(pairs, prepend=-1))]",
+           "colors[np.flatnonzero(np.diff(pairs, append=k * k))]",
+           equivalent="the colors of a class pair are one double coset TsT, and "
+                      "double cosets partition the colors, so the greatest color "
+                      "names a class pair's set as exactly as the least; "
+                      "canonical_scheme renames the ids by first cell, whatever "
+                      "they are"),
     # the lattice: least-point labels, the Close-by-One search and its stop
     Mutant("labels-by-argmin", "lattice.py",
            "labels = member.argmax(axis=1)", "labels = member.argmin(axis=1)",
