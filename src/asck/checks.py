@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import _class_pair_runs, _class_restriction, quotient, restriction
+from .constructions import _class_pair_runs, _class_restriction, quotient
 from .core import Scheme, _index
 from .digraph import basis_periods
 from .errors import NotPrime, SchemeError
@@ -278,7 +278,12 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
 
 
 def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
-    """p-scheme iff the restriction to every fiber is a p-scheme."""
+    """p-scheme iff the restriction to every fiber is a p-scheme.
+
+    Each fiber is restricted by ``_class_restriction`` with no
+    ``is_block`` test: a fiber is a block by definition, and the memo
+    entry ``("restriction", fiber)`` is the one ``restriction`` reads.
+    """
     p = require_prime(p)
     witnesses, report = _begin("fiber-reduction", scheme)
 
@@ -286,7 +291,7 @@ def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
 
     rhs = True
     for i, fiber in enumerate(scheme.fibers):
-        sub = is_p_scheme(restriction(scheme, fiber), p)
+        sub = is_p_scheme(_class_restriction(scheme, fiber), p)
         if not sub:
             rhs = False
             witnesses["fiber-offender"] = (

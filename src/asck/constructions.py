@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Scheme, _index, _integral, _shift_invariant, as_color_matrix,
+from .core import (Scheme, _color_ids, _index, _integer_matrix, _integral, _shift_invariant,
                    canonical_scheme, require_points)
 from .digraph import Digraph
 from .errors import (
@@ -290,34 +290,34 @@ def restriction(scheme: Scheme, points: Sequence[int]) -> Scheme:
         raise NotABlock("empty point set")
     if pts[0] < 0 or pts[-1] >= scheme.n:
         raise NotABlock(f"points out of range 0..{scheme.n - 1}")
-    return scheme.derived(("restriction", tuple(pts)), lambda: _restriction(scheme, pts))
-
-
-def _restriction(scheme: Scheme, pts: list[int]) -> Scheme:
     if not is_block(scheme, pts):
         raise NotABlock(f"{pts} is not a class of any scheme equivalence")
-    return canonical_scheme(scheme.matrix[np.ix_(pts, pts)])
+    return _class_restriction(scheme, tuple(pts))
 
 
 def _class_restriction(scheme: Scheme, cls: tuple[int, ...]) -> Scheme:
-    """``restriction`` to one class of a scheme equivalence of a
-    homogeneous scheme, with no ``is_block`` test.  The class must be
-    ascending, as every ``Equivalence`` of ``asck.lattice`` keeps it.
+    """``restriction`` to a fiber, or to one class of a scheme
+    equivalence of a homogeneous scheme, with no ``is_block`` test.  The
+    points must be ascending, as every fiber and every class of an
+    ``Equivalence`` of ``asck.lattice`` is kept.
 
-    Exact: let T be the closed color set of the equivalence E_T and B one
-    of its classes.  In a homogeneous scheme every color leaves every
-    point at least once, and the out-neighbours of a point under a color
-    of T are E_T-related to it, so they stay in its class: every color of
-    T occurs inside B x B.  Every pair inside B is E_T-related, so no
-    other color does.  The colors inside B are therefore exactly T, so
-    each u in B has exactly |B| points v with color(u, v) in T, its
-    class, which is the row count ``is_block`` tests.  It also follows that
-    each color c of T has |B| * deg(c) cells inside B x B, so all classes
-    of E_T restrict to one multiset of color sizes and get one verdict
-    from ``is_p_scheme``, which reads only sizes.
+    A fiber is a block by definition, and ``is_block`` accepts every
+    fiber.  A class is one too: let T be the closed color set of the
+    equivalence E_T and B one of its classes.  In a homogeneous scheme
+    every color leaves every point at least once, and the out-neighbours
+    of a point under a color of T are E_T-related to it, so they stay in
+    its class: every color of T occurs inside B x B.  Every pair inside
+    B is E_T-related, so no other color does.  The colors inside B are
+    therefore exactly T, so each u in B has exactly |B| points v with
+    color(u, v) in T, its class, which is the row count ``is_block``
+    tests.  It also follows that each color c of T has |B| * deg(c)
+    cells inside B x B, so all classes of E_T restrict to one multiset
+    of color sizes and get one verdict from ``is_p_scheme``, which reads
+    only sizes.
 
-    The restriction is kept under the same ``("restriction", cls)`` memo
-    entry that ``restriction`` fills, so both return one object.
+    The restriction is kept under the ``("restriction", cls)`` memo
+    entry, which ``restriction`` reads through this function, so both
+    return one object.
     """
     return scheme.derived(("restriction", cls),
                           lambda: canonical_scheme(scheme.matrix[np.ix_(cls, cls)]))
@@ -463,7 +463,7 @@ def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     next seed of ``_CLOSURE_SEEDS``; SchemeError is raised once they run
     out.
     """
-    arr = as_color_matrix(matrix)
+    arr = _color_ids(_integer_matrix(matrix))
     n = arr.shape[0]
     r = int(arr.max()) + 1
     first = (arr * r + arr.T) * 2 + np.eye(n, dtype=np.int64)

@@ -170,13 +170,23 @@ def as_color_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     0..r-1.
 
     Raises SchemeError for malformed arrays and NonContiguousColors
-    (carrying the ascending relabel map) when color ids have gaps.  The
-    gap test is one ``np.bincount`` over the ids; ``np.unique`` runs only
-    to build the relabel map.  Ids above n^2 - 1 leave a gap among at
-    most n^2 colors, so they take that path before any count is
-    allocated for them.
+    (carrying the ascending relabel map) when color ids have gaps; the
+    color test is ``_color_ids``.
     """
-    arr = _integer_matrix(matrix, copy=True)
+    return _color_ids(_integer_matrix(matrix, copy=True))
+
+
+def _color_ids(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, an int64 matrix from ``_integer_matrix``, once its
+    ids are checked to be the contiguous colors 0..r-1.
+
+    Raises SchemeError naming a negative id's cell, and NonContiguousColors
+    (carrying the ascending relabel map) when the ids have gaps.  The gap
+    test is one ``np.bincount`` over the ids; ``np.unique`` runs only to
+    build the relabel map.  Ids above n^2 - 1 leave a gap among at most
+    n^2 colors, so they take that path before any count is allocated for
+    them.
+    """
     if arr.min() < 0:
         u, v = map(int, np.argwhere(arr < 0)[0])
         raise SchemeError(f"negative color {arr[u, v]} at cell ({u},{v})")
@@ -341,7 +351,9 @@ class Scheme:
         return self.derived("hash", build)
 
 
-def _check_diagonal(matrix: np.ndarray, sizes: np.ndarray) -> tuple[int, ...]:
+def _check_diagonal(matrix: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each color's count of diagonal cells, once every color is checked
+    to lie wholly on or wholly off the diagonal."""
     n = matrix.shape[0]
     diag = matrix.diagonal()
     on_diag = np.bincount(diag, minlength=sizes.size)
@@ -352,7 +364,7 @@ def _check_diagonal(matrix: np.ndarray, sizes: np.ndarray) -> tuple[int, ...]:
         off = np.argwhere((matrix == color)
                           & ~np.eye(n, dtype=bool))[0]
         raise NotAPartitionOfDiagonal(color, (du, du), (int(off[0]), int(off[1])))
-    return tuple(int(c) for c in np.nonzero(on_diag)[0])
+    return on_diag
 
 
 def _check_transpose(matrix: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -541,16 +553,17 @@ def _certify(arr: np.ndarray) -> Scheme:
     order = np.argsort(keys, kind="stable")
     first = np.stack(np.divmod(order[offsets[:-1]], n), axis=1)
 
-    diagonal_colors = _check_diagonal(arr, sizes)
+    # a diagonal color's count of diagonal cells is its fiber's size
+    fiber_sizes = _check_diagonal(arr, sizes)
     sigma = _check_transpose(arr, first)
     _check_intersection_numbers(arr, r, order, offsets)
 
     diag = arr.diagonal()
     fibers = _groups(diag)
+    diagonal_colors = tuple(np.flatnonzero(fiber_sizes).tolist())
 
     # with the axioms checked, each color's cells leave every point of its
     # source fiber equally often, so the degree is size / |source fiber|
-    fiber_sizes = np.bincount(diag, minlength=r)
     degrees = sizes // fiber_sizes[diag[first[:, 0]]]
 
     for a in (arr, first):

@@ -12,7 +12,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import _decimal_text, as_color_matrix, require_points
+from .core import _color_ids, _decimal_text, _integer_matrix, require_points
 from .digraph import Digraph
 from .errors import SchemeError
 
@@ -175,7 +175,7 @@ def read_ccm(source: str | Path | IO[str]) -> np.ndarray:
     values = _digit_rows(rows, n)
     if values is None:
         values = _int64_rows(name, rows, n)
-    matrix = as_color_matrix(values)
+    matrix = _color_ids(values)
     actual_r = int(matrix.max()) + 1
     if actual_r != r:
         raise ParseError(name, lineno,
@@ -187,10 +187,11 @@ def ccm_text(matrix: np.ndarray) -> str:
     """The .ccm text of a color matrix: the header, then each row's
     decimal entries joined by single spaces, every row ending in a
     newline, from ``core._decimal_text`` with no ``str`` per entry.  The
-    matrix is coerced by ``as_color_matrix``, as ``read_ccm`` and
-    ``validate`` coerce theirs, so what they reject raises the same
-    SchemeError here and is never written."""
-    arr = as_color_matrix(matrix)
+    matrix is checked by ``core._color_ids``, as ``read_ccm`` and
+    ``validate`` check theirs, so what they reject raises the same
+    SchemeError here and is never written; an int64 matrix is not
+    copied."""
+    arr = _color_ids(_integer_matrix(matrix))
     n = arr.shape[0]
     r = int(arr.max()) + 1
     return f"ccm {n} {r}\n" + _decimal_text(arr, " ", "\n").decode("ascii")

@@ -6,14 +6,15 @@ an equivalence relation on the point set.  Closure runs on color
 bitmasks over closure rows kept in the scheme's ``derived`` memo: row c
 holds, for each color m, the mask of the colors composed from c and m
 in either order.  A worklist adds one color at a time and composes it
-only with the current members, one row entry per member.  The lattice
-is enumerated by Close-by-One (Kuznetsov, 1993): depth first from the
-diagonal, each set is joined with single colors taken in ascending
-order, and a join is kept only when it adds no color below the one
-that made it, so every closed set is made exactly once and none is
-looked up.  As in In-Close (Andrews, 2009), a join stops at the first
-such color its worklist meets.  A join starts from the list of its
-parent's colors.
+only with the current members, one row entry per member; it queues no
+transpose, since a set closed under composition already holds each one
+(see ``_close``).  The lattice is enumerated by Close-by-One (Kuznetsov,
+1993): depth first from the diagonal, each set is joined with single
+colors taken in ascending order, and a join is kept only when it adds
+no color below the one that made it, so every closed set is made
+exactly once and none is looked up.  As in In-Close (Andrews, 2009), a
+join stops at the first such color its worklist meets.  A join starts
+from the list of its parent's colors.
 
 Each closed set gives one equivalence.  Its classes come from one
 labeling, ``_labeled_classes``: one gather of an r-entry table over the
@@ -21,15 +22,18 @@ matrix, and each point labeled by the least point of its row.
 ``equivalence_from_colors`` checks any color union on top of that
 labeling; the enumeration builds its closed sets' classes unchecked
 (their unions are equivalences by the closure axioms) and files them
-under the memo that ``closed_set_equivalence`` reads.  The lattice
-queries (all, minimal and maximal-below-full equivalences, primitivity)
-feed the quotients and restrictions of ``constructions`` and the block
-criterion of ``checks``.  The module reads only ``core`` and ``errors``.
+under the memo that ``closed_set_equivalence`` reads.  ``ClosedSet``
+and ``Equivalence`` are frozen dataclasses whose generated equality
+reads the scheme, which compares by identity, and the colors or the
+classes.  The lattice queries (all, minimal and maximal-below-full
+equivalences, primitivity) feed the quotients and restrictions of
+``constructions`` and the block criterion of ``checks``.  The module
+reads only ``core`` and ``errors``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -41,9 +45,13 @@ from .errors import NotASchemeEquivalence, RankTooLarge, TooFewPoints
 RANK_CAP = 24
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClosedSet:
-    """A transpose- and composition-closed color set containing the diagonal."""
+    """A transpose- and composition-closed color set containing the diagonal.
+
+    Equality is by colors on the same scheme object: ``Scheme`` compares
+    by identity.
+    """
 
     scheme: Scheme
     colors: frozenset[int]
@@ -57,33 +65,20 @@ class ClosedSet:
     def __len__(self) -> int:
         return len(self.colors)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClosedSet) and self.scheme is other.scheme
-                and self.colors == other.colors)
 
-    def __hash__(self) -> int:
-        return hash((id(self.scheme), self.colors))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Equivalence:
     """A partition of the points whose pair relation is a union of colors.
 
-    Equality is by class partition (same scheme object); the color set
-    is carried along and always determines, and is determined by, the
+    Equality is by class partition on the same scheme object (``Scheme``
+    compares by identity); the color set is carried along, outside the
+    comparison, and always determines, and is determined by, the
     partition.
     """
 
     scheme: Scheme
     classes: tuple[tuple[int, ...], ...]
-    colors: frozenset[int]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Equivalence) and self.scheme is other.scheme
-                and self.classes == other.classes)
-
-    def __hash__(self) -> int:
-        return hash((id(self.scheme), self.classes))
+    colors: frozenset[int] = field(compare=False)
 
     @property
     def is_discrete(self) -> bool:
@@ -95,10 +90,10 @@ class Equivalence:
         return len(self.classes) == 1
 
 
-def _closure_rows(scheme: Scheme) -> tuple[list[list[int]], list[int]]:
+def _closure_rows(scheme: Scheme) -> list[list[int]]:
     """The closure engine's composition table, kept in the ``derived``
     memo: ``rows[c][m]`` is the mask of the colors composed from c and m
-    in either order, and the transpose map as a list.
+    in either order.
 
     Color c's first cell (u, w) meets the pair (color(u,v), color(v,w))
     at each point v, and p^c_ab > 0 exactly for the pairs (a, b) met, so
@@ -106,7 +101,7 @@ def _closure_rows(scheme: Scheme) -> tuple[list[list[int]], list[int]]:
     composition.  The scheme is homogeneous, so r <= n and the walk and
     the rows take O(n^2) ints.
     """
-    def build() -> tuple[list[list[int]], list[int]]:
+    def build() -> list[list[int]]:
         r = scheme.r
         us, ws = scheme.first_cells.T
         triples = np.unique((np.arange(r)[:, None] * r + scheme.matrix[us, :]) * r
@@ -115,26 +110,33 @@ def _closure_rows(scheme: Scheme) -> tuple[list[list[int]], list[int]]:
         for c, a, b in zip(*(x.tolist() for x in np.unravel_index(triples, (r, r, r)))):
             rows[a][b] |= 1 << c
             rows[b][a] |= 1 << c
-        return rows, scheme.transpose_map.tolist()
+        return rows
 
     return scheme.derived("closure-rows", build)
 
 
-def _close(rows: list[list[int]], sigma: list[int], closed: int,
-           members: list[int], extra: int, stop: int) -> tuple[int, list[int]] | None:
+def _close(rows: list[list[int]], closed: int, members: list[int],
+           extra: int, stop: int) -> tuple[int, list[int]] | None:
     """Smallest closed color mask containing the closed mask ``closed``,
     whose colors are listed in ``members``, and the colors of the mask
     ``extra``; returned with a new list of its colors, or None as soon
     as the worklist holds a color of the mask ``stop``.
 
-    Worklist closure on the closure rows ``rows`` and the transpose map
-    ``sigma``: each color taken from the worklist joins the members and
-    queues its transpose and its compositions, both ways, with every
-    current member, read from the color's closure row.  A pair of
-    members is composed once, when the later of the two is added; pairs
-    inside ``closed`` never.  Every color the closure adds passes
-    through the worklist, so None means exactly that the closure adds a
-    color of ``stop``.
+    Worklist closure on the closure rows ``rows``: each color taken from
+    the worklist joins the members and queues its compositions, both
+    ways, with every current member, read from the color's closure row.
+    A pair of members is composed once, when the later of the two is
+    added; pairs inside ``closed`` never.  Every color the closure adds
+    passes through the worklist, so None means exactly that the closure
+    adds a color of ``stop``.
+
+    No transpose is queued: a set closed under composition already holds
+    each one (Zieschang, *Theory of Association Schemes*, 2005).  In a
+    homogeneous scheme every vertex of a basis digraph has equal in- and
+    out-degree, so each arc (u, v) of color s lies on a directed cycle
+    of s-arcs, and the color of (v, u) is met in s composed with itself
+    k times, for some k.  So the closed mask is the one that queuing
+    transposes would give.
     """
     members = members.copy()
     pending = extra & ~closed
@@ -147,7 +149,7 @@ def _close(rows: list[list[int]], sigma: list[int], closed: int,
         c = bit.bit_length() - 1
         members.append(c)
         row = rows[c]
-        found = 1 << sigma[c]
+        found = 0
         for m in members:
             found |= row[m]
         pending |= found & ~closed
@@ -165,9 +167,8 @@ def generated_closed_set(scheme: Scheme, seed: Iterable[int]) -> ClosedSet:
     """Smallest closed set containing the seed colors."""
     scheme.require_homogeneous()
     extra = _mask(scheme.check_color(c) for c in seed)
-    rows, sigma = _closure_rows(scheme)
     bottom = list(scheme.diagonal_colors)
-    _, members = _close(rows, sigma, _mask(bottom), bottom, extra, 0)
+    _, members = _close(_closure_rows(scheme), _mask(bottom), bottom, extra, 0)
     return ClosedSet(scheme, frozenset(members))
 
 
@@ -265,7 +266,7 @@ def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
     (p^c_ab > 0 with a, b in the set puts c in the set), so the union is
     transitive.
     """
-    rows, sigma = _closure_rows(scheme)
+    rows, sigma = _closure_rows(scheme), scheme.transpose_map
     # the lone diagonal color of a homogeneous scheme is closed
     bottom = list(scheme.diagonal_colors)
     colors = [c for c in range(scheme.r) if c not in bottom and sigma[c] >= c]
@@ -279,7 +280,7 @@ def _enumerate_equivalences(scheme: Scheme) -> list[Equivalence]:
             if (closed >> c) & 1:
                 continue
             # stop at the first color below c that the join would add
-            join = _close(rows, sigma, closed, members, 1 << c, (1 << c) - 1)
+            join = _close(rows, closed, members, 1 << c, (1 << c) - 1)
             if join is not None:
                 stack.append((*join, i + 1))
     ordered = sorted(found, key=lambda ms: (len(ms), sorted(ms)))

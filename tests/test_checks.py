@@ -208,6 +208,34 @@ class TestFiberReduction:
         rep = check_fiber_reduction(validate([[0]]), 2)
         assert rep.lhs and rep.rhs and rep.agree
 
+    def test_restrictions_are_those_of_restriction(self, corpus, monkeypatch):
+        """Over the default primes the check restricts every fiber of every
+        non-homogeneous corpus member, with no ``is_block`` test, to the
+        object that ``restriction`` returns, on a fresh scheme and a cold
+        one."""
+        built = []
+        real = checks._class_restriction
+
+        def recording(s, fiber):
+            sub = real(s, fiber)
+            built.append((fiber, sub))
+            return sub
+
+        monkeypatch.setattr(checks, "_class_restriction", recording)
+        fibers = 0
+        for member in corpus:
+            if member.scheme.is_homogeneous:
+                continue
+            s, cold = validate(member.scheme.matrix), validate(member.scheme.matrix)
+            built.clear()
+            for p in CorpusSpec().primes:
+                check_fiber_reduction(s, p)
+            assert {fiber for fiber, _ in built} == set(s.fibers)
+            for fiber, sub in built:
+                assert sub is restriction(s, fiber) is restriction(cold, fiber)
+            fibers += len(s.fibers)
+        assert fibers == 293
+
 
 class TestQuotientFactorization:
     def test_cyclic_four(self):
@@ -438,8 +466,9 @@ class TestPrimeIndependentWork:
         assert covered == default.keys()
 
     def test_call_counts(self, corpus, monkeypatch):
-        """One default run on fresh schemes: the block and quotient checks
-        never call ``is_block``, the block criterion builds one restriction
+        """One default run on fresh schemes: no check calls ``is_block``
+        (fibers and lattice classes are blocks by definition or by the
+        closure argument), the block criterion builds one restriction
         per equivalence other than the full one, the quotient check builds
         only its quotients, and each (scheme, classes) pair's size
         factorization is built once."""
@@ -487,9 +516,7 @@ class TestPrimeIndependentWork:
         fresh = fresh_members(corpus)
         results = run_corpus_checks(fresh, CorpusSpec().primes)
         assert len(results) == 6898
-        assert is_block_calls["inside"] == 0
-        # the fiber-reduction check still restricts through is_block
-        assert is_block_calls["outside"] > 0
+        assert sum(is_block_calls.values()) == 0
         pairs = {(id(m.scheme), e.classes) for m in fresh
                  if m.scheme.is_homogeneous and m.scheme.n >= 2 and m.scheme.r <= RANK_CAP
                  for e in minimal_equivalences(m.scheme)[:2]}
@@ -512,6 +539,10 @@ class TestPrimeIndependentWork:
                 for e in minimal_equivalences(s)[:2]:
                     check_quotient_factorization(s, e, 2)
         assert is_block_calls["outside"] == before
+        # the wrapper counts: ``restriction`` itself still tests its points
+        s = next(m.scheme for m in fresh if not m.scheme.is_homogeneous)
+        restriction(s, s.fibers[0])
+        assert is_block_calls["outside"] == before + 1
 
 
 class TestPrimitiveStructure:

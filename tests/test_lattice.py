@@ -40,7 +40,7 @@ from asck.errors import (
 )
 import asck
 from asck import lattice
-from asck.lattice import RANK_CAP, ClosedSet, closed_set_equivalence
+from asck.lattice import RANK_CAP, ClosedSet, Equivalence, closed_set_equivalence
 from oracles import (
     check_closed_set,
     old_all_equivalences,
@@ -317,6 +317,54 @@ class TestEquivalenceConstructors:
         s = z4()
         with pytest.raises(NotASchemeEquivalence):
             equivalence_from_colors(s, [0, int(s.matrix[0, 1])])
+
+
+class TestValueEquality:
+    """``ClosedSet`` and ``Equivalence`` are equal exactly when they are on
+    the same scheme object and have equal colors, or equal classes; a
+    scheme compares by identity, and an equivalence's colors are not
+    compared."""
+
+    def test_equal_on_one_scheme(self):
+        s = thin_scheme(dihedral_table(4))
+        for seed in ([], [1], [1, 2], list(range(s.r))):
+            a = generated_closed_set(s, seed)
+            b = ClosedSet(s, frozenset(sorted(a.colors)))
+            assert a is not b and a == b and hash(a) == hash(b)
+            e = equivalence_from_colors(s, a.colors)
+            f = equivalence_from_colors(s, sorted(a.colors))
+            assert e is not f and e == f and hash(e) == hash(f)
+        eqs = all_equivalences(s)
+        assert len({e.colors for e in eqs}) == len(set(eqs)) == len(eqs)
+
+    def test_equal_matrices_on_two_schemes_differ(self):
+        matrix = thin_scheme(cyclic_table(4)).matrix
+        s, t = validate(matrix), validate(matrix)
+        assert generated_closed_set(s, [2]) != generated_closed_set(t, [2])
+        assert equivalence_from_colors(s, [0, 2]) != equivalence_from_colors(t, [0, 2])
+        assert all(e != f for e, f in zip(all_equivalences(s), all_equivalences(t)))
+
+    def test_equivalence_colors_not_compared(self):
+        s = z4()
+        e = equivalence_from_colors(s, [0, 2])
+        for colors in (frozenset(), frozenset({0}), frozenset(range(s.r))):
+            other = Equivalence(s, e.classes, colors)
+            assert other == e and hash(other) == hash(e)
+        assert Equivalence(s, ((0, 1), (2, 3)), e.colors) != e
+
+    def test_set_and_dict_keys(self):
+        s = z4()
+        a, b = generated_closed_set(s, [2]), ClosedSet(s, frozenset({0, 2}))
+        e = equivalence_from_colors(s, [0, 2])
+        f = Equivalence(s, e.classes, frozenset())
+        assert len({a, b}) == 1 and {a: "a"}[b] == "a"
+        assert len({e, f}) == 1 and {e: "e"}[f] == "e"
+        assert len({a, e}) == 2
+        for value in (a, e):
+            for other in (a.colors, e.classes, (s, a.colors), (s, e.classes, e.colors),
+                          s, None):
+                assert value != other and not value == other
+        assert a != e and e != a
 
 
 class TestSubgroupCriterion:
@@ -681,8 +729,8 @@ class TestCloseByOne:
                 worklist.append(c)
                 return super().__getitem__(c)
 
-        def close(rows, sigma, closed, members, extra, stop):
-            join = real(Rows(rows), sigma, closed, members, extra, stop)
+        def close(rows, closed, members, extra, stop):
+            join = real(Rows(rows), closed, members, extra, stop)
             calls.append((closed, extra, stop, join and join[0]))
             return join
 
@@ -711,9 +759,9 @@ class TestStoppedClosure:
         real = lattice._close
         outcomes = {"stopped": 0, "kept": 0}
 
-        def close(rows, sigma, closed, members, extra, stop):
-            join = real(rows, sigma, closed, members, extra, stop)
-            full = real(rows, sigma, closed, members, extra, 0)
+        def close(rows, closed, members, extra, stop):
+            join = real(rows, closed, members, extra, stop)
+            full = real(rows, closed, members, extra, 0)
             assert full is not None
             if join is None:
                 assert full[0] & ~closed & stop

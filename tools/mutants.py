@@ -81,7 +81,7 @@ CLOSE_STEP = ("        bit = pending & -pending\n"
               "        c = bit.bit_length() - 1\n"
               "        members.append(c)\n"
               "        row = rows[c]\n"
-              "        found = 1 << sigma[c]\n"
+              "        found = 0\n"
               "        for m in members:\n"
               "            found |= row[m]\n")
 
@@ -202,7 +202,7 @@ MUTANTS = (
            "def _unused() -> None:\n    pass\n\n\ndef _groups(labels: np.ndarray)",
            ("tests/test_callers.py::test_every_definition_in_src_has_a_caller",)),
     Mutant("color-matrix-without-copy", "core.py",
-           "arr = _integer_matrix(matrix, copy=True)", "arr = _integer_matrix(matrix)",
+           "_color_ids(_integer_matrix(matrix, copy=True))", "_color_ids(_integer_matrix(matrix))",
            ("tests/test_core.py::TestValidate::"
             "test_callers_array_is_neither_frozen_nor_aliased",)),
     Mutant("bincount-without-cell-count-guard", "core.py",
@@ -276,7 +276,7 @@ MUTANTS = (
            (f"{DIGRAPH}::TestDigraphType::test_rejects_float_endpoint",
             f"{DIGRAPH}::TestDigraphType::test_bool_endpoint_is_its_int")),
     Mutant("ccm-text-without-color-check", "io.py",
-           "arr = as_color_matrix(matrix)", "arr = np.asarray(matrix, dtype=np.int64)",
+           "arr = _color_ids(_integer_matrix(matrix))", "arr = np.asarray(matrix, dtype=np.int64)",
            ("tests/test_io_cli.py::TestCcmFormat::test_writers_refuse_what_read_ccm_rejects",)),
     # the one .ccm/.dg header reader
     Mutant("header-without-tag-check", "io.py",
@@ -287,19 +287,13 @@ MUTANTS = (
     Mutant("closure-rows-one-way", "lattice.py",
            "            rows[b][a] |= 1 << c\n", "",
            ("tests/test_core.py::TestSchemeAccessors::test_closure_rows_match_tensor",)),
-    Mutant("close-without-transpose-bit", "lattice.py",
-           "found = 1 << sigma[c]", "found = 0",
-           equivalent="a set closed under composition already holds each transpose: "
-                      "in a homogeneous scheme every vertex of a basis digraph has "
-                      "equal in- and out-degree, so each arc (u, v) of color s lies on "
-                      "a directed cycle of s-arcs, and the color of (v, u) is met in "
-                      "s composed with itself k times for some k; the closed mask is "
-                      "the same, the stop test sees a color of the closure either "
-                      "way, and the member list is read only as a set"),
     Mutant("close-shares-member-list", "lattice.py",
            "    members = members.copy()\n", "",
            ("tests/test_lattice.py::TestStoppedClosure::test_matches_full_closures",
             "tests/test_lattice.py::TestPreviousEngineOracle")),
+    Mutant("equivalence-equality-reads-colors", "lattice.py",
+           "colors: frozenset[int] = field(compare=False)", "colors: frozenset[int] = field()",
+           ("tests/test_lattice.py::TestValueEquality::test_equivalence_colors_not_compared",)),
     Mutant("is-discrete-not-full", "lattice.py",
            "return len(self.classes) == self.scheme.n", "return len(self.classes) != 1",
            ("tests/test_lattice.py::TestMinimalMaximal::test_cyclic_four",)),
@@ -342,6 +336,9 @@ MUTANTS = (
     Mutant("size-factorization-least-by-maximum", "checks.py",
            "np.minimum.at(low, colors, counts)", "np.maximum.at(low, colors, counts)",
            (f"{SIZE_ORACLE}::test_arbitrary_partitions",)),
+    Mutant("fiber-check-restricts-first-fiber", "checks.py",
+           "_class_restriction(scheme, fiber)", "_class_restriction(scheme, scheme.fibers[0])",
+           ("tests/test_checks.py::TestFiberReduction::test_restrictions_are_those_of_restriction",)),
     Mutant("quotient-check-last-class", "checks.py",
            "_class_restriction(scheme, e.classes[0])", "_class_restriction(scheme, e.classes[-1])",
            ("tests/test_checks.py::TestPrimeIndependentWork::test_call_counts",)),
@@ -367,6 +364,10 @@ MUTANTS = (
            "while closed < len(h) < m:", "if closed < len(h) < m:",
            (f"{CAYLEY}::test_light_tests_one_greedy_generating_set",)),
     # blocks, closure rounds and quotient labels
+    Mutant("restriction-skips-block-test", "constructions.py",
+           "    if not is_block(scheme, pts):\n"
+           "        raise NotABlock(f\"{pts} is not a class of any scheme equivalence\")\n", "",
+           ("tests/test_constructions.py::TestBlocksAndRestriction::test_non_block_rejected",)),
     Mutant("is-block-count-at-least", "constructions.py",
            "== len(pts) ** 2", ">= len(pts) ** 2",
            ("tests/test_constructions.py::TestBlocksAndRestriction::"
