@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from collections import Counter
 from typing import IO
 
 from .checks import (
@@ -196,19 +197,14 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     print(f"corpus: {len(members)} members, {len(results)} checks "
           f"(seed {spec.seed}, max n {spec.max_n}, "
           f"primes {' '.join(str(p) for p in spec.primes)})")
-    by_family: dict[str, tuple[int, int, int]] = {}
-    seen_members: dict[str, set[str]] = {}
-    for member, report in results:
-        seen_members.setdefault(member.family, set()).add(member.name)
-        total, bad = by_family.get(member.family, (0, 0, 0))[1:]
-        by_family[member.family] = (
-            len(seen_members[member.family]), total + 1,
-            bad + (0 if report.agree else 1))
-    width = max(len(f) for f in by_family)
+    member_count = Counter(member.family for member in members)
+    check_count = Counter(member.family for member, _ in results)
+    bad_count = Counter(member.family for member, _ in disagreements)
+    width = max(map(len, check_count))
     print(f"{'family':<{width}}  members  checks  disagreements")
-    for family in sorted(by_family):
-        m_count, c_count, bad = by_family[family]
-        print(f"{family:<{width}}  {m_count:>7}  {c_count:>6}  {bad:>13}")
+    for family in sorted(check_count):
+        print(f"{family:<{width}}  {member_count[family]:>7}  {check_count[family]:>6}  "
+              f"{bad_count[family]:>13}")
     print(f"{'total':<{width}}  {len(members):>7}  {len(results):>6}  "
           f"{len(disagreements):>13}")
     for member, report in disagreements:

@@ -444,7 +444,8 @@ def wl_closure(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     (u, w) is sum_v x[color(u,v)] * y[color(v,w)], the entry (u, w) of
     the product x[cur] @ y[cur].  Weights lie in [1, 2**width) with
     width = (53 - n.bit_length()) // 2, so n * 2**(2 * width) < 2**53
-    and every float64 sum is an exact integer (width is 20 at n = 4096).
+    and every float64 sum is an exact integer (width is 21 at
+    n = 1,024, the bound ``MAX_POINTS``).
     The rounds stop when one splits no color, or before a round when
     every cell has its own color: a discrete partition is a fixpoint,
     and the round it skips would return the same ids.  When the label shift

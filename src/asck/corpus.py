@@ -80,21 +80,13 @@ class CorpusMember:
 # -- group helpers ------------------------------------------------------------
 
 
-def _partitions(k: int) -> list[tuple[int, ...]]:
-    """Integer partitions of k, parts descending, lexicographically largest first."""
+def _partitions(k: int, cap: int | None = None) -> list[tuple[int, ...]]:
+    """Integer partitions of k into parts of at most ``cap`` (default k),
+    parts descending, lexicographically largest first."""
     if k == 0:
         return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, acc: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(acc)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(remaining - part, part, acc + (part,))
-
-    rec(k, k, ())
-    return out
+    return [(part,) + rest for part in range(min(cap or k, k), 0, -1)
+            for rest in _partitions(k - part, part)]
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:

@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Scheme, _groups, _index, _shift_invariant
+from .core import Scheme, _groups, _index
 from .errors import (
     DiagonalColor,
     HasLoops,
@@ -127,7 +127,6 @@ def basis_graph(scheme: Scheme, color: int) -> Digraph:
     transpose's cells are the color's cells reversed, so only the
     color's own cells are read off the matrix.
     """
-    scheme.check_color(color)
     if scheme.is_diagonal_color(color):
         raise DiagonalColor(color)
     arcs, support = _relabeled(scheme.cell_array(color))
@@ -138,7 +137,12 @@ def basis_graph(scheme: Scheme, color: int) -> Digraph:
 
 
 def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
-    """Tarjan's algorithm, iterative; components sorted by least vertex."""
+    """Tarjan's algorithm, iterative; components sorted by least vertex.
+
+    A work frame is a vertex and the iterator over its out-neighbours: a
+    frame resumes where it entered its last child, and once its iterator
+    runs out (``for ... else``) it is popped.
+    """
     n = g.n
     adj = g.out_adj
     index = [-1] * n
@@ -150,39 +154,37 @@ def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
+            v, successors = work[-1]
+            for w in successors:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     comps.sort(key=lambda c: c[0])
     return comps
 
@@ -287,15 +289,15 @@ def basis_periods(scheme: Scheme) -> np.ndarray:
     point of Y, so its block of vertices is X, then Y when Y != X, each
     in point order; the blocks follow each other in color order.
 
-    When the label shift u -> u + 1 (mod n) is an automorphism
-    (``core._shift_invariant``), no forest is built: color c's basis
+    When the label shift u -> u + 1 (mod n) is an automorphism, as
+    ``Scheme.circulant`` records, no forest is built: color c's basis
     digraph is the Cayley digraph Cay(Z_n, S_c), with S_c the points w
     of row 0 with color c, and its period is g / gcd(g, s) for the least
     element s of S_c and g = gcd(n, {w - s : w in S_c}), one
     ``np.gcd.at`` over row 0 for all colors (see ``_cayley_periods``).
     """
     def build() -> np.ndarray:
-        if _shift_invariant(scheme.matrix):
+        if scheme.circulant:
             periods = _cayley_periods(scheme)
             periods.setflags(write=False)
             return periods

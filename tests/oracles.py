@@ -5,14 +5,17 @@ one in ``src/asck`` replaced, kept verbatim or nearly so as the oracle the
 tests compare against.  ``check_closed_set`` and ``check_cyclic_partition``
 are the verifiers that were ``ClosedSet.check`` and ``CyclicPartition.check``;
 no library code calls them.  The rest are brute-force references and the
-fixtures that more than one test module builds.  No test module imports
+fixtures that more than one test module builds, and ``trace_targets``,
+the reader of the benchmark tracer's ``TARGETS``.  No test module imports
 another; they all import from here.
 """
 
+import ast
 import functools
 import random
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -983,3 +986,20 @@ def old_read_ccm(source):
         raise ParseError(name, lines[0][0],
                          f"header says r={r} but the matrix has {actual_r} colors")
     return matrix
+
+
+# -- benchmark tracer --------------------------------------------------------
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def trace_targets() -> tuple[tuple[str, str], ...]:
+    """The literal value of ``TARGETS`` in the tracer's source, which is
+    parsed, not imported, so nothing is written under ``perfbench/``."""
+    for node in ast.parse(TRACER.read_text()).body:
+        target = node.target if isinstance(node, ast.AnnAssign) else (
+            node.targets[0] if isinstance(node, ast.Assign) else None)
+        if isinstance(target, ast.Name) and target.id == "TARGETS":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS in {TRACER}")

@@ -12,20 +12,10 @@ import ast
 from pathlib import Path
 
 import asck
+from oracles import trace_targets
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ROOT / "tests"
-
-
-def tracer_targets() -> set[tuple[str, str]]:
-    """The (module, attribute) pairs of ``TARGETS`` in the tracer's
-    source, read as ``test_trace_targets`` reads them."""
-    for node in ast.parse((ROOT / "perfbench" / "tracer.py").read_text()).body:
-        target = node.target if isinstance(node, ast.AnnAssign) else (
-            node.targets[0] if isinstance(node, ast.Assign) else None)
-        if isinstance(target, ast.Name) and target.id == "TARGETS":
-            return set(ast.literal_eval(node.value))
-    raise AssertionError("no TARGETS in the tracer")
 
 
 def unreferenced(sources: dict[str, str], exported: set[str],
@@ -62,7 +52,7 @@ def test_every_definition_in_src_has_a_caller():
     sources = {path.stem: path.read_text()
                for path in sorted((ROOT / "src" / "asck").glob("*.py"))}
     assert len(sources) == 10
-    assert unreferenced(sources, set(asck.__all__), tracer_targets()) == []
+    assert unreferenced(sources, set(asck.__all__), set(trace_targets())) == []
 
 
 def test_audit_flags_an_unreferenced_def():

@@ -391,13 +391,14 @@ def quotient_matrix_outcome(build, scheme, e):
 
 def uncertified(matrix):
     """A Scheme over a color matrix that skips certification; only the
-    matrix, n and r are filled in, which is all a quotient matrix reads."""
+    matrix, n and r are filled in, which is all a quotient matrix reads
+    (``circulant`` is a required field, so it is given as False)."""
     m = np.asarray(matrix, dtype=np.int64)
     m.flags.writeable = False
     n = m.shape[0]
     return Scheme(matrix=m, n=n, r=int(m.max()) + 1, transpose_map=None,
                   diagonal_colors=(0,), fibers=(tuple(range(n)),), degrees=None,
-                  sizes=None, first_cells=None)
+                  sizes=None, first_cells=None, circulant=False)
 
 
 class TestQuotientMatrixOracle:

@@ -28,6 +28,7 @@ from asck import (
     equivalence_from_colors,
     generated_closed_set,
     is_block,
+    is_p_scheme,
     is_prime,
     quotient,
     rank_two_scheme,
@@ -37,8 +38,10 @@ from asck import (
     validate,
     wl_closure,
     wreath,
+    write_ccm,
 )
 from asck import core
+from asck.cli import _read_scheme
 from asck.core import (
     _canonical,
     _certify,
@@ -1168,3 +1171,55 @@ class TestSchemeOwnsDerivedData:
         # wraps the ``hash`` property
         assert weakref.ref(s)() is s
         assert isinstance(type(s).__dict__["hash"], property)
+
+
+# The arrays a Scheme holds, all made read-only by the certificate.
+SCHEME_ARRAYS = ("matrix", "first_cells", "sizes", "degrees", "transpose_map")
+
+
+class TestFrozenArrays:
+    def test_writes_raise(self, tmp_path):
+        """On a ``validate`` result, a ``canonical_scheme`` result and a
+        scheme read by the CLI, writing any held array raises."""
+        path = tmp_path / "two-fiber.ccm"
+        write_ccm(two_fiber_scheme().matrix, path)
+        schemes = [validate(z4_direct()), canonical_scheme(wreath(rank_two_scheme(2),
+                                                                  rank_two_scheme(3)).matrix),
+                   _read_scheme(str(path))]
+        for s in schemes:
+            for name in SCHEME_ARRAYS:
+                arr = getattr(s, name)
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1
+
+    def test_interned_twin_keeps_its_values(self):
+        """Every holder of an interned scheme shares its arrays and its
+        memo, so a write by one holder is refused and a later twin reads
+        the certified values, which its p-scheme memo answers for."""
+        s = thin_scheme(cyclic_table(4))
+        with pytest.raises(ValueError):
+            s.sizes[1] = 3
+        twin = thin_scheme(cyclic_table(4))
+        assert twin is s
+        assert twin.sizes.tolist() == [4, 4, 4, 4] and twin.degrees.tolist() == [1] * 4
+        assert twin.transpose_map.tolist() == [0, 3, 2, 1] and is_p_scheme(twin, 2)
+
+
+class TestCirculantVerdict:
+    def test_equals_shift_test(self, corpus, relabeled_corpus, tmp_path):
+        """``Scheme.circulant`` is ``_shift_invariant`` of the matrix on
+        every corpus member, its relabeled copy, their ``canonical_scheme``
+        results and their CLI reads."""
+        schemes = [m.scheme for m in corpus] + relabeled_corpus
+        schemes += [canonical_scheme(s.matrix) for s in relabeled_corpus]
+        for i, s in enumerate(schemes[::17]):
+            path = tmp_path / f"{i}.ccm"
+            write_ccm(s.matrix, path)
+            schemes.append(_read_scheme(str(path)))
+        verdicts = Counter()
+        for s in schemes:
+            assert type(s.circulant) is bool
+            assert s.circulant == _shift_invariant(s.matrix)
+            verdicts[s.circulant] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 300

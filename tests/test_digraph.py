@@ -26,7 +26,7 @@ from asck import (
     weakly_connected_components,
     wl_closure,
 )
-from asck import digraph
+from asck import core, digraph
 from asck.core import _shift_invariant, canonical_scheme
 from asck.digraph import _forest_defects, basis_periods
 from asck.errors import (
@@ -482,6 +482,54 @@ def random_digraph(rng: random.Random) -> Digraph:
     return Digraph(n, frozenset(arcs))
 
 
+def bit_reversed(n: int) -> list[int]:
+    """0..n-1 ordered by their bit reversals over n's bit length."""
+    width = (n - 1).bit_length()
+    return sorted(range(n), key=lambda v: int(f"{v:0{width}b}"[::-1], 2))
+
+
+def networkx_components(g: Digraph) -> list[tuple[int, ...]]:
+    nxg = nx.DiGraph(list(g.arcs))
+    nxg.add_nodes_from(range(g.n))
+    return sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(nxg))
+
+
+class TestDeepComponents:
+    """Iterative Tarjan against networkx on walks 20,000 vertices deep,
+    and on seeded random digraphs with cross arcs between components."""
+
+    N = 20_000
+
+    def test_path_is_singletons(self):
+        g = Digraph.from_arcs(self.N, [(u, u + 1) for u in range(self.N - 1)])
+        comps = strongly_connected_components(g)
+        assert comps == [(v,) for v in range(self.N)] == networkx_components(g)
+
+    def test_closed_path_is_one_cycle(self):
+        g = Digraph.from_arcs(self.N, [(u, (u + 1) % self.N) for u in range(self.N)])
+        comps = strongly_connected_components(g)
+        assert comps == [tuple(range(self.N))] == networkx_components(g)
+
+    def test_bit_reversal_cycle(self):
+        order = bit_reversed(self.N)
+        g = Digraph.from_arcs(self.N, zip(order, order[1:] + order[:1]))
+        comps = strongly_connected_components(g)
+        assert comps == [tuple(range(self.N))] == networkx_components(g)
+
+    def test_seeded_random_digraphs(self):
+        rng = random.Random(33)
+        merged = 0
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            density = rng.choice([0.03, 0.08, 0.15])
+            g = Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n)
+                                      if rng.random() < density])
+            comps = strongly_connected_components(g)
+            assert comps == sorted(comps) and comps == networkx_components(g)
+            merged += 1 < len(comps) < n
+        assert merged > 50
+
+
 class TestAgainstPreviousTraversals:
     def test_seeded_random_digraphs(self):
         """The witnesses equal the oracles', whose labels come from a
@@ -761,18 +809,25 @@ class TestCayleyPeriods:
 
     def test_path(self, monkeypatch):
         """No output tells which build ran, so the forest runs are counted:
-        none on shift-invariant input, one on a relabeled copy."""
-        calls = []
+        none on shift-invariant input, one on a relabeled copy.  The build
+        reads the certificate's ``Scheme.circulant`` and makes no shift
+        test of its own."""
+        calls, shift_tests = [], []
         real = digraph._forest_defects
         monkeypatch.setattr(digraph, "_forest_defects",
                             lambda *args: calls.append(args[0]) or real(*args))
         rng = np.random.default_rng(5)
         s = validate(ladder_closures_64()[0].matrix)  # cold memo
         copy = relabeled(s, rng)
+        thin = [validate(thin_scheme(cyclic_table(m)).matrix) for m in (2, 7, 12)]
         assert not _shift_invariant(copy.matrix)
+        assert not hasattr(digraph, "_shift_invariant")
+        real_shift = core._shift_invariant
+        monkeypatch.setattr(core, "_shift_invariant",
+                            lambda matrix: shift_tests.append(1) or real_shift(matrix))
         assert basis_periods(s).tolist() == basis_periods(copy).tolist()
         assert len(calls) == 1
         calls.clear()
-        for m in (2, 7, 12):
-            basis_periods(validate(thin_scheme(cyclic_table(m)).matrix))
-        assert calls == []
+        for scheme in thin:
+            basis_periods(scheme)
+        assert calls == [] and shift_tests == []

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import random
@@ -31,6 +32,7 @@ from asck import (
 )
 from asck.cli import EXIT_DISAGREE, EXIT_FALSE, EXIT_INPUT, EXIT_OK, _joined, build_parser, main
 from asck import core
+from asck import corpus as corpus_module
 from asck.constructions import digraph_color_matrix
 from asck.core import MAX_POINTS, _decimal_text, _digit_table, as_color_matrix
 from asck.corpus import abelian_tables
@@ -226,7 +228,7 @@ class TestDecimalText:
         payload = f"{rows} {cols} " + " ".join(w for row in words for w in row)
         fake = core.Scheme(matrix=arr, n=rows, r=cols, transpose_map=None,
                            diagonal_colors=None, fibers=None, degrees=None, sizes=None,
-                           first_cells=None)
+                           first_cells=None, circulant=False)
         assert fake.hash == hashlib.sha256(payload.encode("ascii")).hexdigest()
         for vector in [*arr, arr.ravel()]:
             for sep in ",", " ":
@@ -801,6 +803,51 @@ class TestCliCorpus:
         assert main(["corpus", "--machine"]) == EXIT_OK
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "c4837677bbb0fd40735e604b094f7100212eb17809e5884e9b5ee04cddc68851"
+
+    def test_default_text_output_is_pinned(self, capsys):
+        # sha256 of the default ``asck corpus`` stdout: the header, the
+        # per-family table, no DISAGREE line and the verdict
+        assert main(["corpus"]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "faddff7b56acc3d38b9792ea9b3ec71b5f36293abad17ce12c709c71ee5b40d6"
+
+    def test_disagreements_counted_per_family(self, capsys, monkeypatch):
+        """With the bipartite check's rhs flipped on every 8-point member,
+        those 47 reports disagree, in ten families; the table counts them
+        per family, and each gets a DISAGREE line.  The pins are the text
+        the summary printed for the same patch before it used Counters."""
+        real = corpus_module.check_bipartite_criterion
+
+        def flipped(scheme):
+            report = real(scheme)
+            return dataclasses.replace(report, rhs=not report.rhs) if scheme.n == 8 else report
+
+        monkeypatch.setattr(corpus_module, "check_bipartite_criterion", flipped)
+        assert main(["corpus"]) == EXIT_DISAGREE
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[1:13] == [
+            "family         members  checks  disagreements",
+            "quotient            66    1534             11",
+            "rank-two            23     483              1",
+            "thin-abelian        27     619              2",
+            "thin-cyclic         24     542              1",
+            "thin-dihedral       10     250              1",
+            "wl-circulant        80    1852             12",
+            "wl-random           60     360             12",
+            "wreath-cyclic       30     696              2",
+            "wreath-mixed        16     378              4",
+            "wreath-triple        8     184              1",
+            "total              344    6898             47",
+        ]
+        disagree = lines[13:-1]
+        assert len(disagree) == 47 and lines[-1] == "all checks agree: false"
+        assert all(line.startswith("DISAGREE member=")
+                   and line.endswith(" check=bipartite-criterion p=2") for line in disagree)
+        assert disagree[0] == ("DISAGREE member=quotient-thin-abelian-2x2x2x2-min0 "
+                               "check=bipartite-criterion p=2")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "f40ec2cad0e3b6eea1e963ce809bf465acfd986812ec2dc12c1cb79a0c070eec"
 
     def test_invalid_thread_env_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("ASCK_THREADS", "soon")

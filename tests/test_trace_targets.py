@@ -7,21 +7,9 @@ tracing it.  The tracer's source is parsed, not imported, so this test
 writes nothing under ``perfbench/``.
 """
 
-import ast
 import importlib
-from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def trace_targets() -> tuple[tuple[str, str], ...]:
-    """The literal value of ``TARGETS`` in the tracer's source."""
-    for node in ast.parse(TRACER.read_text()).body:
-        target = node.target if isinstance(node, ast.AnnAssign) else (
-            node.targets[0] if isinstance(node, ast.Assign) else None)
-        if isinstance(target, ast.Name) and target.id == "TARGETS":
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"no TARGETS in {TRACER}")
+from oracles import trace_targets
 
 
 def resolves(module: str, attr: str) -> bool:

@@ -71,6 +71,8 @@ CLOSURE_ORACLE = "tests/test_constructions.py::TestClosureOracle"
 ROW_ZERO_ROUNDS = "tests/test_constructions.py::TestRowZeroRounds::test_directed_circulants"
 DISCRETE_STOP = "tests/test_constructions.py::TestDiscreteStop"
 CAYLEY_PERIODS = f"{DIGRAPH}::TestCayleyPeriods::test_match_forest_and_relabeled_copies"
+CAYLEY_PATH = f"{DIGRAPH}::TestCayleyPeriods::test_path"
+DEEP_COMPONENTS = f"{DIGRAPH}::TestDeepComponents"
 ONE_CALL_PARSE = "tests/test_io_cli.py::TestOneCallParse"
 PER_ROW_JOIN = "tests/test_io_cli.py::TestCcmFormat::test_text_matches_per_row_join"
 # one worklist step of lattice._close, and the stop check before it
@@ -116,6 +118,13 @@ MUTANTS = (
            (f"{DIGRAPH}::TestForestDefects::test_stars[5]",)),
     Mutant("jump-once", "digraph.py",
            "while hooked.size:", "if hooked.size:", (FOREST,)),
+    # Tarjan's strong components
+    Mutant("tarjan-parent-lowlink-dropped", "digraph.py",
+           "                    low[parent] = min(low[parent], low[v])\n", "",
+           (f"{DEEP_COMPONENTS}::test_closed_path_is_one_cycle",)),
+    Mutant("tarjan-stack-flag-kept", "digraph.py",
+           "                        on_stack[w] = False\n", "",
+           (f"{DEEP_COMPONENTS}::test_seeded_random_digraphs",)),
     # basis_periods: fiber-by-fiber numbering of the (color, point) vertices
     Mutant("fiber-numbering-no-skip", "digraph.py",
            "skip = np.where(source != target, count[source], 0)",
@@ -240,7 +249,7 @@ MUTANTS = (
            (ROW_ZERO_ORBITS,)),
     # equal output: only the peak of the full sort tells it apart
     Mutant("certify-circulant-keys-off", "core.py",
-           "    if _shift_invariant(arr):\n", "    if False:\n", (CIRCULANT_PEAK,)),
+           "    if circulant:\n", "    if False:\n", (CIRCULANT_PEAK,)),
     Mutant("row-zero-rounds-unexpanded", "constructions.py",
            "    return full\n", "    return top\n", (ROW_ZERO_ROUNDS,)),
     Mutant("row-zero-rounds-transposed-shift", "constructions.py",
@@ -258,8 +267,14 @@ MUTANTS = (
     Mutant("cayley-period-without-gcd", "digraph.py",
            "return g // np.gcd(g, s)", "return g", (CAYLEY_PERIODS,)),
     Mutant("cayley-switch-off", "digraph.py",
-           "if _shift_invariant(scheme.matrix):", "if False:",
-           (f"{DIGRAPH}::TestCayleyPeriods::test_path",)),
+           "if scheme.circulant:", "if False:", (CAYLEY_PATH,)),
+    Mutant("circulant-verdict-false", "core.py",
+           "first_cells=first, circulant=circulant)", "first_cells=first, circulant=False)",
+           (CAYLEY_PATH,)),
+    Mutant("scheme-sizes-writeable", "core.py",
+           "    for a in (arr, first, sizes, degrees, sigma):\n",
+           "    for a in (arr, first, degrees, sigma):\n",
+           ("tests/test_core.py::TestFrozenArrays::test_writes_raise",)),
     Mutant("is-prime-without-index", "checks.py",
            "    q = _index(p)\n    return q is not None and _is_prime(q)\n",
            "    return _is_prime(p)\n",
@@ -345,6 +360,10 @@ MUTANTS = (
     Mutant("block-criterion-last-classes", "checks.py",
            "blocks = sorted((e.classes[0] for e", "blocks = sorted((e.classes[-1] for e",
            ("tests/test_checks.py::TestBlockCriterion::test_matches_all_classes_oracle_on_corpus",)),
+    Mutant("corpus-summary-bad-from-results", "cli.py",
+           "bad_count = Counter(member.family for member, _ in disagreements)",
+           "bad_count = Counter(member.family for member, _ in results)",
+           ("tests/test_io_cli.py::TestCliCorpus::test_default_text_output_is_pinned",)),
     Mutant("corpus-spec-allows-repeated-prime", "corpus.py",
            "            if p in self.primes[:i]:\n", "            if False:\n",
            ("tests/test_io_cli.py::TestCliCorpus::test_repeated_prime_exits_2",)),
