@@ -6,6 +6,13 @@ The size-based side never touches the digraph machinery and vice versa;
 the two paths share only the Scheme type.  For biconditional statements
 agreement means lhs == rhs; for implication-shaped ones it means
 (not lhs) or rhs, with a vacuous pass when the hypothesis fails.
+
+Each check validates its prime once, in ``_begin``, which also fills
+the fields every report shares.  Below it nothing validates p again:
+every size verdict a check reads, of the scheme or of a fiber, block,
+class or quotient of it, comes from the private memo reader
+``_p_verdict``.  ``is_p_scheme`` is the validating door for callers
+outside the checks.
 """
 
 from __future__ import annotations
@@ -108,15 +115,21 @@ def _largest_int64_power(p: int) -> int:
 
 
 def is_p_scheme(scheme: Scheme, p: int) -> PSchemeVerdict:
-    """True iff every color's cell count is a power of p (diagonal included).
+    """True iff every color's cell count is a power of p (diagonal
+    included): p is validated by ``require_prime`` and the verdict read
+    by ``_p_verdict``.  The door for callers outside the checks."""
+    return _p_verdict(scheme, require_prime(p))
+
+
+def _p_verdict(scheme: Scheme, p: int) -> PSchemeVerdict:
+    """``is_p_scheme`` for a p that ``require_prime`` has returned; every
+    size verdict inside a check is read here, with no second validation.
 
     As p is prime, the divisors of its largest int64 power are exactly
     the powers of p that fit in int64, so the offenders are the sizes
     that leave a remainder in that power, tested as one vector; the first
     is taken by ``argmax``.  The verdict is kept in the ``derived`` memo
     per prime."""
-    p = require_prime(p)
-
     def build() -> PSchemeVerdict:
         color = _first(np.remainder(_largest_int64_power(p), scheme.sizes) != 0)
         if color is None:
@@ -140,7 +153,7 @@ class TheoremReport:
     scheme_hash: str
     n: int
     r: int
-    p: int | None
+    p: int
     mode: str
     lhs: bool
     rhs: bool
@@ -159,11 +172,10 @@ class TheoremReport:
         lines = [
             f"check: {self.check}",
             f"scheme: {self.scheme_hash[:12]} (n={self.n}, r={self.r})",
+            f"p: {self.p}",
+            f"{self.lhs_name}: {_fmt(self.lhs)}",
+            f"{self.rhs_name}: {_fmt(self.rhs)}",
         ]
-        if self.p is not None:
-            lines.append(f"p: {self.p}")
-        lines.append(f"{self.lhs_name}: {_fmt(self.lhs)}")
-        lines.append(f"{self.rhs_name}: {_fmt(self.rhs)}")
         if self.mode == "implies" and not self.lhs:
             lines.append("agree: true (vacuous: hypothesis fails)")
         else:
@@ -179,13 +191,12 @@ class TheoremReport:
             "scheme": self.scheme_hash,
             "n": str(self.n),
             "r": str(self.r),
+            "p": str(self.p),
             "mode": self.mode,
             "lhs": _fmt(self.lhs),
             "rhs": _fmt(self.rhs),
             "agree": _fmt(self.agree),
         }
-        if self.p is not None:
-            pairs["p"] = str(self.p)
         for key, value in self.witnesses.items():
             pairs[f"witness.{key}"] = value
         return "\n".join(f"{k}={pairs[k]}" for k in sorted(pairs))
@@ -195,24 +206,28 @@ def _fmt(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _begin(check: str, scheme: Scheme) -> tuple[dict[str, str], Callable[..., TheoremReport]]:
-    """Start timing a check.  Returns its witness dict and a function that adds
-    the name, scheme, witnesses and elapsed time to the other report fields."""
+def _begin(check: str, scheme: Scheme, p: int) -> tuple[
+        int, dict[str, str], Callable[..., TheoremReport]]:
+    """Validate a check's prime by ``require_prime``, the one place a check
+    does, and start timing the check.  Returns p as an int, the witness
+    dict, and a function that adds the name, scheme, p, witnesses and
+    elapsed time to the other report fields."""
+    p = require_prime(p)
     start = time.perf_counter()
     witnesses: dict[str, str] = {}
 
     def report(**fields) -> TheoremReport:
         return TheoremReport(
-            check=check, scheme_hash=scheme.hash, n=scheme.n, r=scheme.r,
+            check=check, scheme_hash=scheme.hash, n=scheme.n, r=scheme.r, p=p,
             witnesses=witnesses, elapsed=time.perf_counter() - start, **fields)
 
-    return witnesses, report
+    return p, witnesses, report
 
 
 def _size_verdict(scheme: Scheme, p: int,
                   witnesses: dict[str, str]) -> PSchemeVerdict:
-    """``is_p_scheme``, recording its first offender as "size-offender"."""
-    verdict = is_p_scheme(scheme, p)
+    """``_p_verdict``, recording its first offender as "size-offender"."""
+    verdict = _p_verdict(scheme, p)
     if not verdict:
         witnesses["size-offender"] = (
             f"color {verdict.offender_color} has size {verdict.offender_size}")
@@ -236,8 +251,7 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
     so the digraph is cyclically p-partite exactly when p divides d.
     """
     scheme.require_homogeneous()
-    p = require_prime(p)
-    witnesses, report = _begin("partite-criterion", scheme)
+    p, witnesses, report = _begin("partite-criterion", scheme, p)
 
     verdict = _size_verdict(scheme, p, witnesses)
 
@@ -248,7 +262,7 @@ def check_partite_criterion(scheme: Scheme, p: int) -> TheoremReport:
             f"color {color} admits no cyclic {p}-partition")
 
     return report(
-        p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
+        mode="iff", lhs=bool(verdict), rhs=rhs,
         lhs_name="p-scheme", rhs_name="all basis digraphs cyclically p-partite")
 
 
@@ -263,7 +277,7 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
     one fiber X to another fiber Y, so each semicycle alternates X and Y
     and has even length, hence even net length, and d is even.
     """
-    witnesses, report = _begin("bipartite-criterion", scheme)
+    _, witnesses, report = _begin("bipartite-criterion", scheme, 2)
 
     verdict = _size_verdict(scheme, 2, witnesses)
 
@@ -273,7 +287,7 @@ def check_bipartite_criterion(scheme: Scheme) -> TheoremReport:
         witnesses["odd-color"] = f"color {color} has a non-bipartite basis graph"
 
     return report(
-        p=2, mode="iff", lhs=bool(verdict), rhs=rhs,
+        mode="iff", lhs=bool(verdict), rhs=rhs,
         lhs_name="2-scheme", rhs_name="all basis graphs bipartite")
 
 
@@ -284,14 +298,13 @@ def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
     ``is_block`` test: a fiber is a block by definition, and the memo
     entry ``("restriction", fiber)`` is the one ``restriction`` reads.
     """
-    p = require_prime(p)
-    witnesses, report = _begin("fiber-reduction", scheme)
+    p, witnesses, report = _begin("fiber-reduction", scheme, p)
 
     verdict = _size_verdict(scheme, p, witnesses)
 
     rhs = True
     for i, fiber in enumerate(scheme.fibers):
-        sub = is_p_scheme(_class_restriction(scheme, fiber), p)
+        sub = _p_verdict(_class_restriction(scheme, fiber), p)
         if not sub:
             rhs = False
             witnesses["fiber-offender"] = (
@@ -300,7 +313,7 @@ def check_fiber_reduction(scheme: Scheme, p: int) -> TheoremReport:
             break
 
     return report(
-        p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
+        mode="iff", lhs=bool(verdict), rhs=rhs,
         lhs_name="p-scheme", rhs_name="all fiber restrictions p-schemes")
 
 
@@ -352,15 +365,14 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
     every class of e gives the same verdict (``_class_restriction`` says
     why).  The size factorization across class pairs is verified too."""
     scheme.require_homogeneous()
-    p = require_prime(p)
-    witnesses, report = _begin("quotient-factorization", scheme)
+    p, witnesses, report = _begin("quotient-factorization", scheme, p)
 
     verdict = _size_verdict(scheme, p, witnesses)
 
     # ``quotient`` has checked that e.classes are the classes of the
     # equivalence of e.colors, so e.classes[0] is a block
-    quotient_verdict = is_p_scheme(quotient(scheme, e), p)
-    class_verdict = is_p_scheme(_class_restriction(scheme, e.classes[0]), p)
+    quotient_verdict = _p_verdict(quotient(scheme, e), p)
+    class_verdict = _p_verdict(_class_restriction(scheme, e.classes[0]), p)
     rhs = bool(quotient_verdict) and bool(class_verdict)
     if not quotient_verdict:
         witnesses["quotient-offender"] = (
@@ -373,7 +385,7 @@ def check_quotient_factorization(scheme: Scheme, e: Equivalence,
     witnesses["size-factorization"] = "verified"
 
     return report(
-        p=p, mode="iff", lhs=bool(verdict), rhs=rhs,
+        mode="iff", lhs=bool(verdict), rhs=rhs,
         lhs_name="p-scheme", rhs_name="quotient and class restrictions p-schemes")
 
 
@@ -387,10 +399,9 @@ def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
     points is a single p-cycle exactly when d = p.
     """
     scheme.require_homogeneous()
-    p = require_prime(p)
-    witnesses, report = _begin("primitive-structure", scheme)
+    p, witnesses, report = _begin("primitive-structure", scheme, p)
 
-    lhs = is_primitive(scheme) and bool(is_p_scheme(scheme, p))
+    lhs = is_primitive(scheme) and bool(_p_verdict(scheme, p))
 
     regular = is_regular(scheme)
     point_count_ok = scheme.n == p
@@ -406,7 +417,7 @@ def check_primitive_structure(scheme: Scheme, p: int) -> TheoremReport:
         witnesses["point-count"] = f"n={scheme.n} differs from p={p}"
 
     return report(
-        p=p, mode="implies", lhs=lhs, rhs=rhs,
+        mode="implies", lhs=lhs, rhs=rhs,
         lhs_name="primitive p-scheme",
         rhs_name="regular, n=p, basis digraphs are directed p-cycles")
 
@@ -434,7 +445,7 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
 
     The lattice, the maximal count and the block restrictions do not
     depend on p and are read from ``_block_restrictions``; per prime only
-    the memoized ``is_p_scheme`` verdicts of the restrictions are read.
+    the memoized ``_p_verdict`` verdicts of the restrictions are read.
 
     No block is re-tested with ``is_block``, and each equivalence is
     tested at the class of point 0 alone; ``_class_restriction`` argues
@@ -443,8 +454,7 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
     of point 0 sorts first among them, and no block is met twice, as its
     inner colors fix its equivalence."""
     scheme.require_homogeneous()
-    p = require_prime(p)
-    witnesses, report = _begin("block-criterion", scheme)
+    p, witnesses, report = _begin("block-criterion", scheme, p)
 
     top, blocks, subs = _block_restrictions(scheme)
     cond_spread = top >= 2
@@ -452,7 +462,7 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
 
     cond_blocks = True
     for block, restricted in zip(blocks, subs):
-        sub = is_p_scheme(restricted, p)
+        sub = _p_verdict(restricted, p)
         if not sub:
             cond_blocks = False
             witnesses["block-offender"] = (
@@ -465,6 +475,6 @@ def check_block_criterion(scheme: Scheme, p: int) -> TheoremReport:
     verdict = _size_verdict(scheme, p, witnesses)
 
     return report(
-        p=p, mode="implies", lhs=lhs, rhs=bool(verdict),
+        mode="implies", lhs=lhs, rhs=bool(verdict),
         lhs_name="two maximal equivalences and p-scheme blocks",
         rhs_name="p-scheme")

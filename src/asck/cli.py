@@ -149,8 +149,6 @@ def _cmd_corollary2(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_thin_cyclic(args: argparse.Namespace) -> int:
-    if args.m < 1:
-        raise SchemeError(f"order must be >= 1, got {args.m}")
     scheme = thin_scheme(cyclic_table(args.m))
     write_ccm(scheme.matrix, sys.stdout if args.output == "-" else args.output)
     return EXIT_OK
@@ -174,7 +172,7 @@ def _corpus_rows(results: list) -> list:
     def key(item):
         member, report = item
         return (member.family, member.scheme.n, member.name,
-                report.check, report.p if report.p is not None else 0)
+                report.check, report.p)
     return sorted(results, key=key)
 
 

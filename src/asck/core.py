@@ -505,8 +505,9 @@ def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
     alive, every input with the same int64 bytes gets that same object,
     and with it its ``derived`` memo.  The result is also filed under its
     own matrix, the input whose recoloring is itself, so inputs that
-    recolor to equal matrices are certified once.  A raising input stores
-    nothing.
+    recolor to equal matrices are certified once.  An input that is its
+    own recoloring is filed once: a second entry under equal bytes would
+    keep a second copy of them alive.  A raising input stores nothing.
     """
     arr = _integer_matrix(matrix)
     key = arr.tobytes()
@@ -517,7 +518,8 @@ def canonical_scheme(matrix: Sequence[Sequence[int]] | np.ndarray) -> Scheme:
         scheme = _interned.get(canonical_key)
         if scheme is None:
             scheme = _interned[canonical_key] = _certify(recolored)
-        _interned[key] = scheme
+        if key != canonical_key:
+            _interned[key] = scheme
     return scheme
 
 

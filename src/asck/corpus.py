@@ -342,27 +342,22 @@ def generate_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusMember]:
 
 def member_reports(member: CorpusMember,
                    primes: Iterable[int]) -> list[TheoremReport]:
-    """Every applicable check for one member, in a fixed order."""
+    """Every applicable check for one member, in a fixed order: the
+    partite reports of a homogeneous member, the bipartite report, the
+    fiber reports, and on a homogeneous member of at least two points
+    and rank at most RANK_CAP the primitive, block and quotient reports."""
     s = member.scheme
     primes = tuple(primes)
     reports: list[TheoremReport] = []
     if s.is_homogeneous:
-        for p in primes:
-            reports.append(check_partite_criterion(s, p))
-        reports.append(check_bipartite_criterion(s))
-        for p in primes:
-            reports.append(check_fiber_reduction(s, p))
-        if s.n >= 2 and s.r <= RANK_CAP:
-            for p in primes:
-                reports.append(check_primitive_structure(s, p))
-                reports.append(check_block_criterion(s, p))
-            for e in minimal_equivalences(s)[:2]:
-                for p in primes[:2]:
-                    reports.append(check_quotient_factorization(s, e, p))
-    else:
-        reports.append(check_bipartite_criterion(s))
-        for p in primes:
-            reports.append(check_fiber_reduction(s, p))
+        reports += [check_partite_criterion(s, p) for p in primes]
+    reports.append(check_bipartite_criterion(s))
+    reports += [check_fiber_reduction(s, p) for p in primes]
+    if s.is_homogeneous and s.n >= 2 and s.r <= RANK_CAP:
+        reports += [check(s, p) for p in primes
+                    for check in (check_primitive_structure, check_block_criterion)]
+        reports += [check_quotient_factorization(s, e, p)
+                    for e in minimal_equivalences(s)[:2] for p in primes[:2]]
     return reports
 
 

@@ -545,6 +545,69 @@ class TestPrimeIndependentWork:
         assert is_block_calls["outside"] == before + 1
 
 
+    def test_one_prime_check_per_report(self, corpus, monkeypatch):
+        """``_begin`` validates each check's prime and nothing below it
+        does: one default run on fresh schemes calls ``require_prime``
+        once per report, with that report's p.  Re-validating in every
+        sub-verdict made 19,406 calls."""
+        calls = Counter()
+        real_require_prime = checks.require_prime
+
+        def counting_require_prime(p):
+            calls[p] += 1
+            return real_require_prime(p)
+
+        monkeypatch.setattr(checks, "require_prime", counting_require_prime)
+        results = run_corpus_checks(fresh_members(corpus), CorpusSpec().primes)
+        assert calls == Counter(rep.p for _, rep in results)
+        assert sum(calls.values()) == len(results) == 6898
+
+
+def prime_taking_calls(s, e):
+    """``is_p_scheme`` and each check that takes p, by name, as a function
+    of p on the scheme s; the quotient check is given the equivalence e."""
+    return {
+        "is_p_scheme": lambda p: is_p_scheme(s, p),
+        "partite": lambda p: check_partite_criterion(s, p),
+        "fiber": lambda p: check_fiber_reduction(s, p),
+        "quotient": lambda p: check_quotient_factorization(s, e, p),
+        "primitive": lambda p: check_primitive_structure(s, p),
+        "block": lambda p: check_block_criterion(s, p),
+    }
+
+
+class TestPrimeDoor:
+    """Each check's p passes ``require_prime`` once, in ``_begin``, and
+    ``is_p_scheme`` is ``_p_verdict`` behind the same door."""
+
+    @pytest.mark.parametrize("name", [
+        "is_p_scheme", "partite", "fiber", "quotient", "primitive", "block"])
+    def test_bad_primes_raise_on_first_and_repeat_calls(self, name):
+        s = thin_scheme(cyclic_table(4))
+        call = prime_taking_calls(s, minimal_equivalences(s)[0])[name]
+        for _ in range(2):
+            for bad, message in ((4, "4"), (6, "6"), (2.0, "2.0"), ("3", "'3'"),
+                                 (None, "None")):
+                with pytest.raises(NotPrime) as info:
+                    call(bad)
+                assert str(info.value) == f"{message} is not prime"
+            with pytest.raises(SchemeError) as info:
+                call(2 ** 63)
+            assert type(info.value) is SchemeError
+            assert str(info.value) == (
+                f"p = {2 ** 63} is not below 2**63 = {2 ** 63}: sizes and powers are int64")
+            call(2)  # a good p warms the memos between the rounds
+
+    @pytest.mark.parametrize("name", ["partite", "quotient", "primitive", "block"])
+    def test_not_homogeneous_before_not_prime(self, name):
+        z4 = thin_scheme(cyclic_table(4))
+        # e is never read: the homogeneity test comes first
+        call = prime_taking_calls(two_fiber_scheme(), minimal_equivalences(z4)[0])[name]
+        for p in (2, 4, None):
+            with pytest.raises(NotHomogeneous):
+                call(p)
+
+
 class TestPrimitiveStructure:
     def test_prime_cyclic(self):
         for p in (2, 3, 5, 7):

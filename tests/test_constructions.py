@@ -153,6 +153,12 @@ class TestCayleyTables:
         with pytest.raises(InvalidGroupTable):
             cayley_table([[0, 1], [1, 1]])
 
+    def test_rejects_non_square_array(self):
+        with pytest.raises(InvalidGroupTable) as info:
+            cayley_table(np.zeros((2, 3), dtype=np.int64))
+        assert type(info.value) is InvalidGroupTable
+        assert str(info.value) == "expected a nonempty square table, got (2, 3)"
+
     @pytest.mark.parametrize("table", [
         pytest.param([[0.7, 1.2], [1.2, 0.7]], id="fractions"),
         *[pytest.param(np.array([[0, 1], [1, bad]]), id=str(bad))
@@ -613,6 +619,16 @@ class TestBlocksAndRestriction:
         with pytest.raises(NotABlock):
             restriction(s, [0, 1])
 
+    @pytest.mark.parametrize("points,message", [
+        ([], "empty point set"),
+        ([0, 4], "points out of range 0..3"),
+        ([-1, 1], "points out of range 0..3"),
+    ])
+    def test_empty_and_out_of_range_points(self, points, message):
+        with pytest.raises(NotABlock) as info:
+            restriction(thin_scheme(cyclic_table(4)), points)
+        assert type(info.value) is NotABlock and str(info.value) == message
+
     def test_lattice_classes_need_no_is_block(self, corpus):
         """Every class of every lattice equivalence is a block, and its
         restriction without ``is_block`` is the object ``restriction``
@@ -704,6 +720,12 @@ class TestDigraphEncoding:
     def test_loopless_digraph_gets_three_classes(self):
         m = digraph_color_matrix(Digraph.from_arcs(2, [(0, 1)]))
         assert len(set(m.ravel())) == 3
+
+    def test_rejects_empty_digraph(self):
+        with pytest.raises(SchemeError) as info:
+            digraph_color_matrix(Digraph(0, frozenset()))
+        assert type(info.value) is SchemeError
+        assert str(info.value) == "cannot encode an empty digraph"
 
 
 class TestWlClosure:

@@ -641,6 +641,22 @@ class TestCertifiedMemory:
         _, peak = traced_validate(matrix)
         assert peak <= 40 * matrix.size
 
+    def test_interned_scheme_holds_one_copy_of_its_bytes(self):
+        """An input that is its own recoloring is filed once: the Scheme
+        and its table key hold about 16 bytes per cell, where a second
+        key for the same bytes held a second copy, 24 in all."""
+        n = 512
+        key = (np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)).tobytes()
+        assert key not in core._interned  # so the call below certifies
+        del key
+        tracemalloc.start()
+        try:
+            s = rank_two_scheme(n)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.n == n and held <= 17 * n * n
+
     def test_circulant_peak(self):
         """Sorting all n^2 cells peaked at 45.8 MiB on thin Z_1000;
         sorting row 0 peaks at about 16.3 MiB."""

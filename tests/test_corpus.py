@@ -118,6 +118,17 @@ def test_spec_rejects_repeated_and_non_integer_primes(primes, message):
         CorpusSpec(primes=primes)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"max_n": 0}, "max_n must be in 1..64, got 0"),
+    ({"max_n": 65}, "max_n must be in 1..64, got 65"),
+    ({"primes": ()}, "prime list must be nonempty"),
+])
+def test_spec_rejects_empty_ranges(fields, message):
+    with pytest.raises(SchemeError) as info:
+        CorpusSpec(**fields)
+    assert type(info.value) is SchemeError and str(info.value) == message
+
+
 class TestCirculantArguments:
     """``_wl_circulant`` checks neither the strong connectivity of its
     draws nor the homogeneity of their closures; both are exact

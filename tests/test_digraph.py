@@ -114,6 +114,12 @@ class TestDigraphType:
         with pytest.raises(SchemeError):
             Digraph.from_arcs(2, [(0, 2)])
 
+    def test_rejects_labels_of_wrong_length(self):
+        with pytest.raises(SchemeError) as info:
+            Digraph.from_arcs(3, [(0, 1)], labels=[0, 1])
+        assert type(info.value) is SchemeError
+        assert str(info.value) == "labels length differs from vertex count"
+
     def test_rejects_float_endpoint(self):
         """Before, the arc (0, 1.5) was kept: the cyclic partition read
         it as (0, 1) and ``dg_text`` wrote "0 1.5"."""

@@ -523,6 +523,15 @@ class TestCliChecks:
         assert "p-scheme: false" in out
         assert "color 0 has size 6" in out
 
+    def test_check_p_machine_false_with_witness(self, tmp_path, capsys):
+        s = thin_scheme(cyclic_table(6))
+        path = tmp_path / "z6.ccm"
+        path.write_text(ccm_text(s.matrix))
+        assert main(["check-p", str(path), "-p", "3", "--machine"]) == EXIT_FALSE
+        assert capsys.readouterr().out.splitlines() == [
+            "n=6", "p=3", "p-scheme=false", "r=6", f"scheme={s.hash}",
+            "witness.size-offender=color 0 has size 6"]
+
     def test_check_p_composite_p(self, tmp_path, capsys):
         path = tmp_path / "z4.ccm"
         path.write_text(z4_text())
@@ -574,8 +583,10 @@ class TestCliGenerators:
         assert validate(read_ccm(out)).n == 6
 
     def test_gen_thin_cyclic_rejects_zero(self, capsys):
+        """``cyclic_table`` tests the order; the command does not."""
         assert main(["gen", "thin-cyclic", "0"]) == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: order must be positive, got 0\n")
 
     def test_gen_wreath(self, tmp_path):
         inner = tmp_path / "i.ccm"

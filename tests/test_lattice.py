@@ -82,6 +82,15 @@ class TestGeneratedClosedSet:
         s = z4()
         assert generated_closed_set(s, {0}).colors == {0}
 
+    def test_membership_iteration_and_length(self):
+        s = z4()
+        c2 = int(s.matrix[0, 2])
+        closed = generated_closed_set(s, {c2})
+        assert c2 in closed and 0 in closed
+        assert [c for c in range(s.r) if c in closed] == [0, c2]
+        assert list(closed) == [0, c2] and len(closed) == 2
+        assert list(generated_closed_set(s, {int(s.matrix[0, 1])})) == [0, 1, 2, 3]
+
     def test_closure_invariants(self):
         s = thin_scheme(dihedral_table(4))
         for c in range(s.r):

@@ -155,6 +155,15 @@ MUTANTS = (
     Mutant("p-bound-off-by-one", "checks.py",
            "q >= _P_BOUND", "q > _P_BOUND",
            ("tests/test_checks.py::TestArithmetic::test_require_prime_below_two_to_the_63",)),
+    # the one door for a check's prime, and the reader below it
+    Mutant("begin-skips-prime-check", "checks.py",
+           "    p = require_prime(p)\n    start = time.perf_counter()\n",
+           "    start = time.perf_counter()\n",
+           ("tests/test_checks.py::TestPartiteCriterion::test_requires_prime",)),
+    # equal output: only the count of validations tells it apart
+    Mutant("size-verdict-revalidates", "checks.py",
+           "    verdict = _p_verdict(scheme, p)\n", "    verdict = is_p_scheme(scheme, p)\n",
+           ("tests/test_checks.py::TestPrimeIndependentWork::test_one_prime_check_per_report",)),
     Mutant("cyclic-table-unbounded", "constructions.py",
            '    require_points(m, "cyclic group table")\n', "",
            (f"{POINT_BOUND}[cyclic_table]",)),
@@ -271,6 +280,12 @@ MUTANTS = (
     Mutant("circulant-verdict-false", "core.py",
            "first_cells=first, circulant=circulant)", "first_cells=first, circulant=False)",
            (CAYLEY_PATH,)),
+    # equal output: only the bytes an interned scheme holds tell it apart
+    Mutant("intern-second-key-always", "core.py",
+           "        if key != canonical_key:\n            _interned[key] = scheme\n",
+           "        _interned[key] = scheme\n",
+           ("tests/test_core.py::TestCertifiedMemory::"
+            "test_interned_scheme_holds_one_copy_of_its_bytes",)),
     Mutant("scheme-sizes-writeable", "core.py",
            "    for a in (arr, first, sizes, degrees, sigma):\n",
            "    for a in (arr, first, degrees, sigma):\n",
